@@ -17,7 +17,7 @@ from .config import TrainConfig
 from .corpus import ManifestEntry, SynthSpec, apply_split_protocol, format_manifest, \
     generate_synthetic_corpus, parse_manifest
 from .errors import DataError, FormatError, Hmm2tcError, NumericError
-from .model_io import load_model, load_model_metadata, save_model
+from .model_io import load_model, save_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2

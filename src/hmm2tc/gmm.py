@@ -13,6 +13,13 @@ _LOG_2PI = np.log(2.0 * np.pi)
 WEIGHT_TOL = 1e-10
 
 
+def _stochastic(p: np.ndarray) -> bool:
+    """True when every entry is finite and nonnegative and every row (along
+    the last axis) sums to 1 within WEIGHT_TOL; NaN fails every test."""
+    return bool(np.all(np.isfinite(p)) and np.all(p >= 0)
+                and np.all(np.abs(p.sum(axis=-1) - 1.0) <= WEIGHT_TOL))
+
+
 @dataclass
 class GaussianMixture:
     weights: np.ndarray   # (M,)
@@ -27,10 +34,12 @@ class GaussianMixture:
             raise DataError("means and variances must have matching shapes")
         if self.weights.shape != (self.means.shape[0],):
             raise DataError("one weight per mixture component required")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > WEIGHT_TOL:
+        if not _stochastic(self.weights):
             raise DataError("component weights must be nonnegative and sum to 1")
-        if np.any(self.variances <= 0):
-            raise DataError("variances must be strictly positive")
+        if not np.all(np.isfinite(self.means)):
+            raise DataError("means must be finite")
+        if not (np.all(np.isfinite(self.variances)) and np.all(self.variances > 0)):
+            raise DataError("variances must be finite and strictly positive")
 
     @property
     def n_components(self) -> int:

@@ -1,25 +1,26 @@
-"""First-order continuous-density HMM baseline (log-domain throughout)."""
+"""First-order continuous-density HMM baseline.
+
+Forward, backward, Viterbi and the EM E-step run on the shared lattice engine
+(`hmm2tc.lattice`) with S = N states.
+"""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
+from . import lattice
 from .config import TrainConfig, frames_of, variance_floor
-from .errors import DataError, NumericError
-from .gmm import GaussianMixture, WEIGHT_TOL
+from .errors import DataError
+from .gmm import GaussianMixture, _stochastic
+from .lattice import _log
 
 log = logging.getLogger(__name__)
 
 TOPOLOGIES = ("ergodic", "left-right")
-
-
-def _log(p: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(p)
 
 
 @dataclass
@@ -35,10 +36,10 @@ class Hmm1Model:
         n = self.pi.size
         if self.a.shape != (n, n) or len(self.mixtures) != n:
             raise DataError("inconsistent state counts across pi, a, mixtures")
-        if abs(self.pi.sum() - 1.0) > WEIGHT_TOL or np.any(self.pi < 0):
+        if not _stochastic(self.pi):
             raise DataError("pi must be a probability vector")
-        if np.any(self.a < 0) or np.any(np.abs(self.a.sum(axis=1) - 1.0) > WEIGHT_TOL):
-            raise DataError("every transition row must sum to 1")
+        if not _stochastic(self.a):
+            raise DataError("every transition row must be a probability vector")
         if self.topology not in TOPOLOGIES:
             raise DataError(f"unknown topology {self.topology!r}")
         if self.topology == "left-right" and np.any(np.tril(self.a, -1) != 0):
@@ -67,46 +68,18 @@ class Hmm1Model:
 
 
 def forward1(model: Hmm1Model, obs) -> tuple[np.ndarray, float]:
-    """Log-domain forward lattice (T, N) and total log-likelihood."""
-    logb = model.emission_log_probs(obs)
-    t_len = logb.shape[0]
-    la = np.empty_like(logb)
-    la[0] = _log(model.pi) + logb[0]
-    loga = _log(model.a)
-    for t in range(1, t_len):
-        la[t] = logsumexp(la[t - 1][:, None] + loga, axis=0) + logb[t]
-    return la, float(logsumexp(la[-1]))
+    """Log forward lattice (T, N) and total log-likelihood."""
+    return lattice.forward(_log(model.pi), model.a, model.emission_log_probs(obs))
 
 
 def viterbi1(model: Hmm1Model, obs) -> tuple[np.ndarray, float]:
-    logb = model.emission_log_probs(obs)
-    t_len, n = logb.shape
-    loga = _log(model.a)
-    delta = _log(model.pi) + logb[0]
-    back = np.zeros((t_len, n), dtype=np.intp)
-    for t in range(1, t_len):
-        cand = delta[:, None] + loga
-        back[t] = np.argmax(cand, axis=0)
-        delta = cand[back[t], np.arange(n)] + logb[t]
-    best = int(np.argmax(delta))
-    score = float(delta[best])
-    if score == -np.inf:
-        raise NumericError("no admissible state path for this observation sequence")
-    path = np.empty(t_len, dtype=np.intp)
-    path[-1] = best
-    for t in range(t_len - 1, 0, -1):
-        path[t - 1] = back[t][path[t]]
-    return path, score
+    """Most likely state path and its log score (ties: lowest state index)."""
+    return lattice.viterbi(_log(model.pi), model.a, model.emission_log_probs(obs))
 
 
 def backward1(model: Hmm1Model, obs) -> np.ndarray:
-    logb = model.emission_log_probs(obs)
-    t_len, n = logb.shape
-    loga = _log(model.a)
-    lb = np.zeros((t_len, n))
-    for t in range(t_len - 2, -1, -1):
-        lb[t] = logsumexp(loga + (logb[t + 1] + lb[t + 1])[None, :], axis=1)
-    return lb
+    """Log backward lattice (T, N); the last row is identically 0."""
+    return lattice.backward(model.a, model.emission_log_probs(obs))
 
 
 def sample_hmm1(model: Hmm1Model, t_len: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +109,10 @@ def _update_mixtures(mixtures, occ, corpus_mats, comp_logdens, logb_list, floor,
                      weight_floor):
     """Shared GMM M-step given per-frame state occupancies.
 
-    occ: list of (T, N) occupancy arrays, one per sequence. Returns new
-    mixtures; zero-occupancy states or components keep their parameters.
+    occ: list of (T, N) occupancy arrays, one per sequence. Returns the new
+    mixtures and a (N, M) mask of the components that had zero occupancy;
+    those components, and states whose every component is empty, keep their
+    previous parameters.
     """
     n = len(mixtures)
     m_comp = mixtures[0].n_components
@@ -147,38 +122,59 @@ def _update_mixtures(mixtures, occ, corpus_mats, comp_logdens, logb_list, floor,
     sq_acc = np.zeros((n, m_comp, d))
     for mat, occ_s, comp_ld, logb in zip(corpus_mats, occ, comp_logdens, logb_list):
         for j in range(n):
-            with np.errstate(divide="ignore"):
-                logw = np.log(mixtures[j].weights)
-            resp = np.exp(comp_ld[j] + logw[None, :] - logb[:, j][:, None])  # (T, M)
+            resp = np.exp(comp_ld[j] + _log(mixtures[j].weights)[None, :]
+                          - logb[:, j][:, None])  # (T, M)
             r = occ_s[:, j][:, None] * resp
             w_acc[j] += r.sum(axis=0)
             mean_acc[j] += r.T @ mat
             sq_acc[j] += r.T @ (mat * mat)
+    empty = w_acc <= 1e-300
     new = []
     for j in range(n):
         tot = w_acc[j].sum()
         if tot <= 1e-300:
-            log.warning("state %d has zero occupancy; keeping previous mixture", j)
+            empty[j] = True
             new.append(mixtures[j])
             continue
         weights = w_acc[j] / tot
         means = mixtures[j].means.copy()
         variances = mixtures[j].variances.copy()
-        for m in range(m_comp):
-            if w_acc[j, m] <= 1e-300:
-                log.warning("state %d component %d has zero occupancy; kept", j, m)
-                continue
+        for m in np.flatnonzero(~empty[j]):
             means[m] = mean_acc[j, m] / w_acc[j, m]
             variances[m] = np.maximum(sq_acc[j, m] / w_acc[j, m] - means[m] ** 2, floor)
         weights = np.maximum(weights, weight_floor)
         weights /= weights.sum()
         new.append(GaussianMixture(weights, means, variances))
-    return new
+    return new, empty
+
+
+class _ZeroOccupancy:
+    """Tally, over one EM run, of the parameters that had zero occupancy and
+    were kept; `report` logs one summary record per kind of parameter
+    ("mixture components", "(i, j) pairs") to the trainer's logger."""
+
+    def __init__(self, logger: logging.Logger):
+        self.logger = logger
+        self.hits: dict[str, tuple[np.ndarray, int]] = {}
+
+    def add(self, kind: str, mask: np.ndarray) -> None:
+        seen, iters = self.hits.get(kind, (np.zeros(mask.shape, dtype=bool), 0))
+        self.hits[kind] = (seen | mask, iters + int(np.any(mask)))
+
+    def report(self, iterations: int) -> None:
+        for kind, (seen, iters) in self.hits.items():
+            if iters:
+                self.logger.warning(
+                    "%d %s had zero occupancy in %d of %d EM iterations; kept",
+                    int(seen.sum()), kind, iters, iterations)
 
 
 def baum_welch1(model: Hmm1Model, corpus, cfg: TrainConfig | None = None
                 ) -> tuple[Hmm1Model, list[float]]:
-    """EM training over multiple sequences; returns (model, log-likelihood trace)."""
+    """EM training over multiple sequences; returns (model, log-likelihood trace).
+
+    Raises NumericError when a sequence has a non-finite log-likelihood.
+    """
     cfg = cfg or TrainConfig()
     if not corpus:
         raise DataError("training corpus is empty")
@@ -191,31 +187,21 @@ def baum_welch1(model: Hmm1Model, corpus, cfg: TrainConfig | None = None
     floor = variance_floor(mats, cfg)
     n = model.n_states
     allowed = np.triu(np.ones((n, n))) if model.topology == "left-right" else np.ones((n, n))
+    zero = _ZeroOccupancy(log)
     trace: list[float] = []
     for _ in range(cfg.max_iterations):
-        loga = _log(model.a)
+        logpi = _log(model.pi)
+        logw = np.stack([_log(mix.weights) for mix in model.mixtures])
         pi_acc = np.zeros(n)
         xi_acc = np.zeros((n, n))
         occ_list, comp_list, logb_list = [], [], []
         total_ll = 0.0
         for mat in mats:
             comp_ld = [mix.component_log_density(mat) for mix in model.mixtures]
-            logb = np.stack([logsumexp(cl + _log(mix.weights)[None, :], axis=1)
-                             for cl, mix in zip(comp_ld, model.mixtures)], axis=1)
-            t_len = mat.shape[0]
-            la = np.empty_like(logb)
-            la[0] = _log(model.pi) + logb[0]
-            for t in range(1, t_len):
-                la[t] = logsumexp(la[t - 1][:, None] + loga, axis=0) + logb[t]
-            ll = float(logsumexp(la[-1]))
-            lb = np.zeros_like(logb)
-            for t in range(t_len - 2, -1, -1):
-                lb[t] = logsumexp(loga + (logb[t + 1] + lb[t + 1])[None, :], axis=1)
+            logb = logsumexp(np.stack(comp_ld, axis=1) + logw, axis=2)
+            gamma, xi, ll = lattice.estep(logpi, model.a, logb)
             total_ll += ll
-            gamma = np.exp(la + lb - ll)  # (T, N)
-            # xi_t(i, j) summed over t
-            lx = la[:-1, :, None] + loga[None, :, :] + (logb[1:] + lb[1:])[:, None, :] - ll
-            xi_acc += np.exp(logsumexp(lx, axis=0))
+            xi_acc += xi
             pi_acc += gamma[0]
             occ_list.append(gamma)
             comp_list.append(comp_ld)
@@ -233,9 +219,11 @@ def baum_welch1(model: Hmm1Model, corpus, cfg: TrainConfig | None = None
         if cfg.transition_floor > 0:
             a_new = np.maximum(a_new, cfg.transition_floor * allowed)
             a_new /= a_new.sum(axis=1, keepdims=True)
-        mixtures = _update_mixtures(model.mixtures, occ_list, mats, comp_list,
-                                    logb_list, floor, cfg.mixture_weight_floor)
+        mixtures, empty = _update_mixtures(model.mixtures, occ_list, mats, comp_list,
+                                           logb_list, floor, cfg.mixture_weight_floor)
+        zero.add("mixture components", empty)
         model = Hmm1Model(pi_new, a_new, mixtures, model.topology)
         if len(trace) >= 2 and trace[-1] - trace[-2] < cfg.tol * abs(trace[-2]):
             break
+    zero.report(len(trace))
     return model, trace

@@ -1,8 +1,11 @@
 """Second-order continuous-density HMM: extended Viterbi, forward/backward, EM.
 
 State pairs index every lattice: a trellis cell (t, j, k) covers the
-transition between times t-1 and t. All recursions run in the log domain
-with log-sum-exp; impossible events carry -inf.
+transition between times t-1 and t. The model runs as a first-order chain
+over the N*N pairs, P[(i, j), (j, k)] = a3[i, j, k], on the shared lattice
+engine (`hmm2tc.lattice`): forward, backward and the EM E-step in the
+probability domain with per-row scaling, Viterbi in the log domain by
+max-product. Impossible events carry -inf in every log-domain result.
 """
 
 from __future__ import annotations
@@ -13,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from . import lattice
 from .config import TrainConfig, frames_of, variance_floor
-from .errors import DataError, NumericError
-from .gmm import GaussianMixture, WEIGHT_TOL
-from .hmm1 import Hmm1Model, TOPOLOGIES, _log, _update_mixtures
+from .errors import DataError
+from .gmm import GaussianMixture, _stochastic
+from .hmm1 import Hmm1Model, TOPOLOGIES, _update_mixtures, _ZeroOccupancy
+from .lattice import _log
 
 log = logging.getLogger(__name__)
 
@@ -36,12 +41,12 @@ class Hmm2Model:
         n = self.psi.size
         if self.a2.shape != (n, n) or self.a3.shape != (n, n, n) or len(self.mixtures) != n:
             raise DataError("inconsistent state counts across psi, a2, a3, mixtures")
-        if abs(self.psi.sum() - 1.0) > WEIGHT_TOL or np.any(self.psi < 0):
+        if not _stochastic(self.psi):
             raise DataError("psi must be a probability vector")
-        if np.any(self.a2 < 0) or np.any(np.abs(self.a2.sum(axis=1) - 1.0) > WEIGHT_TOL):
-            raise DataError("every a2 row must sum to 1")
-        if np.any(self.a3 < 0) or np.any(np.abs(self.a3.sum(axis=2) - 1.0) > WEIGHT_TOL):
-            raise DataError("every a3 (i, j) row must sum to 1")
+        if not _stochastic(self.a2):
+            raise DataError("every a2 row must be a probability vector")
+        if not _stochastic(self.a3):
+            raise DataError("every a3 (i, j) row must be a probability vector")
         if self.topology not in TOPOLOGIES:
             raise DataError(f"unknown topology {self.topology!r}")
         if self.topology == "left-right":
@@ -110,59 +115,43 @@ def path_log_prob2(model: Hmm2Model, states, obs=None) -> float:
     return float(total)
 
 
-def _check_t(logb: np.ndarray) -> int:
-    t_len = logb.shape[0]
-    if t_len < 2:
+def _pair_chain(model: Hmm2Model, logb: np.ndarray):
+    """The lattice engine's (log initial row, transition matrix, emission
+    table) for the chain over pairs (j, k), indexed j * N + k.
+
+    Row r of the pair lattice covers frames (r, r + 1): the initial row holds
+    psi, a2 and the first frame's emission, and pair (j, k) emits frame r + 1
+    from state k.
+    """
+    if logb.shape[0] < 2:
         raise DataError("second-order recursions require T >= 2")
-    return t_len
+    n = model.n_states
+    log_init = ((_log(model.psi) + logb[0])[:, None] + _log(model.a2)).ravel()
+    trans = np.zeros((n, n, n, n))
+    same = np.arange(n)
+    trans[:, same, same, :] = model.a3
+    return log_init, trans.reshape(n * n, n * n), np.tile(logb[1:], n)
 
 
 def forward2(model: Hmm2Model, obs) -> tuple[Trellis2, float]:
     """Extended forward lattice alpha_t(j, k) and total log-likelihood."""
-    logb = model.emission_log_probs(obs)
-    t_len = _check_t(logb)
-    loga3 = _log(model.a3)
-    la = np.empty((t_len - 1, model.n_states, model.n_states))
-    la[0] = (_log(model.psi) + logb[0])[:, None] + _log(model.a2) + logb[1][None, :]
-    for s in range(1, t_len - 1):
-        la[s] = logsumexp(la[s - 1][:, :, None] + loga3, axis=0) + logb[s + 1][None, None, :]
-    ll = float(logsumexp(la[-1]))
-    return Trellis2(la, ll), ll
+    la, ll = lattice.forward(*_pair_chain(model, model.emission_log_probs(obs)))
+    n = model.n_states
+    return Trellis2(la.reshape(-1, n, n), ll), ll
 
 
 def backward2(model: Hmm2Model, obs) -> Trellis2:
     """Extended backward lattice beta_t(i, j); beta_T is identically 1."""
-    logb = model.emission_log_probs(obs)
-    t_len = _check_t(logb)
-    loga3 = _log(model.a3)
-    lb = np.zeros((t_len - 1, model.n_states, model.n_states))
-    for s in range(t_len - 3, -1, -1):
-        lb[s] = logsumexp(loga3 + (logb[s + 2] + lb[s + 1])[None, :, :], axis=2)
-    return Trellis2(lb)
+    _, trans, pair_logb = _pair_chain(model, model.emission_log_probs(obs))
+    n = model.n_states
+    return Trellis2(lattice.backward(trans, pair_logb).reshape(-1, n, n))
 
 
 def viterbi2(model: Hmm2Model, obs) -> tuple[np.ndarray, float]:
     """Most likely state path and its log score (ties: lowest state index)."""
-    logb = model.emission_log_probs(obs)
-    t_len = _check_t(logb)
+    pairs, score = lattice.viterbi(*_pair_chain(model, model.emission_log_probs(obs)))
     n = model.n_states
-    loga3 = _log(model.a3)
-    delta = (_log(model.psi) + logb[0])[:, None] + _log(model.a2) + logb[1][None, :]
-    back = np.zeros((t_len - 1, n, n), dtype=np.intp)
-    for s in range(1, t_len - 1):
-        cand = delta[:, :, None] + loga3  # (i, j, k)
-        back[s] = np.argmax(cand, axis=0)
-        delta = np.max(cand, axis=0) + logb[s + 1][None, :]
-    flat = int(np.argmax(delta))
-    score = float(delta.flat[flat])
-    if score == -np.inf:
-        raise NumericError("no admissible state path for this observation sequence")
-    j, k = divmod(flat, n)
-    path = [j, k]
-    for s in range(t_len - 2, 0, -1):
-        i = int(back[s][path[0], path[1]])
-        path.insert(0, i)
-    return np.asarray(path, dtype=np.intp), score
+    return np.concatenate(([pairs[0] // n], pairs % n)), score
 
 
 def sample_hmm2(model: Hmm2Model, t_len: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,9 +185,10 @@ def baum_welch2(model: Hmm2Model, corpus, cfg: TrainConfig | None = None
                 ) -> tuple[Hmm2Model, list[float]]:
     """EM training of the second-order model over multiple sequences.
 
-    Expected transition counts come from eta_t(i, j, k) built out of the
-    extended forward/backward lattices; pair posteriors gamma_t(j, k) drive
-    the Psi/a2 updates and per-frame state occupancies for the GMM M-step.
+    The E-step runs on the pair chain: its transition counts are the a3
+    counts, and the pair posteriors gamma_t(j, k) drive the Psi/a2 updates
+    and the per-frame state occupancies for the GMM M-step. Raises
+    NumericError when a sequence has a non-finite log-likelihood.
     """
     cfg = cfg or TrainConfig()
     if not corpus:
@@ -211,11 +201,11 @@ def baum_welch2(model: Hmm2Model, corpus, cfg: TrainConfig | None = None
             raise DataError("observation dim does not match the model")
     floor = variance_floor(mats, cfg)
     n = model.n_states
+    same = np.arange(n)
+    zero = _ZeroOccupancy(log)
     trace: list[float] = []
     for _ in range(cfg.max_iterations):
-        loga2 = _log(model.a2)
-        loga3 = _log(model.a3)
-        logpsi = _log(model.psi)
+        logw = np.stack([_log(mix.weights) for mix in model.mixtures])
         psi_acc = np.zeros(n)
         a2_acc = np.zeros((n, n))
         a3_acc = np.zeros((n, n, n))
@@ -223,26 +213,14 @@ def baum_welch2(model: Hmm2Model, corpus, cfg: TrainConfig | None = None
         total_ll = 0.0
         for mat in mats:
             comp_ld = [mix.component_log_density(mat) for mix in model.mixtures]
-            logb = np.stack([logsumexp(cl + _log(mix.weights)[None, :], axis=1)
-                             for cl, mix in zip(comp_ld, model.mixtures)], axis=1)
-            t_len = logb.shape[0]
-            la = np.empty((t_len - 1, n, n))
-            la[0] = (logpsi + logb[0])[:, None] + loga2 + logb[1][None, :]
-            for s in range(1, t_len - 1):
-                la[s] = logsumexp(la[s - 1][:, :, None] + loga3, axis=0) + logb[s + 1]
-            ll = float(logsumexp(la[-1]))
-            lb = np.zeros((t_len - 1, n, n))
-            for s in range(t_len - 3, -1, -1):
-                lb[s] = logsumexp(loga3 + (logb[s + 2] + lb[s + 1])[None, :, :], axis=2)
+            logb = logsumexp(np.stack(comp_ld, axis=1) + logw, axis=2)
+            gamma, xi, ll = lattice.estep(*_pair_chain(model, logb))
             total_ll += ll
-            gamma = np.exp(la + lb - ll)            # (T-1, N, N) pair posteriors
-            # eta over (t, i, j, k) collapsed over t
-            leta = (la[:-1, :, :, None] + loga3[None] +
-                    logb[2:, None, None, :] + lb[1:, None, :, :] - ll)
-            a3_acc += np.exp(logsumexp(leta, axis=0))
+            gamma = gamma.reshape(-1, n, n)              # (T-1, N, N) pair posteriors
+            a3_acc += xi.reshape(n, n, n, n)[:, same, same, :]
             a2_acc += gamma[0]
             psi_acc += gamma[0].sum(axis=1)
-            occ = np.empty((t_len, n))
+            occ = np.empty((mat.shape[0], n))
             occ[0] = gamma[0].sum(axis=1)
             occ[1:] = gamma.sum(axis=1)
             occ_list.append(occ)
@@ -260,15 +238,16 @@ def baum_welch2(model: Hmm2Model, corpus, cfg: TrainConfig | None = None
         denom = a3_acc.sum(axis=2)
         pairs = denom > 0
         a3_new[pairs] = a3_acc[pairs] / denom[pairs][:, None]
-        if np.any(~pairs):
-            log.warning("%d (i, j) pairs had zero occupancy; kept", int(np.sum(~pairs)))
         if cfg.transition_floor > 0:
             mask = model.a3 > 0
             a3_new = np.where(mask, np.maximum(a3_new, cfg.transition_floor), a3_new)
             a3_new /= a3_new.sum(axis=2, keepdims=True)
-        mixtures = _update_mixtures(model.mixtures, occ_list, mats, comp_list,
-                                    logb_list, floor, cfg.mixture_weight_floor)
+        mixtures, empty = _update_mixtures(model.mixtures, occ_list, mats, comp_list,
+                                           logb_list, floor, cfg.mixture_weight_floor)
+        zero.add("(i, j) pairs", ~pairs)
+        zero.add("mixture components", empty)
         model = Hmm2Model(psi_new, a2_new, a3_new, mixtures, model.topology)
         if len(trace) >= 2 and trace[-1] - trace[-2] < cfg.tol * abs(trace[-2]):
             break
+    zero.report(len(trace))
     return model, trace

@@ -64,6 +64,8 @@ def model_from_dict(doc: dict) -> Hmm1Model | Hmm2Model:
         raise FormatError(f"unsupported model order {doc['order']}")
     except KeyError as exc:
         raise FormatError(f"model document missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"malformed model document: {exc}") from exc
 
 
 def dumps_model(model, metadata: dict | None = None) -> str:
@@ -85,9 +87,3 @@ def load_model(path) -> Hmm1Model | Hmm2Model:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     return model_from_dict(doc)
-
-
-def load_model_metadata(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return doc.get("metadata", {})

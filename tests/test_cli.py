@@ -120,6 +120,19 @@ class TestTrainEvaluate:
         model_doc = json.loads((bank / doc["scopes"][0]["models"]["a"]).read_text())
         assert model_doc["metadata"]["freeze_initials"] is True
 
+    def test_identify_malformed_model_exits_3(self, synth_corpus, tmp_path, capsys):
+        bank = tmp_path / "bank"
+        assert self._train(capsys, synth_corpus, bank, 2)[0] == 0
+        doc = json.loads((bank / "bank.json").read_text())
+        model_path = bank / doc["scopes"][0]["models"]["a"]
+        model_doc = json.loads(model_path.read_text())
+        model_doc["mixtures"][0]["means"] = [[0.0, 1.0], [0.0]]  # ragged
+        model_path.write_text(json.dumps(model_doc))
+        code, _, err = run(capsys, "identify", "--bank", str(bank), "--features",
+                           str(synth_corpus / "features" / "a_006.lpcc"))
+        assert code == 3
+        assert "malformed model document" in err
+
     def test_train_deterministic(self, synth_corpus, tmp_path, capsys):
         for name in ("t1", "t2"):
             assert self._train(capsys, synth_corpus, tmp_path / name, 2)[0] == 0

@@ -33,6 +33,18 @@ def test_weight_validation():
         GaussianMixture([0.5, 0.4], np.zeros((2, 1)), np.ones((2, 1)))
 
 
+@pytest.mark.parametrize("weights, means, variances", [
+    ([np.nan], [[0.0]], [[np.nan]]),
+    ([1.0], [[np.nan]], [[1.0]]),
+    ([1.0], [[0.0]], [[np.nan]]),
+    ([1.0], [[0.0]], [[np.inf]]),
+    ([np.inf], [[0.0]], [[1.0]]),
+])
+def test_non_finite_parameters_rejected(weights, means, variances):
+    with pytest.raises(DataError):
+        GaussianMixture(weights, means, variances)
+
+
 def test_dim_mismatch():
     gmm = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
     with pytest.raises(DataError):

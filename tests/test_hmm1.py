@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hmm2tc.config import TrainConfig
-from hmm2tc.errors import DataError
+from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
 from hmm2tc.hmm1 import Hmm1Model, backward1, baum_welch1, forward1, sample_hmm1, \
     viterbi1
@@ -86,6 +86,21 @@ def test_baum_welch_monotone_and_stochastic():
     assert np.all(np.abs(model.a.sum(axis=1) - 1) < 1e-10)
     for mix in model.mixtures:
         assert abs(mix.weights.sum() - 1) < 1e-10
+
+
+def test_nan_parameters_rejected():
+    mix = [GaussianMixture([1.0], [[0.0]], [[1.0]]) for _ in range(2)]
+    with pytest.raises(DataError):
+        Hmm1Model([np.nan, 1.0], np.eye(2), mix)
+    with pytest.raises(DataError):
+        Hmm1Model([0.5, 0.5], [[np.nan, 1.0], [0.0, 1.0]], mix)
+
+
+def test_baum_welch_non_finite_likelihood_raises():
+    mix = [GaussianMixture([1.0], [[0.0]], [[1.0]]) for _ in range(2)]
+    model = Hmm1Model([1.0, 0.0], [[0.5, 0.5], [0.0, 1.0]], mix, "left-right")
+    with pytest.raises(NumericError):
+        baum_welch1(model, [np.zeros((5, 1)), np.full((5, 1), 1e200)])
 
 
 def test_baum_welch_requires_t2():

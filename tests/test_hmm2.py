@@ -228,6 +228,18 @@ class TestModelValidation:
             Hmm2Model([1.0, 0.0], np.eye(2), np.zeros((2, 2, 2)),
                       [unit_gmm([0.0]), unit_gmm([0.0])])
 
+    def test_nan_parameters_rejected(self):
+        mix = [unit_gmm([0.0]), unit_gmm([0.0])]
+        a3 = np.full((2, 2, 2), 0.5)
+        with pytest.raises(DataError):
+            Hmm2Model([np.nan, 1.0], np.full((2, 2), 0.5), a3, mix)
+        with pytest.raises(DataError):
+            Hmm2Model([0.5, 0.5], [[np.nan, 1.0], [0.5, 0.5]], a3, mix)
+        bad = a3.copy()
+        bad[1, 0] = [np.nan, 1.0]
+        with pytest.raises(DataError):
+            Hmm2Model([0.5, 0.5], np.full((2, 2), 0.5), bad, mix)
+
     def test_left_right_masks(self):
         a2 = np.array([[0.5, 0.5], [0.0, 1.0]])
         a3 = np.zeros((2, 2, 2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hmm2tc.config import TrainConfig
-from hmm2tc.errors import DataError
+from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
 from hmm2tc.hmm2 import Hmm2Model, baum_welch2, forward2, sample_hmm2
 from hmm2tc.init import init_hmm1, init_hmm2
@@ -89,6 +89,27 @@ class TestBaumWelch2:
         means = model.mixtures[0].means[np.argsort(model.mixtures[0].means[:, 0])]
         assert np.allclose(means[0], [-3, -3], atol=0.2)
         assert np.allclose(means[1], [3, 3], atol=0.2)
+
+    def test_non_finite_likelihood_raises(self):
+        a2 = np.array([[0.5, 0.5], [0.0, 1.0]])
+        a3 = np.zeros((2, 2, 2))
+        a3[:, 0] = [0.5, 0.5]
+        a3[:, 1] = [0.0, 1.0]
+        mix = [GaussianMixture([1.0], [[0.0]], [[1.0]]) for _ in range(2)]
+        model = Hmm2Model([1.0, 0.0], a2, a3, mix, "left-right")
+        with pytest.raises(NumericError):
+            baum_welch2(model, [np.zeros((5, 1)), np.full((5, 1), 1e200)])
+
+    def test_zero_occupancy_summarised_once(self, caplog):
+        rng = np.random.default_rng(10)
+        corpus = [rng.normal(size=(30, 2)) for _ in range(3)]
+        init = init_hmm2(corpus, 3, 1, "left-right", seed=0)
+        with caplog.at_level("WARNING", logger="hmm2tc"):
+            baum_welch2(init, corpus, TrainConfig(max_iterations=4, tol=1e-12))
+        pair_records = [r.getMessage() for r in caplog.records
+                        if "pairs had zero occupancy" in r.getMessage()]
+        assert len(pair_records) == 1
+        assert pair_records[0].endswith("in 4 of 4 EM iterations; kept")
 
     def test_requires_t3(self):
         model = random_hmm2(np.random.default_rng(7), 2, 1, 1)
