@@ -3,7 +3,10 @@
 #
 #   scripts/check.sh
 #
-# 1. the tier-1 test suite (tests/);
+# 1. the tier-1 test suite (tests/), which passes when the tests that fail
+#    are exactly $EXPECTED_FAILURE: the training-trace clause of criterion 3
+#    fails by design (README.md, "Tests"), and anything else failing, or that
+#    test passing, is a change to look at;
 # 2. the benchmark's own tests (perfbench/tests);
 # 3. a 2-second traced benchmark run of each workload at seed 1, whose result
 #    line must read "failed": 0 (a traced run also exercises the span
@@ -14,11 +17,19 @@
 set -u
 cd "$(dirname "$0")/.." || exit 2
 
+EXPECTED_FAILURE="tests/test_acceptance.py::test_criterion_3_order_reduction_equivalence"
 failed=""
 
 echo "== tier-1 tests"
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m pytest -q --continue-on-collection-errors \
-    || failed="$failed tier-1"
+out=$(PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m pytest -q -rfE \
+    --continue-on-collection-errors 2>&1)
+status=$?
+printf '%s\n' "$out"
+got=$(printf '%s\n' "$out" | sed -n -E 's/^(FAILED|ERROR) ([^ ]+).*/\2/p' | sort -u)
+if [ "$status" -gt 1 ] || [ "$got" != "$EXPECTED_FAILURE" ]; then
+    echo "tier-1: failing tests differ from the expected one ($EXPECTED_FAILURE)"
+    failed="$failed tier-1"
+fi
 
 echo "== benchmark tests"
 python3 -m pytest perfbench/tests -q || failed="$failed perfbench-tests"

@@ -7,21 +7,30 @@ S = N. A second-order HMM is the chain over its N*N state pairs, with
 P[(i, j), (j, k)] = a3[i, j, k] (du Preez 1998, order reduction).
 
 The forward pass and the E-step run in the probability domain with one scale
-per row (Rabiner 1989, sec. V.A). Viterbi runs in the log domain by
-max-product, and the public backward pass in the log domain with a separate
-shift for every state, so that it stays exact for states the forward pass
-cannot reach.
+per row (Rabiner 1989, sec. V.A) for as long as one scale can hold every
+reachable state of the row; rows that span more than that run in the log
+domain, as does a sequence's whole E-step when any of its rows does. Viterbi
+runs in the log domain by max-product, and the public backward pass in the
+log domain with log-sum-exp over each state's successors, so that it stays
+exact for states the forward pass cannot reach.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
 
-# Reachable mass, after the global-best shift, above which the share of the
-# total lost to underflowing reachable states stays below 1e-100.
-_SAFE_MASS = 1e-200
+# A scaled row keeps a reachable state only while its unnormalised mass is at
+# least this share of the row's scale: then every term it sums is exact to
+# well below 1e-16 relative, and no scaled backward value can overflow.
+_TINY = 1e-280
+# A log-domain row goes back to scaling once every reachable state lies within
+# this many nats of the row's best (e**-600 is far above _TINY).
+_SPREAD = 600.0
 
 
 def _log(p: np.ndarray) -> np.ndarray:
@@ -29,69 +38,145 @@ def _log(p: np.ndarray) -> np.ndarray:
         return np.log(p)
 
 
-def _scaled_forward(log_init, trans, logb):
-    """Normalised forward rows, the emission factors they used, the scale sums
-    and the log scale of every row.
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along one axis, shifted by each line's own maximum."""
+    top = x.max(axis=axis, keepdims=True)
+    top[top == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.squeeze(top, axis) + np.log(np.exp(x - top).sum(axis=axis))
 
-    Row r is shifted by its best emission among the states that the previous
-    row reaches, so no reachable state overflows and the best one never
-    underflows. The row's global best gives the same factors whenever the
-    reachable mass it leaves is well above underflow, and that mass costs one
-    dot product to check. Once no state is reachable (or none can emit), the
-    remaining rows stay zero and the row's log scale is -inf.
+
+def _neighbours(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, P) tables of the predecessors of every state, lowest index first,
+    and their log transition probabilities; P is the largest in-degree and
+    shorter lists are padded with -inf entries. Pass trans.T for successors.
+
+    Over these tables a recursion costs S * P per row: N**3 on the pair chain,
+    where the dense (S, S) matrix has N**4 entries.
+    """
+    support = trans > 0
+    width = max(int(support.sum(axis=0).max()), 1)
+    idx = np.argsort(~support, axis=0, kind="stable")[:width].T
+    return idx, _log(trans[idx, np.arange(trans.shape[1])[:, None]])
+
+
+def _support(log_init, trans, logb) -> np.ndarray:
+    """(R, S) mask of the lattice cells with a nonzero forward probability."""
+    rows = logb.shape[0]
+    finite = logb > -np.inf
+    step = trans > 0
+    live = np.empty(logb.shape, dtype=bool)
+    live[0] = (log_init > -np.inf) & finite[0]
+    settled = finite.all()          # then a row equal to the one before repeats
+    for r in range(1, rows):
+        live[r] = (live[r - 1] @ step) & finite[r]
+        if settled and np.array_equal(live[r], live[r - 1]):
+            live[r + 1:] = live[r]
+            break
+    return live
+
+
+@dataclass
+class _Forward:
+    """One forward pass. Scaled rows hold normalised probabilities in `alpha`
+    (row r = alpha_r / exp(cum[r])), the emission factors `emit` they used and
+    their scale sums `scale`; log-domain rows hold log alpha in `la`."""
+
+    alpha: np.ndarray
+    emit: np.ndarray
+    scale: np.ndarray
+    cum: np.ndarray
+    la: np.ndarray
+    in_log: np.ndarray              # (R,) rows that ran in the log domain
+    log_likelihood: float
+
+    def log_alpha(self) -> np.ndarray:
+        la = _log(self.alpha) + self.cum[:, None]
+        la[self.in_log] = self.la[self.in_log]
+        return la
+
+
+def _forward(log_init, trans, logb) -> _Forward:
+    """Forward pass, scaled row by row while that is exact.
+
+    Row r is shifted by its best emission among the states it can reach, and
+    stays scaled if every reachable state keeps at least _TINY of the row's
+    mass. Otherwise the row runs in the log domain, as do the rows after it
+    until all reachable states are again within _SPREAD nats of the best.
+    Rows after the first one with no reachable state are -inf.
     """
     rows, s = logb.shape
+    live = _support(log_init, trans, logb)
+    n_live = live.sum(axis=1)
+    end = int(np.argmin(n_live > 0)) if not n_live.all() else rows
+    shift = np.where(live, logb, -np.inf).max(axis=1)
+    shift[end:] = 0.0
+    with np.errstate(invalid="ignore"):
+        emit = np.exp(np.minimum(logb - shift[:, None], 0.0))
     alpha = np.zeros((rows, s))
     scale = np.ones(rows)
-    log_scale = np.zeros(rows)
-    top = log_init.max()
-    if not top > -np.inf:
-        log_scale[0] = -np.inf
-        return alpha, np.zeros((rows, s)), scale, log_scale
-    shift = logb.max(axis=1)
-    with np.errstate(invalid="ignore"):
-        emit = np.exp(logb - shift[:, None])
+    cum = np.full(rows, -np.inf)
+    la = np.full((rows, s), -np.inf)
+    in_log = np.zeros(rows, dtype=bool)
+    into = None
+    top = log_init.max() if end else 0.0
     pred = np.exp(log_init - top)
-    log_scale[0] = top
-    for r in range(rows):
-        if r:
-            pred = alpha[r - 1] @ trans
-        c = pred @ emit[r]
-        if not c > _SAFE_MASS:
-            shift[r] = logb[r].max(where=pred > 0, initial=-np.inf)
-            if not shift[r] > -np.inf:
-                log_scale[r] = -np.inf
-                shift[r:] = 0.0
-                break
-            np.exp(np.minimum(logb[r] - shift[r], 0.0), out=emit[r])
-            c = pred @ emit[r]
-        np.multiply(pred, emit[r] / c, out=alpha[r])
-        scale[r] = c
-    log_scale += shift + np.log(scale)
-    return alpha, emit, scale, log_scale
+    total = top
+    scaled = True                   # the previous row is held in alpha
+    for r in range(end):
+        if scaled:
+            if r:
+                pred = alpha[r - 1] @ trans
+            u = pred * emit[r]
+            if np.count_nonzero(u >= _TINY) == n_live[r]:
+                c = u.sum()
+                np.divide(u, c, out=alpha[r])
+                scale[r] = c
+                total += shift[r] + math.log(c)
+                cum[r] = total
+                continue
+        # the log-domain step, from the previous row's exact log alpha
+        if into is None:
+            into, log_into = _neighbours(trans)
+        if r == 0:
+            la[0] = log_init + logb[0]
+        else:
+            prev = _log(alpha[r - 1]) + cum[r - 1] if scaled else la[r - 1]
+            la[r] = _logsumexp(prev[into] + log_into, axis=1) + logb[r]
+        in_log[r] = True
+        best = la[r].max()
+        scaled = la[r][live[r]].min() >= best - _SPREAD
+        if scaled:
+            p = np.exp(la[r] - best)
+            c = p.sum()
+            np.divide(p, c, out=alpha[r])
+            total = best + math.log(c)
+            cum[r] = total
+    if end < rows:
+        ll = -np.inf
+    elif in_log[-1]:
+        ll = float(_logsumexp(la[-1], axis=0))
+    else:
+        ll = float(total)
+    return _Forward(alpha, emit, scale, cum, la, in_log, ll)
 
 
 def forward(log_init, trans, logb) -> tuple[np.ndarray, float]:
     """Log forward lattice (R, S) and the total log-likelihood."""
-    alpha, _, _, log_scale = _scaled_forward(log_init, trans, logb)
-    return _log(alpha) + np.cumsum(log_scale)[:, None], float(log_scale.sum())
+    fwd = _forward(log_init, trans, logb)
+    return fwd.log_alpha(), fwd.log_likelihood
 
 
 def backward(trans, logb) -> np.ndarray:
     """Log backward lattice (R, S); the last row is identically 0.
 
-    Each state i takes its own shift, the best log term among its successors,
-    so every finite beta stays finite whatever the other states score.
+    Each state's sum over its successors is shifted by its own best term, so
+    every finite beta stays finite whatever the other states score.
     """
-    rows, s = logb.shape
-    support = trans > 0
-    lb = np.zeros((rows, s))
-    with np.errstate(divide="ignore"):
-        for r in range(rows - 1, 0, -1):
-            terms = np.where(support, logb[r] + lb[r], -np.inf)
-            top = terms.max(axis=1)
-            shift = np.where(top > -np.inf, top, 0.0)
-            lb[r - 1] = shift + np.log(np.sum(trans * np.exp(terms - shift[:, None]), axis=1))
+    succ, log_succ = _neighbours(trans.T)
+    lb = np.zeros(logb.shape)
+    for r in range(logb.shape[0] - 1, 0, -1):
+        lb[r - 1] = _logsumexp(log_succ + (logb[r] + lb[r])[succ], axis=1)
     return lb
 
 
@@ -99,38 +184,51 @@ def estep(log_init, trans, logb) -> tuple[np.ndarray, np.ndarray, float]:
     """State posteriors (R, S), expected transition counts (S, S) summed over
     rows, and the log-likelihood of one sequence.
 
-    The backward pass reuses the forward scales. States the forward pass did
-    not reach keep beta = 0: their posteriors are 0 either way, and a zero
-    keeps their unscaled betas from overflowing into the reachable ones.
+    When every forward row was scaled, the backward pass reuses the forward
+    scales, and states the forward pass did not reach keep beta = 0: their
+    posteriors are 0 either way, and a zero keeps their unscaled betas from
+    overflowing into the reachable ones. Otherwise the whole E-step runs in
+    the log domain.
     """
-    alpha, emit, scale, log_scale = _scaled_forward(log_init, trans, logb)
-    ll = float(log_scale.sum())
+    fwd = _forward(log_init, trans, logb)
+    ll = fwd.log_likelihood
     if not np.isfinite(ll):
         raise NumericError(f"training sequence has log-likelihood {ll}")
+    if fwd.in_log.any():
+        return _log_estep(fwd.log_alpha(), trans, logb, ll)
+    alpha = fwd.alpha
     live = alpha > 0
     beta = np.ones_like(alpha)
-    weights = emit / scale[:, None]  # row r becomes emit_r * beta_r / scale_r
+    weights = fwd.emit / fwd.scale[:, None]  # row r becomes emit_r * beta_r / scale_r
     for r in range(len(alpha) - 1, 0, -1):
         weights[r] *= beta[r]
         np.multiply(trans @ weights[r], live[r - 1], out=beta[r - 1])
-    gamma = alpha * beta
     counts = trans * (alpha[:-1].T @ weights[1:])
-    if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(counts))):
-        raise NumericError("scaled backward pass overflowed")
-    return gamma, counts, ll
+    return alpha * beta, counts, ll
+
+
+def _log_estep(la, trans, logb, ll):
+    lb = backward(trans, logb)
+    succ, log_succ = _neighbours(trans.T)
+    acc = np.zeros(succ.shape)
+    for r in range(1, len(la)):
+        acc += np.exp(la[r - 1][:, None] + log_succ + (logb[r] + lb[r] - ll)[succ])
+    counts = np.zeros(trans.shape)
+    counts[np.arange(len(succ))[:, None], succ] = acc
+    return np.exp(la + lb - ll), counts, ll
 
 
 def viterbi(log_init, trans, logb) -> tuple[np.ndarray, float]:
     """Most likely state sequence and its log score (ties: lowest state index)."""
     rows, s = logb.shape
-    log_into = np.ascontiguousarray(_log(trans).T)  # row k: log P(i -> k) over i
-    states = np.arange(s)
+    into, log_into = _neighbours(trans)
     delta = log_init + logb[0]
     back = np.zeros((rows, s), dtype=np.intp)
     for r in range(1, rows):
-        cand = log_into + delta[None, :]
-        back[r] = np.argmax(cand, axis=1)
-        delta = cand[states, back[r]] + logb[r]
+        cand = delta[into]
+        cand += log_into
+        back[r] = cand.argmax(axis=1)
+        delta = cand.max(axis=1) + logb[r]
     best = int(np.argmax(delta))
     score = float(delta[best])
     if score == -np.inf:
@@ -138,5 +236,5 @@ def viterbi(log_init, trans, logb) -> tuple[np.ndarray, float]:
     path = np.empty(rows, dtype=np.intp)
     path[-1] = best
     for r in range(rows - 1, 0, -1):
-        path[r - 1] = back[r][path[r]]
+        path[r - 1] = into[path[r], back[r, path[r]]]
     return path, score

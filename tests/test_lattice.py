@@ -11,7 +11,8 @@ from hmm2tc import lattice
 from hmm2tc.errors import NumericError
 from hmm2tc.gmm import GaussianMixture
 from hmm2tc.hmm1 import Hmm1Model, backward1, forward1, viterbi1
-from hmm2tc.hmm2 import Hmm2Model, _pair_chain, backward2, forward2, viterbi2
+from hmm2tc.hmm2 import (Hmm2Model, _pair_chain, backward2, forward2, lift_hmm1,
+                         viterbi2)
 
 from conftest import (_path_scores2, enumerate_loglik1, enumerate_loglik2,
                       enumerate_viterbi2)
@@ -46,6 +47,20 @@ def reference_viterbi2(model, obs):
     for ptr in reversed(back):
         path.insert(0, int(ptr[path[0], path[1]]))
     return path, float(delta.max())
+
+
+def enumerated_posteriors2(model, obs, ll):
+    """Pair posteriors (T-1, N, N) and a3 counts (N, N, N) by path enumeration."""
+    n, t_len = model.n_states, obs.shape[0]
+    want_gamma = np.zeros((t_len - 1, n, n))
+    want_a3 = np.zeros((n, n, n))
+    for q, lp in _path_scores2(model, obs):
+        w = np.exp(lp - ll)
+        for s in range(t_len - 1):
+            want_gamma[s, q[s], q[s + 1]] += w
+        for t in range(2, t_len):
+            want_a3[q[t - 2], q[t - 1], q[t]] += w
+    return want_gamma, want_a3
 
 
 def left_right_mixtures():
@@ -97,6 +112,80 @@ class TestLeftRightFarFromUnreachable:
         assert path.tolist() == [0, 1, 2, 2, 2, 2]
 
 
+class TestDroppedStateRevives:
+    """A reachable state ~1000 nats below the row's best on frames 1-2 carries
+    the best paths on the frames after them; a single scale per row would
+    drop it and give about -4058 instead of -2032."""
+
+    FRAMES = np.array([0.0, 45.0, 45.0, 0.0, 0.0, 0.0])[:, None]
+
+    def model1(self):
+        return Hmm1Model([1.0, 0.0, 0.0], [[.5, .5, 0], [0, .5, .5], [0, 0, 1]],
+                         left_right_mixtures(), "left-right")
+
+    def test_order_one(self):
+        model = self.model1()
+        want = enumerate_loglik1(model, self.FRAMES)
+        assert want == pytest.approx(-2032.1876076327994, rel=1e-12)
+        _, ll = forward1(model, self.FRAMES)
+        assert ll == pytest.approx(want, rel=1e-9)
+        _, _, em_ll = lattice.estep(_log(model.pi), model.a,
+                                    model.emission_log_probs(self.FRAMES))
+        assert em_ll == pytest.approx(want, rel=1e-9)
+        path, score = viterbi1(model, self.FRAMES)
+        assert score <= ll
+        assert path.tolist() == [0, 0, 0, 0, 0, 0]
+
+    def test_order_two(self):
+        model = lift_hmm1(self.model1())
+        want = enumerate_loglik2(model, self.FRAMES)
+        _, ll = forward2(model, self.FRAMES)
+        assert ll == pytest.approx(want, rel=1e-9)
+        gamma, counts, em_ll = lattice.estep(
+            *_pair_chain(model, model.emission_log_probs(self.FRAMES)))
+        assert em_ll == pytest.approx(want, rel=1e-9)
+        want_gamma, want_a3 = enumerated_posteriors2(model, self.FRAMES, em_ll)
+        n, same = model.n_states, np.arange(model.n_states)
+        assert np.allclose(gamma.reshape(-1, n, n), want_gamma, rtol=1e-9, atol=1e-12)
+        assert np.allclose(counts.reshape(n, n, n, n)[:, same, same, :], want_a3,
+                           rtol=1e-9, atol=1e-12)
+        _, score = viterbi2(model, self.FRAMES)
+        assert score <= ll
+
+
+def reference_forward1(model, obs):
+    """Log-domain forward recursion with log-sum-exp per frame."""
+    logb = model.emission_log_probs(obs)
+    la = np.empty(logb.shape)
+    la[0] = _log(model.pi) + logb[0]
+    for t in range(1, len(la)):
+        la[t] = logsumexp(la[t - 1][:, None] + _log(model.a), axis=0) + logb[t]
+    return la
+
+
+def test_log_rows_return_to_scaling():
+    # one frame far from every mean spreads its row beyond one scale; the
+    # ergodic chain lets the next row recover and the pass scale again
+    rng = np.random.default_rng(5)
+    mix = [GaussianMixture([1.0], [[m]], [[v]]) for m, v in ((0.0, 1.0), (2.0, 0.5), (-1.0, 4.0))]
+    model = Hmm1Model([0.2, 0.3, 0.5], rng.dirichlet(np.ones(3), size=3), mix)
+    obs = rng.normal(0, 1, size=(30, 1))
+    obs[12] = 80.0
+    logb = model.emission_log_probs(obs)
+    fwd = lattice._forward(_log(model.pi), model.a, logb)
+    # row 12 spans ~5000 nats; row 13, computed from it, is back within reach
+    assert fwd.in_log.tolist() == [t in (12, 13) for t in range(30)]
+    want = reference_forward1(model, obs)
+    la, ll = forward1(model, obs)
+    assert np.allclose(la, want, rtol=1e-12, atol=0)
+    assert ll == pytest.approx(logsumexp(want[-1]), rel=1e-12)
+    gamma, counts, em_ll = lattice.estep(_log(model.pi), model.a, logb)
+    lb = backward1(model, obs)
+    assert np.allclose(gamma, np.exp(want + lb - em_ll), rtol=1e-9, atol=1e-15)
+    assert np.allclose(gamma.sum(axis=1), 1.0, rtol=1e-12)
+    assert counts.sum() == pytest.approx(29.0, rel=1e-12)
+
+
 def test_unreachable_frames_give_minus_inf():
     mix = [GaussianMixture([1.0], [[0.0]], [[1.0]]) for _ in range(2)]
     model = Hmm1Model([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], mix)
@@ -120,11 +209,14 @@ def _stochastic(draw, shape):
 def small_hmm2_cases(draw):
     n = draw(st.integers(2, 3))
     t_len = draw(st.integers(2, 5))
-    means = draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=n, max_size=n))
+    # 45 lies ~1000 nats from the other values: rows then span more than one
+    # scale can hold, and the engine must take its log-domain rows
+    means = draw(st.lists(st.sampled_from([0.0, 1.0, 3.0, 45.0]), min_size=n, max_size=n))
     model = Hmm2Model(_stochastic(draw, (n,)), _stochastic(draw, (n, n)),
                       _stochastic(draw, (n, n, n)),
                       [GaussianMixture([1.0], [[m]], [[1.0]]) for m in means])
-    frames = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=t_len, max_size=t_len))
+    frames = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 45.0]), min_size=t_len,
+                           max_size=t_len))
     return model, np.asarray(frames)[:, None]
 
 
@@ -161,16 +253,9 @@ def test_estep_matches_enumerated_posteriors(case):
     model, obs = case
     if enumerate_loglik2(model, obs) == -np.inf:
         return
-    n, t_len = model.n_states, obs.shape[0]
+    n = model.n_states
     gamma, counts, ll = lattice.estep(*_pair_chain(model, model.emission_log_probs(obs)))
-    want_gamma = np.zeros((t_len - 1, n, n))
-    want_a3 = np.zeros((n, n, n))
-    for q, lp in _path_scores2(model, obs):
-        w = np.exp(lp - ll)
-        for s in range(t_len - 1):
-            want_gamma[s, q[s], q[s + 1]] += w
-        for t in range(2, t_len):
-            want_a3[q[t - 2], q[t - 1], q[t]] += w
+    want_gamma, want_a3 = enumerated_posteriors2(model, obs, ll)
     assert np.allclose(gamma.reshape(-1, n, n), want_gamma, rtol=1e-9, atol=1e-12)
     same = np.arange(n)
     assert np.allclose(counts.reshape(n, n, n, n)[:, same, same, :], want_a3,
