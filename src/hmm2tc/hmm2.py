@@ -4,8 +4,8 @@ State pairs index every lattice: a trellis cell (t, j, k) covers the
 transition between times t-1 and t. The model runs as a first-order chain
 over the N*N pairs, P[(i, j), (j, k)] = a3[i, j, k], on the shared lattice
 engine (`hmm2tc.lattice`): the forward pass and the EM E-step in the
-probability domain with per-row scaling (log domain for rows that one scale
-cannot hold), backward and Viterbi in the log domain. Impossible events carry
+probability domain with per-row scaling (log domain for sequences that one
+scale per row cannot hold), backward and Viterbi in the log domain. Impossible events carry
 -inf in every log-domain result.
 """
 

@@ -7,30 +7,24 @@ S = N. A second-order HMM is the chain over its N*N state pairs, with
 P[(i, j), (j, k)] = a3[i, j, k] (du Preez 1998, order reduction).
 
 The forward pass and the E-step run in the probability domain with one scale
-per row (Rabiner 1989, sec. V.A) for as long as one scale can hold every
-reachable state of the row; rows that span more than that run in the log
-domain, as does a sequence's whole E-step when any of its rows does. Viterbi
-runs in the log domain by max-product, and the public backward pass in the
-log domain with log-sum-exp over each state's successors, so that it stays
-exact for states the forward pass cannot reach.
+per row (Rabiner 1989, sec. V.A) whenever one scale per row holds every
+reachable state exactly, and in the log domain for the sequences where it
+cannot. Viterbi runs in the log domain by max-product, and the public
+backward pass in the log domain with log-sum-exp over each state's
+successors, so that it stays exact for states the forward pass cannot reach.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
 
-# A scaled row keeps a reachable state only while its unnormalised mass is at
-# least this share of the row's scale: then every term it sums is exact to
-# well below 1e-16 relative, and no scaled backward value can overflow.
+# The scaled pass is kept when every reachable cell holds at least this share
+# of its row's unnormalised mass (every factor is at most 1): each of its
+# terms is then exact to far below 1e-16 relative, and no scaled backward
+# value can overflow.
 _TINY = 1e-280
-# A log-domain row goes back to scaling once every reachable state lies within
-# this many nats of the row's best (e**-600 is far above _TINY).
-_SPREAD = 600.0
 
 
 def _log(p: np.ndarray) -> np.ndarray:
@@ -76,95 +70,63 @@ def _support(log_init, trans, logb) -> np.ndarray:
     return live
 
 
-@dataclass
-class _Forward:
-    """One forward pass. Scaled rows hold normalised probabilities in `alpha`
-    (row r = alpha_r / exp(cum[r])), the emission factors `emit` they used and
-    their scale sums `scale`; log-domain rows hold log alpha in `la`."""
+def _scaled_forward(log_init, trans, logb):
+    """Normalised forward rows (R, S), the emission factors they used, their
+    scale sums and their log scales; None when one scale per row cannot hold
+    every reachable cell exactly.
 
-    alpha: np.ndarray
-    emit: np.ndarray
-    scale: np.ndarray
-    cum: np.ndarray
-    la: np.ndarray
-    in_log: np.ndarray              # (R,) rows that ran in the log domain
-    log_likelihood: float
-
-    def log_alpha(self) -> np.ndarray:
-        la = _log(self.alpha) + self.cum[:, None]
-        la[self.in_log] = self.la[self.in_log]
-        return la
-
-
-def _forward(log_init, trans, logb) -> _Forward:
-    """Forward pass, scaled row by row while that is exact.
-
-    Row r is shifted by its best emission among the states it can reach, and
-    stays scaled if every reachable state keeps at least _TINY of the row's
-    mass. Otherwise the row runs in the log domain, as do the rows after it
-    until all reachable states are again within _SPREAD nats of the best.
-    Rows after the first one with no reachable state are -inf.
+    Row r is shifted by its best emission among the states it can reach, so
+    no factor exceeds 1 and the row's best state never underflows. Rows after
+    the first one with no reachable state are zero, and that row's log scale
+    is -inf.
     """
     rows, s = logb.shape
     live = _support(log_init, trans, logb)
-    n_live = live.sum(axis=1)
-    end = int(np.argmin(n_live > 0)) if not n_live.all() else rows
+    reach = live.any(axis=1)
+    end = rows if reach.all() else int(np.argmin(reach))
     shift = np.where(live, logb, -np.inf).max(axis=1)
     shift[end:] = 0.0
-    with np.errstate(invalid="ignore"):
-        emit = np.exp(np.minimum(logb - shift[:, None], 0.0))
+    emit = np.exp(np.minimum(logb - shift[:, None], 0.0))
     alpha = np.zeros((rows, s))
     scale = np.ones(rows)
-    cum = np.full(rows, -np.inf)
-    la = np.full((rows, s), -np.inf)
-    in_log = np.zeros(rows, dtype=bool)
-    into = None
     top = log_init.max() if end else 0.0
     pred = np.exp(log_init - top)
-    total = top
-    scaled = True                   # the previous row is held in alpha
     for r in range(end):
-        if scaled:
-            if r:
-                pred = alpha[r - 1] @ trans
-            u = pred * emit[r]
-            if np.count_nonzero(u >= _TINY) == n_live[r]:
-                c = u.sum()
-                np.divide(u, c, out=alpha[r])
-                scale[r] = c
-                total += shift[r] + math.log(c)
-                cum[r] = total
-                continue
-        # the log-domain step, from the previous row's exact log alpha
-        if into is None:
-            into, log_into = _neighbours(trans)
-        if r == 0:
-            la[0] = log_init + logb[0]
-        else:
-            prev = _log(alpha[r - 1]) + cum[r - 1] if scaled else la[r - 1]
-            la[r] = _logsumexp(prev[into] + log_into, axis=1) + logb[r]
-        in_log[r] = True
-        best = la[r].max()
-        scaled = la[r][live[r]].min() >= best - _SPREAD
-        if scaled:
-            p = np.exp(la[r] - best)
-            c = p.sum()
-            np.divide(p, c, out=alpha[r])
-            total = best + math.log(c)
-            cum[r] = total
+        if r:
+            pred = alpha[r - 1] @ trans
+        np.multiply(pred, emit[r], out=alpha[r])
+        c = alpha[r].sum()
+        if not c > 0:
+            return None
+        alpha[r] /= c
+        scale[r] = c
+    if not np.all((alpha * scale[:, None])[live] >= _TINY):
+        return None
+    log_scale = shift + np.log(scale)
+    log_scale[0] += top
     if end < rows:
-        ll = -np.inf
-    elif in_log[-1]:
-        ll = float(_logsumexp(la[-1], axis=0))
-    else:
-        ll = float(total)
-    return _Forward(alpha, emit, scale, cum, la, in_log, ll)
+        log_scale[end] = -np.inf
+    return alpha, emit, scale, log_scale
+
+
+def _log_forward(log_init, trans, logb) -> np.ndarray:
+    """Log forward lattice (R, S) by log-sum-exp over each state's predecessors."""
+    into, log_into = _neighbours(trans)
+    la = np.empty(logb.shape)
+    la[0] = log_init + logb[0]
+    for r in range(1, len(la)):
+        la[r] = _logsumexp(la[r - 1][into] + log_into, axis=1) + logb[r]
+    return la
 
 
 def forward(log_init, trans, logb) -> tuple[np.ndarray, float]:
     """Log forward lattice (R, S) and the total log-likelihood."""
-    fwd = _forward(log_init, trans, logb)
-    return fwd.log_alpha(), fwd.log_likelihood
+    fwd = _scaled_forward(log_init, trans, logb)
+    if fwd is None:
+        la = _log_forward(log_init, trans, logb)
+        return la, float(_logsumexp(la[-1], axis=0))
+    alpha, _, _, log_scale = fwd
+    return _log(alpha) + np.cumsum(log_scale)[:, None], float(log_scale.sum())
 
 
 def backward(trans, logb) -> np.ndarray:
@@ -184,22 +146,19 @@ def estep(log_init, trans, logb) -> tuple[np.ndarray, np.ndarray, float]:
     """State posteriors (R, S), expected transition counts (S, S) summed over
     rows, and the log-likelihood of one sequence.
 
-    When every forward row was scaled, the backward pass reuses the forward
-    scales, and states the forward pass did not reach keep beta = 0: their
-    posteriors are 0 either way, and a zero keeps their unscaled betas from
-    overflowing into the reachable ones. Otherwise the whole E-step runs in
-    the log domain.
+    After a scaled forward pass the backward pass reuses its scales, and
+    states the forward pass did not reach keep beta = 0: their posteriors are
+    0 either way, and a zero keeps their unscaled betas from overflowing into
+    the reachable ones. Otherwise the whole E-step runs in the log domain.
     """
-    fwd = _forward(log_init, trans, logb)
-    ll = fwd.log_likelihood
-    if not np.isfinite(ll):
-        raise NumericError(f"training sequence has log-likelihood {ll}")
-    if fwd.in_log.any():
-        return _log_estep(fwd.log_alpha(), trans, logb, ll)
-    alpha = fwd.alpha
+    fwd = _scaled_forward(log_init, trans, logb)
+    if fwd is None:
+        return _log_estep(log_init, trans, logb)
+    alpha, emit, scale, log_scale = fwd
+    ll = _training_ll(float(log_scale.sum()))
     live = alpha > 0
     beta = np.ones_like(alpha)
-    weights = fwd.emit / fwd.scale[:, None]  # row r becomes emit_r * beta_r / scale_r
+    weights = emit / scale[:, None]  # row r becomes emit_r * beta_r / scale_r
     for r in range(len(alpha) - 1, 0, -1):
         weights[r] *= beta[r]
         np.multiply(trans @ weights[r], live[r - 1], out=beta[r - 1])
@@ -207,7 +166,10 @@ def estep(log_init, trans, logb) -> tuple[np.ndarray, np.ndarray, float]:
     return alpha * beta, counts, ll
 
 
-def _log_estep(la, trans, logb, ll):
+def _log_estep(log_init, trans, logb):
+    """`estep` in the log domain."""
+    la = _log_forward(log_init, trans, logb)
+    ll = _training_ll(float(_logsumexp(la[-1], axis=0)))
     lb = backward(trans, logb)
     succ, log_succ = _neighbours(trans.T)
     acc = np.zeros(succ.shape)
@@ -216,6 +178,12 @@ def _log_estep(la, trans, logb, ll):
     counts = np.zeros(trans.shape)
     counts[np.arange(len(succ))[:, None], succ] = acc
     return np.exp(la + lb - ll), counts, ll
+
+
+def _training_ll(ll: float) -> float:
+    if not np.isfinite(ll):
+        raise NumericError(f"training sequence has log-likelihood {ll}")
+    return ll
 
 
 def viterbi(log_init, trans, logb) -> tuple[np.ndarray, float]:

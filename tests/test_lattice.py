@@ -1,6 +1,8 @@
 """The scaled lattice engine against fixed values, the brute-force oracles and
 log-domain reference recursions kept here for comparison."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,32 @@ class TestDroppedStateRevives:
         assert score <= ll
 
 
+def enumerate_chain(log_init, trans, logb):
+    """Brute-force log-likelihood of an engine chain over every state path."""
+    rows, s = logb.shape
+    log_trans = _log(trans)
+    scores = [log_init[q[0]] + sum(logb[r, k] for r, k in enumerate(q))
+              + sum(log_trans[i, k] for i, k in zip(q, q[1:]))
+              for q in itertools.product(range(s), repeat=rows)]
+    return float(logsumexp(scores))
+
+
+def test_dropped_state_is_kept_when_its_row_still_has_mass():
+    # states 0 and 1 fall ~1000 nats behind state 2 on rows 1-2, then carry
+    # the best paths; state 2 keeps rows 3-5 a small but nonzero scale, so
+    # only the per-cell check can tell that the scaled pass lost them
+    log_init = _log(np.array([1.0, 0.0, 0.0]))
+    trans = np.array([[.5, .5, 0], [0, .5, .5], [0, 0, 1]])
+    logb = np.array([[0, 0, -700], [-1000, -1000, 0], [-1000, -1000, 0],
+                     [0, 0, -700], [0, 0, -700], [0, 0, -700]], dtype=float)
+    want = enumerate_chain(log_init, trans, logb)
+    assert lattice._scaled_forward(log_init, trans, logb) is None
+    _, ll = lattice.forward(log_init, trans, logb)
+    assert ll == pytest.approx(want, rel=1e-12)
+    _, _, em_ll = lattice.estep(log_init, trans, logb)
+    assert em_ll == pytest.approx(want, rel=1e-12)
+
+
 def reference_forward1(model, obs):
     """Log-domain forward recursion with log-sum-exp per frame."""
     logb = model.emission_log_probs(obs)
@@ -163,23 +191,24 @@ def reference_forward1(model, obs):
     return la
 
 
-def test_log_rows_return_to_scaling():
-    # one frame far from every mean spreads its row beyond one scale; the
-    # ergodic chain lets the next row recover and the pass scale again
+@pytest.mark.parametrize("far", [False, True])
+def test_scaled_and_log_domain_passes_agree(far):
+    # one frame far from every mean spreads its row beyond what one scale can
+    # hold, and the sequence runs in the log domain; without it, scaled
     rng = np.random.default_rng(5)
     mix = [GaussianMixture([1.0], [[m]], [[v]]) for m, v in ((0.0, 1.0), (2.0, 0.5), (-1.0, 4.0))]
     model = Hmm1Model([0.2, 0.3, 0.5], rng.dirichlet(np.ones(3), size=3), mix)
     obs = rng.normal(0, 1, size=(30, 1))
-    obs[12] = 80.0
+    if far:
+        obs[12] = 80.0
     logb = model.emission_log_probs(obs)
-    fwd = lattice._forward(_log(model.pi), model.a, logb)
-    # row 12 spans ~5000 nats; row 13, computed from it, is back within reach
-    assert fwd.in_log.tolist() == [t in (12, 13) for t in range(30)]
+    assert (lattice._scaled_forward(_log(model.pi), model.a, logb) is None) == far
     want = reference_forward1(model, obs)
     la, ll = forward1(model, obs)
     assert np.allclose(la, want, rtol=1e-12, atol=0)
     assert ll == pytest.approx(logsumexp(want[-1]), rel=1e-12)
     gamma, counts, em_ll = lattice.estep(_log(model.pi), model.a, logb)
+    assert em_ll == pytest.approx(ll, rel=1e-12)
     lb = backward1(model, obs)
     assert np.allclose(gamma, np.exp(want + lb - em_ll), rtol=1e-9, atol=1e-15)
     assert np.allclose(gamma.sum(axis=1), 1.0, rtol=1e-12)
