@@ -72,10 +72,10 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
     for idx, (label, seqs) in enumerate(training_sets.items()):
         seed = cfg.seed + idx
         if order == 2:
-            model = init_hmm2(seqs, n_states, n_comp, topology, seed, cfg)
+            model = init_hmm2(seqs, n_states, n_comp, topology, seed)
             models[label], traces[label] = baum_welch2(model, seqs, cfg)
         elif order == 1:
-            model = init_hmm1(seqs, n_states, n_comp, topology, seed, cfg)
+            model = init_hmm1(seqs, n_states, n_comp, topology, seed)
             models[label], traces[label] = baum_welch1(model, seqs, cfg)
         else:
             raise DataError(f"unsupported model order {order}")
@@ -183,23 +183,37 @@ def evaluate(bank: ConditionBank, test_sets: dict[str, list],
     test_sets maps the true label to its utterances. When groups maps a
     source id to a group name, per-group count matrices are kept as well.
     """
-    labels = list(bank.labels)
+    groups = groups or {}
+    tests = ((None, label, obs, groups.get(getattr(obs, "source_id", "")))
+             for label, seqs in test_sets.items() for obs in seqs)
+    return evaluate_scopes({None: bank}, tests, scoring, protocol)
+
+
+def evaluate_scopes(banks: dict, tests, scoring: str = "forward",
+                    protocol: dict | None = None) -> EvaluationReport:
+    """Identify each test utterance against the bank of its scope and
+    tabulate the confusion counts.
+
+    banks maps a scope key to its bank; tests yields (scope key, true label,
+    utterance, group name or None) tuples. The report's labels are the union
+    of the banks' labels, the first bank's in its order first. A true label
+    that its own scope's bank has no model for raises DataError: that
+    utterance could only ever count as a miss.
+    """
+    labels = list(dict.fromkeys(lab for bank in banks.values() for lab in bank.labels))
     index = {lab: i for i, lab in enumerate(labels)}
-    for lab in test_sets:
-        if lab not in index:
-            raise DataError(f"unknown true label {lab!r}")
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    shape = (len(labels), len(labels))
+    counts = np.zeros(shape, dtype=np.int64)
     group_counts: dict[str, np.ndarray] = {}
-    for true_label, seqs in test_sets.items():
-        for obs in seqs:
-            result = identify(bank, obs, scoring)
-            counts[index[result.label], index[true_label]] += 1
-            if groups:
-                g = groups.get(getattr(obs, "source_id", ""), None)
-                if g is not None:
-                    gc = group_counts.setdefault(
-                        g, np.zeros((len(labels), len(labels)), dtype=np.int64))
-                    gc[index[result.label], index[true_label]] += 1
+    for key, true_label, obs, group in tests:
+        if key not in banks:
+            raise DataError(f"no trained bank for scope {key}")
+        if true_label not in banks[key].models:
+            raise DataError(f"unknown condition label {true_label!r} in scope {key}")
+        cell = index[identify(banks[key], obs, scoring).label], index[true_label]
+        counts[cell] += 1
+        if group is not None:
+            group_counts.setdefault(group, np.zeros(shape, dtype=np.int64))[cell] += 1
     return EvaluationReport(labels, counts, protocol or {}, group_counts)
 
 

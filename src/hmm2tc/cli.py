@@ -7,16 +7,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .audio import FrameParams, decode_pcm16_wav, extract_features, load_features, \
     save_features
-from .classify import ConditionBank, EvaluationReport, identify, improvement_table, \
+from .classify import ConditionBank, evaluate_scopes, identify, improvement_table, \
     render_improvement_text, render_report_text, train_bank
 from .config import TrainConfig
 from .corpus import ManifestEntry, SynthSpec, apply_split_protocol, format_manifest, \
     generate_synthetic_corpus, parse_manifest
-from .errors import DataError, FormatError, Hmm2tcError, NumericError
+from .errors import DataError, Hmm2tcError, NumericError
 from .model_io import load_model, save_model
 
 EXIT_OK = 0
@@ -179,34 +177,14 @@ def cmd_evaluate(args) -> int:
     entries, base = _resolve(entries, args.manifest, args)
     doc = _load_bank_doc(args.bank)
     pooled = doc["protocol"] == "pooled"
-    banks = {}
-    for scope_doc in doc["scopes"]:
-        key = None if pooled else (scope_doc["speaker"], scope_doc["sentence"])
-        banks[key] = _load_bank(args.bank, scope_doc)
-    labels = doc["scopes"][0]["labels"]
-    index = {lab: i for i, lab in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    group_counts: dict[str, np.ndarray] = {}
-    for e in entries:
-        if e.split != "test":
-            continue
-        if e.condition not in index:
-            raise DataError(f"unknown condition label {e.condition!r}")
-        key = _scope_key(e, pooled)
-        if key not in banks:
-            raise DataError(f"no trained bank for scope {key}")
-        obs = load_features(_entry_path(base, e), source_id=e.path)
-        result = identify(banks[key], obs, args.scoring)
-        counts[index[result.label], index[e.condition]] += 1
-        if e.group:
-            gc = group_counts.setdefault(
-                e.group, np.zeros((len(labels), len(labels)), dtype=np.int64))
-            gc[index[result.label], index[e.condition]] += 1
-    report = EvaluationReport(labels, counts,
-                              protocol={"bank": doc["protocol"],
-                                        "scoring": args.scoring,
-                                        "order": doc["order"]},
-                              group_counts=group_counts)
+    banks = {None if pooled else (scope_doc["speaker"], scope_doc["sentence"]):
+             _load_bank(args.bank, scope_doc) for scope_doc in doc["scopes"]}
+    tests = ((_scope_key(e, pooled), e.condition,
+              load_features(_entry_path(base, e), source_id=e.path), e.group or None)
+             for e in entries if e.split == "test")
+    report = evaluate_scopes(banks, tests, args.scoring,
+                             protocol={"bank": doc["protocol"], "scoring": args.scoring,
+                                       "order": doc["order"]})
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=1)

@@ -8,26 +8,23 @@ import numpy as np
 
 from .errors import DataError
 
+VARIANCE_FLOOR_FACTOR = 1e-3   # of the pooled per-dimension corpus variance
+VARIANCE_FLOOR_MIN = 1e-6
+MIXTURE_WEIGHT_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     max_iterations: int = 40
     tol: float = 1e-5                 # relative log-likelihood improvement
-    variance_floor_factor: float = 1e-3  # of global per-dimension variance
-    variance_floor_min: float = 1e-6
-    mixture_weight_floor: float = 1e-6
-    transition_floor: float = 0.0
     seed: int = 0
-    freeze_initials: bool = False     # keep Psi and the t=2 matrix fixed
+    freeze_initials: bool = False     # keep pi (order 2: Psi and a2) fixed
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise DataError("max_iterations must be >= 1")
-        if self.tol <= 0 or self.variance_floor_factor <= 0 or \
-                self.variance_floor_min <= 0 or self.mixture_weight_floor <= 0:
-            raise DataError("thresholds must be positive")
-        if self.transition_floor < 0:
-            raise DataError("transition_floor must be >= 0")
+        if not self.tol > 0:          # NaN fails too
+            raise DataError("tol must be positive")
 
 
 def frames_of(obs) -> np.ndarray:
@@ -36,8 +33,8 @@ def frames_of(obs) -> np.ndarray:
     return np.atleast_2d(np.asarray(mat, dtype=np.float64))
 
 
-def variance_floor(corpus, cfg: TrainConfig) -> np.ndarray:
+def variance_floor(corpus) -> np.ndarray:
     """Per-dimension floor from the pooled corpus variance."""
     pooled = np.concatenate([frames_of(o) for o in corpus], axis=0)
     global_var = pooled.var(axis=0)
-    return np.maximum(cfg.variance_floor_factor * global_var, cfg.variance_floor_min)
+    return np.maximum(VARIANCE_FLOOR_FACTOR * global_var, VARIANCE_FLOOR_MIN)

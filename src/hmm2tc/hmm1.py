@@ -1,7 +1,10 @@
-"""First-order continuous-density HMM baseline.
+"""First-order continuous-density HMM baseline, and the training and sampling
+code both model orders share.
 
 Forward, backward, Viterbi and the EM E-step run on the shared lattice engine
-(`hmm2tc.lattice`) with S = N states.
+(`hmm2tc.lattice`) with S = N states. `_baum_welch` is the one EM loop of both
+orders: `hmm2tc.hmm2` runs it on its pair chain with its own transition
+M-step. `_sample_frames` draws the frames for both orders' samplers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import lattice
-from .config import TrainConfig, frames_of, variance_floor
+from .config import MIXTURE_WEIGHT_FLOOR, TrainConfig, frames_of, variance_floor
 from .errors import DataError
 from .gmm import GaussianMixture, _stochastic
 from .lattice import _log
@@ -83,30 +86,38 @@ def backward1(model: Hmm1Model, obs) -> np.ndarray:
 
 
 def sample_hmm1(model: Hmm1Model, t_len: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a state path and observation sequence from the generative model."""
     if t_len < 1:
         raise DataError("sequence length must be >= 1")
     rng = np.random.default_rng(seed)
-    states = np.empty(t_len, dtype=np.intp)
-    cdf_pi = np.cumsum(model.pi)
-    cdf_a = np.cumsum(model.a, axis=1)
-    cdf_pi[-1] = cdf_a[:, -1] = 1.0
     u = rng.random(t_len)
-    states[0] = np.searchsorted(cdf_pi, u[0], side="right")
+    cdf_a = _cdf(model.a)
+    states = np.empty(t_len, dtype=np.intp)
+    states[0] = np.searchsorted(_cdf(model.pi), u[0], side="right")
     for t in range(1, t_len):
         states[t] = np.searchsorted(cdf_a[states[t - 1]], u[t], side="right")
-    cdf_w = np.stack([np.cumsum(m.weights) for m in model.mixtures])
-    cdf_w[:, -1] = 1.0
-    comps = np.array([np.searchsorted(cdf_w[q], v, side="right")
-                      for q, v in zip(states, rng.random(t_len))])
-    means = np.stack([model.mixtures[q].means[m] for q, m in zip(states, comps)])
-    stds = np.stack([np.sqrt(model.mixtures[q].variances[m])
-                     for q, m in zip(states, comps)])
-    frames = rng.normal(means, stds)
-    return states, frames
+    return states, _sample_frames(model.mixtures, states, rng)
 
 
-def _update_mixtures(mixtures, occ, corpus_mats, comp_logdens, logb_list, floor,
-                     weight_floor):
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, each row ending at exactly 1."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
+def _sample_frames(mixtures, states, rng: np.random.Generator) -> np.ndarray:
+    """One frame per state of the path, from a component drawn by weight;
+    the frame-drawing half of both orders' samplers."""
+    cdf_w = _cdf(np.stack([m.weights for m in mixtures]))
+    comps = [np.searchsorted(cdf_w[q], v, side="right")
+             for q, v in zip(states, rng.random(len(states)))]
+    means = np.stack([mixtures[q].means[m] for q, m in zip(states, comps)])
+    stds = np.stack([np.sqrt(mixtures[q].variances[m]) for q, m in zip(states, comps)])
+    return rng.normal(means, stds)
+
+
+def _update_mixtures(mixtures, occ, corpus_mats, comp_logdens, logb_list, floor):
     """Shared GMM M-step given per-frame state occupancies.
 
     occ: list of (T, N) occupancy arrays, one per sequence. Returns the new
@@ -142,7 +153,7 @@ def _update_mixtures(mixtures, occ, corpus_mats, comp_logdens, logb_list, floor,
         for m in np.flatnonzero(~empty[j]):
             means[m] = mean_acc[j, m] / w_acc[j, m]
             variances[m] = np.maximum(sq_acc[j, m] / w_acc[j, m] - means[m] ** 2, floor)
-        weights = np.maximum(weights, weight_floor)
+        weights = np.maximum(weights, MIXTURE_WEIGHT_FLOOR)
         weights /= weights.sum()
         new.append(GaussianMixture(weights, means, variances))
     return new, empty
@@ -169,61 +180,80 @@ class _ZeroOccupancy:
                     int(seen.sum()), kind, iters, iterations)
 
 
-def baum_welch1(model: Hmm1Model, corpus, cfg: TrainConfig | None = None
-                ) -> tuple[Hmm1Model, list[float]]:
-    """EM training over multiple sequences; returns (model, log-likelihood trace).
+def _normalise_rows(counts: np.ndarray, old: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (along the last axis) of counts scaled to sum to 1, and the mask
+    of the rows with no count, which keep their old values."""
+    new = old.copy()
+    denom = counts.sum(axis=-1)
+    rows = denom > 0
+    new[rows] = counts[rows] / denom[rows][:, None]
+    return new, ~rows
 
-    Raises NumericError when a sequence has a non-finite log-likelihood.
+
+def _baum_welch(model, corpus, cfg: TrainConfig | None, order: int, chain, occupancy,
+                reestimate, logger: logging.Logger):
+    """The EM loop of both model orders; returns (model, log-likelihood trace).
+
+    Each order supplies three things: `chain(model, logb)`, the
+    `lattice.estep` chain for one sequence's (T, N) emission table;
+    `occupancy(gamma, n)`, the map from that chain's posteriors to (T, N)
+    state occupancies; and its transition M-step, `reestimate(model, start,
+    first, counts, mixtures, freeze, zero)`, which gets the first-frame state
+    occupancies, the chain's first-row posteriors and its transition counts,
+    each summed over the corpus, and returns the new model. Zero-occupancy
+    summaries go to `logger`. Raises NumericError when a sequence has a
+    non-finite log-likelihood.
     """
     cfg = cfg or TrainConfig()
     if not corpus:
         raise DataError("training corpus is empty")
     mats = [frames_of(o) for o in corpus]
     for mat in mats:
-        if mat.shape[0] < 2:
-            raise DataError("baum_welch1 requires sequences with T >= 2")
+        if mat.shape[0] <= order:
+            raise DataError(f"baum_welch{order} requires sequences with T >= {order + 1}")
         if mat.shape[1] != model.dim:
             raise DataError("observation dim does not match the model")
-    floor = variance_floor(mats, cfg)
-    n = model.n_states
-    allowed = np.triu(np.ones((n, n))) if model.topology == "left-right" else np.ones((n, n))
-    zero = _ZeroOccupancy(log)
+    floor = variance_floor(mats)
+    zero = _ZeroOccupancy(logger)
     trace: list[float] = []
     for _ in range(cfg.max_iterations):
-        logpi = _log(model.pi)
         logw = np.stack([_log(mix.weights) for mix in model.mixtures])
-        pi_acc = np.zeros(n)
-        xi_acc = np.zeros((n, n))
+        start = first = counts = 0.0
         occ_list, comp_list, logb_list = [], [], []
         total_ll = 0.0
         for mat in mats:
             comp_ld = [mix.component_log_density(mat) for mix in model.mixtures]
             logb = logsumexp(np.stack(comp_ld, axis=1) + logw, axis=2)
-            gamma, xi, ll = lattice.estep(logpi, model.a, logb)
+            gamma, xi, ll = lattice.estep(*chain(model, logb))
+            occ = occupancy(gamma, model.n_states)
             total_ll += ll
-            xi_acc += xi
-            pi_acc += gamma[0]
-            occ_list.append(gamma)
+            start = start + occ[0]
+            first = first + gamma[0]
+            counts = counts + xi
+            occ_list.append(occ)
             comp_list.append(comp_ld)
             logb_list.append(logb)
         trace.append(total_ll)
-        # M-step
-        if not cfg.freeze_initials:
-            pi_new = pi_acc / pi_acc.sum()
-        else:
-            pi_new = model.pi
-        a_new = model.a.copy()
-        denom = xi_acc.sum(axis=1)
-        rows = denom > 0
-        a_new[rows] = xi_acc[rows] / denom[rows, None]
-        if cfg.transition_floor > 0:
-            a_new = np.maximum(a_new, cfg.transition_floor * allowed)
-            a_new /= a_new.sum(axis=1, keepdims=True)
         mixtures, empty = _update_mixtures(model.mixtures, occ_list, mats, comp_list,
-                                           logb_list, floor, cfg.mixture_weight_floor)
+                                           logb_list, floor)
+        model = reestimate(model, start, first, counts, mixtures, cfg.freeze_initials, zero)
         zero.add("mixture components", empty)
-        model = Hmm1Model(pi_new, a_new, mixtures, model.topology)
         if len(trace) >= 2 and trace[-1] - trace[-2] < cfg.tol * abs(trace[-2]):
             break
     zero.report(len(trace))
     return model, trace
+
+
+def _reestimate1(model, start, first, counts, mixtures, freeze, zero) -> Hmm1Model:
+    pi = model.pi if freeze else start / start.sum()
+    return Hmm1Model(pi, _normalise_rows(counts, model.a)[0], mixtures, model.topology)
+
+
+def baum_welch1(model: Hmm1Model, corpus, cfg: TrainConfig | None = None
+                ) -> tuple[Hmm1Model, list[float]]:
+    """EM training over multiple sequences; returns (model, log-likelihood trace).
+
+    Raises NumericError when a sequence has a non-finite log-likelihood.
+    """
+    return _baum_welch(model, corpus, cfg, 1, lambda m, logb: (_log(m.pi), m.a, logb),
+                       lambda gamma, n: gamma, _reestimate1, log)

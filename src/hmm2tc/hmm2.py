@@ -15,13 +15,13 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp  # noqa: F401  (perfbench/spans.py counts its calls here)
 
 from . import lattice
-from .config import TrainConfig, frames_of, variance_floor
+from .config import TrainConfig, frames_of
 from .errors import DataError
 from .gmm import GaussianMixture, _stochastic
-from .hmm1 import Hmm1Model, TOPOLOGIES, _update_mixtures, _ZeroOccupancy
+from .hmm1 import Hmm1Model, TOPOLOGIES, _baum_welch, _cdf, _normalise_rows, _sample_frames
 from .lattice import _log
 
 log = logging.getLogger(__name__)
@@ -85,7 +85,6 @@ class Trellis2:
     """Log-domain lattice over state pairs; row s covers times (s+1, s+2), 1-based."""
 
     values: np.ndarray               # (T-1, N, N)
-    log_likelihood: float | None = None
 
 
 def lift_hmm1(model: Hmm1Model) -> Hmm2Model:
@@ -138,7 +137,7 @@ def forward2(model: Hmm2Model, obs) -> tuple[Trellis2, float]:
     """Extended forward lattice alpha_t(j, k) and total log-likelihood."""
     la, ll = lattice.forward(*_pair_chain(model, model.emission_log_probs(obs)))
     n = model.n_states
-    return Trellis2(la.reshape(-1, n, n), ll), ll
+    return Trellis2(la.reshape(-1, n, n)), ll
 
 
 def backward2(model: Hmm2Model, obs) -> Trellis2:
@@ -160,26 +159,36 @@ def sample_hmm2(model: Hmm2Model, t_len: int, seed: int) -> tuple[np.ndarray, np
     if t_len < 2:
         raise DataError("sequence length must be >= 2")
     rng = np.random.default_rng(seed)
-    states = np.empty(t_len, dtype=np.intp)
-    cdf_psi = np.cumsum(model.psi)
-    cdf_a2 = np.cumsum(model.a2, axis=1)
-    cdf_a3 = np.cumsum(model.a3, axis=2)
-    cdf_psi[-1] = cdf_a2[:, -1] = cdf_a3[:, :, -1] = 1.0
     u = rng.random(t_len)
-    states[0] = np.searchsorted(cdf_psi, u[0], side="right")
-    states[1] = np.searchsorted(cdf_a2[states[0]], u[1], side="right")
+    cdf_a3 = _cdf(model.a3)
+    states = np.empty(t_len, dtype=np.intp)
+    states[0] = np.searchsorted(_cdf(model.psi), u[0], side="right")
+    states[1] = np.searchsorted(_cdf(model.a2)[states[0]], u[1], side="right")
     for t in range(2, t_len):
         states[t] = np.searchsorted(cdf_a3[states[t - 2], states[t - 1]],
                                     u[t], side="right")
-    cdf_w = np.stack([np.cumsum(m.weights) for m in model.mixtures])
-    cdf_w[:, -1] = 1.0
-    comps = np.array([np.searchsorted(cdf_w[q], v, side="right")
-                      for q, v in zip(states, rng.random(t_len))])
-    means = np.stack([model.mixtures[q].means[m] for q, m in zip(states, comps)])
-    stds = np.stack([np.sqrt(model.mixtures[q].variances[m])
-                     for q, m in zip(states, comps)])
-    frames = rng.normal(means, stds)
-    return states, frames
+    return states, _sample_frames(model.mixtures, states, rng)
+
+
+def _pair_occupancy(gamma: np.ndarray, n: int) -> np.ndarray:
+    """(T, N) state occupancies from the (T-1, N*N) pair posteriors."""
+    gamma = gamma.reshape(-1, n, n)
+    occ = np.empty((len(gamma) + 1, n))
+    occ[0] = gamma[0].sum(axis=1)
+    occ[1:] = gamma.sum(axis=1)
+    return occ
+
+
+def _reestimate2(model, start, first, counts, mixtures, freeze, zero) -> Hmm2Model:
+    n = model.n_states
+    psi, a2 = model.psi, model.a2
+    if not freeze:
+        psi = start / start.sum()
+        a2 = _normalise_rows(first.reshape(n, n), model.a2)[0]
+    same = np.arange(n)
+    a3, kept = _normalise_rows(counts.reshape(n, n, n, n)[:, same, same, :], model.a3)
+    zero.add("(i, j) pairs", kept)
+    return Hmm2Model(psi, a2, a3, mixtures, model.topology)
 
 
 def baum_welch2(model: Hmm2Model, corpus, cfg: TrainConfig | None = None
@@ -191,64 +200,4 @@ def baum_welch2(model: Hmm2Model, corpus, cfg: TrainConfig | None = None
     and the per-frame state occupancies for the GMM M-step. Raises
     NumericError when a sequence has a non-finite log-likelihood.
     """
-    cfg = cfg or TrainConfig()
-    if not corpus:
-        raise DataError("training corpus is empty")
-    mats = [frames_of(o) for o in corpus]
-    for mat in mats:
-        if mat.shape[0] < 3:
-            raise DataError("baum_welch2 requires sequences with T >= 3")
-        if mat.shape[1] != model.dim:
-            raise DataError("observation dim does not match the model")
-    floor = variance_floor(mats, cfg)
-    n = model.n_states
-    same = np.arange(n)
-    zero = _ZeroOccupancy(log)
-    trace: list[float] = []
-    for _ in range(cfg.max_iterations):
-        logw = np.stack([_log(mix.weights) for mix in model.mixtures])
-        psi_acc = np.zeros(n)
-        a2_acc = np.zeros((n, n))
-        a3_acc = np.zeros((n, n, n))
-        occ_list, comp_list, logb_list = [], [], []
-        total_ll = 0.0
-        for mat in mats:
-            comp_ld = [mix.component_log_density(mat) for mix in model.mixtures]
-            logb = logsumexp(np.stack(comp_ld, axis=1) + logw, axis=2)
-            gamma, xi, ll = lattice.estep(*_pair_chain(model, logb))
-            total_ll += ll
-            gamma = gamma.reshape(-1, n, n)              # (T-1, N, N) pair posteriors
-            a3_acc += xi.reshape(n, n, n, n)[:, same, same, :]
-            a2_acc += gamma[0]
-            psi_acc += gamma[0].sum(axis=1)
-            occ = np.empty((mat.shape[0], n))
-            occ[0] = gamma[0].sum(axis=1)
-            occ[1:] = gamma.sum(axis=1)
-            occ_list.append(occ)
-            comp_list.append(comp_ld)
-            logb_list.append(logb)
-        trace.append(total_ll)
-        # M-step
-        psi_new, a2_new = model.psi, model.a2
-        if not cfg.freeze_initials:
-            psi_new = psi_acc / psi_acc.sum()
-            a2_new = model.a2.copy()
-            rows = a2_acc.sum(axis=1) > 0
-            a2_new[rows] = a2_acc[rows] / a2_acc[rows].sum(axis=1, keepdims=True)
-        a3_new = model.a3.copy()
-        denom = a3_acc.sum(axis=2)
-        pairs = denom > 0
-        a3_new[pairs] = a3_acc[pairs] / denom[pairs][:, None]
-        if cfg.transition_floor > 0:
-            mask = model.a3 > 0
-            a3_new = np.where(mask, np.maximum(a3_new, cfg.transition_floor), a3_new)
-            a3_new /= a3_new.sum(axis=2, keepdims=True)
-        mixtures, empty = _update_mixtures(model.mixtures, occ_list, mats, comp_list,
-                                           logb_list, floor, cfg.mixture_weight_floor)
-        zero.add("(i, j) pairs", ~pairs)
-        zero.add("mixture components", empty)
-        model = Hmm2Model(psi_new, a2_new, a3_new, mixtures, model.topology)
-        if len(trace) >= 2 and trace[-1] - trace[-2] < cfg.tol * abs(trace[-2]):
-            break
-    zero.report(len(trace))
-    return model, trace
+    return _baum_welch(model, corpus, cfg, 2, _pair_chain, _pair_occupancy, _reestimate2, log)

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import TrainConfig, frames_of, variance_floor
+from .config import frames_of, variance_floor
 from .errors import DataError
 from .gmm import GaussianMixture
 from .hmm1 import Hmm1Model
-from .hmm2 import Hmm2Model
+from .hmm2 import Hmm2Model, lift_hmm1
 
 
 def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator,
@@ -55,54 +55,26 @@ def _state_mixtures(mats, n_states: int, n_comp: int, rng: np.random.Generator,
     return mixtures
 
 
-def _uniform_rows(mask: np.ndarray) -> np.ndarray:
-    out = mask.astype(np.float64)
-    return out / out.sum(axis=-1, keepdims=True)
+def init_hmm1(corpus, n_states: int, n_comp: int, topology: str = "ergodic",
+              seed: int = 0) -> Hmm1Model:
+    """Uniform topology-allowed transitions, k-means emission flat start."""
+    if not corpus:
+        raise DataError("corpus is empty")
+    if n_states < 1 or n_comp < 1:
+        raise DataError("state and mixture counts must be >= 1")
+    mats = [frames_of(o) for o in corpus]
+    if sum(m.shape[0] for m in mats) < n_states * n_comp:
+        raise DataError("fewer total frames than states x mixtures")
+    rng = np.random.default_rng(seed)
+    mixtures = _state_mixtures(mats, n_states, n_comp, rng, variance_floor(mats))
+    allowed = np.ones((n_states, n_states))
+    if topology == "left-right":
+        allowed = np.triu(allowed)
+    return Hmm1Model(np.full(n_states, 1.0 / n_states),
+                     allowed / allowed.sum(axis=1, keepdims=True), mixtures, topology)
 
 
 def init_hmm2(corpus, n_states: int, n_comp: int, topology: str = "ergodic",
-              seed: int = 0, cfg: TrainConfig | None = None) -> Hmm2Model:
-    """Uniform topology-allowed transitions, k-means emission flat start."""
-    cfg = cfg or TrainConfig()
-    if not corpus:
-        raise DataError("corpus is empty")
-    if n_states < 1 or n_comp < 1:
-        raise DataError("state and mixture counts must be >= 1")
-    mats = [frames_of(o) for o in corpus]
-    if sum(m.shape[0] for m in mats) < n_states * n_comp:
-        raise DataError("fewer total frames than states x mixtures")
-    rng = np.random.default_rng(seed)
-    floor = variance_floor(mats, cfg)
-    mixtures = _state_mixtures(mats, n_states, n_comp, rng, floor)
-    psi = np.full(n_states, 1.0 / n_states)
-    if topology == "left-right":
-        a2 = _uniform_rows(np.triu(np.ones((n_states, n_states))))
-        mask3 = np.zeros((n_states, n_states, n_states))
-        for j in range(n_states):
-            mask3[:, j, j:] = 1.0
-        a3 = _uniform_rows(mask3)
-    else:
-        a2 = np.full((n_states, n_states), 1.0 / n_states)
-        a3 = np.full((n_states, n_states, n_states), 1.0 / n_states)
-    return Hmm2Model(psi, a2, a3, mixtures, topology)
-
-
-def init_hmm1(corpus, n_states: int, n_comp: int, topology: str = "ergodic",
-              seed: int = 0, cfg: TrainConfig | None = None) -> Hmm1Model:
-    cfg = cfg or TrainConfig()
-    if not corpus:
-        raise DataError("corpus is empty")
-    if n_states < 1 or n_comp < 1:
-        raise DataError("state and mixture counts must be >= 1")
-    mats = [frames_of(o) for o in corpus]
-    if sum(m.shape[0] for m in mats) < n_states * n_comp:
-        raise DataError("fewer total frames than states x mixtures")
-    rng = np.random.default_rng(seed)
-    floor = variance_floor(mats, cfg)
-    mixtures = _state_mixtures(mats, n_states, n_comp, rng, floor)
-    pi = np.full(n_states, 1.0 / n_states)
-    if topology == "left-right":
-        a = _uniform_rows(np.triu(np.ones((n_states, n_states))))
-    else:
-        a = np.full((n_states, n_states), 1.0 / n_states)
-    return Hmm1Model(pi, a, mixtures, topology)
+              seed: int = 0) -> Hmm2Model:
+    """The order-1 flat start, lifted: a3[i, j, k] = a[j, k] for every i."""
+    return lift_hmm1(init_hmm1(corpus, n_states, n_comp, topology, seed))

@@ -142,6 +142,93 @@ class TestTrainEvaluate:
             (tmp_path / "t2" / rel).read_bytes()
 
 
+class TestEvaluateScopes:
+    """Speaker A has neutral and angry models, speaker B neutral and happy."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        write_synth_spec(spec, labels=["neutral", "angry", "happy"],
+                         tokens_per_condition=6, frames=[30, 40], n_states=1)
+        out = tmp_path / "corpus"
+        assert run(capsys, "synth", "--spec", str(spec), "--out", str(out))[0] == 0
+        return out
+
+    def _evaluate(self, capsys, corpus, tests):
+        """Train both speakers' banks and evaluate A's held-out tokens plus
+        tests, (speaker, condition, token, features file) rows."""
+        rows = [("A", cond, tok, "train" if tok <= 3 else "test", f"{cond}_00{tok}")
+                for cond in ("neutral", "angry") for tok in range(1, 7)]
+        rows += [("B", cond, tok, "train", f"{cond}_00{tok}")
+                 for cond in ("neutral", "happy") for tok in range(1, 4)]
+        rows += [(spk, cond, tok, "test", name) for spk, cond, tok, name in tests]
+        manifest = corpus / "scoped.tsv"
+        manifest.write_text("speaker\tsentence\tcondition\ttoken\tsplit\tpath\n" + "".join(
+            f"{spk}\ts1\t{cond}\t{tok}\t{split}\tfeatures/{name}.lpcc\n"
+            for spk, cond, tok, split, name in rows))
+        bank, rep = corpus / "bank", corpus / "rep"
+        assert run(capsys, "train", "--manifest", str(manifest), "--out", str(bank),
+                   "--order", "1", "--states", "1", "--mixtures", "1",
+                   "--topology", "ergodic", "--max-iter", "3")[0] == 0
+        code, _, err = run(capsys, "evaluate", "--manifest", str(manifest),
+                           "--bank", str(bank), "--out", str(rep))
+        report = json.loads((rep / "report.json").read_text()) if code == 0 else None
+        return code, err, report
+
+    def test_prediction_outside_the_first_scope(self, corpus, capsys):
+        # B's neutral test tokens are happy recordings, so B's bank says happy
+        code, _, report = self._evaluate(capsys, corpus, [
+            ("B", "neutral", tok, f"happy_00{tok}") for tok in range(4, 7)])
+        assert code == 0
+        assert report["labels"] == ["neutral", "angry", "happy"]
+        assert report["counts"] == [[3, 0, 0], [0, 3, 0], [3, 0, 0]]
+
+    def test_true_label_outside_the_first_scope(self, corpus, capsys):
+        code, _, report = self._evaluate(capsys, corpus, [
+            ("B", "happy", tok, f"happy_00{tok}") for tok in range(4, 7)])
+        assert code == 0
+        assert report["labels"] == ["neutral", "angry", "happy"]
+        assert report["counts"] == [[3, 0, 0], [0, 3, 0], [0, 0, 3]]
+
+    @pytest.mark.parametrize("speaker,condition", [("B", "shouted"), ("A", "happy")])
+    def test_label_outside_its_own_scope_exits_3(self, corpus, capsys, speaker, condition):
+        code, err, _ = self._evaluate(capsys, corpus, [(speaker, condition, 4, "happy_004")])
+        assert code == 3
+        assert f"unknown condition label {condition!r}" in err
+
+
+class TestEvaluateGroups:
+    def test_group_counts_match_identify(self, synth_corpus, tmp_path, capsys):
+        manifest = tmp_path / "grouped.tsv"
+        lines = (synth_corpus / "manifest.tsv").read_text().splitlines()
+        header = lines[0].split("\t")
+        rows = [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+        for row in rows:
+            row["group"] = "odd" if int(row["token"]) % 2 else "even"
+            row["path"] = str(synth_corpus / row["path"])
+        manifest.write_text("\n".join(["\t".join(header)] + [
+            "\t".join(row[c] for c in header) for row in rows]) + "\n")
+        bank, rep = tmp_path / "bank", tmp_path / "rep"
+        assert run(capsys, "train", "--manifest", str(manifest), "--out", str(bank),
+                   "--order", "2", "--states", "2", "--mixtures", "1",
+                   "--topology", "ergodic", "--max-iter", "3")[0] == 0
+        assert run(capsys, "evaluate", "--manifest", str(manifest), "--bank", str(bank),
+                   "--out", str(rep))[0] == 0
+        report = json.loads((rep / "report.json").read_text())
+        labels = report["labels"]
+        want = {g: np.zeros((2, 2), dtype=int) for g in ("odd", "even")}
+        for row in rows:
+            if int(row["token"]) <= 5:      # the 5-train / 4-test split
+                continue
+            code, out_text, _ = run(capsys, "identify", "--bank", str(bank),
+                                    "--features", row["path"])
+            assert code == 0
+            want[row["group"]][labels.index(out_text.splitlines()[0]),
+                               labels.index(row["condition"])] += 1
+        assert report["group_counts"] == {g: c.tolist() for g, c in want.items()}
+        assert np.array_equal(sum(want.values()), report["counts"])
+
+
 class TestCompareErrors:
     def test_label_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -88,6 +88,18 @@ def test_baum_welch_monotone_and_stochastic():
         assert abs(mix.weights.sum() - 1) < 1e-10
 
 
+def test_baum_welch_freeze_initials_keeps_pi_only():
+    rng = np.random.default_rng(8)
+    true = random_hmm1(rng, 2, 1, 2)
+    corpus = [sample_hmm1(true, 40, seed=s)[1] for s in range(3)]
+    init = random_hmm1(np.random.default_rng(98), 2, 1, 2)
+    model, _ = baum_welch1(init, corpus, TrainConfig(max_iterations=5, tol=1e-12,
+                                                      freeze_initials=True))
+    assert np.array_equal(model.pi, init.pi)
+    assert not np.array_equal(model.a, init.a)
+    assert np.all(np.abs(model.a.sum(axis=1) - 1) < 1e-10)
+
+
 def test_nan_parameters_rejected():
     mix = [GaussianMixture([1.0], [[0.0]], [[1.0]]) for _ in range(2)]
     with pytest.raises(DataError):

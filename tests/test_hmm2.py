@@ -6,7 +6,7 @@ from scipy.special import logsumexp
 
 from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
-from hmm2tc.hmm1 import forward1, viterbi1
+from hmm2tc.hmm1 import forward1, sample_hmm1, viterbi1
 from hmm2tc.hmm2 import (Hmm2Model, backward2, forward2, lift_hmm1,
                          path_log_prob2, sample_hmm2, viterbi2)
 
@@ -220,6 +220,14 @@ class TestSampling:
         model = random_hmm2(np.random.default_rng(0), 2, 1, 1)
         with pytest.raises(DataError):
             sample_hmm2(model, 1, seed=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lifted_model_samples_as_order1(self, seed):
+        model1 = random_hmm1(np.random.default_rng(seed), 3, 2, 2)
+        for t_len in (2, 3, 40):
+            s1, f1 = sample_hmm1(model1, t_len, seed=seed)
+            s2, f2 = sample_hmm2(lift_hmm1(model1), t_len, seed=seed)
+            assert np.array_equal(s1, s2) and np.array_equal(f1, f2)
 
 
 class TestModelValidation:

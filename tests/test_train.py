@@ -4,8 +4,10 @@ import pytest
 from hmm2tc.config import TrainConfig
 from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
-from hmm2tc.hmm2 import Hmm2Model, baum_welch2, forward2, sample_hmm2
+from hmm2tc.hmm1 import Hmm1Model, baum_welch1
+from hmm2tc.hmm2 import Hmm2Model, baum_welch2, forward2, lift_hmm1, sample_hmm2
 from hmm2tc.init import init_hmm1, init_hmm2
+from hmm2tc.model_io import dumps_model
 
 from conftest import random_hmm2
 
@@ -54,6 +56,21 @@ class TestInit:
     def test_too_few_frames(self):
         with pytest.raises(DataError):
             init_hmm1([np.zeros((3, 2))], 2, 2, seed=0)
+
+    @pytest.mark.parametrize("topology", ["ergodic", "left-right"])
+    def test_order2_flat_start_is_the_lifted_order1_one(self, topology):
+        rng = np.random.default_rng(4)
+        corpus = [rng.normal(size=(40, 2)), rng.normal(size=(25, 2))]
+        for n_states, n_comp in [(1, 1), (3, 2), (5, 3)]:
+            model1 = init_hmm1(corpus, n_states, n_comp, topology, seed=3)
+            model2 = init_hmm2(corpus, n_states, n_comp, topology, seed=3)
+            assert dumps_model(model2) == dumps_model(lift_hmm1(model1))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_config_rejects_non_positive_tol(tol):
+    with pytest.raises(DataError):
+        TrainConfig(tol=tol)
 
 
 class TestBaumWelch2:
@@ -110,6 +127,26 @@ class TestBaumWelch2:
                         if "pairs had zero occupancy" in r.getMessage()]
         assert len(pair_records) == 1
         assert pair_records[0].endswith("in 4 of 4 EM iterations; kept")
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_zero_occupancy_reported_on_the_trainer_logger(self, order, caplog):
+        # component 2 sits far from every frame and the left-right pair (1, 0)
+        # never occurs, so both stay at zero occupancy
+        mix = [GaussianMixture([0.5, 0.5], [[0.0], [1e3]], [[1.0], [1.0]])] * 2
+        a = np.array([[0.5, 0.5], [0.0, 1.0]])
+        model1 = Hmm1Model([0.5, 0.5], a, mix, "left-right")
+        rng = np.random.default_rng(11)
+        corpus = [rng.normal(size=(20, 1)) for _ in range(2)]
+        with caplog.at_level("WARNING", logger="hmm2tc"):
+            if order == 1:
+                baum_welch1(model1, corpus, TrainConfig(max_iterations=3, tol=1e-12))
+            else:
+                baum_welch2(lift_hmm1(model1), corpus,
+                            TrainConfig(max_iterations=3, tol=1e-12))
+        records = [r for r in caplog.records if "zero occupancy" in r.getMessage()]
+        kinds = ["2 mixture components"] + (["1 (i, j) pairs"] if order == 2 else [])
+        assert sorted(r.getMessage().split(" had")[0] for r in records) == sorted(kinds)
+        assert {r.name for r in records} == {f"hmm2tc.hmm{order}"}
 
     def test_requires_t3(self):
         model = random_hmm2(np.random.default_rng(7), 2, 1, 1)
