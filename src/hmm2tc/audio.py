@@ -2,16 +2,20 @@
 
 The pipeline is decode -> frame/window -> autocorrelate -> Levinson-Durbin
 -> cepstral recursion, one 16-dim LPCC row per 30 ms frame at a 5 ms shift.
+Each stage runs once per clip over the (frames, window) stack, every frame
+advancing through the same short loop over the lag or order together.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import struct
 import wave
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, FormatError, NumericError
 
@@ -28,8 +32,8 @@ class FrameParams:
     pre_emphasis: float = 0.0
 
     def __post_init__(self):
-        if self.window_ms <= 0 or self.shift_ms <= 0:
-            raise DataError("window_ms and shift_ms must be positive")
+        if not (0.0 < self.window_ms < math.inf and 0.0 < self.shift_ms < math.inf):
+            raise DataError("window_ms and shift_ms must be finite and positive")
         if self.shift_ms > self.window_ms:
             raise DataError("shift_ms must not exceed window_ms")
         if self.lpc_order < 1 or self.cepstral_order < 1:
@@ -95,6 +99,8 @@ def decode_pcm16_wav(data: bytes) -> AudioClip:
         raise FormatError(f"expected 16-bit samples, got {8 * sampwidth}-bit")
     if n_channels != 1:
         raise FormatError(f"expected mono audio, got {n_channels} channels")
+    if len(raw) % 2:
+        raise FormatError("WAV data ends in the middle of a sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if samples.size == 0:
         raise FormatError("WAV file contains no samples")
@@ -102,10 +108,17 @@ def decode_pcm16_wav(data: bytes) -> AudioClip:
 
 
 def _frame_geometry(n_samples: int, rate: int, params: FrameParams) -> tuple[int, int, int]:
-    win = int(round(params.window_ms * rate / 1000.0))
-    shift = int(round(params.shift_ms * rate / 1000.0))
+    # ms * rate may overflow to inf; clamping first keeps it out of round(),
+    # and a window longer than the clip is rejected below either way.
+    win, shift = (int(round(min(ms * rate / 1000.0, n_samples + 1.0)))
+                  for ms in (params.window_ms, params.shift_ms))
+    if win < 2 or shift < 1:
+        raise DataError(f"{params.window_ms:g} ms window and {params.shift_ms:g} ms shift "
+                        f"give {win} and {shift} samples at {rate} Hz; the window needs "
+                        ">= 2 samples and the shift >= 1")
     if n_samples < win:
-        raise DataError(f"clip of {n_samples} samples is shorter than one {win}-sample window")
+        raise DataError(f"clip of {n_samples} samples is shorter than one "
+                        f"{params.window_ms:g} ms window at {rate} Hz")
     n_frames = (n_samples - win) // shift + 1
     return win, shift, n_frames
 
@@ -116,58 +129,72 @@ def frame_and_window(clip: AudioClip, params: FrameParams) -> np.ndarray:
     if params.pre_emphasis > 0.0:
         x = np.concatenate(([x[0]], x[1:] - params.pre_emphasis * x[:-1]))
     win, shift, n_frames = _frame_geometry(x.size, clip.sample_rate_hz, params)
-    idx = np.arange(win)[None, :] + shift * np.arange(n_frames)[:, None]
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(win) / (win - 1))
-    return x[idx] * window[None, :]
+    return sliding_window_view(x, win)[: shift * n_frames : shift] * window
 
 
-def autocorrelate(frame: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation r_0 .. r_max_lag of one frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    n = frame.size
+def autocorrelate(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """Biased autocorrelation r_0 .. r_max_lag of one frame (n,) or of every
+    row of a frame stack (F, n): one batched row-by-row dot product per lag."""
+    frames = np.asarray(frames, dtype=np.float64)
+    n = frames.shape[-1]
     if max_lag >= n:
         raise DataError(f"max_lag {max_lag} must be smaller than frame length {n}")
-    full = np.correlate(frame, frame, mode="full")
-    return full[n - 1 : n + max_lag]
+    return np.stack([np.matmul(frames[..., None, k:], frames[..., : n - k, None])[..., 0, 0]
+                     for k in range(max_lag + 1)], axis=-1)
 
 
-def levinson_durbin(r: np.ndarray) -> tuple[np.ndarray, float]:
+def levinson_durbin(r: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """Solve the Toeplitz normal equations for A(z) = 1 + sum a_k z^-k.
 
-    Returns (a_1..a_p, residual energy E_p). Raises NumericError when a
-    reflection coefficient leaves the unit disc.
+    ``r`` is one autocorrelation row (p + 1,) or a stack (F, p + 1); every
+    row advances through the p steps together. Returns (a_1..a_p, residual
+    energy E_p) in the same layout. A row fails when r_0 <= 0 or a
+    reflection coefficient is non-finite or leaves the unit disc: a single
+    row raises NumericError, while in a stack the failed rows come back as
+    NaN in both a and E_p and the other rows are unaffected.
     """
     r = np.asarray(r, dtype=np.float64)
-    p = r.size - 1
-    if r[0] <= 0.0:
+    rows = np.atleast_2d(r)
+    n_rows, p = rows.shape[0], rows.shape[1] - 1
+    a = np.zeros((n_rows, p))
+    energy = rows[:, 0].copy()
+    ok = energy > 0.0
+    if r.ndim == 1 and not ok[0]:
         raise NumericError("zero-energy frame: r_0 must be positive")
-    a = np.zeros(p)
-    energy = r[0]
-    for i in range(1, p + 1):
-        acc = r[i] + a[: i - 1] @ r[i - 1 : 0 : -1]
-        k = -acc / energy
-        if not np.isfinite(k) or abs(k) >= 1.0:
-            raise NumericError(f"unstable frame: |k_{i}| = {abs(k):.6g} >= 1")
-        a[: i - 1] = a[: i - 1] + k * a[: i - 1][::-1]
-        a[i - 1] = k
-        energy *= 1.0 - k * k
-    return a, float(energy)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, p + 1):
+            acc = np.zeros(n_rows)
+            for j in range(i - 1):
+                acc += a[:, j] * rows[:, i - 1 - j]
+            k = -(rows[:, i] + acc) / energy
+            ok &= np.abs(k) < 1.0          # NaN and inf fail too
+            if r.ndim == 1 and not ok[0]:
+                raise NumericError(f"unstable frame: |k_{i}| = {abs(k[0]):.6g} >= 1")
+            k[~ok] = 0.0                   # failed rows stay finite until masked
+            a[:, : i - 1] = a[:, : i - 1] + k[:, None] * a[:, : i - 1][:, ::-1]
+            a[:, i - 1] = k
+            energy *= 1.0 - k * k
+    a[~ok] = np.nan
+    energy[~ok] = np.nan
+    return (a[0], float(energy[0])) if r.ndim == 1 else (a, energy)
 
 
 def lpc_to_lpcc(lpc: np.ndarray, cepstral_order: int) -> np.ndarray:
-    """Cepstrum c_1..c_Q of 1/A(z) via the standard recursion (gain term dropped)."""
+    """Cepstrum c_1..c_Q of 1/A(z) via the standard recursion (gain term
+    dropped), for one LPC row (p,) or a stack (F, p), one column per step."""
     a = np.asarray(lpc, dtype=np.float64)
-    p = a.size
     if cepstral_order < 1:
         raise DataError("cepstral_order must be >= 1")
-    c = np.zeros(cepstral_order)
+    rows = np.atleast_2d(a)
+    p = rows.shape[1]
+    c = np.zeros((rows.shape[0], cepstral_order))
     for m in range(1, cepstral_order + 1):
-        acc = -a[m - 1] if m <= p else 0.0
-        lo = max(1, m - p)
-        for k in range(lo, m):
-            acc -= (k / m) * c[k - 1] * a[m - k - 1]
-        c[m - 1] = acc
-    return c
+        acc = -rows[:, m - 1] if m <= p else np.zeros(rows.shape[0])
+        for k in range(max(1, m - p), m):
+            acc -= (k / m) * c[:, k - 1] * rows[:, m - k - 1]
+        c[:, m - 1] = acc
+    return c[0] if a.ndim == 1 else c
 
 
 SILENCE_THRESHOLD = 1e-12
@@ -175,28 +202,22 @@ SILENCE_THRESHOLD = 1e-12
 
 def extract_features(clip: AudioClip, params: FrameParams | None = None,
                      source_id: str = "") -> FeatureSequence:
-    """Full front-end: windowed frames -> LPC -> LPCC rows.
+    """Full front-end: windowed frames -> LPC -> LPCC rows, each stage run
+    once over the clip's whole frame stack.
 
-    Silent or numerically unstable frames become all-zero rows and are
-    counted in the sequence metadata instead of aborting the utterance.
+    A frame is degenerate when r_0 <= SILENCE_THRESHOLD or its Levinson-Durbin
+    recursion fails; it becomes an all-zero row and is counted in the
+    sequence metadata instead of aborting the utterance.
     """
     params = params or FrameParams()
     frames = frame_and_window(clip, params)
-    out = np.zeros((frames.shape[0], params.cepstral_order))
-    degenerate = 0
-    for t, frame in enumerate(frames):
-        r = autocorrelate(frame, params.lpc_order)
-        if r[0] <= SILENCE_THRESHOLD:
-            degenerate += 1
-            continue
-        try:
-            a, _ = levinson_durbin(r)
-        except NumericError:
-            degenerate += 1
-            continue
-        out[t] = lpc_to_lpcc(a, params.cepstral_order)
+    r = autocorrelate(frames, params.lpc_order)
+    a, energy = levinson_durbin(r)
+    degenerate = (r[:, 0] <= SILENCE_THRESHOLD) | np.isnan(energy)
+    out = lpc_to_lpcc(a, params.cepstral_order)
+    out[degenerate] = 0.0
     return FeatureSequence(out, source_id=source_id, params=params,
-                           degenerate_frames=degenerate)
+                           degenerate_frames=int(degenerate.sum()))
 
 
 def save_features(seq: FeatureSequence, path) -> None:

@@ -60,7 +60,7 @@ def cmd_extract(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     failures = []
     new_entries = []
-    total_frames = total_degenerate = 0
+    log = []
     for e in entries:
         src = _entry_path(base, e)
         rel = f"{e.speaker}_{e.sentence}_{e.condition}_{e.token:03d}.lpcc"
@@ -72,14 +72,17 @@ def cmd_extract(args) -> int:
             failures.append(f"{src}: {exc}")
             continue
         save_features(seq, os.path.join(args.out, rel))
-        total_frames += seq.T
-        total_degenerate += seq.degenerate_frames
+        log.append({"source": e.path, "features": rel, "frames": seq.T,
+                    "degenerate_frames": seq.degenerate_frames})
         new_entries.append(ManifestEntry(e.speaker, e.sentence, e.condition,
                                          e.token, rel, e.group, e.split))
     with open(os.path.join(args.out, "manifest.tsv"), "w", encoding="utf-8") as fh:
         fh.write(format_manifest(new_entries))
+    with open(os.path.join(args.out, "extract_log.json"), "w", encoding="utf-8") as fh:
+        json.dump({"files": log}, fh, sort_keys=True, indent=1)
     print(f"extracted {len(new_entries)}/{len(entries)} files, "
-          f"{total_frames} frames ({total_degenerate} degenerate)")
+          f"{sum(r['frames'] for r in log)} frames "
+          f"({sum(r['degenerate_frames'] for r in log)} degenerate)")
     for msg in failures:
         print(f"error: {msg}", file=sys.stderr)
     return EXIT_DATA if failures else EXIT_OK

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmm2tc.audio import (AudioClip, FeatureSequence, FrameParams, autocorrelate,
-                          decode_pcm16_wav, extract_features, features_to_csv,
-                          frame_and_window, levinson_durbin, load_features,
-                          lpc_to_lpcc, save_features)
+from hmm2tc.audio import (SILENCE_THRESHOLD, AudioClip, FeatureSequence, FrameParams,
+                          autocorrelate, decode_pcm16_wav, extract_features,
+                          features_to_csv, frame_and_window, levinson_durbin,
+                          load_features, lpc_to_lpcc, save_features)
 from hmm2tc.errors import DataError, FormatError, NumericError
 
 from conftest import fft_cepstrum_oracle, make_wav_bytes, toeplitz_lpc_oracle
@@ -37,6 +37,11 @@ class TestDecode:
         with pytest.raises(FormatError):
             decode_pcm16_wav(b"not a wav file at all")
 
+    def test_rejects_cut_mid_sample(self):
+        data = make_wav_bytes(np.arange(64, dtype=np.int16))
+        with pytest.raises(FormatError, match="middle of a sample"):
+            decode_pcm16_wav(data[:-1])
+
 
 class TestFraming:
     def test_frame_count_640(self):
@@ -61,6 +66,21 @@ class TestFraming:
         n = 480 + extra
         frames = frame_and_window(AudioClip(np.zeros(n), 16000), FrameParams())
         assert frames.shape[0] == (n - 480) // 80 + 1
+
+    @pytest.mark.parametrize("window_ms, shift_ms", [
+        (np.nan, 5.0), (30.0, np.nan), (np.inf, 5.0), (30.0, np.inf), (0.0, 5.0)])
+    def test_rejects_sizes_not_finite_and_positive(self, window_ms, shift_ms):
+        with pytest.raises(DataError, match="finite and positive"):
+            FrameParams(window_ms=window_ms, shift_ms=shift_ms)
+
+    @pytest.mark.parametrize("params, message", [
+        (FrameParams(shift_ms=0.01), "shift >= 1"),                   # 0 samples
+        (FrameParams(window_ms=0.07, shift_ms=0.05), "window needs"),  # 1 sample
+        (FrameParams(window_ms=1e306), "shorter than"),                # inf samples
+    ])
+    def test_rejects_sizes_the_rate_cannot_hold(self, params, message):
+        with pytest.raises(DataError, match=message):
+            frame_and_window(AudioClip(np.zeros(4800), 16000), params)
 
     def test_pre_emphasis(self):
         x = np.linspace(-0.5, 0.5, 480)
@@ -134,6 +154,10 @@ class TestLevinsonDurbin:
         with pytest.raises(NumericError):
             levinson_durbin(np.zeros(4))
 
+    def test_unstable(self):
+        with pytest.raises(NumericError, match="unstable"):
+            levinson_durbin(np.array([1.0, 1.0]))  # k_1 = -1
+
 
 class TestLpcc:
     def test_all_zero(self):
@@ -184,6 +208,138 @@ class TestExtract:
         a = extract_features(AudioClip(samples, 16000))
         b = extract_features(AudioClip(samples.copy(), 16000))
         assert np.array_equal(a.frames, b.frames)
+
+
+FRAME_KINDS = ("noise", "zero", "constant", "tone", "impulse", "near_silence")
+
+
+def _frame(kind: str, n: int, seed) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "constant":
+        return np.full(n, rng.uniform(-1.0, 1.0))
+    if kind == "tone":
+        return rng.uniform(0.1, 1.0) * np.sin(rng.uniform(0.05, 3.0) * np.arange(n)
+                                              + rng.uniform(0.0, 2.0 * np.pi))
+    if kind == "impulse":
+        frame = np.zeros(n)
+        frame[rng.integers(n)] = rng.uniform(-1.0, 1.0)
+        return frame
+    frame = np.clip(rng.normal(0.0, 0.3, n), -1.0, 1.0)
+    if kind == "near_silence":
+        # energy at, just below or just above the silence threshold
+        factor = rng.choice([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0])
+        frame *= np.sqrt(factor * SILENCE_THRESHOLD / np.sum(frame ** 2))
+    return frame
+
+
+@st.composite
+def frame_stacks(draw):
+    """(F, n) stacks mixing every frame kind, and an LPC order p < n."""
+    p = draw(st.integers(1, 12))
+    n = draw(st.integers(p + 1, 64))
+    kinds = draw(st.lists(st.sampled_from(FRAME_KINDS), min_size=1, max_size=10))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.stack([_frame(kind, n, [seed, i]) for i, kind in enumerate(kinds)]), p
+
+
+@st.composite
+def lpc_inputs(draw):
+    """Levinson-Durbin input stacks: the autocorrelations of a frame stack
+    interleaved with arbitrary rows, which reach the failures no real frame
+    does (|k| >= 1, an overflowing k, r_0 <= 0)."""
+    frames, p = draw(frame_stacks())
+    value = st.floats(-2.0, 2.0) | st.sampled_from([0.0, 1e-300, 1e300])
+    raw = draw(st.lists(st.lists(value, min_size=p + 1, max_size=p + 1), max_size=6))
+    r = np.concatenate([autocorrelate(frames, p), np.reshape(raw, (-1, p + 1))])
+    return r[draw(st.permutations(range(r.shape[0])))]
+
+
+@st.composite
+def mixed_clips(draw):
+    """Clips spliced from segments of every frame kind, with frame settings."""
+    params = draw(st.sampled_from([
+        FrameParams(),
+        FrameParams(window_ms=3.0, shift_ms=1.0, lpc_order=4, cepstral_order=6,
+                    pre_emphasis=0.97)]))
+    kinds = draw(st.lists(st.sampled_from(FRAME_KINDS), min_size=1, max_size=6))
+    lengths = draw(st.lists(st.integers(40, 700), min_size=len(kinds), max_size=len(kinds)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    samples = np.concatenate([_frame(kind, n, [seed, i])
+                              for i, (kind, n) in enumerate(zip(kinds, lengths))])
+    win = int(round(params.window_ms * 16))
+    samples = np.concatenate([samples, np.zeros(max(0, win - samples.size))])
+    return AudioClip(samples, 16000), params
+
+
+def per_frame_reference(clip: AudioClip, params: FrameParams):
+    """The front end one frame at a time, with numpy's own correlation."""
+    frames = frame_and_window(clip, params)
+    out = np.zeros((frames.shape[0], params.cepstral_order))
+    degenerate = 0
+    for t, frame in enumerate(frames):
+        n = frame.size
+        r = np.correlate(frame, frame, mode="full")[n - 1 : n + params.lpc_order]
+        if r[0] <= SILENCE_THRESHOLD:
+            degenerate += 1
+            continue
+        try:
+            a, _ = levinson_durbin(r)
+        except NumericError:
+            degenerate += 1
+            continue
+        out[t] = lpc_to_lpcc(a, params.cepstral_order)
+    return out, degenerate
+
+
+class TestStackedFrontEnd:
+    """Each stage runs once over a frame stack; every row must come out as the
+    single-frame call (or the per-frame reference) gives it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(frame_stacks())
+    def test_autocorrelation_matches_correlate(self, case):
+        frames, p = case
+        n = frames.shape[1]
+        r = autocorrelate(frames, p)
+        ref = np.array([np.correlate(f, f, mode="full")[n - 1 : n + p] for f in frames])
+        # |r_k| <= r_0, so each row's energy sets its scale
+        assert np.all(np.abs(r - ref) <= 1e-12 * ref[:, :1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(lpc_inputs(), st.integers(1, 20))
+    def test_rows_match_single_frame_calls(self, r, cepstral_order):
+        a, energy = levinson_durbin(r)
+        for t, row in enumerate(r):
+            try:
+                a1, e1 = levinson_durbin(row)
+            except NumericError:
+                assert np.all(np.isnan(a[t])) and np.isnan(energy[t])
+                continue
+            assert a[t].tobytes() == a1.tobytes()
+            assert energy[t] == e1
+        lpc = np.where(np.isnan(a), 0.0, a)
+        c = lpc_to_lpcc(lpc, cepstral_order)
+        for t in range(lpc.shape[0]):
+            assert c[t].tobytes() == lpc_to_lpcc(lpc[t], cepstral_order).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_clips())
+    def test_extract_matches_per_frame_reference(self, case):
+        clip, params = case
+        seq = extract_features(clip, params)
+        ref, degenerate = per_frame_reference(clip, params)
+        assert seq.degenerate_frames == degenerate
+        assert np.max(np.abs(seq.frames - ref)) <= 1e-9
+
+    def test_failed_rows_leave_the_others_alone(self):
+        rho = 0.9
+        r = np.stack([rho ** np.arange(4), np.zeros(4), [1.0, 1.0, 1.0, 1.0]])
+        a, energy = levinson_durbin(r)
+        assert np.allclose(a[0], [-rho, 0, 0], atol=1e-12)
+        assert energy[0] == pytest.approx(1 - rho**2)
+        assert np.all(np.isnan(a[1:])) and np.all(np.isnan(energy[1:]))
 
 
 class TestFeatureIO:

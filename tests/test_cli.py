@@ -248,6 +248,38 @@ class TestCompareErrors:
         assert json.loads(out_text) == {"x": 0.0, "y": 0.0}
 
 
+_NOISE = (np.random.default_rng(0).normal(0, 0.05, 4800) * 32767).astype(np.int16)
+_WAV = make_wav_bytes(_NOISE)
+_MANIFEST = "speaker\tsentence\tcondition\ttoken\tpath\ns1\tt1\tneutral\t1\tu.wav\n"
+
+# (u.wav bytes, manifest text, extra options, expected stderr text); the
+# default window at 16 kHz is 480 samples
+BAD_EXTRACT_INPUTS = [
+    pytest.param(_WAV[:-1], _MANIFEST, [], "middle of a sample", id="cut_mid_sample"),
+    pytest.param(make_wav_bytes(_NOISE[:0]), _MANIFEST, [], "no samples", id="header_only"),
+    pytest.param(make_wav_bytes(np.full(4800, 128), sampwidth=1), _MANIFEST, [], "16-bit",
+                 id="8_bit"),
+    pytest.param(make_wav_bytes(np.repeat(_NOISE, 2), channels=2), _MANIFEST, [], "mono",
+                 id="stereo"),
+    pytest.param(make_wav_bytes(_NOISE[:479]), _MANIFEST, [], "shorter than",
+                 id="shorter_than_window"),
+    pytest.param(_WAV, "speaker\tcondition\tpath\ns1\tneutral\tu.wav\n", [],
+                 "missing required columns", id="missing_columns"),
+    pytest.param(_WAV, _MANIFEST, ["--lpc-order", "480"], "max_lag 480",
+                 id="lpc_order_ge_window"),
+    pytest.param(_WAV, _MANIFEST, ["--window-ms", "nan"], "finite and positive",
+                 id="window_nan"),
+    pytest.param(_WAV, _MANIFEST, ["--shift-ms", "nan"], "finite and positive",
+                 id="shift_nan"),
+    pytest.param(_WAV, _MANIFEST, ["--window-ms", "inf"], "finite and positive",
+                 id="window_inf"),
+    pytest.param(_WAV, _MANIFEST, ["--shift-ms", "0.01"], "shift >= 1",
+                 id="shift_zero_samples"),
+    pytest.param(_WAV, _MANIFEST, ["--window-ms", "0.07", "--shift-ms", "0.05"],
+                 "window needs", id="window_one_sample"),
+]
+
+
 class TestExtract:
     def _manifest(self, tmp_path, rows):
         lines = ["speaker\tsentence\tcondition\ttoken\tpath"]
@@ -293,5 +325,39 @@ class TestExtract:
             out = tmp_path / name
             assert run(capsys, "extract", "--manifest", str(manifest),
                        "--out", str(out))[0] == 0
-            outs.append((out / "s1_t1_neutral_001.lpcc").read_bytes())
+            outs.append([(out / f).read_bytes() for f in
+                         ("s1_t1_neutral_001.lpcc", "manifest.tsv", "extract_log.json")])
         assert outs[0] == outs[1]
+
+    def test_extract_log(self, tmp_path, capsys):
+        self._noise_wav(tmp_path, "noise.wav", seed=3)
+        rng = np.random.default_rng(4)
+        samples = (rng.normal(0, 0.05, 4800) * 32767).astype(np.int16)
+        samples[1600:3200] = 0                       # 100 ms of digital silence
+        (tmp_path / "gap.wav").write_bytes(make_wav_bytes(samples))
+        manifest = self._manifest(tmp_path, [
+            "s1\tt1\tneutral\t1\tnoise.wav", "s1\tt1\tangry\t1\tgap.wav",
+            "s1\tt1\tangry\t2\tmissing.wav"])
+        out = tmp_path / "feat"
+        code, out_text, _ = run(capsys, "extract", "--manifest", str(manifest),
+                                "--out", str(out))
+        assert code == 3
+        log = json.loads((out / "extract_log.json").read_text())
+        assert [(f["source"], f["features"], f["frames"]) for f in log["files"]] == [
+            ("noise.wav", "s1_t1_neutral_001.lpcc", 55),
+            ("gap.wav", "s1_t1_angry_001.lpcc", 55)]
+        # the frames wholly inside the gap: starts 1600 .. 2720 in steps of 80
+        assert [f["degenerate_frames"] for f in log["files"]] == [0, 15]
+        assert out_text == "extracted 2/3 files, 110 frames (15 degenerate)\n"
+
+    @pytest.mark.parametrize("wav, manifest, options, message", BAD_EXTRACT_INPUTS)
+    def test_bad_input_exits_cleanly(self, tmp_path, capsys, wav, manifest, options,
+                                     message):
+        (tmp_path / "u.wav").write_bytes(wav)
+        (tmp_path / "manifest.tsv").write_text(manifest)
+        code = main(["extract", "--manifest", str(tmp_path / "manifest.tsv"),
+                      "--out", str(tmp_path / "feat"), *options])
+        err = capsys.readouterr().err
+        assert code in (2, 3, 4)
+        assert "Traceback" not in err
+        assert message in err
