@@ -84,23 +84,48 @@ class FeatureSequence:
         return self.frames.shape[1]
 
 
+# Data-chunk sizes that a streaming writer leaves in place of the real one;
+# the samples then run to the end of the file.
+STREAMED_DATA_SIZES = (0, 0xFFFFFFFF)
+
+
+def _data_chunk(data: bytes) -> tuple[int, int]:
+    """Offset of the data chunk's payload and the size its header declares."""
+    pos = 12                                   # past "RIFF", its size and "WAVE"
+    while pos + 8 <= len(data):
+        chunk_id, size = struct.unpack_from("<4sI", data, pos)
+        if chunk_id == b"data":
+            return pos + 8, size
+        pos += 8 + size + (size & 1)
+    raise FormatError("WAV file has no data chunk")
+
+
 def decode_pcm16_wav(data: bytes) -> AudioClip:
-    """Decode a mono 16-bit PCM RIFF/WAVE file into [-1, 1] samples."""
+    """Decode a mono 16-bit PCM RIFF/WAVE file into [-1, 1] samples.
+
+    A data chunk that holds fewer bytes than its header declares is a cut
+    file and is rejected, unless the declared size is one of
+    STREAMED_DATA_SIZES.
+    """
     try:
         with wave.open(io.BytesIO(data), "rb") as wf:
             n_channels = wf.getnchannels()
             sampwidth = wf.getsampwidth()
             rate = wf.getframerate()
-            n_frames = wf.getnframes()
-            raw = wf.readframes(n_frames)
     except (wave.Error, EOFError, struct.error) as exc:
         raise FormatError(f"malformed or non-PCM WAV file: {exc}") from exc
     if sampwidth != 2:
         raise FormatError(f"expected 16-bit samples, got {8 * sampwidth}-bit")
     if n_channels != 1:
         raise FormatError(f"expected mono audio, got {n_channels} channels")
+    start, declared = _data_chunk(data)
+    streamed = declared in STREAMED_DATA_SIZES
+    raw = data[start:] if streamed else data[start:start + declared]
     if len(raw) % 2:
         raise FormatError("WAV data ends in the middle of a sample")
+    if len(raw) < declared and not streamed:
+        raise FormatError(f"WAV data chunk holds {len(raw)} of the {declared} bytes "
+                          "its header declares; the file is cut")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if samples.size == 0:
         raise FormatError("WAV file contains no samples")

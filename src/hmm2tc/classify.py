@@ -8,10 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lattice
 from .config import TrainConfig, frames_of
 from .errors import DataError, NumericError
-from .hmm1 import Hmm1Model, baum_welch1, forward1, viterbi1
-from .hmm2 import Hmm2Model, baum_welch2, forward2, viterbi2
+from .hmm1 import Hmm1Model, _chain1, baum_welch1, viterbi1
+from .hmm2 import Hmm2Model, _pair_chain, baum_welch2, viterbi2
 from .init import init_hmm1, init_hmm2
 
 
@@ -83,10 +84,10 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
 
 
 def score_sequence(model: Hmm1Model | Hmm2Model, obs, scoring: str = "forward") -> float:
+    """log P(O | model) ("forward") or the best path's log score ("viterbi")."""
     if scoring == "forward":
-        if isinstance(model, Hmm2Model):
-            return forward2(model, obs)[1]
-        return forward1(model, obs)[1]
+        chain = _pair_chain if isinstance(model, Hmm2Model) else _chain1
+        return lattice.loglik(*chain(model, model.emission_log_probs(obs)))
     if scoring == "viterbi":
         try:
             if isinstance(model, Hmm2Model):
@@ -120,6 +121,8 @@ class EvaluationReport:
     counts: np.ndarray
     protocol: dict = field(default_factory=dict)
     group_counts: dict[str, np.ndarray] = field(default_factory=dict)
+    # one `_score_record` per utterance, in test order; not part of to_dict
+    utterances: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -205,16 +208,35 @@ def evaluate_scopes(banks: dict, tests, scoring: str = "forward",
     shape = (len(labels), len(labels))
     counts = np.zeros(shape, dtype=np.int64)
     group_counts: dict[str, np.ndarray] = {}
+    records = []
     for key, true_label, obs, group in tests:
         if key not in banks:
             raise DataError(f"no trained bank for scope {key}")
         if true_label not in banks[key].models:
             raise DataError(f"unknown condition label {true_label!r} in scope {key}")
-        cell = index[identify(banks[key], obs, scoring).label], index[true_label]
+        result = identify(banks[key], obs, scoring)
+        cell = index[result.label], index[true_label]
         counts[cell] += 1
         if group is not None:
             group_counts.setdefault(group, np.zeros(shape, dtype=np.int64))[cell] += 1
-    return EvaluationReport(labels, counts, protocol or {}, group_counts)
+        records.append(_score_record(true_label, result, obs))
+    return EvaluationReport(labels, counts, protocol or {}, group_counts, records)
+
+
+def _score_record(true_label: str, result: IdentificationResult, obs) -> dict:
+    """One utterance's scores: its source id, T, the true and predicted
+    labels, every label's score and the margin of the best score over the
+    second best. A score or margin that is not finite is None (a model that
+    gives the utterance probability 0)."""
+    def finite(x: float) -> float | None:
+        return float(x) if math.isfinite(x) else None
+
+    ranked = sorted(result.scores.values(), reverse=True)
+    margin = ranked[0] - ranked[1] if len(ranked) > 1 else math.inf
+    return {"source": getattr(obs, "source_id", ""), "T": frames_of(obs).shape[0],
+            "true": true_label, "predicted": result.label,
+            "scores": {lab: finite(v) for lab, v in result.scores.items()},
+            "margin": finite(margin)}
 
 
 def improvement_rate(perf_baseline: float, perf_new: float) -> float:

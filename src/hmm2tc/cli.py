@@ -14,7 +14,7 @@ from .classify import ConditionBank, evaluate_scopes, identify, improvement_tabl
 from .config import TrainConfig
 from .corpus import ManifestEntry, SynthSpec, apply_split_protocol, format_manifest, \
     generate_synthetic_corpus, parse_manifest
-from .errors import DataError, Hmm2tcError, NumericError
+from .errors import DataError, FormatError, Hmm2tcError, NumericError
 from .model_io import load_model, save_model
 
 EXIT_OK = 0
@@ -142,8 +142,27 @@ def cmd_train(args) -> int:
 
 
 def _load_bank_doc(bank_dir) -> dict:
-    with open(os.path.join(bank_dir, BANK_FILE), encoding="utf-8") as fh:
-        return json.load(fh)
+    """The bank directory's bank.json; FormatError unless it holds the fields
+    that identify and evaluate read."""
+    path = os.path.join(bank_dir, BANK_FILE)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    scopes = doc.get("scopes") if isinstance(doc, dict) else None
+    if not (isinstance(scopes, list) and scopes and {"order", "protocol"} <= doc.keys()
+            and all(_is_scope_doc(s) for s in scopes)):
+        raise FormatError(f"{path}: not a bank document")
+    return doc
+
+
+def _is_scope_doc(scope) -> bool:
+    return (isinstance(scope, dict)
+            and {"labels", "models", "speaker", "sentence"} <= scope.keys()
+            and isinstance(scope["labels"], list) and isinstance(scope["models"], dict)
+            and all(isinstance(v, str) for v in scope["labels"])
+            and all(isinstance(v, str) for v in scope["models"].values()))
 
 
 def _load_bank(bank_dir, scope_doc) -> ConditionBank:
@@ -194,6 +213,8 @@ def cmd_evaluate(args) -> int:
     text = render_report_text(report, title=f"HMM{doc['order']} evaluation")
     with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
+    with open(os.path.join(args.out, "scores.jsonl"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in report.utterances)
     print(text, end="")
     return EXIT_OK
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DataError
+from .lattice import logsumexp
 
 _LOG_2PI = np.log(2.0 * np.pi)
 WEIGHT_TOL = 1e-10
@@ -49,22 +49,52 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def component_log_density(self, obs: np.ndarray) -> np.ndarray:
-        """Per-component log N(o; mu_m, diag sigma2_m) for obs of shape (T, D) -> (T, M)."""
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        if obs.shape[1] != self.dim:
-            raise DataError(f"observation dim {obs.shape[1]} != mixture dim {self.dim}")
-        diff = obs[:, None, :] - self.means[None, :, :]  # (T, M, D)
-        quad = np.sum(diff * diff / self.variances[None, :, :], axis=2)
-        logdet = np.sum(np.log(self.variances), axis=1)  # (M,)
-        return -0.5 * (quad + logdet[None, :] + self.dim * _LOG_2PI)
-
     def log_density_frames(self, obs: np.ndarray) -> np.ndarray:
         """log b(O_t) for every frame of a (T, D) observation matrix -> (T,)."""
-        comp = self.component_log_density(obs)
-        with np.errstate(divide="ignore"):
-            logw = np.log(self.weights)
-        return logsumexp(comp + logw[None, :], axis=1)
+        return log_densities([self], obs)[:, 0]
 
     def log_density(self, o: np.ndarray) -> float:
         return float(self.log_density_frames(np.atleast_2d(o))[0])
+
+
+def component_log_densities(mixtures, obs) -> np.ndarray:
+    """log w_m + log N(o_t; mu_m, diag sigma2_m) of every component of N
+    mixtures of one shape (M, D), for a (T, D) observation matrix -> (T, N, M).
+
+    The exponent is expanded as in scikit-learn's diagonal-covariance
+    `_estimate_log_gaussian_prob` (Pedregosa et al., 2011):
+    sum_d (o_d - mu_d)**2 / s_d = sum_d o_d**2 / s_d - 2 o_d mu_d / s_d + mu_d**2 / s_d,
+    so the part that depends on the frame is, per state, one (T, 2D) x (2D, M)
+    product of [o**2, o] with [-1/(2 s), mu / s]. Frames and means are first
+    centred on the state's mean of its component means: the terms of the
+    expansion, and so its cancellation error, then grow with the spread of
+    the state's components, not with their common offset. A frame whose
+    square overflows gives inf - inf there; such a frame lies so far from
+    every mean that its true density underflows, and it scores -inf, as the
+    unexpanded form does.
+    """
+    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+    means = np.stack([m.means for m in mixtures])            # (N, M, D)
+    d = means.shape[2]
+    if obs.shape[1] != d:
+        raise DataError(f"observation dim {obs.shape[1]} != mixture dim {d}")
+    prec = 1.0 / np.stack([m.variances for m in mixtures])   # (N, M, D)
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.stack([m.weights for m in mixtures]))
+    centre = means.mean(axis=1, keepdims=True)                # (N, 1, D)
+    means = means - centre
+    const = logw - 0.5 * (np.sum(means * means * prec - np.log(prec), axis=2) + d * _LOG_2PI)
+    coef = np.concatenate([-0.5 * prec, means * prec], axis=2).transpose(0, 2, 1)
+    powers = np.empty((len(mixtures), obs.shape[0], 2 * d))  # per state [x**2, x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(obs, centre, out=powers[:, :, d:])
+        np.square(powers[:, :, d:], out=powers[:, :, :d])
+        comp = powers @ coef                                  # (N, T, M)
+    comp += const[:, None]
+    comp[np.isnan(comp)] = -np.inf
+    return comp.transpose(1, 0, 2)
+
+
+def log_densities(mixtures, obs) -> np.ndarray:
+    """(T, N) log densities of N mixtures of one shape at every frame of obs."""
+    return logsumexp(component_log_densities(mixtures, obs), axis=2)

@@ -13,21 +13,39 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import lattice
 from .config import MIXTURE_WEIGHT_FLOOR, TrainConfig, frames_of, variance_floor
 from .errors import DataError
-from .gmm import GaussianMixture, _stochastic
-from .lattice import _log
+from .gmm import GaussianMixture, _stochastic, component_log_densities, log_densities
+from .lattice import _log, logsumexp
 
 log = logging.getLogger(__name__)
 
 TOPOLOGIES = ("ergodic", "left-right")
 
 
+class _StateMixtures:
+    """The emission half of both model orders: one Gaussian mixture per
+    state, every one of the same shape (M, D)."""
+
+    mixtures: list[GaussianMixture]
+
+    def _check_mixtures(self) -> None:
+        if len({(m.n_components, m.dim) for m in self.mixtures}) != 1:
+            raise DataError("all states must share mixture dim and component count")
+
+    @property
+    def n_components(self) -> int:
+        return self.mixtures[0].n_components
+
+    @property
+    def dim(self) -> int:
+        return self.mixtures[0].dim
+
+
 @dataclass
-class Hmm1Model:
+class Hmm1Model(_StateMixtures):
     pi: np.ndarray                  # (N,)
     a: np.ndarray                   # (N, N)
     mixtures: list[GaussianMixture]  # length N
@@ -47,37 +65,32 @@ class Hmm1Model:
             raise DataError(f"unknown topology {self.topology!r}")
         if self.topology == "left-right" and np.any(np.tril(self.a, -1) != 0):
             raise DataError("left-right topology requires an upper-triangular transition matrix")
-        dims = {m.dim for m in self.mixtures}
-        comps = {m.n_components for m in self.mixtures}
-        if len(dims) != 1 or len(comps) != 1:
-            raise DataError("all states must share mixture dim and component count")
+        self._check_mixtures()
 
     @property
     def n_states(self) -> int:
         return self.pi.size
 
-    @property
-    def n_components(self) -> int:
-        return self.mixtures[0].n_components
-
-    @property
-    def dim(self) -> int:
-        return self.mixtures[0].dim
-
     def emission_log_probs(self, obs) -> np.ndarray:
         """(T, N) matrix of log b_j(O_t)."""
-        mat = frames_of(obs)
-        return np.stack([m.log_density_frames(mat) for m in self.mixtures], axis=1)
+        return log_densities(self.mixtures, frames_of(obs))
+
+
+def _chain1(model: Hmm1Model, logb: np.ndarray):
+    """The lattice engine's (log initial row, transition matrix, emission
+    table) for a first-order model: its own states, one row per frame."""
+    return _log(model.pi), model.a, logb
 
 
 def forward1(model: Hmm1Model, obs) -> tuple[np.ndarray, float]:
     """Log forward lattice (T, N) and total log-likelihood."""
-    return lattice.forward(_log(model.pi), model.a, model.emission_log_probs(obs))
+    return lattice.forward(*_chain1(model, model.emission_log_probs(obs)))
 
 
 def viterbi1(model: Hmm1Model, obs) -> tuple[np.ndarray, float]:
-    """Most likely state path and its log score (ties: lowest state index)."""
-    return lattice.viterbi(_log(model.pi), model.a, model.emission_log_probs(obs))
+    """Most likely state path and its log score; ties break toward the
+    lowest state index, from the last frame back (`lattice.viterbi`)."""
+    return lattice.viterbi(*_chain1(model, model.emission_log_probs(obs)))
 
 
 def backward1(model: Hmm1Model, obs) -> np.ndarray:
@@ -117,45 +130,37 @@ def _sample_frames(mixtures, states, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(means, stds)
 
 
-def _update_mixtures(mixtures, occ, corpus_mats, comp_logdens, logb_list, floor):
+def _update_mixtures(mixtures, occ, corpus_mats, comps, logb_list, floor):
     """Shared GMM M-step given per-frame state occupancies.
 
-    occ: list of (T, N) occupancy arrays, one per sequence. Returns the new
-    mixtures and a (N, M) mask of the components that had zero occupancy;
-    those components, and states whose every component is empty, keep their
-    previous parameters.
+    occ: list of (T, N) occupancy arrays, one per sequence; comps and
+    logb_list: each sequence's (T, N, M) weighted component log densities
+    and its (T, N) emission table. Returns the new mixtures and a (N, M) mask
+    of the components that had zero occupancy; those components, and states
+    whose every component is empty, keep their previous parameters.
     """
-    n = len(mixtures)
-    m_comp = mixtures[0].n_components
-    d = mixtures[0].dim
+    n, m_comp = comps[0].shape[1:]
+    d = corpus_mats[0].shape[1]
     w_acc = np.zeros((n, m_comp))
-    mean_acc = np.zeros((n, m_comp, d))
-    sq_acc = np.zeros((n, m_comp, d))
-    for mat, occ_s, comp_ld, logb in zip(corpus_mats, occ, comp_logdens, logb_list):
-        for j in range(n):
-            resp = np.exp(comp_ld[j] + _log(mixtures[j].weights)[None, :]
-                          - logb[:, j][:, None])  # (T, M)
-            r = occ_s[:, j][:, None] * resp
-            w_acc[j] += r.sum(axis=0)
-            mean_acc[j] += r.T @ mat
-            sq_acc[j] += r.T @ (mat * mat)
-    empty = w_acc <= 1e-300
-    new = []
-    for j in range(n):
-        tot = w_acc[j].sum()
-        if tot <= 1e-300:
-            empty[j] = True
-            new.append(mixtures[j])
-            continue
-        weights = w_acc[j] / tot
-        means = mixtures[j].means.copy()
-        variances = mixtures[j].variances.copy()
-        for m in np.flatnonzero(~empty[j]):
-            means[m] = mean_acc[j, m] / w_acc[j, m]
-            variances[m] = np.maximum(sq_acc[j, m] / w_acc[j, m] - means[m] ** 2, floor)
-        weights = np.maximum(weights, MIXTURE_WEIGHT_FLOOR)
-        weights /= weights.sum()
-        new.append(GaussianMixture(weights, means, variances))
+    moments = np.zeros((n * m_comp, 2 * d))
+    for mat, occ_s, comp, logb in zip(corpus_mats, occ, comps, logb_list):
+        resp = occ_s[:, :, None] * np.exp(comp - logb[:, :, None])  # (T, N, M)
+        w_acc += resp.sum(axis=0)
+        moments += resp.reshape(len(mat), -1).T @ np.concatenate([mat, mat * mat], axis=1)
+    mean_acc, sq_acc = np.moveaxis(moments.reshape(n, m_comp, 2, d), 2, 0)
+    tot = w_acc.sum(axis=1)
+    dead = tot <= 1e-300
+    empty = (w_acc <= 1e-300) | dead[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = mean_acc / w_acc[:, :, None]
+        variances = np.maximum(sq_acc / w_acc[:, :, None] - means ** 2, floor)
+        weights = np.maximum(w_acc / tot[:, None], MIXTURE_WEIGHT_FLOOR)
+    keep = empty[:, :, None]
+    means = np.where(keep, np.stack([m.means for m in mixtures]), means)
+    variances = np.where(keep, np.stack([m.variances for m in mixtures]), variances)
+    weights /= weights.sum(axis=1, keepdims=True)
+    new = [mix if dead[j] else GaussianMixture(weights[j], means[j], variances[j])
+           for j, mix in enumerate(mixtures)]
     return new, empty
 
 
@@ -217,13 +222,12 @@ def _baum_welch(model, corpus, cfg: TrainConfig | None, order: int, chain, occup
     zero = _ZeroOccupancy(logger)
     trace: list[float] = []
     for _ in range(cfg.max_iterations):
-        logw = np.stack([_log(mix.weights) for mix in model.mixtures])
         start = first = counts = 0.0
         occ_list, comp_list, logb_list = [], [], []
         total_ll = 0.0
         for mat in mats:
-            comp_ld = [mix.component_log_density(mat) for mix in model.mixtures]
-            logb = logsumexp(np.stack(comp_ld, axis=1) + logw, axis=2)
+            comp = component_log_densities(model.mixtures, mat)
+            logb = logsumexp(comp, axis=2)
             gamma, xi, ll = lattice.estep(*chain(model, logb))
             occ = occupancy(gamma, model.n_states)
             total_ll += ll
@@ -231,7 +235,7 @@ def _baum_welch(model, corpus, cfg: TrainConfig | None, order: int, chain, occup
             first = first + gamma[0]
             counts = counts + xi
             occ_list.append(occ)
-            comp_list.append(comp_ld)
+            comp_list.append(comp)
             logb_list.append(logb)
         trace.append(total_ll)
         mixtures, empty = _update_mixtures(model.mixtures, occ_list, mats, comp_list,
@@ -255,5 +259,5 @@ def baum_welch1(model: Hmm1Model, corpus, cfg: TrainConfig | None = None
 
     Raises NumericError when a sequence has a non-finite log-likelihood.
     """
-    return _baum_welch(model, corpus, cfg, 1, lambda m, logb: (_log(m.pi), m.a, logb),
-                       lambda gamma, n: gamma, _reestimate1, log)
+    return _baum_welch(model, corpus, cfg, 1, _chain1, lambda gamma, n: gamma,
+                       _reestimate1, log)

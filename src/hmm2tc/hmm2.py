@@ -15,20 +15,21 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp  # noqa: F401  (perfbench/spans.py counts its calls here)
 
 from . import lattice
 from .config import TrainConfig, frames_of
 from .errors import DataError
-from .gmm import GaussianMixture, _stochastic
-from .hmm1 import Hmm1Model, TOPOLOGIES, _baum_welch, _cdf, _normalise_rows, _sample_frames
+from .gmm import GaussianMixture, _stochastic, log_densities
+from .hmm1 import (Hmm1Model, TOPOLOGIES, _StateMixtures, _baum_welch, _cdf, _normalise_rows,
+                   _sample_frames)
 from .lattice import _log
+from .lattice import logsumexp  # noqa: F401  (perfbench/spans.py counts its calls here)
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
-class Hmm2Model:
+class Hmm2Model(_StateMixtures):
     psi: np.ndarray                  # (N,)  initial state probabilities
     a2: np.ndarray                   # (N, N)  first-step transition matrix
     a3: np.ndarray                   # (N, N, N)  a3[i, j, k] = P(k | j, i)
@@ -56,28 +57,15 @@ class Hmm2Model:
             for j in range(n):
                 if np.any(self.a3[:, j, :j] != 0):
                     raise DataError("left-right topology forbids backward a3 transitions")
-        dims = {m.dim for m in self.mixtures}
-        comps = {m.n_components for m in self.mixtures}
-        if len(dims) != 1 or len(comps) != 1:
-            raise DataError("all states must share mixture dim and component count")
+        self._check_mixtures()
 
     @property
     def n_states(self) -> int:
         return self.psi.size
 
-    @property
-    def n_components(self) -> int:
-        return self.mixtures[0].n_components
-
-    @property
-    def dim(self) -> int:
-        return self.mixtures[0].dim
-
     def emission_log_probs(self, obs) -> np.ndarray:
-        mat = frames_of(obs)
-        if mat.shape[1] != self.dim:
-            raise DataError(f"observation dim {mat.shape[1]} != model dim {self.dim}")
-        return np.stack([m.log_density_frames(mat) for m in self.mixtures], axis=1)
+        """(T, N) matrix of log b_j(O_t)."""
+        return log_densities(self.mixtures, frames_of(obs))
 
 
 @dataclass
@@ -148,7 +136,8 @@ def backward2(model: Hmm2Model, obs) -> Trellis2:
 
 
 def viterbi2(model: Hmm2Model, obs) -> tuple[np.ndarray, float]:
-    """Most likely state path and its log score (ties: lowest state index)."""
+    """Most likely state path and its log score; ties break toward the
+    lowest pair index j * N + k, from the last frame back (`lattice.viterbi`)."""
     pairs, score = lattice.viterbi(*_pair_chain(model, model.emission_log_probs(obs)))
     n = model.n_states
     return np.concatenate(([pairs[0] // n], pairs % n)), score

@@ -9,9 +9,12 @@ P[(i, j), (j, k)] = a3[i, j, k] (du Preez 1998, order reduction).
 The forward pass and the E-step run in the probability domain with one scale
 per row (Rabiner 1989, sec. V.A) whenever one scale per row holds every
 reachable state exactly, and in the log domain for the sequences where it
-cannot. Viterbi runs in the log domain by max-product, and the public
-backward pass in the log domain with log-sum-exp over each state's
-successors, so that it stays exact for states the forward pass cannot reach.
+cannot. `loglik`, which returns the likelihood alone, keeps the scaled pass
+whenever a bound on what underflow can have lost stays below 1e-12 of it.
+Viterbi runs in the log domain by max-product; ties break toward the lowest
+state index, from the last frame back. The public backward pass runs in the
+log domain with log-sum-exp over each state's successors, so that it stays
+exact for states the forward pass cannot reach.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ from .errors import NumericError
 # terms is then exact to far below 1e-16 relative, and no scaled backward
 # value can overflow.
 _TINY = 1e-280
+_FLOAT_TINY = np.finfo(np.float64).tiny
+# `loglik` keeps a scaled pass whose underflow can have cost at most this
+# share of the likelihood.
+LOGLIK_UNDERFLOW_TOL = 1e-12
 
 
 def _log(p: np.ndarray) -> np.ndarray:
@@ -32,7 +39,7 @@ def _log(p: np.ndarray) -> np.ndarray:
         return np.log(p)
 
 
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+def logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(x))) along one axis, shifted by each line's own maximum."""
     top = x.max(axis=axis, keepdims=True)
     top[top == -np.inf] = 0.0
@@ -70,10 +77,11 @@ def _support(log_init, trans, logb) -> np.ndarray:
     return live
 
 
-def _scaled_forward(log_init, trans, logb):
-    """Normalised forward rows (R, S), the emission factors they used, their
-    scale sums and their log scales; None when one scale per row cannot hold
-    every reachable cell exactly.
+def _scaled_pass(log_init, trans, logb):
+    """The forward pass with one scale per row: the (R, S) mask of reachable
+    cells, the normalised rows (R, S), the emission factors they used, their
+    scale sums and their log scales; None when a row with reachable cells
+    sums to 0.
 
     Row r is shifted by its best emission among the states it can reach, so
     no factor exceeds 1 and the row's best state never underflows. Rows after
@@ -94,18 +102,29 @@ def _scaled_forward(log_init, trans, logb):
     for r in range(end):
         if r:
             pred = alpha[r - 1] @ trans
-        np.multiply(pred, emit[r], out=alpha[r])
-        c = alpha[r].sum()
+        row = alpha[r]
+        np.multiply(pred, emit[r], out=row)
+        c = np.add.reduce(row)
         if not c > 0:
             return None
-        alpha[r] /= c
+        np.divide(row, c, out=row)
         scale[r] = c
-    if not np.all((alpha * scale[:, None])[live] >= _TINY):
-        return None
     log_scale = shift + np.log(scale)
     log_scale[0] += top
     if end < rows:
         log_scale[end] = -np.inf
+    return live, alpha, emit, scale, log_scale
+
+
+def _scaled_forward(log_init, trans, logb):
+    """`_scaled_pass` without its mask, or None when one scale per row cannot
+    hold every reachable cell exactly."""
+    fwd = _scaled_pass(log_init, trans, logb)
+    if fwd is None:
+        return None
+    live, alpha, emit, scale, log_scale = fwd
+    if not np.all((alpha * scale[:, None])[live] >= _TINY):
+        return None
     return alpha, emit, scale, log_scale
 
 
@@ -115,7 +134,7 @@ def _log_forward(log_init, trans, logb) -> np.ndarray:
     la = np.empty(logb.shape)
     la[0] = log_init + logb[0]
     for r in range(1, len(la)):
-        la[r] = _logsumexp(la[r - 1][into] + log_into, axis=1) + logb[r]
+        la[r] = logsumexp(la[r - 1][into] + log_into, axis=1) + logb[r]
     return la
 
 
@@ -124,9 +143,62 @@ def forward(log_init, trans, logb) -> tuple[np.ndarray, float]:
     fwd = _scaled_forward(log_init, trans, logb)
     if fwd is None:
         la = _log_forward(log_init, trans, logb)
-        return la, float(_logsumexp(la[-1], axis=0))
+        return la, float(logsumexp(la[-1], axis=0))
     alpha, _, _, log_scale = fwd
     return _log(alpha) + np.cumsum(log_scale)[:, None], float(log_scale.sum())
+
+
+def loglik(log_init, trans, logb) -> float:
+    """Total log-likelihood of one sequence, without its lattice: the scaled
+    pass, and the log domain only for a sequence on which a bound on what
+    underflow can have lost exceeds LOGLIK_UNDERFLOW_TOL of the likelihood.
+
+    The bound. Rounding aside, the scaled pass loses only what its operations
+    lose to underflow, at most tiny (the smallest normal double) each; with
+    gradual underflow a sum loses nothing, since a sum that underflows is
+    exact. Let c_r be row r's scale sum: c_r <= 1 for r >= 1, since the
+    predecessor mass of a row sums to 1 and no emission factor exceeds 1,
+    and c_0 <= S. A cell is dirty when an operation that made it may have
+    given a result below tiny: its value lies below _TINY before or after the
+    division by c_r, or one of the products in its predecessor sum may lie
+    below tiny. A dirty cell of the normalised row r is off by at most
+    e_r = (S + 2) tiny / c_r: S products, the emission factor with its
+    product, and the division. An error e in cell (r, j) moves the
+    likelihood by e * beta_r(j) relative to it, where beta_r(j) is the
+    backward value in the scale of the normalised rows. Since
+    sum_j alpha_r(j) beta_r(j) = 1, beta_r(j) <= 1 / alpha_r(j); and since
+    every later row multiplies the one before by a row-stochastic matrix and
+    by factors in [0, 1], beta_r(j) <= 1 / prod_{r' > r} c_r'. So the
+    likelihood's relative loss is at most, to first order,
+
+        sum over dirty cells (r, j) of
+            e_r * min(1 / (alpha_r(j) - e_r), 1 / prod_{r' > r} c_r').
+
+    A state that underflows and later carries the likelihood (one that
+    revives) leaves the rows after it with small scale sums, so the bound
+    grows with the loss it has to cover.
+    """
+    fwd = _scaled_pass(log_init, trans, logb)
+    if fwd is not None:
+        live, alpha, _, scale, log_scale = fwd
+        ll = float(log_scale.sum())
+        if ll == -np.inf:
+            return ll
+        smallest = np.where(alpha > 0, alpha, np.inf).min(axis=1)
+        dirty = np.minimum(alpha, alpha * scale[:, None]) < _TINY
+        dirty[0] &= live[0]
+        dirty[1:] |= smallest[:-1, None] * np.where(trans > 0, trans, np.inf).min(axis=0) \
+            < _FLOAT_TINY
+        dirty[1:] &= ((alpha[:-1] > 0) @ trans > 0) & (logb[1:] > -np.inf)
+        if not dirty.any():
+            return ll
+        err = (alpha.shape[1] + 2) * _FLOAT_TINY / scale[:, None]
+        after = np.cumsum(np.log(scale)[::-1])[::-1] - np.log(scale)  # log prod_{r' > r} c_r'
+        with np.errstate(divide="ignore", over="ignore"):
+            gain = np.minimum(1.0 / np.maximum(alpha - err, 0.0), np.exp(-after)[:, None])
+        if np.sum((err * gain)[dirty]) <= LOGLIK_UNDERFLOW_TOL:
+            return ll
+    return float(logsumexp(_log_forward(log_init, trans, logb)[-1], axis=0))
 
 
 def backward(trans, logb) -> np.ndarray:
@@ -138,7 +210,7 @@ def backward(trans, logb) -> np.ndarray:
     succ, log_succ = _neighbours(trans.T)
     lb = np.zeros(logb.shape)
     for r in range(logb.shape[0] - 1, 0, -1):
-        lb[r - 1] = _logsumexp(log_succ + (logb[r] + lb[r])[succ], axis=1)
+        lb[r - 1] = logsumexp(log_succ + (logb[r] + lb[r])[succ], axis=1)
     return lb
 
 
@@ -169,7 +241,7 @@ def estep(log_init, trans, logb) -> tuple[np.ndarray, np.ndarray, float]:
 def _log_estep(log_init, trans, logb):
     """`estep` in the log domain."""
     la = _log_forward(log_init, trans, logb)
-    ll = _training_ll(float(_logsumexp(la[-1], axis=0)))
+    ll = _training_ll(float(logsumexp(la[-1], axis=0)))
     lb = backward(trans, logb)
     succ, log_succ = _neighbours(trans.T)
     acc = np.zeros(succ.shape)
@@ -187,7 +259,13 @@ def _training_ll(ll: float) -> float:
 
 
 def viterbi(log_init, trans, logb) -> tuple[np.ndarray, float]:
-    """Most likely state sequence and its log score (ties: lowest state index)."""
+    """Most likely state sequence and its log score.
+
+    Ties break toward the lowest state index, from the last frame back: the
+    last row's lowest-index best state, then at each row back the
+    lowest-index best predecessor of the state chosen after it, compared on
+    its best score plus the transition.
+    """
     rows, s = logb.shape
     into, log_into = _neighbours(trans)
     delta = log_init + logb[0]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,20 @@ class TestDecode:
         data = make_wav_bytes(np.arange(64, dtype=np.int16))
         with pytest.raises(FormatError, match="middle of a sample"):
             decode_pcm16_wav(data[:-1])
+
+    def test_rejects_cut_data_chunk(self):
+        data = make_wav_bytes(np.arange(4800, dtype=np.int16))
+        with pytest.raises(FormatError, match="8600 of the 9600 bytes"):
+            decode_pcm16_wav(data[:-1000])
+
+    @pytest.mark.parametrize("size", [0, 0xFFFFFFFF])
+    def test_streamed_data_size_reads_to_the_end(self, size):
+        samples = np.arange(-2400, 2400, dtype=np.int16)
+        data = make_wav_bytes(samples)
+        at = data.index(b"data") + 4
+        streamed = data[:at] + struct.pack("<I", size) + data[at + 4:]
+        clip = decode_pcm16_wav(streamed)
+        assert np.array_equal(clip.samples, samples / 32768.0)
 
 
 class TestFraming:

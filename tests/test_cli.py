@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -75,6 +76,29 @@ class TestTrainEvaluate:
         txt = (rep2 / "report.txt").read_text()
         for rate in report["rates"]:
             assert f"{rate:.1f}%" in txt
+
+    def test_scores_jsonl(self, synth_corpus, tmp_path, capsys):
+        bank = tmp_path / "bank"
+        assert self._train(capsys, synth_corpus, bank, 2)[0] == 0
+        for name in ("r1", "r2"):
+            assert run(capsys, "evaluate", "--manifest", str(synth_corpus / "manifest.tsv"),
+                       "--bank", str(bank), "--out", str(tmp_path / name))[0] == 0
+        text = (tmp_path / "r1" / "scores.jsonl").read_text()
+        assert text == (tmp_path / "r2" / "scores.jsonl").read_text()
+        records = [json.loads(line) for line in text.splitlines()]
+        report = json.loads((tmp_path / "r1" / "report.json").read_text())
+        assert len(records) == report["n_test"] == 8
+        counts = np.zeros((2, 2), dtype=int)
+        for rec in records:
+            assert set(rec) == {"source", "T", "true", "predicted", "scores", "margin"}
+            ranked = sorted(rec["scores"].values(), reverse=True)
+            assert rec["predicted"] == max(rec["scores"], key=rec["scores"].get)
+            assert rec["margin"] == ranked[0] - ranked[1] >= 0
+            frames = (synth_corpus / rec["source"]).read_bytes()
+            assert rec["T"] == int(np.frombuffer(frames[5:9], dtype="<u4")[0])
+            counts[report["labels"].index(rec["predicted"]),
+                   report["labels"].index(rec["true"])] += 1
+        assert counts.tolist() == report["counts"]
 
     def test_order1_vs_order2_and_compare(self, synth_corpus, tmp_path, capsys):
         reports = {}
@@ -263,6 +287,7 @@ BAD_EXTRACT_INPUTS = [
                  id="stereo"),
     pytest.param(make_wav_bytes(_NOISE[:479]), _MANIFEST, [], "shorter than",
                  id="shorter_than_window"),
+    pytest.param(_WAV[:-1000], _MANIFEST, [], "the file is cut", id="cut_data_chunk"),
     pytest.param(_WAV, "speaker\tcondition\tpath\ns1\tneutral\tu.wav\n", [],
                  "missing required columns", id="missing_columns"),
     pytest.param(_WAV, _MANIFEST, ["--lpc-order", "480"], "max_lag 480",
@@ -361,3 +386,83 @@ class TestExtract:
         assert code in (2, 3, 4)
         assert "Traceback" not in err
         assert message in err
+
+
+def _lpcc(frames) -> bytes:
+    frames = np.asarray(frames, dtype="<f8")
+    return b"LPCC\x01" + np.array(frames.shape, dtype="<u4").tobytes() + frames.tobytes()
+
+
+def _cut_features(bank, feat):
+    feat.write_bytes(feat.read_bytes()[:-16])
+
+
+def _odd_features(bank, feat):
+    feat.write_bytes(feat.read_bytes() + b"\x00")
+
+
+def _no_frames(bank, feat):
+    feat.write_bytes(_lpcc(np.zeros((0, 3))))
+
+
+def _wrong_dim(bank, feat):
+    feat.write_bytes(_lpcc(np.zeros((40, 4))))
+
+
+def _huge_features(bank, feat):
+    frames = np.full((40, 3), 1e306)
+    frames[::2] *= -1
+    feat.write_bytes(_lpcc(frames))
+
+
+def _missing_model(bank, feat):
+    (bank / json.loads((bank / "bank.json").read_text())["scopes"][0]["models"]["b"]).unlink()
+
+
+def _bank_not_json(bank, feat):
+    (bank / "bank.json").write_text('{"scopes": [')
+
+
+def _bank_wrong_shape(bank, feat):
+    (bank / "bank.json").write_text('{"order": 2, "protocol": "pooled", "scopes": [{"labels": 1}]}')
+
+
+# each breaks a copy of a trained bank directory or of one utterance's
+# feature file (bank, feature path) -> None
+BAD_SCORING_INPUTS = [_cut_features, _odd_features, _no_frames, _wrong_dim, _huge_features,
+                      _missing_model, _bank_not_json, _bank_wrong_shape]
+
+
+class TestScoringFuzz:
+    """identify and evaluate on broken banks and feature files."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        write_synth_spec(root / "spec.json")
+        assert main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "c")]) == 0
+        assert main(["train", "--manifest", str(root / "c" / "manifest.tsv"), "--out",
+                     str(root / "bank"), "--states", "2", "--mixtures", "1",
+                     "--topology", "ergodic", "--max-iter", "2", "--pooled"]) == 0
+        return root
+
+    @pytest.mark.parametrize("command", ["identify", "evaluate"])
+    @pytest.mark.parametrize("breaker", BAD_SCORING_INPUTS, ids=lambda f: f.__name__[1:])
+    def test_bad_input_exits_cleanly(self, trained, tmp_path, capsys, command, breaker):
+        bank = tmp_path / "bank"
+        shutil.copytree(trained / "bank", bank)
+        feat = tmp_path / "u.lpcc"
+        shutil.copyfile(trained / "c" / "features" / "a_006.lpcc", feat)
+        breaker(bank, feat)
+        capsys.readouterr()
+        if command == "identify":
+            code = main(["identify", "--bank", str(bank), "--features", str(feat)])
+        else:
+            (tmp_path / "m.tsv").write_text("speaker\tsentence\tcondition\ttoken\tsplit\tpath\n"
+                                            "s\tt\ta\t1\ttest\tu.lpcc\n")
+            code = main(["evaluate", "--manifest", str(tmp_path / "m.tsv"), "--bank", str(bank),
+                         "--out", str(tmp_path / "rep")])
+        out, err = capsys.readouterr()
+        assert code in (2, 3, 4), (code, err)
+        assert "Traceback" not in err
+        assert "nan" not in out.lower()

@@ -309,3 +309,130 @@ def test_order_one_engine_with_zeroed_transitions():
         assert ll == pytest.approx(enumerate_loglik1(model, obs), rel=1e-9)
         lb = backward1(model, obs)
         assert np.all(np.abs(logsumexp(la + lb, axis=1) - ll) <= 1e-9 * abs(ll))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("frames", [TestDroppedStateRevives.FRAMES,
+                                    np.array([0.0, 45.0, 45.0, 10.0, 10.0, 10.0])[:, None]])
+def test_loglik_keeps_a_state_that_revives(order, frames):
+    # states 0 and 1 underflow on the frames at 45 and carry the likelihood on
+    # the frames after them. At 0.0 state 2 underflows as well and the scaled
+    # pass stops; at 10.0 it keeps every row a nonzero scale, and only the
+    # underflow bound sends the sequence to the log domain: the scaled pass
+    # alone gives about -2857 there, where the enumeration gives about -2182.
+    model = TestDroppedStateRevives().model1()
+    if order == 2:
+        model = lift_hmm1(model)
+        chain = _pair_chain(model, model.emission_log_probs(frames))
+        want = enumerate_loglik2(model, frames)
+    else:
+        chain = (_log(model.pi), model.a, model.emission_log_probs(frames))
+        want = enumerate_loglik1(model, frames)
+    assert lattice.loglik(*chain) == pytest.approx(want, rel=1e-12)
+    if frames[3, 0] == 10.0:
+        assert lattice._scaled_pass(*chain) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hmm2_cases())
+def test_loglik_matches_the_log_domain(case):
+    model, obs = case
+    want = reference_forward2(model, obs)
+    chain = _pair_chain(model, model.emission_log_probs(obs))
+    assert lattice.loglik(*chain) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    for first in (model.psi, model.a2[0]):
+        # the order-1 engine on each of the model's first-order pieces
+        one = Hmm1Model(first, model.a2, model.mixtures)
+        la = reference_forward1(one, obs)
+        got = lattice.loglik(_log(one.pi), one.a, one.emission_log_probs(obs))
+        assert got == pytest.approx(logsumexp(la[-1]), rel=1e-9, abs=1e-12)
+
+
+def tie_rule_viterbi(model, obs):
+    """Best path and score by brute force, ties broken by the stated rule.
+
+    A path's chain state at frame t is q_t for an order-1 model and the pair
+    (q_{t-1}, q_t), with index q_{t-1} * N + q_t, for an order-2 one. best[t]
+    maps each chain state to the best score over every path of frames 0..t
+    that ends in it, each path scored left to right as the recursions add
+    its terms. The path ends in the lowest-index best chain state; each step
+    back takes the lowest-index chain state whose best score plus its
+    transition into the chain state after it is highest.
+    """
+    logb = model.emission_log_probs(obs)
+    order = 2 if isinstance(model, Hmm2Model) else 1
+    t_len, n = logb.shape
+    if order == 1:
+        first, log_a = _log(model.pi), _log(model.a)
+        start = lambda q: first[q[0]]
+        step = lambda q, t: log_a[q[t - 1], q[t]]
+    else:
+        psi, log_a2, log_a3 = _log(model.psi), _log(model.a2), _log(model.a3)
+        start = lambda q: (psi[q[0]] + logb[0, q[0]]) + log_a2[q[0], q[1]]
+        step = lambda q, t: log_a3[q[t - 2], q[t - 1], q[t]]
+    best = [dict() for _ in range(t_len)]
+    for q in itertools.product(range(n), repeat=t_len):
+        score = start(q) + logb[order - 1, q[order - 1]]
+        for t in range(order - 1, t_len):
+            if t >= order:
+                score = (score + step(q, t)) + logb[t, q[t]]
+            key = q[t - order + 1:t + 1]
+            best[t][key] = max(best[t].get(key, -np.inf), score)
+    top = max(best[-1].values())
+    if top == -np.inf:
+        return None, top
+    path = list(min(k for k, v in best[-1].items() if v == top))
+    for t in range(t_len - 1, order - 1, -1):
+        ahead = tuple(path[:order])              # the chain state chosen at t
+        cand = {k: v + step(k + ahead[-1:], order)
+                for k, v in best[t - 1].items() if k[1:] == ahead[:-1]}
+        high = max(cand.values())
+        path.insert(0, min(k for k, v in cand.items() if v == high)[0])
+    return path, top
+
+
+def _halves(rng, shape):
+    """Stochastic rows, each with one entry 1 or two entries 1/2."""
+    out = np.zeros(shape)
+    for row in out.reshape(-1, shape[-1]):
+        row[rng.choice(shape[-1], size=rng.integers(1, 3), replace=False)] = 1.0
+    return out / out.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_viterbi_tie_rule(order):
+    # transitions in {0, 1/2, 1}, unit variances and integer means and frames
+    # give many exactly tied best paths
+    rng = np.random.default_rng(order)
+    tied = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 4))
+        t_len = int(rng.integers(2, 6))
+        mix = [GaussianMixture([1.0], [[m]], [[1.0]]) for m in rng.integers(0, 3, n)]
+        obs = rng.integers(0, 3, size=(t_len, 1)).astype(float)
+        if order == 1:
+            model = Hmm1Model(_halves(rng, (n,)), _halves(rng, (n, n)), mix)
+            run = viterbi1
+        else:
+            model = Hmm2Model(_halves(rng, (n,)), _halves(rng, (n, n)),
+                              _halves(rng, (n, n, n)), mix)
+            run = viterbi2
+        want, top = tie_rule_viterbi(model, obs)
+        if want is None:
+            with pytest.raises(NumericError):
+                run(model, obs)
+            continue
+        path, score = run(model, obs)
+        assert path.tolist() == want and score == top
+        tied += sum(v == top for v in _path_totals(model, obs)) > 1
+    assert tied >= 30
+
+
+def _path_totals(model, obs):
+    logb = model.emission_log_probs(obs)
+    if isinstance(model, Hmm2Model):
+        return [lp for _, lp in _path_scores2(model, obs)]
+    first, log_a = _log(model.pi), _log(model.a)
+    return [first[q[0]] + sum(logb[t, k] for t, k in enumerate(q))
+            + sum(log_a[i, k] for i, k in zip(q, q[1:]))
+            for q in itertools.product(range(model.n_states), repeat=len(obs))]
