@@ -8,7 +8,9 @@
 #    fails by design (README.md, "Tests"), and anything else failing, or that
 #    test passing, is a change to look at;
 # 2. the benchmark's own tests (perfbench/tests);
-# 3. a 2-second traced benchmark run of each workload at seed 1, whose result
+# 3. a small run of the end-to-end script scripts/run_synthetic_benchmark.py
+#    (synthesise, split, train and evaluate both orders), which must exit 0;
+# 4. a 2-second traced benchmark run of each workload at seed 1, whose result
 #    line must read "failed": 0 (a traced run also exercises the span
 #    tracer's hooks).
 #
@@ -33,6 +35,14 @@ fi
 
 echo "== benchmark tests"
 python3 -m pytest perfbench/tests -q || failed="$failed perfbench-tests"
+
+echo "== end-to-end synthetic benchmark, small"
+scratch=$(mktemp -d) || exit 2
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 scripts/run_synthetic_benchmark.py \
+    --out "$scratch/corpus" --tokens 9 --states 3 --mixtures 2 --dim 4 --frames 40 60 \
+    --max-iter 2 > "$scratch/log" 2>&1 || failed="$failed synthetic-benchmark"
+tail -n 3 "$scratch/log"
+rm -rf "$scratch"
 
 for w in extract train identify; do
     echo "== traced benchmark run: $w"

@@ -11,8 +11,9 @@ import numpy as np
 from . import lattice
 from .config import TrainConfig, frames_of
 from .errors import DataError, NumericError
-from .hmm1 import Hmm1Model, _chain1, baum_welch1, viterbi1
-from .hmm2 import Hmm2Model, _pair_chain, baum_welch2, viterbi2
+from .gmm import log_densities
+from .hmm1 import Hmm1Model, _chain1, baum_welch1
+from .hmm2 import Hmm2Model, _pair_chain, baum_welch2
 from .init import init_hmm1, init_hmm2
 
 
@@ -85,26 +86,34 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
 
 def score_sequence(model: Hmm1Model | Hmm2Model, obs, scoring: str = "forward") -> float:
     """log P(O | model) ("forward") or the best path's log score ("viterbi")."""
+    return float(_scores([model], frames_of(obs), scoring)[0])
+
+
+def _scores(models: list, mat: np.ndarray, scoring: str) -> np.ndarray:
+    """The score of one (T, D) utterance under each of B models of one order
+    and shape (`score_sequence`), -inf where a model gives it probability 0
+    or has no admissible path: one emission call over the models' B * N
+    mixtures and one lattice pass over the stack of their chains."""
+    if scoring not in ("forward", "viterbi"):
+        raise DataError(f"unknown scoring mode {scoring!r}")
+    n = models[0].n_states
+    logb = log_densities([mix for model in models for mix in model.mixtures], mat)
+    logb = logb.reshape(len(mat), len(models), n).transpose(1, 0, 2)
+    chain = _pair_chain if isinstance(models[0], Hmm2Model) else _chain1
+    log_init, trans, table = (np.stack(part) for part in zip(*map(chain, models, logb)))
     if scoring == "forward":
-        chain = _pair_chain if isinstance(model, Hmm2Model) else _chain1
-        return lattice.loglik(*chain(model, model.emission_log_probs(obs)))
-    if scoring == "viterbi":
-        try:
-            if isinstance(model, Hmm2Model):
-                return viterbi2(model, obs)[1]
-            return viterbi1(model, obs)[1]
-        except NumericError:
-            return -np.inf
-    raise DataError(f"unknown scoring mode {scoring!r}")
+        return lattice.loglik(log_init, trans, table)
+    return lattice.viterbi_scores(log_init, trans, table)
 
 
 def identify(bank: ConditionBank, obs, scoring: str = "forward") -> IdentificationResult:
-    """Maximum-likelihood label; ties broken by bank label order."""
+    """Maximum-likelihood label; ties broken by bank label order. The whole
+    bank is scored in one pass (`_scores`)."""
     mat = frames_of(obs)
     if mat.shape[1] != bank.dim:
         raise DataError(f"observation dim {mat.shape[1]} != bank dim {bank.dim}")
-    scores = {label: score_sequence(bank.models[label], mat, scoring)
-              for label in bank.labels}
+    values = _scores([bank.models[label] for label in bank.labels], mat, scoring)
+    scores = {label: float(v) for label, v in zip(bank.labels, values)}
     best = max(bank.labels, key=lambda lab: scores[lab])  # max keeps first on ties
     if scores[best] == -np.inf:
         raise NumericError("no model assigns nonzero probability to this utterance")

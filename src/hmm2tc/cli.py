@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -36,9 +37,23 @@ def _train_config(args) -> TrainConfig:
                        freeze_initials=getattr(args, "freeze_initials", False))
 
 
+def _read_json(path):
+    """The JSON document in a file; FormatError naming the file unless it
+    holds one."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:   # not JSON, or not UTF-8 text
+            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def _read_manifest(path) -> list[ManifestEntry]:
     with open(path, encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+        try:
+            text = fh.read()
+        except ValueError as exc:   # not UTF-8 text
+            raise FormatError(f"{path}: not a text manifest: {exc}") from exc
+    return parse_manifest(text)
 
 
 def _resolve(entries, manifest_path, args):
@@ -145,11 +160,7 @@ def _load_bank_doc(bank_dir) -> dict:
     """The bank directory's bank.json; FormatError unless it holds the fields
     that identify and evaluate read."""
     path = os.path.join(bank_dir, BANK_FILE)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    doc = _read_json(path)
     scopes = doc.get("scopes") if isinstance(doc, dict) else None
     if not (isinstance(scopes, list) and scopes and {"order", "protocol"} <= doc.keys()
             and all(_is_scope_doc(s) for s in scopes)):
@@ -219,12 +230,21 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _read_report(path) -> dict:
+    """An evaluation report's document; FormatError naming the file unless
+    it holds a list of labels and one finite rate per label."""
+    doc = _read_json(path)
+    labels, rates = (doc.get(k) if isinstance(doc, dict) else None for k in ("labels", "rates"))
+    if not (isinstance(labels, list) and isinstance(rates, list) and len(labels) == len(rates)
+            and all(isinstance(v, str) for v in labels)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                    for v in rates)):
+        raise FormatError(f"{path}: not a report document (labels and one rate per label)")
+    return doc
+
+
 def cmd_compare(args) -> int:
-    with open(args.baseline, encoding="utf-8") as fh:
-        rep1 = json.load(fh)
-    with open(args.new, encoding="utf-8") as fh:
-        rep2 = json.load(fh)
-    table = improvement_table(rep1, rep2)
+    table = improvement_table(_read_report(args.baseline), _read_report(args.new))
     if args.format == "json":
         print(json.dumps(table, sort_keys=False))
     else:
@@ -236,8 +256,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = SynthSpec.from_dict(json.load(fh))
+    spec = SynthSpec.from_dict(_read_json(args.spec))
     entries, _ = generate_synthetic_corpus(spec, args.out)
     print(f"wrote {len(entries)} feature files -> {args.out}")
     return EXIT_OK

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import os
 import zlib
 from dataclasses import dataclass, field, replace
@@ -144,20 +145,39 @@ class SynthSpec:
         lo, hi = self.frames
         if lo < 2 or hi < lo:
             raise DataError("frames range must satisfy 2 <= lo <= hi")
+        if min(self.n_states, self.n_components, self.dim) < 1:
+            raise DataError("n_states, n_components and dim must be >= 1")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
+        if not math.isfinite(self.separation):
+            raise DataError("separation must be finite")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SynthSpec":
+    def from_dict(cls, doc) -> "SynthSpec":
+        """The spec of a JSON document; FormatError unless labels is a list of
+        strings, frames one or two integers, separation a number and every
+        other field an integer."""
+        if not (isinstance(doc, dict) and isinstance(doc.get("labels"), list)
+                and all(isinstance(v, str) for v in doc["labels"])):
+            raise FormatError("synth spec must be a JSON object with a list of label strings")
         frames = doc.get("frames", (80, 200))
+        fields = {k: doc.get(k, v) for k, v in (
+            ("tokens_per_condition", 9), ("n_states", 5), ("n_components", 5), ("dim", 16),
+            ("seed", 0))}
+        separation = doc.get("separation", 4.0)
         if isinstance(frames, list):
             frames = tuple(frames)
-        return cls(labels=list(doc["labels"]),
-                   tokens_per_condition=doc.get("tokens_per_condition", 9),
-                   frames=frames,
-                   n_states=doc.get("n_states", 5),
-                   n_components=doc.get("n_components", 5),
-                   dim=doc.get("dim", 16),
-                   separation=doc.get("separation", 4.0),
-                   seed=doc.get("seed", 0))
+        if not (all(map(_is_int, fields.values()))
+                and (_is_int(frames) or (isinstance(frames, tuple) and len(frames) == 2
+                                         and all(map(_is_int, frames))))
+                and (_is_int(separation) or isinstance(separation, float))):
+            raise FormatError("synth spec fields must be integers (frames one or two of "
+                              "them, separation a number)")
+        return cls(labels=list(doc["labels"]), frames=frames, separation=separation, **fields)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def random_hmm2(n_states: int, n_comp: int, dim: int, rng: np.random.Generator,

@@ -77,9 +77,10 @@ class Hmm1Model(_StateMixtures):
 
 
 def _chain1(model: Hmm1Model, logb: np.ndarray):
-    """The lattice engine's (log initial row, transition matrix, emission
-    table) for a first-order model: its own states, one row per frame."""
-    return _log(model.pi), model.a, logb
+    """The lattice engine's (log initial rows, transition matrix, emission
+    tables) for a first-order model, given one (T, N) emission table or a
+    stack (B, T, N) of them: its own states, one row per frame."""
+    return np.broadcast_to(_log(model.pi), logb.shape[:-2] + model.pi.shape), model.a, logb
 
 
 def forward1(model: Hmm1Model, obs) -> tuple[np.ndarray, float]:
@@ -130,23 +131,25 @@ def _sample_frames(mixtures, states, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(means, stds)
 
 
-def _update_mixtures(mixtures, occ, corpus_mats, comps, logb_list, floor):
+def _update_mixtures(mixtures, occ, frames, comp, logb, floor):
     """Shared GMM M-step given per-frame state occupancies.
 
-    occ: list of (T, N) occupancy arrays, one per sequence; comps and
-    logb_list: each sequence's (T, N, M) weighted component log densities
-    and its (T, N) emission table. Returns the new mixtures and a (N, M) mask
-    of the components that had zero occupancy; those components, and states
-    whose every component is empty, keep their previous parameters.
+    occ: the (T, N) state occupancies of every training frame; frames: those
+    (T, D) frames; comp and logb: their (T, N, M) weighted component log
+    densities and (T, N) emission table. A state that cannot emit a frame
+    (log density -inf) takes no share of it. Returns the new mixtures and a
+    (N, M) mask of the components that had zero occupancy; those components,
+    and states whose every component is empty, keep their previous
+    parameters.
     """
-    n, m_comp = comps[0].shape[1:]
-    d = corpus_mats[0].shape[1]
-    w_acc = np.zeros((n, m_comp))
-    moments = np.zeros((n * m_comp, 2 * d))
-    for mat, occ_s, comp, logb in zip(corpus_mats, occ, comps, logb_list):
-        resp = occ_s[:, :, None] * np.exp(comp - logb[:, :, None])  # (T, N, M)
-        w_acc += resp.sum(axis=0)
-        moments += resp.reshape(len(mat), -1).T @ np.concatenate([mat, mat * mat], axis=1)
+    n, m_comp = comp.shape[1:]
+    d = frames.shape[1]
+    with np.errstate(invalid="ignore"):
+        share = np.exp(comp - logb[:, :, None])
+    share[logb == -np.inf] = 0.0
+    resp = occ[:, :, None] * share                            # (T, N, M)
+    w_acc = resp.sum(axis=0)
+    moments = resp.reshape(len(frames), -1).T @ np.concatenate([frames, frames * frames], axis=1)
     mean_acc, sq_acc = np.moveaxis(moments.reshape(n, m_comp, 2, d), 2, 0)
     tot = w_acc.sum(axis=1)
     dead = tot <= 1e-300
@@ -199,15 +202,18 @@ def _baum_welch(model, corpus, cfg: TrainConfig | None, order: int, chain, occup
                 reestimate, logger: logging.Logger):
     """The EM loop of both model orders; returns (model, log-likelihood trace).
 
-    Each order supplies three things: `chain(model, logb)`, the
-    `lattice.estep` chain for one sequence's (T, N) emission table;
-    `occupancy(gamma, n)`, the map from that chain's posteriors to (T, N)
-    state occupancies; and its transition M-step, `reestimate(model, start,
-    first, counts, mixtures, freeze, zero)`, which gets the first-frame state
-    occupancies, the chain's first-row posteriors and its transition counts,
-    each summed over the corpus, and returns the new model. Zero-occupancy
-    summaries go to `logger`. Raises NumericError when a sequence has a
-    non-finite log-likelihood.
+    Each iteration scores every frame of the corpus in one emission call and
+    runs one `lattice.estep` over the stack of all its sequences, padded to
+    the longest. Each order supplies three things: `chain(model, logb)`, the
+    lattice engine's chains for a (B, T, N) stack of emission tables, one
+    row per frame from frame `order - 1` on; `occupancy(gamma, n)`, the map
+    from their (B, R, S) posteriors to (B, T, N) state occupancies; and its
+    transition M-step, `reestimate(model, start, first, counts, mixtures,
+    freeze, zero)`, which gets the first-frame state occupancies, the
+    chains' first-row posteriors and their transition counts, each summed
+    over the corpus, and returns the new model. Zero-occupancy summaries go
+    to `logger`. Raises NumericError when a sequence has a non-finite
+    log-likelihood.
     """
     cfg = cfg or TrainConfig()
     if not corpus:
@@ -219,28 +225,22 @@ def _baum_welch(model, corpus, cfg: TrainConfig | None, order: int, chain, occup
         if mat.shape[1] != model.dim:
             raise DataError("observation dim does not match the model")
     floor = variance_floor(mats)
+    frames = np.concatenate(mats)
+    lengths = np.array([len(mat) for mat in mats])
+    within = np.arange(lengths.max()) < lengths[:, None]   # (B, T): the frames of each sequence
+    table = np.zeros(within.shape + (model.n_states,))
     zero = _ZeroOccupancy(logger)
     trace: list[float] = []
     for _ in range(cfg.max_iterations):
-        start = first = counts = 0.0
-        occ_list, comp_list, logb_list = [], [], []
-        total_ll = 0.0
-        for mat in mats:
-            comp = component_log_densities(model.mixtures, mat)
-            logb = logsumexp(comp, axis=2)
-            gamma, xi, ll = lattice.estep(*chain(model, logb))
-            occ = occupancy(gamma, model.n_states)
-            total_ll += ll
-            start = start + occ[0]
-            first = first + gamma[0]
-            counts = counts + xi
-            occ_list.append(occ)
-            comp_list.append(comp)
-            logb_list.append(logb)
-        trace.append(total_ll)
-        mixtures, empty = _update_mixtures(model.mixtures, occ_list, mats, comp_list,
-                                           logb_list, floor)
-        model = reestimate(model, start, first, counts, mixtures, cfg.freeze_initials, zero)
+        comp = component_log_densities(model.mixtures, frames)
+        logb = logsumexp(comp, axis=2)
+        table[within] = logb
+        gamma, xi, ll = lattice.estep(*chain(model, table), lengths - (order - 1))
+        occ = occupancy(gamma, model.n_states)
+        trace.append(float(ll.sum()))
+        mixtures, empty = _update_mixtures(model.mixtures, occ[within], frames, comp, logb, floor)
+        model = reestimate(model, occ[:, 0].sum(axis=0), gamma[:, 0].sum(axis=0), xi.sum(axis=0),
+                           mixtures, cfg.freeze_initials, zero)
         zero.add("mixture components", empty)
         if len(trace) >= 2 and trace[-1] - trace[-2] < cfg.tol * abs(trace[-2]):
             break

@@ -104,21 +104,23 @@ def path_log_prob2(model: Hmm2Model, states, obs=None) -> float:
 
 
 def _pair_chain(model: Hmm2Model, logb: np.ndarray):
-    """The lattice engine's (log initial row, transition matrix, emission
-    table) for the chain over pairs (j, k), indexed j * N + k.
+    """The lattice engine's (log initial rows, transition matrix, emission
+    tables) for the chain over pairs (j, k), indexed j * N + k, given one
+    (T, N) emission table or a stack (B, T, N) of them.
 
     Row r of the pair lattice covers frames (r, r + 1): the initial row holds
     psi, a2 and the first frame's emission, and pair (j, k) emits frame r + 1
     from state k.
     """
-    if logb.shape[0] < 2:
+    if logb.shape[-2] < 2:
         raise DataError("second-order recursions require T >= 2")
     n = model.n_states
-    log_init = ((_log(model.psi) + logb[0])[:, None] + _log(model.a2)).ravel()
+    log_init = (_log(model.psi) + logb[..., 0, :])[..., :, None] + _log(model.a2)
     trans = np.zeros((n, n, n, n))
     same = np.arange(n)
     trans[:, same, same, :] = model.a3
-    return log_init, trans.reshape(n * n, n * n), np.tile(logb[1:], n)
+    return (log_init.reshape(logb.shape[:-2] + (n * n,)), trans.reshape(n * n, n * n),
+            np.tile(logb[..., 1:, :], n))
 
 
 def forward2(model: Hmm2Model, obs) -> tuple[Trellis2, float]:
@@ -160,12 +162,9 @@ def sample_hmm2(model: Hmm2Model, t_len: int, seed: int) -> tuple[np.ndarray, np
 
 
 def _pair_occupancy(gamma: np.ndarray, n: int) -> np.ndarray:
-    """(T, N) state occupancies from the (T-1, N*N) pair posteriors."""
-    gamma = gamma.reshape(-1, n, n)
-    occ = np.empty((len(gamma) + 1, n))
-    occ[0] = gamma[0].sum(axis=1)
-    occ[1:] = gamma.sum(axis=1)
-    return occ
+    """(B, T, N) state occupancies from (B, T-1, N*N) pair posteriors."""
+    gamma = gamma.reshape(gamma.shape[:2] + (n, n))
+    return np.concatenate([gamma[:, :1].sum(axis=3), gamma.sum(axis=2)], axis=1)
 
 
 def _reestimate2(model, start, first, counts, mixtures, freeze, zero) -> Hmm2Model:

@@ -1,23 +1,40 @@
 """Lattice engine shared by the first- and second-order models.
 
-Every recursion runs over a first-order chain of S states, given by a log
-initial row (S,), an (S, S) transition matrix and an (R, S) log-emission
-table whose row r scores lattice row r. A first-order HMM is that chain with
-S = N. A second-order HMM is the chain over its N*N state pairs, with
-P[(i, j), (j, k)] = a3[i, j, k] (du Preez 1998, order reduction).
+Every recursion runs over a stack of B first-order chains of S states each:
+log initial rows (B, S), transitions (B, S, S), or one (S, S) matrix that
+every chain shares, and log-emission tables (B, R, S) whose row r scores
+lattice row r. In a ragged stack, `lengths` (B,) gives each chain its own
+number of rows; the rows after it are padding, which no result depends on
+(lattices read -inf there, posteriors and paths 0). Every function also
+takes a single chain, as an (S,) initial row, an (S, S) matrix and an (R, S)
+table, and returns that chain's results alone: it runs as a stack of one, on
+the same code.
+
+A first-order HMM is a chain with S = N. A second-order HMM is the chain over
+its N*N state pairs, with P[(i, j), (j, k)] = a3[i, j, k] (du Preez 1998,
+order reduction). A stack may hold one model's training sequences (shared
+transitions) or one utterance under each model of a bank.
 
 The forward pass and the E-step run in the probability domain with one scale
-per row (Rabiner 1989, sec. V.A) whenever one scale per row holds every
-reachable state exactly, and in the log domain for the sequences where it
-cannot. `loglik`, which returns the likelihood alone, keeps the scaled pass
-whenever a bound on what underflow can have lost stays below 1e-12 of it.
-Viterbi runs in the log domain by max-product; ties break toward the lowest
-state index, from the last frame back. The public backward pass runs in the
-log domain with log-sum-exp over each state's successors, so that it stays
-exact for states the forward pass cannot reach.
+per row (Rabiner 1989, sec. V.A) for each chain whose reachable states one
+scale per row holds exactly. Each chain has its own scales, reachable set and
+test; the chains that fail it run in the log domain as one smaller stack,
+and the others stay scaled. `loglik`, which returns the likelihoods alone,
+keeps a chain's scaled pass whenever a bound on what underflow can have lost
+stays below 1e-12 of its likelihood. Viterbi runs in the log domain by
+max-product; ties break toward the lowest state index, from the last frame
+back, and `viterbi_scores` gives the best scores without the paths. The
+public backward pass runs in the log domain with log-sum-exp over
+each state's successors, so that it stays exact for states the forward pass
+cannot reach.
+
+Inside the engine a stack's rows come first, (R, B, S), so that one row of
+every chain is one contiguous block for the row-by-row recursions.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,127 +58,252 @@ def _log(p: np.ndarray) -> np.ndarray:
 
 def logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(x))) along one axis, shifted by each line's own maximum."""
-    top = x.max(axis=axis, keepdims=True)
+    # numpy takes the maximum over a short contiguous axis one line at a
+    # time, and over the first axis of a copy one whole block at a time
+    top = np.expand_dims(np.moveaxis(x, axis, 0).copy().max(axis=0), axis)
     top[top == -np.inf] = 0.0
     with np.errstate(divide="ignore"):
         return np.squeeze(top, axis) + np.log(np.exp(x - top).sum(axis=axis))
 
 
+class _Chains(NamedTuple):
+    """A stack in the engine's layout."""
+
+    log_init: np.ndarray   # (B, S)
+    trans: np.ndarray      # (S, S), shared, or (B, S, S)
+    logb: np.ndarray       # (R, B, S), padding rows -inf
+    lengths: np.ndarray    # (B,)
+    single: bool           # the caller gave one chain
+
+    def some(self, idx: np.ndarray) -> "_Chains":
+        """The stack of the chains idx."""
+        trans = self.trans if self.trans.ndim == 2 else self.trans[idx]
+        return _Chains(self.log_init[idx], trans, self.logb[:, idx], self.lengths[idx], False)
+
+
+def _lift(log_init, logb):
+    """Whether one chain was given, and the arguments as a stack."""
+    log_init = np.asarray(log_init, dtype=np.float64)
+    if log_init.ndim == 1:
+        return True, log_init[None], np.asarray(logb)[None]
+    return False, log_init, logb
+
+
+def _chains(log_init, trans, logb, lengths=None) -> _Chains:
+    """One chain's or a stack's arguments in the engine's layout."""
+    single, log_init, logb = _lift(log_init, logb)
+    table = np.array(np.swapaxes(logb, 0, 1), dtype=np.float64, order="C")
+    rows, b = table.shape[:2]
+    if lengths is None:
+        lengths = np.full(b, rows)
+    else:
+        lengths = np.asarray(lengths, dtype=np.intp)
+        table[np.arange(rows)[:, None] >= lengths] = -np.inf
+    return _Chains(log_init, np.asarray(trans, dtype=np.float64), table, lengths, single)
+
+
+def _by_chain(x: np.ndarray) -> np.ndarray:
+    """An (R, B, ...) engine array as (B, R, ...)."""
+    return np.swapaxes(x, 0, 1)
+
+
+def _one(single: bool, *outs):
+    """outs as they are, or for one chain its part of each, a float for a
+    per-chain number."""
+    if single:
+        outs = tuple(float(o[0]) if o.ndim == 1 else o[0] for o in outs)
+    return outs if len(outs) > 1 else outs[0]
+
+
+def _step(rows: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """Rows (B, S) or (R, B, S), one per chain, each times its chain's
+    transitions."""
+    if trans.ndim == 2:
+        return rows @ trans
+    if rows.ndim == 2:
+        return np.matmul(rows[:, None], trans)[:, 0]
+    return np.matmul(rows.swapaxes(0, 1), trans).swapaxes(0, 1)
+
+
+def _row_ends(lengths: np.ndarray) -> dict[int, np.ndarray]:
+    """{row: the chains whose last row it is}."""
+    last = lengths - 1
+    return {int(r): np.flatnonzero(last == r) for r in np.unique(last)}
+
+
 def _neighbours(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S, P) tables of the predecessors of every state, lowest index first,
-    and their log transition probabilities; P is the largest in-degree and
-    shorter lists are padded with -inf entries. Pass trans.T for successors.
+    """(P, 1, S), or (P, B, S) for per-chain transitions, tables of the
+    predecessors of every state, lowest index first, and their log
+    transition probabilities; P is the largest in-degree and shorter lists
+    are padded with -inf entries. Pass the transposed matrices for
+    successors.
 
     Over these tables a recursion costs S * P per row: N**3 on the pair chain,
-    where the dense (S, S) matrix has N**4 entries.
+    where the dense (S, S) matrix has N**4 entries. Their first axis is P, so
+    that a reduction over the predecessors combines P whole (B, S) blocks.
     """
     support = trans > 0
-    width = max(int(support.sum(axis=0).max()), 1)
-    idx = np.argsort(~support, axis=0, kind="stable")[:width].T
-    return idx, _log(trans[idx, np.arange(trans.shape[1])[:, None]])
+    width = max(int(support.sum(axis=-2).max()), 1)
+    idx = np.argsort(~support, axis=-2, kind="stable")[..., :width, :]
+    log_p = _log(np.take_along_axis(trans, idx, axis=-2))
+    shape = (width, -1, trans.shape[-1])
+    return np.moveaxis(idx, -2, 0).reshape(shape), np.moveaxis(log_p, -2, 0).reshape(shape)
 
 
-def _support(log_init, trans, logb) -> np.ndarray:
-    """(R, S) mask of the lattice cells with a nonzero forward probability."""
-    rows = logb.shape[0]
-    finite = logb > -np.inf
-    step = trans > 0
-    live = np.empty(logb.shape, dtype=bool)
-    live[0] = (log_init > -np.inf) & finite[0]
-    settled = finite.all()          # then a row equal to the one before repeats
-    for r in range(1, rows):
-        live[r] = (live[r - 1] @ step) & finite[r]
-        if settled and np.array_equal(live[r], live[r - 1]):
-            live[r + 1:] = live[r]
+def _flat(idx: np.ndarray, b: int) -> np.ndarray:
+    """Neighbour tables as (P, B, S) indices into a flattened (B, S) row."""
+    return idx + idx.shape[-1] * np.arange(b)[:, None]
+
+
+def _support(c: _Chains) -> np.ndarray:
+    """(R, B, S) mask of the lattice cells with a nonzero forward probability."""
+    finite = c.logb > -np.inf
+    within = (np.arange(len(finite))[:, None] < c.lengths)[..., None]
+    step = c.trans > 0
+    live = np.empty(finite.shape, dtype=bool)
+    live[0] = (c.log_init > -np.inf) & finite[0]
+    # when every row of every chain is finite, a row equal to the one before
+    # repeats until its chain ends
+    settled = np.array_equal(finite, np.broadcast_to(within, finite.shape))
+    for r in range(1, len(finite)):
+        live[r] = _step(live[r - 1], step) & finite[r]
+        if settled and np.array_equal(live[r], live[r - 1] & within[r]):
+            live[r + 1:] = live[r] & within[r + 1:]
             break
     return live
 
 
-def _scaled_pass(log_init, trans, logb):
-    """The forward pass with one scale per row: the (R, S) mask of reachable
-    cells, the normalised rows (R, S), the emission factors they used, their
-    scale sums and their log scales; None when a row with reachable cells
-    sums to 0.
+class _Pass(NamedTuple):
+    """A stack's forward pass with one scale per row (`_scaled_pass`)."""
 
-    Row r is shifted by its best emission among the states it can reach, so
-    no factor exceeds 1 and the row's best state never underflows. Rows after
-    the first one with no reachable state are zero, and that row's log scale
-    is -inf.
+    chains: _Chains
+    ok: np.ndarray         # (B,) the chain keeps its scaled pass
+    live: np.ndarray       # (R, B, S) reachable cells
+    alpha: np.ndarray      # (R, B, S) normalised rows
+    emit: np.ndarray       # (R, B, S) emission factors
+    scale: np.ndarray      # (R, B) scale sums
+    log_scale: np.ndarray  # (R, B)
+
+
+def _scaled_pass(log_init, trans, logb, lengths=None) -> _Pass | None:
+    """The forward pass with one scale per row, of a single chain or a stack.
+    A chain is ok unless one of its rows with reachable cells sums to 0; a
+    single chain that is not gives None, and in a stack its rows are zero.
+
+    Each chain's row r is shifted by its best emission among the states it
+    can reach, so no factor exceeds 1 and the row's best state never
+    underflows. A chain's rows after its first one with no reachable state
+    are zero, and that row's log scale is -inf; padding rows are zero, with
+    scale 1.
     """
-    rows, s = logb.shape
-    live = _support(log_init, trans, logb)
-    reach = live.any(axis=1)
-    end = rows if reach.all() else int(np.argmin(reach))
-    shift = np.where(live, logb, -np.inf).max(axis=1)
-    shift[end:] = 0.0
-    emit = np.exp(np.minimum(logb - shift[:, None], 0.0))
-    alpha = np.zeros((rows, s))
-    scale = np.ones(rows)
-    top = log_init.max() if end else 0.0
-    pred = np.exp(log_init - top)
-    for r in range(end):
-        if r:
-            pred = alpha[r - 1] @ trans
-        row = alpha[r]
-        np.multiply(pred, emit[r], out=row)
-        c = np.add.reduce(row)
-        if not c > 0:
-            return None
-        np.divide(row, c, out=row)
-        scale[r] = c
+    c = _chains(log_init, trans, logb, lengths)
+    rows, b, s = c.logb.shape
+    live = _support(c)
+    reach = live.any(axis=2)
+    end = np.where(reach.all(axis=0), rows, np.argmin(reach, axis=0))
+    after = np.arange(rows)[:, None] >= end
+    shift = np.where(live, c.logb, -np.inf).max(axis=2)
+    shift[after] = 0.0
+    emit = np.exp(np.minimum(c.logb - shift[..., None], 0.0))
+    emit[after] = 0.0
+    alpha = np.zeros((rows, b, s))
+    scale = np.ones((rows, b))
+    top = np.where(end > 0, c.log_init.max(axis=1), 0.0)
+    pred = np.exp(c.log_init - top[:, None])
+    # a row that sums to 0 turns its chain's later rows into NaN (0 / 0),
+    # and only that chain's
+    with np.errstate(invalid="ignore"):
+        for r in range(int(end.max())):
+            if r:
+                pred = _step(alpha[r - 1], c.trans)
+            row = alpha[r]
+            np.multiply(pred, emit[r], out=row)
+            row /= np.add.reduce(row, axis=1, out=scale[r])[:, None]
+    alpha[after] = 0.0
+    scale[after] = 1.0
+    ok = np.all(scale > 0, axis=0)
+    alpha[:, ~ok] = 0.0
+    scale[:, ~ok] = 1.0
     log_scale = shift + np.log(scale)
     log_scale[0] += top
-    if end < rows:
-        log_scale[end] = -np.inf
-    return live, alpha, emit, scale, log_scale
+    dead = np.flatnonzero(end < c.lengths)
+    log_scale[end[dead], dead] = -np.inf
+    fwd = _Pass(c, ok, live, alpha, emit, scale, log_scale)
+    return None if c.single and not ok[0] else fwd
 
 
-def _scaled_forward(log_init, trans, logb):
-    """`_scaled_pass` without its mask, or None when one scale per row cannot
-    hold every reachable cell exactly."""
-    fwd = _scaled_pass(log_init, trans, logb)
+def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass | None:
+    """`_scaled_pass`, in which a chain is ok only if one scale per row holds
+    each of its reachable cells exactly."""
+    fwd = _scaled_pass(log_init, trans, logb, lengths)
     if fwd is None:
         return None
-    live, alpha, emit, scale, log_scale = fwd
-    if not np.all((alpha * scale[:, None])[live] >= _TINY):
-        return None
-    return alpha, emit, scale, log_scale
+    held = (fwd.alpha * fwd.scale[..., None] >= _TINY) | ~fwd.live
+    fwd = fwd._replace(ok=fwd.ok & held.all(axis=(0, 2)))
+    return None if fwd.chains.single and not fwd.ok[0] else fwd
 
 
-def _log_forward(log_init, trans, logb) -> np.ndarray:
-    """Log forward lattice (R, S) by log-sum-exp over each state's predecessors."""
-    into, log_into = _neighbours(trans)
-    la = np.empty(logb.shape)
-    la[0] = log_init + logb[0]
+def _log_forward(c: _Chains) -> np.ndarray:
+    """Log forward lattice (R, B, S) by log-sum-exp over each state's predecessors."""
+    into, log_into = _neighbours(c.trans)
+    flat = _flat(into, len(c.lengths))
+    la = np.empty(c.logb.shape)
+    la[0] = c.log_init + c.logb[0]
     for r in range(1, len(la)):
-        la[r] = logsumexp(la[r - 1][into] + log_into, axis=1) + logb[r]
+        cand = la[r - 1].take(flat)
+        cand += log_into
+        np.logaddexp.reduce(cand, axis=0, out=la[r])
+        la[r] += c.logb[r]
     return la
 
 
-def forward(log_init, trans, logb) -> tuple[np.ndarray, float]:
-    """Log forward lattice (R, S) and the total log-likelihood."""
-    fwd = _scaled_forward(log_init, trans, logb)
-    if fwd is None:
-        la = _log_forward(log_init, trans, logb)
-        return la, float(logsumexp(la[-1], axis=0))
-    alpha, _, _, log_scale = fwd
-    return _log(alpha) + np.cumsum(log_scale)[:, None], float(log_scale.sum())
+def _final(la: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each chain's log-likelihood from its log forward lattice (R, B, S)."""
+    return logsumexp(la[lengths - 1, np.arange(len(lengths))], axis=1)
 
 
-def loglik(log_init, trans, logb) -> float:
-    """Total log-likelihood of one sequence, without its lattice: the scaled
-    pass, and the log domain only for a sequence on which a bound on what
-    underflow can have lost exceeds LOGLIK_UNDERFLOW_TOL of the likelihood.
+def forward(log_init, trans, logb, lengths=None):
+    """Log forward lattices (B, R, S) and total log-likelihoods (B,)."""
+    single, log_init, logb = _lift(log_init, logb)
+    fwd = _scaled_forward(log_init, trans, logb, lengths)
+    la = _log(fwd.alpha) + np.cumsum(fwd.log_scale, axis=0)[..., None]
+    ll = fwd.log_scale.sum(axis=0)
+    redo = np.flatnonzero(~fwd.ok)
+    if redo.size:
+        some = fwd.chains.some(redo)
+        la[:, redo] = _log_forward(some)
+        ll[redo] = _final(la[:, redo], some.lengths)
+    return _one(single, _by_chain(la), ll)
 
-    The bound. Rounding aside, the scaled pass loses only what its operations
-    lose to underflow, at most tiny (the smallest normal double) each; with
-    gradual underflow a sum loses nothing, since a sum that underflows is
-    exact. Let c_r be row r's scale sum: c_r <= 1 for r >= 1, since the
-    predecessor mass of a row sums to 1 and no emission factor exceeds 1,
-    and c_0 <= S. A cell is dirty when an operation that made it may have
-    given a result below tiny: its value lies below _TINY before or after the
-    division by c_r, or one of the products in its predecessor sum may lie
-    below tiny. A dirty cell of the normalised row r is off by at most
+
+def loglik(log_init, trans, logb, lengths=None):
+    """Total log-likelihoods (B,), without the lattices: the scaled pass, and
+    the log domain only for the chains on which a bound on what underflow can
+    have lost exceeds LOGLIK_UNDERFLOW_TOL of the likelihood (`_underflow`)."""
+    single, log_init, logb = _lift(log_init, logb)
+    fwd = _scaled_pass(log_init, trans, logb, lengths)
+    ll = fwd.log_scale.sum(axis=0)
+    keep = fwd.ok & ((ll == -np.inf) | (_underflow(fwd) <= LOGLIK_UNDERFLOW_TOL))
+    redo = np.flatnonzero(~keep)
+    if redo.size:
+        some = fwd.chains.some(redo)
+        ll[redo] = _final(_log_forward(some), some.lengths)
+    return _one(single, ll)
+
+
+def _underflow(fwd: _Pass) -> np.ndarray:
+    """A bound (B,) on the share of each chain's likelihood that underflow
+    can have cost its scaled pass.
+
+    Rounding aside, the scaled pass loses only what its operations lose to
+    underflow, at most tiny (the smallest normal double) each; with gradual
+    underflow a sum loses nothing, since a sum that underflows is exact. Let
+    c_r be row r's scale sum: c_r <= 1 for r >= 1, since the predecessor mass
+    of a row sums to 1 and no emission factor exceeds 1, and c_0 <= S. A
+    cell is dirty when an operation that made it may have given a result
+    below tiny: its value lies below _TINY before or after the division by
+    c_r, or one of the products in its predecessor sum may lie below tiny.
+    A dirty cell of the normalised row r is off by at most
     e_r = (S + 2) tiny / c_r: S products, the emission factor with its
     product, and the division. An error e in cell (r, j) moves the
     likelihood by e * beta_r(j) relative to it, where beta_r(j) is the
@@ -178,109 +320,178 @@ def loglik(log_init, trans, logb) -> float:
     revives) leaves the rows after it with small scale sums, so the bound
     grows with the loss it has to cover.
     """
-    fwd = _scaled_pass(log_init, trans, logb)
-    if fwd is not None:
-        live, alpha, _, scale, log_scale = fwd
-        ll = float(log_scale.sum())
-        if ll == -np.inf:
-            return ll
-        smallest = np.where(alpha > 0, alpha, np.inf).min(axis=1)
-        dirty = np.minimum(alpha, alpha * scale[:, None]) < _TINY
-        dirty[0] &= live[0]
-        dirty[1:] |= smallest[:-1, None] * np.where(trans > 0, trans, np.inf).min(axis=0) \
-            < _FLOAT_TINY
-        dirty[1:] &= ((alpha[:-1] > 0) @ trans > 0) & (logb[1:] > -np.inf)
-        if not dirty.any():
-            return ll
-        err = (alpha.shape[1] + 2) * _FLOAT_TINY / scale[:, None]
-        after = np.cumsum(np.log(scale)[::-1])[::-1] - np.log(scale)  # log prod_{r' > r} c_r'
-        with np.errstate(divide="ignore", over="ignore"):
-            gain = np.minimum(1.0 / np.maximum(alpha - err, 0.0), np.exp(-after)[:, None])
-        if np.sum((err * gain)[dirty]) <= LOGLIK_UNDERFLOW_TOL:
-            return ll
-    return float(logsumexp(_log_forward(log_init, trans, logb)[-1], axis=0))
+    alpha, scale, trans = fwd.alpha, fwd.scale, fwd.chains.trans
+    smallest = np.where(alpha > 0, alpha, np.inf).min(axis=2)
+    dirty = np.minimum(alpha, alpha * scale[..., None]) < _TINY
+    dirty[0] &= fwd.live[0]
+    least_in = np.where(trans > 0, trans, np.inf).min(axis=-2)
+    dirty[1:] |= smallest[:-1, :, None] * least_in < _FLOAT_TINY
+    dirty[1:] &= (_step(alpha[:-1] > 0, trans) > 0) & (fwd.chains.logb[1:] > -np.inf)
+    if not dirty.any():
+        return np.zeros(alpha.shape[1])
+    err = (alpha.shape[2] + 2) * _FLOAT_TINY / scale[..., None]
+    log_c = np.log(scale)
+    after = np.cumsum(log_c[::-1], axis=0)[::-1] - log_c  # log prod_{r' > r} c_r'
+    with np.errstate(divide="ignore", over="ignore"):
+        gain = np.minimum(1.0 / np.maximum(alpha - err, 0.0), np.exp(-after)[..., None])
+    return np.where(dirty, err * gain, 0.0).sum(axis=(0, 2))
 
 
-def backward(trans, logb) -> np.ndarray:
-    """Log backward lattice (R, S); the last row is identically 0.
+def backward(trans, logb, lengths=None) -> np.ndarray:
+    """Log backward lattices (B, R, S); each chain's last row is identically 0.
 
-    Each state's sum over its successors is shifted by its own best term, so
-    every finite beta stays finite whatever the other states score.
+    Each state's sum over its successors runs in the log domain
+    (`np.logaddexp`), so every finite beta stays finite whatever the other
+    states score.
     """
-    succ, log_succ = _neighbours(trans.T)
-    lb = np.zeros(logb.shape)
-    for r in range(logb.shape[0] - 1, 0, -1):
-        lb[r - 1] = logsumexp(log_succ + (logb[r] + lb[r])[succ], axis=1)
+    log_init = np.zeros(np.shape(logb)[:-2] + np.shape(logb)[-1:])
+    c = _chains(log_init, trans, logb, lengths)
+    return _one(c.single, _by_chain(_backward(c)))
+
+
+def _backward(c: _Chains) -> np.ndarray:
+    """Log backward lattice (R, B, S); padding rows are -inf."""
+    succ, log_succ = _neighbours(np.swapaxes(c.trans, -1, -2))
+    flat = _flat(succ, len(c.lengths))
+    ends = _row_ends(c.lengths)
+    lb = np.zeros(c.logb.shape)
+    for r in range(len(lb) - 1, 0, -1):
+        np.logaddexp.reduce(log_succ + (c.logb[r] + lb[r]).take(flat), axis=0, out=lb[r - 1])
+        if r - 1 in ends:
+            lb[r - 1, ends[r - 1]] = 0.0
     return lb
 
 
-def estep(log_init, trans, logb) -> tuple[np.ndarray, np.ndarray, float]:
-    """State posteriors (R, S), expected transition counts (S, S) summed over
-    rows, and the log-likelihood of one sequence.
+def estep(log_init, trans, logb, lengths=None):
+    """State posteriors (B, R, S), expected transition counts (B, S, S)
+    summed over each chain's rows, and log-likelihoods (B,).
 
     After a scaled forward pass the backward pass reuses its scales, and
     states the forward pass did not reach keep beta = 0: their posteriors are
     0 either way, and a zero keeps their unscaled betas from overflowing into
-    the reachable ones. Otherwise the whole E-step runs in the log domain.
+    the reachable ones. The chains the scaled pass cannot hold run the whole
+    E-step in the log domain. Raises NumericError when a chain's likelihood
+    is not finite.
     """
-    fwd = _scaled_forward(log_init, trans, logb)
-    if fwd is None:
-        return _log_estep(log_init, trans, logb)
-    alpha, emit, scale, log_scale = fwd
-    ll = _training_ll(float(log_scale.sum()))
+    single, log_init, logb = _lift(log_init, logb)
+    fwd = _scaled_forward(log_init, trans, logb, lengths)
+    c = fwd.chains
+    gamma = np.empty(c.logb.shape)
+    counts = np.empty(c.logb.shape[1:] + c.logb.shape[2:])
+    ll = fwd.log_scale.sum(axis=0)
+    keep = np.flatnonzero(fwd.ok)
+    if keep.size:
+        _training_ll(ll[keep])
+        gamma[:, keep], counts[keep] = _scaled_estep(fwd, keep)
+    redo = np.flatnonzero(~fwd.ok)
+    if redo.size:
+        gamma[:, redo], counts[redo], ll[redo] = _log_estep(c.some(redo))
+    return _one(single, _by_chain(gamma), counts, ll)
+
+
+def _scaled_estep(fwd: _Pass, idx: np.ndarray):
+    """Posteriors (R, k, S) and transition counts (k, S, S) of the chains idx
+    of a scaled pass."""
+    some = fwd.chains.some(idx)
+    alpha, scale = fwd.alpha[:, idx], fwd.scale[:, idx]
     live = alpha > 0
     beta = np.ones_like(alpha)
-    weights = emit / scale[:, None]  # row r becomes emit_r * beta_r / scale_r
+    weights = fwd.emit[:, idx] / scale[..., None]  # row r becomes emit_r * beta_r / scale_r
+    back = np.ascontiguousarray(np.swapaxes(some.trans, -1, -2))
+    ends = _row_ends(some.lengths)
     for r in range(len(alpha) - 1, 0, -1):
         weights[r] *= beta[r]
-        np.multiply(trans @ weights[r], live[r - 1], out=beta[r - 1])
-    counts = trans * (alpha[:-1].T @ weights[1:])
-    return alpha * beta, counts, ll
+        np.multiply(_step(weights[r], back), live[r - 1], out=beta[r - 1])
+        if r - 1 in ends:
+            beta[r - 1, ends[r - 1]] = 1.0
+    counts = some.trans * np.matmul(alpha[:-1].transpose(1, 2, 0), weights[1:].transpose(1, 0, 2))
+    return alpha * beta, counts
 
 
-def _log_estep(log_init, trans, logb):
-    """`estep` in the log domain."""
-    la = _log_forward(log_init, trans, logb)
-    ll = _training_ll(float(logsumexp(la[-1], axis=0)))
-    lb = backward(trans, logb)
-    succ, log_succ = _neighbours(trans.T)
-    acc = np.zeros(succ.shape)
+def _log_estep(c: _Chains):
+    """`estep` in the log domain, in the engine's layout."""
+    la = _log_forward(c)
+    ll = _training_ll(_final(la, c.lengths))
+    lb = _backward(c)
+    b, s = c.log_init.shape
+    succ, log_succ = _neighbours(np.swapaxes(c.trans, -1, -2))
+    flat = _flat(succ, b)
+    acc = np.zeros(flat.shape)
     for r in range(1, len(la)):
-        acc += np.exp(la[r - 1][:, None] + log_succ + (logb[r] + lb[r] - ll)[succ])
-    counts = np.zeros(trans.shape)
-    counts[np.arange(len(succ))[:, None], succ] = acc
-    return np.exp(la + lb - ll), counts, ll
+        acc += np.exp(la[r - 1] + log_succ + (c.logb[r] + lb[r] - ll[:, None]).take(flat))
+    counts = np.zeros((b, s, s))
+    counts[np.arange(b)[:, None], np.arange(s), succ] = acc
+    return np.exp(la + lb - ll[:, None]), counts, ll
 
 
-def _training_ll(ll: float) -> float:
-    if not np.isfinite(ll):
-        raise NumericError(f"training sequence has log-likelihood {ll}")
+def _training_ll(ll: np.ndarray) -> np.ndarray:
+    bad = ll[~np.isfinite(ll)]
+    if bad.size:
+        raise NumericError(f"training sequence has log-likelihood {bad[0]}")
     return ll
 
 
-def viterbi(log_init, trans, logb) -> tuple[np.ndarray, float]:
-    """Most likely state sequence and its log score.
+def viterbi(log_init, trans, logb, lengths=None):
+    """Most likely state sequences (B, R) and their log scores (B,). A chain
+    with no admissible path scores -inf; a single chain raises NumericError.
 
-    Ties break toward the lowest state index, from the last frame back: the
-    last row's lowest-index best state, then at each row back the
+    Ties break toward the lowest state index, from each chain's last row
+    back: that row's lowest-index best state, then at each row back the
     lowest-index best predecessor of the state chosen after it, compared on
     its best score plus the transition.
     """
-    rows, s = logb.shape
-    into, log_into = _neighbours(trans)
-    delta = log_init + logb[0]
-    back = np.zeros((rows, s), dtype=np.intp)
-    for r in range(1, rows):
-        cand = delta[into]
-        cand += log_into
-        back[r] = cand.argmax(axis=1)
-        delta = cand.max(axis=1) + logb[r]
-    best = int(np.argmax(delta))
-    score = float(delta[best])
-    if score == -np.inf:
+    single, log_init, logb = _lift(log_init, logb)
+    c = _chains(log_init, trans, logb, lengths)
+    final, into, cand, top = _max_product(c)
+    rows, b, s = c.logb.shape
+    chains = np.arange(b)
+    best = final.argmax(axis=1)
+    score = final[chains, best]
+    if single and score[0] == -np.inf:
         raise NumericError("no admissible state path for this observation sequence")
-    path = np.empty(rows, dtype=np.intp)
-    path[-1] = best
-    for r in range(rows - 1, 0, -1):
-        path[r - 1] = into[path[r], back[r, path[r]]]
-    return path, score
+    # each cell's best predecessor is its lowest p that reaches the maximum,
+    # the one argmax would pick, found in P passes over all rows at once
+    back = np.zeros((rows, b, s), dtype=np.intp)
+    for p in range(len(cand[0]) - 1, -1, -1):
+        back[1:][cand[1:, p] == top[1:]] = p
+    into = np.broadcast_to(into, cand.shape[1:])
+    ends = _row_ends(c.lengths)
+    path = np.zeros((rows, b), dtype=np.intp)
+    state = np.zeros(b, dtype=np.intp)
+    for r in range(rows - 1, -1, -1):
+        if r in ends:
+            state[ends[r]] = best[ends[r]]
+        path[r] = state
+        if r:
+            state = into[back[r, chains, state], chains, state]
+    path[np.arange(rows)[:, None] >= c.lengths] = 0
+    return _one(single, path.T, score)
+
+
+def viterbi_scores(log_init, trans, logb, lengths=None):
+    """The log scores (B,) of `viterbi`'s paths, without the paths; -inf for
+    a chain with no admissible path."""
+    single, log_init, logb = _lift(log_init, logb)
+    return _one(single, _max_product(_chains(log_init, trans, logb, lengths))[0].max(axis=1))
+
+
+def _max_product(c: _Chains):
+    """The max-product pass: each chain's best scores (B, S) at its last row,
+    the predecessor tables (P, 1 or B, S), and every row's predecessor
+    scores (R, P, B, S) with their maxima (R, B, S)."""
+    rows, b, s = c.logb.shape
+    into, log_into = _neighbours(c.trans)
+    flat = _flat(into, b)
+    ends = _row_ends(c.lengths)
+    delta = c.log_init + c.logb[0]
+    final = np.empty((b, s))
+    cand = np.empty((rows,) + flat.shape)
+    top = np.empty(c.logb.shape)
+    for r in range(rows):
+        if r:
+            np.add(delta.take(flat), log_into, out=cand[r])
+            np.maximum.reduce(cand[r], axis=0, out=top[r])
+            delta = top[r] + c.logb[r]
+        if r in ends:
+            final[ends[r]] = delta[ends[r]]
+    return final, into, cand, top

@@ -84,6 +84,6 @@ def load_model(path) -> Hmm1Model | Hmm2Model:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # not JSON, or not UTF-8 text
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     return model_from_dict(doc)

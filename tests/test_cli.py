@@ -419,6 +419,11 @@ def _missing_model(bank, feat):
     (bank / json.loads((bank / "bank.json").read_text())["scopes"][0]["models"]["b"]).unlink()
 
 
+def _model_not_text(bank, feat):
+    (bank / json.loads((bank / "bank.json").read_text())["scopes"][0]["models"]["a"]).write_bytes(
+        b"\xff\xfe\x00\x01")
+
+
 def _bank_not_json(bank, feat):
     (bank / "bank.json").write_text('{"scopes": [')
 
@@ -430,7 +435,7 @@ def _bank_wrong_shape(bank, feat):
 # each breaks a copy of a trained bank directory or of one utterance's
 # feature file (bank, feature path) -> None
 BAD_SCORING_INPUTS = [_cut_features, _odd_features, _no_frames, _wrong_dim, _huge_features,
-                      _missing_model, _bank_not_json, _bank_wrong_shape]
+                      _missing_model, _model_not_text, _bank_not_json, _bank_wrong_shape]
 
 
 class TestScoringFuzz:
@@ -466,3 +471,188 @@ class TestScoringFuzz:
         assert code in (2, 3, 4), (code, err)
         assert "Traceback" not in err
         assert "nan" not in out.lower()
+
+
+def _train_args(root, manifest="manifest.tsv", *extra):
+    return ["train", "--manifest", str(root / manifest), "--out", str(root / "bank"),
+            "--states", "2", "--mixtures", "1", "--topology", "ergodic", "--max-iter", "2",
+            "--pooled", *extra]
+
+
+def _set_frame(root, name, row, value):
+    path = root / "features" / name
+    frames = np.frombuffer(path.read_bytes()[13:], dtype="<f8").reshape(-1, 3).copy()
+    frames[row, 0] = value
+    path.write_bytes(_lpcc(frames))
+
+
+def _rewrite_manifest(root, edit):
+    lines = (root / "manifest.tsv").read_text().splitlines()
+    (root / "manifest.tsv").write_text("\n".join([lines[0]] + [edit(ln) for ln in lines[1:]])
+                                       + "\n")
+
+
+def _all_test(root):
+    # every label without a training entry
+    _rewrite_manifest(root, lambda ln: ln.replace("\tauto\t", "\ttest\t"))
+    return _train_args(root)
+
+
+def _no_train_tokens(root):
+    return _train_args(root, "manifest.tsv", "--train-count", "0")
+
+
+def _binary_manifest(root):
+    (root / "manifest.tsv").write_bytes(b"\xff\xfe\x00speaker")
+    return _train_args(root)
+
+
+def _missing_features(root):
+    (root / "features" / "b_002.lpcc").unlink()
+    return _train_args(root)
+
+
+def _wrong_dim_features(root):
+    (root / "features" / "b_002.lpcc").write_bytes(_lpcc(np.zeros((40, 4))))
+    return _train_args(root)
+
+
+def _one_frame_sequence(root):
+    (root / "features" / "b_002.lpcc").write_bytes(_lpcc(np.zeros((2, 3))))
+    return _train_args(root)
+
+
+def _frame_too_large_to_square(root):
+    _set_frame(root, "a_001.lpcc", 5, 1e200)
+    return _train_args(root)
+
+
+def _zero_iterations(root):
+    return _train_args(root, "manifest.tsv", "--max-iter", "0")
+
+
+def _nan_tolerance(root):
+    return _train_args(root, "manifest.tsv", "--tol", "nan")
+
+
+def _negative_iterations(root):
+    return _train_args(root, "manifest.tsv", "--max-iter", "-1")
+
+
+def _negative_states(root):
+    return _train_args(root, "manifest.tsv", "--states", "-1")
+
+
+def _zero_mixtures(root):
+    return _train_args(root, "manifest.tsv", "--mixtures", "0")
+
+
+def _nan_states(root):
+    return _train_args(root, "manifest.tsv", "--states", "nan")
+
+
+# each breaks a copy of a synthetic corpus (root) -> hmm2tc train arguments
+BAD_TRAIN_INPUTS = [_all_test, _no_train_tokens, _binary_manifest, _missing_features,
+                    _wrong_dim_features, _one_frame_sequence, _frame_too_large_to_square,
+                    _zero_iterations, _nan_tolerance, _negative_iterations, _negative_states,
+                    _zero_mixtures, _nan_states]
+
+# report file contents that `compare` must refuse
+BAD_REPORTS = {
+    "not_json": b'{"labels": [',
+    "not_text": b"\xff\xfe\x00\x01",
+    "labels_not_a_list": b'{"labels": 3, "rates": [1.0]}',
+    "no_rates": b'{"labels": ["x"]}',
+    "rate_not_a_number": b'{"labels": ["x"], "rates": ["50"]}',
+    "rate_nan": b'{"labels": ["x"], "rates": [NaN]}',
+    "one_rate_short": b'{"labels": ["x", "y"], "rates": [50.0]}',
+    "a_list": b'[["x"], [50.0]]',
+}
+
+# synth spec contents that `synth` must refuse
+BAD_SPECS = {
+    "not_json": '{"labels": [',
+    "no_labels": '{"frames": [40, 60]}',
+    "labels_not_strings": '{"labels": [1, 2]}',
+    "labels_a_string": '{"labels": "ab"}',
+    "frames_three": '{"labels": ["a"], "frames": [40, 50, 60]}',
+    "frames_text": '{"labels": ["a"], "frames": "40"}',
+    "frames_reversed": '{"labels": ["a"], "frames": [60, 40]}',
+    "zero_states": '{"labels": ["a"], "n_states": 0}',
+    "negative_dim": '{"labels": ["a"], "dim": -1}',
+    "one_token": '{"labels": ["a"], "tokens_per_condition": 1}',
+    "separation_text": '{"labels": ["a"], "separation": "far"}',
+    "separation_inf": '{"labels": ["a"], "separation": Infinity}',
+    "negative_seed": '{"labels": ["a"], "seed": -1}',
+    "fractional_seed": '{"labels": ["a"], "seed": 1.5}',
+}
+
+
+class TestTrainCompareSynthFuzz:
+    """train, compare and synth on broken corpora, reports and specs."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz-train")
+        write_synth_spec(root / "spec.json")
+        assert main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "c")]) == 0
+        return root / "c"
+
+    def _exits_cleanly(self, capsys, argv):
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (2, 3, 4), (code, err)
+        assert "Traceback" not in err
+        assert "nan" not in out.lower()
+        return err
+
+    @pytest.mark.parametrize("breaker", BAD_TRAIN_INPUTS, ids=lambda f: f.__name__[1:])
+    def test_train_bad_input_exits_cleanly(self, corpus, tmp_path, capsys, breaker):
+        root = tmp_path / "c"
+        shutil.copytree(corpus, root)
+        self._exits_cleanly(capsys, breaker(root))
+
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_train_frame_one_state_cannot_emit(self, corpus, tmp_path, capsys, order):
+        # With two components per state the flat start centres the state that
+        # holds the frame at +9e153 near 4.5e153, and the frame at -9e153 lies
+        # too far from that centre to square: that state scores it -inf, the
+        # other state does not. Training counts the frame for the other state.
+        root = tmp_path / "c"
+        shutil.copytree(corpus, root)
+        _set_frame(root, "a_001.lpcc", 2, 9e153)
+        _set_frame(root, "a_001.lpcc", -3, -9e153)
+        from hmm2tc.audio import load_features
+        from hmm2tc.init import init_hmm1
+        seqs = [load_features(p) for p in sorted((root / "features").glob("*.lpcc"))]
+        flat = init_hmm1(seqs, 2, 2, "ergodic", 0).emission_log_probs(seqs[0])[-3]
+        assert sorted(np.isfinite(flat).tolist()) == [False, True]
+        capsys.readouterr()
+        code = main(_train_args(root, "manifest.tsv", "--order", order, "--mixtures", "2"))
+        err = capsys.readouterr().err
+        assert code == 0, err
+        for model in (root / "bank" / "models").iterdir():
+            doc = json.loads(model.read_text())
+            assert np.all(np.isfinite(np.array([m["means"] for m in doc["mixtures"]])))
+
+    @pytest.mark.parametrize("which", ["baseline", "new"])
+    @pytest.mark.parametrize("content", BAD_REPORTS.values(), ids=BAD_REPORTS)
+    def test_compare_bad_report_exits_3(self, tmp_path, capsys, which, content):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"labels": ["x"], "rates": [50.0]}))
+        bad.write_bytes(content)
+        files = [good, bad] if which == "new" else [bad, good]
+        capsys.readouterr()
+        assert main(["compare", *map(str, files)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and str(bad) in err
+
+    @pytest.mark.parametrize("content", BAD_SPECS.values(), ids=BAD_SPECS)
+    def test_synth_bad_spec_exits_cleanly(self, tmp_path, capsys, content):
+        (tmp_path / "spec.json").write_text(content)
+        self._exits_cleanly(capsys, ["synth", "--spec", str(tmp_path / "spec.json"),
+                                     "--out", str(tmp_path / "c")])

@@ -115,6 +115,21 @@ def test_baum_welch_non_finite_likelihood_raises():
         baum_welch1(model, [np.zeros((5, 1)), np.full((5, 1), 1e200)])
 
 
+def test_baum_welch_frame_one_state_cannot_emit():
+    # state 0 scores the frame at 1e153 -inf (its square over the variance
+    # overflows) and state 1 does not: the frame counts for state 1 alone
+    mix = [GaussianMixture([1.0], [[0.0]], [[1e-3]]), GaussianMixture([1.0], [[0.0]], [[1e3]])]
+    model = Hmm1Model([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], mix)
+    frames = np.random.default_rng(0).normal(0, 1, (30, 1))
+    frames[10] = 1e153
+    logb = model.emission_log_probs(frames[10:11])[0]
+    assert logb[0] == -np.inf and np.isfinite(logb[1])
+    trained, trace = baum_welch1(model, [frames], TrainConfig(max_iterations=3))
+    assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) >= 0)
+    assert abs(trained.mixtures[0].means[0, 0]) < 1.0
+    assert trained.mixtures[1].means[0, 0] > 1e152
+
+
 def test_baum_welch_requires_t2():
     model = random_hmm1(np.random.default_rng(6), 2, 1, 1)
     with pytest.raises(DataError):

@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 from hmm2tc import lattice
 from hmm2tc.errors import NumericError
 from hmm2tc.gmm import GaussianMixture
-from hmm2tc.hmm1 import Hmm1Model, backward1, forward1, viterbi1
+from hmm2tc.hmm1 import Hmm1Model, _chain1, backward1, forward1, viterbi1
 from hmm2tc.hmm2 import (Hmm2Model, _pair_chain, backward2, forward2, lift_hmm1,
                          viterbi2)
 
@@ -436,3 +436,137 @@ def _path_totals(model, obs):
     return [first[q[0]] + sum(logb[t, k] for t, k in enumerate(q))
             + sum(log_a[i, k] for i, k in zip(q, q[1:]))
             for q in itertools.product(range(model.n_states), repeat=len(obs))]
+
+
+# The batch axis: a stack of chains in one call gives each chain's own results.
+
+def _chain_table(draw, s, rows):
+    """Log emissions in {0, -1, -2.5, -1000, -inf}: ties, rows ~1000 nats
+    apart and cells no path can use."""
+    values = [0.0, -1.0, -2.5, -1000.0, -np.inf]
+    cells = draw(st.lists(st.sampled_from(values), min_size=rows * s, max_size=rows * s))
+    return np.asarray(cells).reshape(rows, s)
+
+
+@st.composite
+def chain_stacks(draw):
+    """B chains of S states with ragged lengths, their transitions shared by
+    every chain or drawn per chain; every transition in {0, 1/2, 1} before
+    normalising."""
+    b, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lengths = np.array(draw(st.lists(st.integers(1, 6), min_size=b, max_size=b)))
+    log_init = _log(_stochastic(draw, (b, s)))
+    trans = _stochastic(draw, (s, s) if draw(st.booleans()) else (b, s, s))
+    logb = np.zeros((b, lengths.max(), s))
+    for k, rows in enumerate(lengths):
+        logb[k, :rows] = _chain_table(draw, s, int(rows))
+    return log_init, trans, logb, lengths
+
+
+def _one_chain(stack, k):
+    log_init, trans, logb, lengths = stack
+    return log_init[k], trans if trans.ndim == 2 else trans[k], logb[k, :lengths[k]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_stacks())
+def test_stack_matches_each_chain(stack):
+    lengths = stack[3]
+    singles = [_one_chain(stack, k) for k in range(len(lengths))]
+    lls = lattice.loglik(*stack)
+    la, fwd_lls = lattice.forward(*stack)
+    paths, scores = lattice.viterbi(*stack)
+    assert np.array_equal(lattice.viterbi_scores(*stack), scores)
+    for k, (chain, rows) in enumerate(zip(singles, lengths)):
+        assert lls[k] == pytest.approx(lattice.loglik(*chain), rel=1e-12, abs=0)
+        want_la, want_ll = lattice.forward(*chain)
+        assert fwd_lls[k] == pytest.approx(want_ll, rel=1e-12, abs=0)
+        assert np.allclose(la[k, :rows], want_la, rtol=1e-12, atol=0, equal_nan=False)
+        assert np.all(la[k, rows:] == -np.inf)
+        assert lattice.viterbi_scores(*chain) == scores[k]
+        try:
+            want_path, want_score = lattice.viterbi(*chain)
+        except NumericError:
+            assert scores[k] == -np.inf
+        else:
+            assert scores[k] == want_score
+            assert paths[k, :rows].tolist() == want_path.tolist()
+    try:
+        singles_e = [lattice.estep(*chain) for chain in singles]
+    except NumericError:
+        with pytest.raises(NumericError):
+            lattice.estep(*stack)
+        return
+    gamma, counts, ll = lattice.estep(*stack)
+    for k, (want_gamma, want_counts, want_ll) in enumerate(singles_e):
+        assert ll[k] == pytest.approx(want_ll, rel=1e-12)
+        assert np.allclose(gamma[k, :lengths[k]], want_gamma, rtol=1e-12, atol=1e-300)
+        assert np.all(gamma[k, lengths[k]:] == 0)
+        assert np.allclose(counts[k], want_counts, rtol=1e-12, atol=1e-300)
+
+
+def test_bank_with_log_domain_chains_and_a_chain_with_no_path():
+    # chain 1 is the chain of test_dropped_state_is_kept_when_its_row_still_has_mass,
+    # which only the log domain holds; chain 2 can emit nothing on row 3; on
+    # chain 4 the one state reachable on row 1 has its only predecessor
+    # underflow on row 0, so the scaled pass sums row 1 to 0
+    log_init = _log(np.array([[.5, .5, 0], [1.0, 0, 0], [.2, .3, .5], [0, .5, .5], [.5, .5, 0]]))
+    left_right = np.array([[.5, .5, 0], [0, .5, .5], [0, 0, 1]])
+    trans = np.stack([left_right] * 4 + [np.array([[1.0, 0, 0], [0, 0, 1], [0, 0, 1]])])
+    rng = np.random.default_rng(3)
+    logb = -rng.uniform(0, 3, size=(5, 6, 3))
+    logb[1] = [[0, 0, -700], [-1000, -1000, 0], [-1000, -1000, 0],
+               [0, 0, -700], [0, 0, -700], [0, 0, -700]]
+    logb[2, 3] = -np.inf
+    logb[4, :2] = [[0, -1000, -np.inf], [-np.inf, -np.inf, 0]]
+    stack = (log_init, trans, logb, np.full(5, 6))
+    assert lattice._scaled_pass(*stack).ok.tolist() == [True, True, True, True, False]
+    assert lattice._scaled_forward(*stack).ok.tolist() == [True, False, True, True, False]
+    lls = lattice.loglik(*stack)
+    _, fwd_lls = lattice.forward(*stack)
+    _, scores = lattice.viterbi(*stack)
+    assert np.array_equal(lattice.viterbi_scores(*stack), scores)
+    assert lls[2] == fwd_lls[2] == scores[2] == -np.inf
+    for k in (0, 1, 3, 4):
+        chain = _one_chain(stack, k)
+        assert lls[k] == pytest.approx(lattice.loglik(*chain), rel=1e-12)
+        assert fwd_lls[k] == pytest.approx(lattice.forward(*chain)[1], rel=1e-12)
+        assert scores[k] == lattice.viterbi(*chain)[1]
+        assert np.isfinite(lls[k])
+    for k in (1, 4):
+        assert lls[k] == pytest.approx(enumerate_chain(*_one_chain(stack, k)), rel=1e-12)
+    with pytest.raises(NumericError):
+        lattice.estep(*stack)
+    keep = [0, 1, 3, 4]
+    gamma, counts, ll = lattice.estep(log_init[keep], trans[keep], logb[keep])
+    for i, k in enumerate(keep):
+        want_gamma, want_counts, want_ll = lattice.estep(*_one_chain(stack, k))
+        assert ll[i] == pytest.approx(want_ll, rel=1e-12)
+        assert np.allclose(gamma[i], want_gamma, rtol=1e-12, atol=1e-300)
+        assert np.allclose(counts[i], want_counts, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_ragged_estep_matches_each_sequence(order):
+    rng = np.random.default_rng(7)
+    mix = [GaussianMixture([1.0], [[m]], [[v]]) for m, v in ((0.0, 1.0), (2.0, 0.5), (-1.0, 4.0))]
+    model = Hmm1Model([0.2, 0.3, 0.5], rng.dirichlet(np.ones(3), size=3), mix)
+    chain = _chain1
+    if order == 2:
+        model, chain = lift_hmm1(model), _pair_chain
+    seqs = [rng.normal(0, 1.5, size=(t, 1)) for t in (3, 7, 12)]
+    seqs[2][5] = 60.0   # this sequence needs the log domain
+    table = np.zeros((3, 12, 3))
+    for k, seq in enumerate(seqs):
+        table[k, :len(seq)] = model.emission_log_probs(seq)
+    rows = np.array([len(seq) for seq in seqs]) - (order - 1)
+    fwd = lattice._scaled_forward(*chain(model, table), rows)
+    assert fwd.ok.tolist() == [True, True, False]
+    gamma, counts, ll = lattice.estep(*chain(model, table), rows)
+    for k, seq in enumerate(seqs):
+        want = lattice.estep(*chain(model, model.emission_log_probs(seq)))
+        want_gamma, want_counts, want_ll = want
+        assert ll[k] == pytest.approx(want_ll, rel=1e-12)
+        assert np.allclose(gamma[k, :rows[k]], want_gamma, rtol=1e-12, atol=1e-300)
+        assert np.all(gamma[k, rows[k]:] == 0)
+        assert np.allclose(counts[k], want_counts, rtol=1e-12, atol=1e-300)
