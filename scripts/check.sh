@@ -12,7 +12,9 @@
 #    (synthesise, split, train and evaluate both orders), which must exit 0;
 # 4. a 2-second traced benchmark run of each workload at seed 1, whose result
 #    line must read "failed": 0 (a traced run also exercises the span
-#    tracer's hooks).
+#    tracer's hooks);
+# 5. an import of hmm2tc.cli with scipy blocked: src must not need scipy,
+#    which only the tests and perfbench/ use (the "test" extra).
 #
 # Every step runs even when an earlier one fails; the script exits 1 if any
 # step failed and names the failed steps at the end.
@@ -53,6 +55,10 @@ for w in extract train identify; do
         *) failed="$failed run-$w" ;;
     esac
 done
+
+echo "== src imports without scipy"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c \
+    'import sys; sys.modules["scipy"] = None; import hmm2tc.cli' || failed="$failed no-scipy"
 
 if [ -n "$failed" ]; then
     echo "FAILED:$failed"

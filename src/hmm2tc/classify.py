@@ -11,10 +11,12 @@ import numpy as np
 from . import lattice
 from .config import TrainConfig, frames_of
 from .errors import DataError, NumericError
-from .gmm import log_densities
+from .gmm import GaussianMixture, log_densities
 from .hmm1 import Hmm1Model, _chain1, baum_welch1
 from .hmm2 import Hmm2Model, _pair_chain, baum_welch2
 from .init import init_hmm1, init_hmm2
+
+_SQUARABLE = np.sqrt(np.finfo(np.float64).max)  # the largest x whose x**2 is finite
 
 
 def round_half_away(x: float, decimals: int = 1) -> float:
@@ -58,7 +60,8 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
                n_comp: int, topology: str = "left-right",
                cfg: TrainConfig | None = None, scope: dict | None = None
                ) -> tuple[ConditionBank, dict[str, list[float]]]:
-    """One model per condition label; returns the bank and per-label EM traces."""
+    """One model per condition label; returns the bank and per-label EM traces.
+    A training frame with a value too large to square raises DataError."""
     cfg = cfg or TrainConfig()
     if not training_sets:
         raise DataError("no condition labels to train")
@@ -66,7 +69,14 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
     for label, seqs in training_sets.items():
         if not seqs:
             raise DataError(f"condition {label!r} has no training sequences")
-        dims.update(frames_of(s).shape[1] for s in seqs)
+        for i, seq in enumerate(seqs):
+            mat = frames_of(seq)
+            dims.add(mat.shape[1])
+            big = np.flatnonzero(np.any(np.abs(mat) > _SQUARABLE, axis=1))
+            if big.size:
+                source = getattr(seq, "source_id", "") or f"sequence {i}"
+                raise DataError(f"condition {label!r}: {source} frame {big[0]} holds a value "
+                                f"too large to square (|x| > {_SQUARABLE:.4g})")
     if len(dims) != 1:
         raise DataError("training sequences have heterogeneous dimensions")
     models: dict[str, Hmm1Model | Hmm2Model] = {}
@@ -92,13 +102,12 @@ def score_sequence(model: Hmm1Model | Hmm2Model, obs, scoring: str = "forward") 
 def _scores(models: list, mat: np.ndarray, scoring: str) -> np.ndarray:
     """The score of one (T, D) utterance under each of B models of one order
     and shape (`score_sequence`), -inf where a model gives it probability 0
-    or has no admissible path: one emission call over the models' B * N
-    mixtures and one lattice pass over the stack of their chains."""
+    or has no admissible path: one emission call over the models' emission
+    stacks, concatenated, and one lattice pass over the stack of their chains."""
     if scoring not in ("forward", "viterbi"):
         raise DataError(f"unknown scoring mode {scoring!r}")
-    n = models[0].n_states
-    logb = log_densities([mix for model in models for mix in model.mixtures], mat)
-    logb = logb.reshape(len(mat), len(models), n).transpose(1, 0, 2)
+    logb = log_densities(GaussianMixture.stack(model.mixtures for model in models), mat)
+    logb = logb.reshape(len(mat), len(models), -1).transpose(1, 0, 2)
     chain = _pair_chain if isinstance(models[0], Hmm2Model) else _chain1
     log_init, trans, table = (np.stack(part) for part in zip(*map(chain, models, logb)))
     if scoring == "forward":

@@ -16,7 +16,7 @@ from .config import TrainConfig
 from .corpus import ManifestEntry, SynthSpec, apply_split_protocol, format_manifest, \
     generate_synthetic_corpus, parse_manifest
 from .errors import DataError, FormatError, Hmm2tcError, NumericError
-from .model_io import load_model, save_model
+from .model_io import load_model, read_json, save_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -35,16 +35,6 @@ def _frame_params(args) -> FrameParams:
 def _train_config(args) -> TrainConfig:
     return TrainConfig(max_iterations=args.max_iter, tol=args.tol, seed=args.seed,
                        freeze_initials=getattr(args, "freeze_initials", False))
-
-
-def _read_json(path):
-    """The JSON document in a file; FormatError naming the file unless it
-    holds one."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:   # not JSON, or not UTF-8 text
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _read_manifest(path) -> list[ManifestEntry]:
@@ -115,17 +105,13 @@ def cmd_train(args) -> int:
     entries = _read_manifest(args.manifest)
     entries, base = _resolve(entries, args.manifest, args)
     cfg = _train_config(args)
-    scopes: dict = {}
-    label_order: dict = {}
+    scopes: dict = {}   # scope key -> {label, in manifest order -> sequences}
     for e in entries:
         if e.split != "train":
             continue
         key = _scope_key(e, args.pooled)
         scopes.setdefault(key, {}).setdefault(e.condition, []).append(
             load_features(_entry_path(base, e), source_id=e.path))
-        label_order.setdefault(key, [])
-        if e.condition not in label_order[key]:
-            label_order[key].append(e.condition)
     if not scopes:
         raise DataError("manifest has no training entries")
     os.makedirs(os.path.join(args.out, "models"), exist_ok=True)
@@ -135,8 +121,7 @@ def cmd_train(args) -> int:
                 "freeze_initials": cfg.freeze_initials, "scopes": []}
     train_log = {}
     for key in sorted(scopes, key=lambda k: ("",) if k is None else k):
-        sets = {lab: scopes[key][lab] for lab in label_order[key]}
-        bank, traces = train_bank(sets, args.order, args.states, args.mixtures,
+        bank, traces = train_bank(scopes[key], args.order, args.states, args.mixtures,
                                   args.topology, cfg)
         scope_doc = {"speaker": None if key is None else key[0],
                      "sentence": None if key is None else key[1],
@@ -160,7 +145,7 @@ def _load_bank_doc(bank_dir) -> dict:
     """The bank directory's bank.json; FormatError unless it holds the fields
     that identify and evaluate read."""
     path = os.path.join(bank_dir, BANK_FILE)
-    doc = _read_json(path)
+    doc = read_json(path)
     scopes = doc.get("scopes") if isinstance(doc, dict) else None
     if not (isinstance(scopes, list) and scopes and {"order", "protocol"} <= doc.keys()
             and all(_is_scope_doc(s) for s in scopes)):
@@ -233,7 +218,7 @@ def cmd_evaluate(args) -> int:
 def _read_report(path) -> dict:
     """An evaluation report's document; FormatError naming the file unless
     it holds a list of labels and one finite rate per label."""
-    doc = _read_json(path)
+    doc = read_json(path)
     labels, rates = (doc.get(k) if isinstance(doc, dict) else None for k in ("labels", "rates"))
     if not (isinstance(labels, list) and isinstance(rates, list) and len(labels) == len(rates)
             and all(isinstance(v, str) for v in labels)
@@ -256,7 +241,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec.from_dict(_read_json(args.spec))
+    spec = SynthSpec.from_dict(read_json(args.spec))
     entries, _ = generate_synthetic_corpus(spec, args.out)
     print(f"wrote {len(entries)} feature files -> {args.out}")
     return EXIT_OK

@@ -1,4 +1,10 @@
-"""Diagonal-covariance Gaussian mixture emission densities."""
+"""Diagonal-covariance Gaussian mixture emission densities.
+
+A `GaussianMixture` is one mixture or a stack of N mixtures of one shape with
+a leading state axis, Rabiner's (1989, sec. VI) c_jm, mu_jm and U_jm: every
+model holds its emission as one stack, and indexing or iterating a stack
+gives its per-state mixtures.
+"""
 
 from __future__ import annotations
 
@@ -22,17 +28,18 @@ def _stochastic(p: np.ndarray) -> bool:
 
 @dataclass
 class GaussianMixture:
-    weights: np.ndarray   # (M,)
-    means: np.ndarray     # (M, D)
-    variances: np.ndarray  # (M, D)
+    weights: np.ndarray    # (M,), or (N, M) for a stack
+    means: np.ndarray      # (M, D), or (N, M, D)
+    variances: np.ndarray  # (M, D), or (N, M, D)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        self.variances = np.atleast_2d(np.asarray(self.variances, dtype=np.float64))
+        lift = np.atleast_2d if self.weights.ndim < 2 else np.asarray  # one mixture or a stack
+        self.means = lift(np.asarray(self.means, dtype=np.float64))
+        self.variances = lift(np.asarray(self.variances, dtype=np.float64))
         if self.means.shape != self.variances.shape:
             raise DataError("means and variances must have matching shapes")
-        if self.weights.shape != (self.means.shape[0],):
+        if self.weights.ndim not in (1, 2) or self.weights.shape != self.means.shape[:-1]:
             raise DataError("one weight per mixture component required")
         if not _stochastic(self.weights):
             raise DataError("component weights must be nonnegative and sum to 1")
@@ -41,25 +48,42 @@ class GaussianMixture:
         if not (np.all(np.isfinite(self.variances)) and np.all(self.variances > 0)):
             raise DataError("variances must be finite and strictly positive")
 
+    @classmethod
+    def stack(cls, mixtures) -> GaussianMixture:
+        """One stack of the states of the given mixtures and stacks, in order."""
+        mixtures = list(mixtures)
+        shapes = {(mix.n_components, mix.dim) for mix in mixtures}
+        if len(shapes) != 1:
+            raise DataError("all states must share mixture dim and component count")
+        (m, d), = shapes
+        return cls(np.concatenate([mix.weights.reshape(-1, m) for mix in mixtures]),
+                   np.concatenate([mix.means.reshape(-1, m, d) for mix in mixtures]),
+                   np.concatenate([mix.variances.reshape(-1, m, d) for mix in mixtures]))
+
+    def __getitem__(self, j) -> GaussianMixture:
+        """State j of a stack; iterating a stack runs through its states."""
+        return GaussianMixture(self.weights[j], self.means[j], self.variances[j])
+
     @property
     def n_components(self) -> int:
-        return self.means.shape[0]
+        return self.means.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.means.shape[1]
+        return self.means.shape[-1]
 
     def log_density_frames(self, obs: np.ndarray) -> np.ndarray:
         """log b(O_t) for every frame of a (T, D) observation matrix -> (T,)."""
-        return log_densities([self], obs)[:, 0]
+        return log_densities(self, obs)[:, 0]
 
     def log_density(self, o: np.ndarray) -> float:
         return float(self.log_density_frames(np.atleast_2d(o))[0])
 
 
 def component_log_densities(mixtures, obs) -> np.ndarray:
-    """log w_m + log N(o_t; mu_m, diag sigma2_m) of every component of N
-    mixtures of one shape (M, D), for a (T, D) observation matrix -> (T, N, M).
+    """log w_m + log N(o_t; mu_m, diag sigma2_m) of every component of a stack
+    of N mixtures (a single mixture is a stack of one, and a list of mixtures
+    is stacked), for a (T, D) observation matrix -> (T, N, M).
 
     The exponent is expanded as in scikit-learn's diagonal-covariance
     `_estimate_log_gaussian_prob` (Pedregosa et al., 2011):
@@ -73,19 +97,21 @@ def component_log_densities(mixtures, obs) -> np.ndarray:
     every mean that its true density underflows, and it scores -inf, as the
     unexpanded form does.
     """
+    if not isinstance(mixtures, GaussianMixture):
+        mixtures = GaussianMixture.stack(mixtures)
     obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-    means = np.stack([m.means for m in mixtures])            # (N, M, D)
-    d = means.shape[2]
+    m, d = mixtures.n_components, mixtures.dim
     if obs.shape[1] != d:
         raise DataError(f"observation dim {obs.shape[1]} != mixture dim {d}")
-    prec = 1.0 / np.stack([m.variances for m in mixtures])   # (N, M, D)
+    means = mixtures.means.reshape(-1, m, d)                  # (N, M, D)
+    prec = 1.0 / mixtures.variances.reshape(-1, m, d)
     with np.errstate(divide="ignore"):
-        logw = np.log(np.stack([m.weights for m in mixtures]))
+        logw = np.log(mixtures.weights.reshape(-1, m))
     centre = means.mean(axis=1, keepdims=True)                # (N, 1, D)
     means = means - centre
     const = logw - 0.5 * (np.sum(means * means * prec - np.log(prec), axis=2) + d * _LOG_2PI)
     coef = np.concatenate([-0.5 * prec, means * prec], axis=2).transpose(0, 2, 1)
-    powers = np.empty((len(mixtures), obs.shape[0], 2 * d))  # per state [x**2, x]
+    powers = np.empty((len(means), obs.shape[0], 2 * d))  # per state [x**2, x]
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(obs, centre, out=powers[:, :, d:])
         np.square(powers[:, :, d:], out=powers[:, :, :d])
@@ -96,5 +122,5 @@ def component_log_densities(mixtures, obs) -> np.ndarray:
 
 
 def log_densities(mixtures, obs) -> np.ndarray:
-    """(T, N) log densities of N mixtures of one shape at every frame of obs."""
+    """(T, N) log densities of a stack of N mixtures at every frame of obs."""
     return logsumexp(component_log_densities(mixtures, obs), axis=2)

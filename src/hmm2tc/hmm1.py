@@ -26,36 +26,39 @@ TOPOLOGIES = ("ergodic", "left-right")
 
 
 class _StateMixtures:
-    """The emission half of both model orders: one Gaussian mixture per
-    state, every one of the same shape (M, D)."""
+    """The emission half of both model orders: one stack of N Gaussian
+    mixtures, one per state (`GaussianMixture`). The constructors also take
+    a list of the per-state mixtures and stack it."""
 
-    mixtures: list[GaussianMixture]
-
-    def _check_mixtures(self) -> None:
-        if len({(m.n_components, m.dim) for m in self.mixtures}) != 1:
-            raise DataError("all states must share mixture dim and component count")
+    mixtures: GaussianMixture
 
     @property
     def n_components(self) -> int:
-        return self.mixtures[0].n_components
+        return self.mixtures.n_components
 
     @property
     def dim(self) -> int:
-        return self.mixtures[0].dim
+        return self.mixtures.dim
+
+    def emission_log_probs(self, obs) -> np.ndarray:
+        """(T, N) matrix of log b_j(O_t)."""
+        return log_densities(self.mixtures, frames_of(obs))
 
 
 @dataclass
 class Hmm1Model(_StateMixtures):
     pi: np.ndarray                  # (N,)
     a: np.ndarray                   # (N, N)
-    mixtures: list[GaussianMixture]  # length N
+    mixtures: GaussianMixture       # a stack of N
     topology: str = "ergodic"
 
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=np.float64)
         self.a = np.asarray(self.a, dtype=np.float64)
+        if not isinstance(self.mixtures, GaussianMixture):
+            self.mixtures = GaussianMixture.stack(self.mixtures)
         n = self.pi.size
-        if self.a.shape != (n, n) or len(self.mixtures) != n:
+        if self.a.shape != (n, n) or self.mixtures.weights.shape[:-1] != (n,):
             raise DataError("inconsistent state counts across pi, a, mixtures")
         if not _stochastic(self.pi):
             raise DataError("pi must be a probability vector")
@@ -65,15 +68,10 @@ class Hmm1Model(_StateMixtures):
             raise DataError(f"unknown topology {self.topology!r}")
         if self.topology == "left-right" and np.any(np.tril(self.a, -1) != 0):
             raise DataError("left-right topology requires an upper-triangular transition matrix")
-        self._check_mixtures()
 
     @property
     def n_states(self) -> int:
         return self.pi.size
-
-    def emission_log_probs(self, obs) -> np.ndarray:
-        """(T, N) matrix of log b_j(O_t)."""
-        return log_densities(self.mixtures, frames_of(obs))
 
 
 def _chain1(model: Hmm1Model, logb: np.ndarray):
@@ -120,15 +118,13 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _sample_frames(mixtures, states, rng: np.random.Generator) -> np.ndarray:
+def _sample_frames(mixtures: GaussianMixture, states, rng: np.random.Generator) -> np.ndarray:
     """One frame per state of the path, from a component drawn by weight;
     the frame-drawing half of both orders' samplers."""
-    cdf_w = _cdf(np.stack([m.weights for m in mixtures]))
-    comps = [np.searchsorted(cdf_w[q], v, side="right")
-             for q, v in zip(states, rng.random(len(states)))]
-    means = np.stack([mixtures[q].means[m] for q, m in zip(states, comps)])
-    stds = np.stack([np.sqrt(mixtures[q].variances[m]) for q, m in zip(states, comps)])
-    return rng.normal(means, stds)
+    u = rng.random(len(states))
+    # each frame's searchsorted(cdf, u, side="right"): the cdf entries <= u
+    comps = np.sum(_cdf(mixtures.weights)[states] <= u[:, None], axis=1)
+    return rng.normal(mixtures.means[states, comps], np.sqrt(mixtures.variances[states, comps]))
 
 
 def _update_mixtures(mixtures, occ, frames, comp, logb, floor):
@@ -137,13 +133,12 @@ def _update_mixtures(mixtures, occ, frames, comp, logb, floor):
     occ: the (T, N) state occupancies of every training frame; frames: those
     (T, D) frames; comp and logb: their (T, N, M) weighted component log
     densities and (T, N) emission table. A state that cannot emit a frame
-    (log density -inf) takes no share of it. Returns the new mixtures and a
+    (log density -inf) takes no share of it. Returns the new stack and a
     (N, M) mask of the components that had zero occupancy; those components,
     and states whose every component is empty, keep their previous
     parameters.
     """
-    n, m_comp = comp.shape[1:]
-    d = frames.shape[1]
+    n, m_comp, d = mixtures.means.shape
     with np.errstate(invalid="ignore"):
         share = np.exp(comp - logb[:, :, None])
     share[logb == -np.inf] = 0.0
@@ -159,12 +154,11 @@ def _update_mixtures(mixtures, occ, frames, comp, logb, floor):
         variances = np.maximum(sq_acc / w_acc[:, :, None] - means ** 2, floor)
         weights = np.maximum(w_acc / tot[:, None], MIXTURE_WEIGHT_FLOOR)
     keep = empty[:, :, None]
-    means = np.where(keep, np.stack([m.means for m in mixtures]), means)
-    variances = np.where(keep, np.stack([m.variances for m in mixtures]), variances)
+    means = np.where(keep, mixtures.means, means)
+    variances = np.where(keep, mixtures.variances, variances)
     weights /= weights.sum(axis=1, keepdims=True)
-    new = [mix if dead[j] else GaussianMixture(weights[j], means[j], variances[j])
-           for j, mix in enumerate(mixtures)]
-    return new, empty
+    weights[dead] = mixtures.weights[dead]
+    return GaussianMixture(weights, means, variances), empty
 
 
 class _ZeroOccupancy:

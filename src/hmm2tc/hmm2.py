@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .config import TrainConfig, frames_of
+from .config import TrainConfig
 from .errors import DataError
-from .gmm import GaussianMixture, _stochastic, log_densities
+from .gmm import GaussianMixture, _stochastic
 from .hmm1 import (Hmm1Model, TOPOLOGIES, _StateMixtures, _baum_welch, _cdf, _normalise_rows,
                    _sample_frames)
 from .lattice import _log
@@ -33,15 +33,18 @@ class Hmm2Model(_StateMixtures):
     psi: np.ndarray                  # (N,)  initial state probabilities
     a2: np.ndarray                   # (N, N)  first-step transition matrix
     a3: np.ndarray                   # (N, N, N)  a3[i, j, k] = P(k | j, i)
-    mixtures: list[GaussianMixture]
+    mixtures: GaussianMixture        # a stack of N
     topology: str = "ergodic"
 
     def __post_init__(self):
         self.psi = np.asarray(self.psi, dtype=np.float64)
         self.a2 = np.asarray(self.a2, dtype=np.float64)
         self.a3 = np.asarray(self.a3, dtype=np.float64)
+        if not isinstance(self.mixtures, GaussianMixture):
+            self.mixtures = GaussianMixture.stack(self.mixtures)
         n = self.psi.size
-        if self.a2.shape != (n, n) or self.a3.shape != (n, n, n) or len(self.mixtures) != n:
+        if (self.a2.shape != (n, n) or self.a3.shape != (n, n, n)
+                or self.mixtures.weights.shape[:-1] != (n,)):
             raise DataError("inconsistent state counts across psi, a2, a3, mixtures")
         if not _stochastic(self.psi):
             raise DataError("psi must be a probability vector")
@@ -57,15 +60,10 @@ class Hmm2Model(_StateMixtures):
             for j in range(n):
                 if np.any(self.a3[:, j, :j] != 0):
                     raise DataError("left-right topology forbids backward a3 transitions")
-        self._check_mixtures()
 
     @property
     def n_states(self) -> int:
         return self.psi.size
-
-    def emission_log_probs(self, obs) -> np.ndarray:
-        """(T, N) matrix of log b_j(O_t)."""
-        return log_densities(self.mixtures, frames_of(obs))
 
 
 @dataclass
@@ -76,11 +74,12 @@ class Trellis2:
 
 
 def lift_hmm1(model: Hmm1Model) -> Hmm2Model:
-    """Embed a first-order model: a3[i, j, k] := a[j, k] for every i."""
+    """Embed a first-order model: a3[i, j, k] := a[j, k] for every i; the
+    two models share one emission stack."""
     n = model.n_states
     return Hmm2Model(model.pi.copy(), model.a.copy(),
                      np.broadcast_to(model.a[None], (n, n, n)).copy(),
-                     list(model.mixtures), model.topology)
+                     model.mixtures, model.topology)
 
 
 def path_log_prob2(model: Hmm2Model, states, obs=None) -> float:

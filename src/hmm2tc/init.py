@@ -30,29 +30,24 @@ def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator,
 
 
 def _state_mixtures(mats, n_states: int, n_comp: int, rng: np.random.Generator,
-                    floor: np.ndarray) -> list[GaussianMixture]:
-    pools: list[list[np.ndarray]] = [[] for _ in range(n_states)]
-    for mat in mats:
-        t_len = mat.shape[0]
-        assign = np.minimum((np.arange(t_len) * n_states) // t_len, n_states - 1)
-        for j in range(n_states):
-            pools[j].append(mat[assign == j])
-    mixtures = []
+                    floor: np.ndarray) -> GaussianMixture:
+    frames = np.concatenate(mats)
+    assign = np.concatenate([np.minimum((np.arange(len(mat)) * n_states) // len(mat), n_states - 1)
+                             for mat in mats])
+    weights = np.zeros((n_states, n_comp))
+    means = np.empty((n_states, n_comp, frames.shape[1]))
+    variances = np.empty_like(means)
     for j in range(n_states):
-        data = np.concatenate(pools[j], axis=0)
+        data = frames[assign == j]
         if data.shape[0] < n_comp:
             raise DataError("not enough frames for the requested state/mixture counts")
-        centers, labels = _kmeans(data, n_comp, rng)
-        weights = np.zeros(n_comp)
-        variances = np.empty_like(centers)
+        means[j], labels = _kmeans(data, n_comp, rng)
         for m in range(n_comp):
             sel = labels == m
-            weights[m] = max(int(np.sum(sel)), 1)
-            scatter = data[sel] - centers[m] if np.any(sel) else np.zeros((1, data.shape[1]))
-            variances[m] = np.maximum((scatter ** 2).mean(axis=0), floor)
-        weights /= weights.sum()
-        mixtures.append(GaussianMixture(weights, centers, variances))
-    return mixtures
+            weights[j, m] = max(int(np.sum(sel)), 1)
+            scatter = data[sel] - means[j, m] if np.any(sel) else np.zeros((1, data.shape[1]))
+            variances[j, m] = np.maximum((scatter ** 2).mean(axis=0), floor)
+    return GaussianMixture(weights / weights.sum(axis=1, keepdims=True), means, variances)
 
 
 def init_hmm1(corpus, n_states: int, n_comp: int, topology: str = "ergodic",

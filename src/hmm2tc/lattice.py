@@ -73,12 +73,11 @@ class _Chains(NamedTuple):
     trans: np.ndarray      # (S, S), shared, or (B, S, S)
     logb: np.ndarray       # (R, B, S), padding rows -inf
     lengths: np.ndarray    # (B,)
-    single: bool           # the caller gave one chain
 
     def some(self, idx: np.ndarray) -> "_Chains":
         """The stack of the chains idx."""
         trans = self.trans if self.trans.ndim == 2 else self.trans[idx]
-        return _Chains(self.log_init[idx], trans, self.logb[:, idx], self.lengths[idx], False)
+        return _Chains(self.log_init[idx], trans, self.logb[:, idx], self.lengths[idx])
 
 
 def _lift(log_init, logb):
@@ -91,7 +90,7 @@ def _lift(log_init, logb):
 
 def _chains(log_init, trans, logb, lengths=None) -> _Chains:
     """One chain's or a stack's arguments in the engine's layout."""
-    single, log_init, logb = _lift(log_init, logb)
+    _, log_init, logb = _lift(log_init, logb)
     table = np.array(np.swapaxes(logb, 0, 1), dtype=np.float64, order="C")
     rows, b = table.shape[:2]
     if lengths is None:
@@ -99,7 +98,7 @@ def _chains(log_init, trans, logb, lengths=None) -> _Chains:
     else:
         lengths = np.asarray(lengths, dtype=np.intp)
         table[np.arange(rows)[:, None] >= lengths] = -np.inf
-    return _Chains(log_init, np.asarray(trans, dtype=np.float64), table, lengths, single)
+    return _Chains(log_init, np.asarray(trans, dtype=np.float64), table, lengths)
 
 
 def _by_chain(x: np.ndarray) -> np.ndarray:
@@ -185,10 +184,10 @@ class _Pass(NamedTuple):
     log_scale: np.ndarray  # (R, B)
 
 
-def _scaled_pass(log_init, trans, logb, lengths=None) -> _Pass | None:
-    """The forward pass with one scale per row, of a single chain or a stack.
-    A chain is ok unless one of its rows with reachable cells sums to 0; a
-    single chain that is not gives None, and in a stack its rows are zero.
+def _scaled_pass(log_init, trans, logb, lengths=None) -> _Pass:
+    """The forward pass with one scale per row, of a single chain (as a stack
+    of one) or a stack. A chain is ok unless one of its rows with reachable
+    cells sums to 0; the rows of a chain that is not are zero.
 
     Each chain's row r is shifted by its best emission among the states it
     can reach, so no factor exceeds 1 and the row's best state never
@@ -228,19 +227,15 @@ def _scaled_pass(log_init, trans, logb, lengths=None) -> _Pass | None:
     log_scale[0] += top
     dead = np.flatnonzero(end < c.lengths)
     log_scale[end[dead], dead] = -np.inf
-    fwd = _Pass(c, ok, live, alpha, emit, scale, log_scale)
-    return None if c.single and not ok[0] else fwd
+    return _Pass(c, ok, live, alpha, emit, scale, log_scale)
 
 
-def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass | None:
+def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass:
     """`_scaled_pass`, in which a chain is ok only if one scale per row holds
     each of its reachable cells exactly."""
     fwd = _scaled_pass(log_init, trans, logb, lengths)
-    if fwd is None:
-        return None
     held = (fwd.alpha * fwd.scale[..., None] >= _TINY) | ~fwd.live
-    fwd = fwd._replace(ok=fwd.ok & held.all(axis=(0, 2)))
-    return None if fwd.chains.single and not fwd.ok[0] else fwd
+    return fwd._replace(ok=fwd.ok & held.all(axis=(0, 2)))
 
 
 def _log_forward(c: _Chains) -> np.ndarray:
@@ -344,9 +339,8 @@ def backward(trans, logb, lengths=None) -> np.ndarray:
     (`np.logaddexp`), so every finite beta stays finite whatever the other
     states score.
     """
-    log_init = np.zeros(np.shape(logb)[:-2] + np.shape(logb)[-1:])
-    c = _chains(log_init, trans, logb, lengths)
-    return _one(c.single, _by_chain(_backward(c)))
+    single, log_init, logb = _lift(np.zeros(np.shape(logb)[:-2] + np.shape(logb)[-1:]), logb)
+    return _one(single, _by_chain(_backward(_chains(log_init, trans, logb, lengths))))
 
 
 def _backward(c: _Chains) -> np.ndarray:

@@ -12,6 +12,7 @@ from .hmm1 import Hmm1Model
 from .hmm2 import Hmm2Model
 
 MODEL_FORMAT_VERSION = 1
+_PARTS = ("weights", "means", "variances")   # the fields of each state in "mixtures"
 
 
 def model_to_dict(model: Hmm1Model | Hmm2Model, metadata: dict | None = None) -> dict:
@@ -23,14 +24,8 @@ def model_to_dict(model: Hmm1Model | Hmm2Model, metadata: dict | None = None) ->
         "M": model.n_components,
         "D": model.dim,
         "topology": model.topology,
-        "mixtures": [
-            {
-                "weights": m.weights.tolist(),
-                "means": m.means.tolist(),
-                "variances": m.variances.tolist(),
-            }
-            for m in model.mixtures
-        ],
+        "mixtures": [dict(zip(_PARTS, state)) for state in
+                     zip(*(getattr(model.mixtures, part).tolist() for part in _PARTS))],
     }
     if order == 2:
         doc["psi"] = model.psi.tolist()
@@ -49,11 +44,8 @@ def model_from_dict(doc: dict) -> Hmm1Model | Hmm2Model:
         version = doc["format_version"]
         if version != MODEL_FORMAT_VERSION:
             raise FormatError(f"unsupported model format version {version}")
-        mixtures = [
-            GaussianMixture(np.array(m["weights"]), np.array(m["means"]),
-                            np.array(m["variances"]))
-            for m in doc["mixtures"]
-        ]
+        mixtures = GaussianMixture(*(np.array([m[part] for m in doc["mixtures"]])
+                                     for part in _PARTS))
         topology = doc["topology"]
         if doc["order"] == 2:
             return Hmm2Model(np.array(doc["psi"]), np.array(doc["a2"]),
@@ -80,10 +72,15 @@ def save_model(model, path, metadata: dict | None = None) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> Hmm1Model | Hmm2Model:
+def read_json(path):
+    """The JSON document in a file; FormatError naming the file unless it
+    holds one."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:   # not JSON, or not UTF-8 text
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+
+
+def load_model(path) -> Hmm1Model | Hmm2Model:
+    return model_from_dict(read_json(path))

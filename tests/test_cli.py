@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,22 @@ class TestTrainEvaluate:
                            str(synth_corpus / "features" / "a_006.lpcc"))
         assert code == 3
         assert "malformed model document" in err
+
+    def test_identify_states_with_different_component_counts_exits_3(self, synth_corpus,
+                                                                      tmp_path, capsys):
+        bank = tmp_path / "bank"
+        assert self._train(capsys, synth_corpus, bank, 1)[0] == 0
+        doc = json.loads((bank / "bank.json").read_text())
+        model_path = bank / doc["scopes"][0]["models"]["b"]
+        model_doc = json.loads(model_path.read_text())
+        state = model_doc["mixtures"][0]   # one component -> two equal halves
+        state.update(weights=[0.5, 0.5], means=state["means"] * 2,
+                     variances=state["variances"] * 2)
+        model_path.write_text(json.dumps(model_doc))
+        code, out, err = run(capsys, "identify", "--bank", str(bank), "--features",
+                             str(synth_corpus / "features" / "a_006.lpcc"))
+        assert code == 3, err
+        assert out == "" and "Traceback" not in err
 
     def test_train_deterministic(self, synth_corpus, tmp_path, capsys):
         for name in ("t1", "t2"):
@@ -614,7 +631,13 @@ class TestTrainCompareSynthFuzz:
     def test_train_bad_input_exits_cleanly(self, corpus, tmp_path, capsys, breaker):
         root = tmp_path / "c"
         shutil.copytree(corpus, root)
-        self._exits_cleanly(capsys, breaker(root))
+        too_large = breaker is _frame_too_large_to_square
+        with warnings.catch_warnings():
+            if too_large:   # refused before any arithmetic can overflow
+                warnings.simplefilter("error", RuntimeWarning)
+            err = self._exits_cleanly(capsys, breaker(root))
+        if too_large:
+            assert "a_001.lpcc" in err and "frame 5" in err, err
 
     @pytest.mark.parametrize("order", ["1", "2"])
     def test_train_frame_one_state_cannot_emit(self, corpus, tmp_path, capsys, order):

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -11,7 +12,7 @@ from hmm2tc.corpus import (ManifestEntry, SynthSpec, apply_split_protocol,
                            parse_manifest)
 from hmm2tc.errors import DataError, FormatError
 from hmm2tc.hmm2 import forward2
-from hmm2tc.model_io import dumps_model, load_model, save_model
+from hmm2tc.model_io import dumps_model, load_model, model_from_dict, save_model
 
 from conftest import random_hmm2
 
@@ -158,6 +159,15 @@ class TestModelIO:
         (tmp_path / "v.json").write_text(text)
         with pytest.raises(FormatError, match="version"):
             load_model(tmp_path / "v.json")
+
+    def test_states_with_different_component_counts_rejected(self):
+        doc = json.loads(dumps_model(random_hmm2(np.random.default_rng(4), 3, 2, 4)))
+        state = doc["mixtures"][1]
+        for part in ("weights", "means", "variances"):
+            state[part] = state[part][:1]
+        state["weights"] = [1.0]
+        with pytest.raises((FormatError, DataError)):
+            model_from_dict(doc)
 
     def test_order1_round_trip(self, tmp_path):
         from conftest import random_hmm1

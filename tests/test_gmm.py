@@ -102,3 +102,63 @@ def test_overflowing_frame_scores_minus_inf():
         comp = component_log_densities([gmm], np.array([[1e306, -1e306]]))
         assert np.all(comp == -np.inf)
         assert gmm.log_density([1e306, -1e306]) == -np.inf
+
+
+def random_states(seed, n=4, m=3, d=5):
+    rng = np.random.default_rng(seed)
+    return [GaussianMixture(rng.dirichlet(np.ones(m)), rng.normal(0, 2, (m, d)),
+                            rng.uniform(0.1, 2.0, (m, d))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stack_holds_the_per_state_arrays_and_scores_like_them(seed):
+    states = random_states(seed)
+    stack = GaussianMixture.stack(states)
+    assert (stack.weights.shape, stack.means.shape) == ((4, 3), (4, 3, 5))
+    for part in ("weights", "means", "variances"):
+        assert np.array_equal(getattr(stack, part), np.stack([getattr(s, part) for s in states]))
+    obs = np.random.default_rng(seed + 10).normal(0, 3, (30, 5))
+    assert np.array_equal(component_log_densities(stack, obs),
+                          component_log_densities(states, obs))
+    assert np.array_equal(log_densities(stack, obs), log_densities(states, obs))
+    for j, state in enumerate(states):
+        assert np.array_equal(log_densities(stack, obs)[:, j], state.log_density_frames(obs))
+
+
+def test_stacking_stacks_concatenates_them_in_order():
+    states = random_states(0, n=5)
+    stack = GaussianMixture.stack([GaussianMixture.stack(states[:2]), states[2],
+                                   GaussianMixture.stack(states[3:])])
+    whole = GaussianMixture.stack(states)
+    for part in ("weights", "means", "variances"):
+        assert np.array_equal(getattr(stack, part), getattr(whole, part))
+
+
+@pytest.mark.parametrize("other", [random_states(1, n=1, m=2)[0], random_states(1, n=1, d=4)[0]])
+def test_stacking_mixtures_of_unequal_shape_raises(other):
+    with pytest.raises(DataError):
+        GaussianMixture.stack(random_states(0, n=2) + [other])
+    with pytest.raises(DataError):
+        GaussianMixture.stack([])
+
+
+def test_stack_constructor_checks_every_state():
+    stack = GaussianMixture.stack(random_states(0))
+    weights = stack.weights.copy()
+    weights[2, 0] += 0.1
+    with pytest.raises(DataError):
+        GaussianMixture(weights, stack.means, stack.variances)
+    with pytest.raises(DataError):
+        GaussianMixture(stack.weights, stack.means[:, :2], stack.variances[:, :2])
+
+
+def test_indexing_and_iterating_a_stack_give_its_states():
+    states = random_states(2)
+    stack = GaussianMixture.stack(states)
+    for got in (list(stack), [stack[j] for j in range(4)]):
+        assert len(got) == 4
+        for mix, want in zip(got, states):
+            assert isinstance(mix, GaussianMixture)
+            assert (mix.n_components, mix.dim) == (3, 5)
+            for part in ("weights", "means", "variances"):
+                assert np.array_equal(getattr(mix, part), getattr(want, part))

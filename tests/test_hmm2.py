@@ -261,3 +261,44 @@ class TestModelValidation:
         with pytest.raises(DataError):
             Hmm2Model([0.5, 0.5], a2, bad, [unit_gmm([0.0]), unit_gmm([0.0])],
                       topology="left-right")
+
+
+def reference_sample(model, t_len, seed):
+    """The samplers' draws made one frame at a time: the state path by
+    inverse cdf, then each frame's component by np.searchsorted on its
+    state's weight cdf, then one normal draw per frame."""
+    def cdf(p):
+        c = np.cumsum(p)
+        c[-1] = 1.0
+        return c
+
+    rng = np.random.default_rng(seed)
+    u = rng.random(t_len)
+    if isinstance(model, Hmm2Model):
+        rows = [model.psi, lambda q: model.a2[q[-1]], lambda q: model.a3[q[-2], q[-1]]]
+    else:
+        rows = [model.pi, lambda q: model.a[q[-1]], lambda q: model.a[q[-1]]]
+    states = [int(np.searchsorted(cdf(rows[0]), u[0], side="right"))]
+    for t in range(1, t_len):
+        row = rows[1] if t == 1 else rows[2]
+        states.append(int(np.searchsorted(cdf(row(states)), u[t], side="right")))
+    mixtures = list(model.mixtures)
+    comps = [np.searchsorted(cdf(mixtures[q].weights), v, side="right")
+             for q, v in zip(states, rng.random(t_len))]
+    means = np.stack([mixtures[q].means[m] for q, m in zip(states, comps)])
+    stds = np.stack([np.sqrt(mixtures[q].variances[m]) for q, m in zip(states, comps)])
+    return np.array(states), rng.normal(means, stds)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_samplers_match_a_frame_by_frame_reference(seed):
+    rng = np.random.default_rng(seed)
+    model2 = random_hmm2(rng, 3, 4, 2)
+    # a component of weight 0 leaves two equal entries in its state's cdf
+    zero = GaussianMixture([0.5, 0.0, 0.25, 0.25], rng.normal(size=(4, 2)), np.ones((4, 2)))
+    model2 = Hmm2Model(model2.psi, model2.a2, model2.a3, [zero] + list(model2.mixtures)[1:])
+    for model, sample in ((random_hmm1(rng, 4, 3, 3), sample_hmm1), (model2, sample_hmm2)):
+        states, frames = sample(model, 50, seed)
+        want_states, want_frames = reference_sample(model, 50, seed)
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(frames, want_frames)

@@ -174,7 +174,7 @@ def test_dropped_state_is_kept_when_its_row_still_has_mass():
     logb = np.array([[0, 0, -700], [-1000, -1000, 0], [-1000, -1000, 0],
                      [0, 0, -700], [0, 0, -700], [0, 0, -700]], dtype=float)
     want = enumerate_chain(log_init, trans, logb)
-    assert lattice._scaled_forward(log_init, trans, logb) is None
+    assert not lattice._scaled_forward(log_init, trans, logb).ok[0]
     _, ll = lattice.forward(log_init, trans, logb)
     assert ll == pytest.approx(want, rel=1e-12)
     _, _, em_ll = lattice.estep(log_init, trans, logb)
@@ -202,7 +202,7 @@ def test_scaled_and_log_domain_passes_agree(far):
     if far:
         obs[12] = 80.0
     logb = model.emission_log_probs(obs)
-    assert (lattice._scaled_forward(_log(model.pi), model.a, logb) is None) == far
+    assert (not lattice._scaled_forward(_log(model.pi), model.a, logb).ok[0]) == far
     want = reference_forward1(model, obs)
     la, ll = forward1(model, obs)
     assert np.allclose(la, want, rtol=1e-12, atol=0)
@@ -330,7 +330,7 @@ def test_loglik_keeps_a_state_that_revives(order, frames):
         want = enumerate_loglik1(model, frames)
     assert lattice.loglik(*chain) == pytest.approx(want, rel=1e-12)
     if frames[3, 0] == 10.0:
-        assert lattice._scaled_pass(*chain) is not None
+        assert lattice._scaled_pass(*chain).ok[0]
 
 
 @settings(max_examples=150, deadline=None)
