@@ -12,8 +12,8 @@ from . import lattice
 from .config import TrainConfig, frames_of
 from .errors import DataError, NumericError
 from .gmm import GaussianMixture, log_densities
-from .hmm1 import Hmm1Model, _chain1, baum_welch1
-from .hmm2 import Hmm2Model, _pair_chain, baum_welch2
+from .hmm1 import Hmm1Model, _chain1, _train1
+from .hmm2 import Hmm2Model, _pair_chain, _train2
 from .init import init_hmm1, init_hmm2
 
 _SQUARABLE = np.sqrt(np.finfo(np.float64).max)  # the largest x whose x**2 is finite
@@ -61,7 +61,9 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
                cfg: TrainConfig | None = None, scope: dict | None = None
                ) -> tuple[ConditionBank, dict[str, list[float]]]:
     """One model per condition label; returns the bank and per-label EM traces.
-    A training frame with a value too large to square raises DataError."""
+    Label i's flat start takes seed cfg.seed + i, and the whole bank trains
+    in one EM loop (`hmm1._baum_welch`). A training frame with a value too
+    large to square raises DataError."""
     cfg = cfg or TrainConfig()
     if not training_sets:
         raise DataError("no condition labels to train")
@@ -79,19 +81,16 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
                                 f"too large to square (|x| > {_SQUARABLE:.4g})")
     if len(dims) != 1:
         raise DataError("training sequences have heterogeneous dimensions")
-    models: dict[str, Hmm1Model | Hmm2Model] = {}
-    traces: dict[str, list[float]] = {}
-    for idx, (label, seqs) in enumerate(training_sets.items()):
-        seed = cfg.seed + idx
-        if order == 2:
-            model = init_hmm2(seqs, n_states, n_comp, topology, seed)
-            models[label], traces[label] = baum_welch2(model, seqs, cfg)
-        elif order == 1:
-            model = init_hmm1(seqs, n_states, n_comp, topology, seed)
-            models[label], traces[label] = baum_welch1(model, seqs, cfg)
-        else:
-            raise DataError(f"unsupported model order {order}")
-    return ConditionBank(list(training_sets), models, scope or {}), traces
+    if order not in (1, 2):
+        raise DataError(f"unsupported model order {order}")
+    init, train = (init_hmm1, _train1) if order == 1 else (init_hmm2, _train2)
+    labels, corpora = list(training_sets), list(training_sets.values())
+    flat = [init(seqs, n_states, n_comp, topology, cfg.seed + idx)
+            for idx, seqs in enumerate(corpora)]
+    trained = train(flat, corpora, cfg)
+    models = {label: model for label, (model, _) in zip(labels, trained)}
+    traces = {label: trace for label, (_, trace) in zip(labels, trained)}
+    return ConditionBank(labels, models, scope or {}), traces
 
 
 def score_sequence(model: Hmm1Model | Hmm2Model, obs, scoring: str = "forward") -> float:

@@ -34,7 +34,9 @@ def frames_of(obs) -> np.ndarray:
 
 
 def variance_floor(corpus) -> np.ndarray:
-    """Per-dimension floor from the pooled corpus variance."""
+    """Per-dimension floor from the pooled corpus variance; inf where that
+    variance exceeds the largest double."""
     pooled = np.concatenate([frames_of(o) for o in corpus], axis=0)
-    global_var = pooled.var(axis=0)
+    with np.errstate(over="ignore"):
+        global_var = pooled.var(axis=0)
     return np.maximum(VARIANCE_FLOOR_FACTOR * global_var, VARIANCE_FLOOR_MIN)

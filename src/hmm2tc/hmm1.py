@@ -3,8 +3,9 @@ code both model orders share.
 
 Forward, backward, Viterbi and the EM E-step run on the shared lattice engine
 (`hmm2tc.lattice`) with S = N states. `_baum_welch` is the one EM loop of both
-orders: `hmm2tc.hmm2` runs it on its pair chain with its own transition
-M-step. `_sample_frames` draws the frames for both orders' samplers.
+orders, for a bank of models at once (one model is a bank of one): `hmm2tc.hmm2`
+runs it on its pair chain with its own transition M-step. `_sample_frames`
+draws the frames for both orders' samplers.
 """
 
 from __future__ import annotations
@@ -192,59 +193,106 @@ def _normalise_rows(counts: np.ndarray, old: np.ndarray) -> tuple[np.ndarray, np
     return new, ~rows
 
 
-def _baum_welch(model, corpus, cfg: TrainConfig | None, order: int, chain, occupancy,
-                reestimate, logger: logging.Logger):
-    """The EM loop of both model orders; returns (model, log-likelihood trace).
+class _Member:
+    """One model of a bank in the EM loop: its training frames, their
+    sequence lengths, its variance floor, zero-occupancy tally and trace."""
 
-    Each iteration scores every frame of the corpus in one emission call and
-    runs one `lattice.estep` over the stack of all its sequences, padded to
-    the longest. Each order supplies three things: `chain(model, logb)`, the
-    lattice engine's chains for a (B, T, N) stack of emission tables, one
-    row per frame from frame `order - 1` on; `occupancy(gamma, n)`, the map
-    from their (B, R, S) posteriors to (B, T, N) state occupancies; and its
-    transition M-step, `reestimate(model, start, first, counts, mixtures,
-    freeze, zero)`, which gets the first-frame state occupancies, the
-    chains' first-row posteriors and their transition counts, each summed
-    over the corpus, and returns the new model. Zero-occupancy summaries go
-    to `logger`. Raises NumericError when a sequence has a non-finite
-    log-likelihood.
+    def __init__(self, model, corpus, order: int, logger: logging.Logger):
+        if not corpus:
+            raise DataError("training corpus is empty")
+        mats = [frames_of(o) for o in corpus]
+        for mat in mats:
+            if mat.shape[0] <= order:
+                raise DataError(f"baum_welch{order} requires sequences with T >= {order + 1}")
+            if mat.shape[1] != model.dim:
+                raise DataError("observation dim does not match the model")
+        self.model = model
+        self.floor = variance_floor(mats)
+        self.frames = np.concatenate(mats)
+        self.lengths = np.array([len(mat) for mat in mats])
+        self.zero = _ZeroOccupancy(logger)
+        self.trace: list[float] = []
+
+    def converged(self, tol: float) -> bool:
+        trace = self.trace
+        return len(trace) >= 2 and trace[-1] - trace[-2] < tol * abs(trace[-2])
+
+
+def _baum_welch(models, corpora, cfg: TrainConfig | None, order: int, chain, occupancy,
+                reestimate, logger: logging.Logger) -> list[tuple]:
+    """The EM loop of a bank of same-order models, each with its own corpus;
+    returns each model's (model, log-likelihood trace). One model is a bank
+    of one.
+
+    Each iteration scores each training model's corpus in one emission call
+    and runs one `lattice.estep` over the sequences of every model still
+    training: K sequences to a model, K the most any model has, padded to
+    the longest, and a model with fewer fills its group with chains of
+    length 0, which the engine leaves out of its products. Then each model
+    takes its GMM M-step and its transition M-step. A model whose relative
+    log-likelihood gain falls below `cfg.tol` leaves the stack, and the rest
+    go on; each model's results are those it gets trained alone.
+
+    Each order supplies three things: `chain(model, logb)`, the lattice
+    engine's chains for a (K, T, N) stack of emission tables, one row per
+    frame from frame `order - 1` on; `occupancy(gamma, n)`, the map from their
+    (K, R, S) posteriors to (K, T, N) state occupancies; and its transition
+    M-step, `reestimate(model, start, first, counts, mixtures, freeze, zero)`,
+    which gets the first-frame state occupancies, the chains' first-row
+    posteriors and their transition counts, each summed over the model's
+    corpus, and returns the new model. Zero-occupancy summaries go to
+    `logger`, one per model and kind of parameter. Raises NumericError when a
+    sequence has a non-finite log-likelihood.
     """
     cfg = cfg or TrainConfig()
-    if not corpus:
-        raise DataError("training corpus is empty")
-    mats = [frames_of(o) for o in corpus]
-    for mat in mats:
-        if mat.shape[0] <= order:
-            raise DataError(f"baum_welch{order} requires sequences with T >= {order + 1}")
-        if mat.shape[1] != model.dim:
-            raise DataError("observation dim does not match the model")
-    floor = variance_floor(mats)
-    frames = np.concatenate(mats)
-    lengths = np.array([len(mat) for mat in mats])
-    within = np.arange(lengths.max()) < lengths[:, None]   # (B, T): the frames of each sequence
-    table = np.zeros(within.shape + (model.n_states,))
-    zero = _ZeroOccupancy(logger)
-    trace: list[float] = []
+    bank = [_Member(model, corpus, order, logger) for model, corpus in zip(models, corpora)]
+    k = max(len(member.lengths) for member in bank)
+    t_max = max(member.lengths.max() for member in bank)
+    within = np.zeros((len(bank), k, t_max), dtype=bool)  # the frames of each sequence
+    rows = np.zeros((len(bank), k), dtype=np.intp)          # lattice rows, 0 for padding
+    for g, member in enumerate(bank):
+        within[g, :len(member.lengths)] = np.arange(t_max) < member.lengths[:, None]
+        rows[g, :len(member.lengths)] = member.lengths - (order - 1)
+    table = np.zeros(within.shape + (models[0].n_states,))
+    active = list(range(len(bank)))
     for _ in range(cfg.max_iterations):
-        comp = component_log_densities(model.mixtures, frames)
-        logb = logsumexp(comp, axis=2)
-        table[within] = logb
-        gamma, xi, ll = lattice.estep(*chain(model, table), lengths - (order - 1))
-        occ = occupancy(gamma, model.n_states)
-        trace.append(float(ll.sum()))
-        mixtures, empty = _update_mixtures(model.mixtures, occ[within], frames, comp, logb, floor)
-        model = reestimate(model, occ[:, 0].sum(axis=0), gamma[:, 0].sum(axis=0), xi.sum(axis=0),
-                           mixtures, cfg.freeze_initials, zero)
-        zero.add("mixture components", empty)
-        if len(trace) >= 2 and trace[-1] - trace[-2] < cfg.tol * abs(trace[-2]):
+        scored = []
+        for g in active:
+            comp = component_log_densities(bank[g].model.mixtures, bank[g].frames)
+            logb = logsumexp(comp, axis=2)
+            table[g][within[g]] = logb
+            scored.append((comp, logb))
+        log_init, trans, tables = zip(*(chain(bank[g].model, table[g]) for g in active))
+        gamma, xi, ll = lattice.estep(np.concatenate(log_init), np.stack(trans),
+                                      np.concatenate(tables), rows[active].ravel())
+        for i, (g, (comp, logb)) in enumerate(zip(active, scored)):
+            member = bank[g]
+            own = slice(i * k, i * k + len(member.lengths))
+            occ = occupancy(gamma[own], member.model.n_states)
+            member.trace.append(float(ll[own].sum()))
+            mixtures, empty = _update_mixtures(member.model.mixtures, occ[within[g, :len(occ)]],
+                                               member.frames, comp, logb, member.floor)
+            member.model = reestimate(member.model, occ[:, 0].sum(axis=0),
+                                      gamma[own, 0].sum(axis=0), xi[own].sum(axis=0), mixtures,
+                                      cfg.freeze_initials, member.zero)
+            member.zero.add("mixture components", empty)
+        active = [g for g in active if not bank[g].converged(cfg.tol)]
+        if not active:
             break
-    zero.report(len(trace))
-    return model, trace
+    for member in bank:
+        member.zero.report(len(member.trace))
+    return [(member.model, member.trace) for member in bank]
 
 
 def _reestimate1(model, start, first, counts, mixtures, freeze, zero) -> Hmm1Model:
     pi = model.pi if freeze else start / start.sum()
     return Hmm1Model(pi, _normalise_rows(counts, model.a)[0], mixtures, model.topology)
+
+
+def _train1(models, corpora, cfg: TrainConfig | None) -> list[tuple[Hmm1Model, list[float]]]:
+    """`_baum_welch` for a bank of first-order models."""
+    return _baum_welch(models, corpora, cfg, 1, _chain1, lambda gamma, n: gamma,
+                       _reestimate1, log)
 
 
 def baum_welch1(model: Hmm1Model, corpus, cfg: TrainConfig | None = None
@@ -253,5 +301,4 @@ def baum_welch1(model: Hmm1Model, corpus, cfg: TrainConfig | None = None
 
     Raises NumericError when a sequence has a non-finite log-likelihood.
     """
-    return _baum_welch(model, corpus, cfg, 1, _chain1, lambda gamma, n: gamma,
-                       _reestimate1, log)
+    return _train1([model], [corpus], cfg)[0]

@@ -178,6 +178,11 @@ def _reestimate2(model, start, first, counts, mixtures, freeze, zero) -> Hmm2Mod
     return Hmm2Model(psi, a2, a3, mixtures, model.topology)
 
 
+def _train2(models, corpora, cfg: TrainConfig | None) -> list[tuple[Hmm2Model, list[float]]]:
+    """`_baum_welch` for a bank of second-order models."""
+    return _baum_welch(models, corpora, cfg, 2, _pair_chain, _pair_occupancy, _reestimate2, log)
+
+
 def baum_welch2(model: Hmm2Model, corpus, cfg: TrainConfig | None = None
                 ) -> tuple[Hmm2Model, list[float]]:
     """EM training of the second-order model over multiple sequences.
@@ -187,4 +192,4 @@ def baum_welch2(model: Hmm2Model, corpus, cfg: TrainConfig | None = None
     and the per-frame state occupancies for the GMM M-step. Raises
     NumericError when a sequence has a non-finite log-likelihood.
     """
-    return _baum_welch(model, corpus, cfg, 2, _pair_chain, _pair_occupancy, _reestimate2, log)
+    return _train2([model], [corpus], cfg)[0]

@@ -1,19 +1,25 @@
 """Lattice engine shared by the first- and second-order models.
 
 Every recursion runs over a stack of B first-order chains of S states each:
-log initial rows (B, S), transitions (B, S, S), or one (S, S) matrix that
-every chain shares, and log-emission tables (B, R, S) whose row r scores
-lattice row r. In a ragged stack, `lengths` (B,) gives each chain its own
-number of rows; the rows after it are padding, which no result depends on
-(lattices read -inf there, posteriors and paths 0). Every function also
-takes a single chain, as an (S,) initial row, an (S, S) matrix and an (R, S)
-table, and returns that chain's results alone: it runs as a stack of one, on
-the same code.
+log initial rows (B, S), G transition matrices (G, S, S) for B = G * K
+chains, chain b taking matrix b // K, and log-emission tables (B, R, S)
+whose row r scores lattice row r. One (S, S) matrix that every chain shares
+is the case G = 1, and one matrix per chain the case G = B. In a ragged
+stack, `lengths` (B,) gives each chain its own number of rows; the rows
+after it are padding, which no result depends on (lattices read -inf there,
+posteriors and paths 0). A chain of length 0 has log-likelihood 0 and zero
+posteriors and counts. Every function also takes a single chain, as an (S,)
+initial row, an (S, S) matrix and an (R, S) table, and returns that chain's
+results alone: it runs as a stack of one, on the same code.
 
 A first-order HMM is a chain with S = N. A second-order HMM is the chain over
 its N*N state pairs, with P[(i, j), (j, k)] = a3[i, j, k] (du Preez 1998,
-order reduction). A stack may hold one model's training sequences (shared
-transitions) or one utterance under each model of a bank.
+order reduction). A stack may hold one utterance under each model of a bank
+(G = B), or the training sequences of a bank's models, K to a model (the EM
+loop's E-step): a model with fewer sequences fills its group with chains of
+length 0. Each row's step is one (G, K, S) @ (G, S, S) product; the chains of
+length 0 that end a group take no part in it, so that every group's product
+has the shape, and BLAS's rounding, of a stack of that group alone.
 
 The forward pass and the E-step run in the probability domain with one scale
 per row (Rabiner 1989, sec. V.A) for each chain whose reachable states one
@@ -67,17 +73,37 @@ def logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 class _Chains(NamedTuple):
-    """A stack in the engine's layout."""
+    """A stack in the engine's layout (`_stack`)."""
 
     log_init: np.ndarray   # (B, S)
-    trans: np.ndarray      # (S, S), shared, or (B, S, S)
+    trans: np.ndarray      # (G, S, S); chain b takes trans[b // K], K = B // G
     logb: np.ndarray       # (R, B, S), padding rows -inf
     lengths: np.ndarray    # (B,)
+    runs: tuple            # the products of one step (`_runs`)
 
     def some(self, idx: np.ndarray) -> "_Chains":
-        """The stack of the chains idx."""
-        trans = self.trans if self.trans.ndim == 2 else self.trans[idx]
-        return _Chains(self.log_init[idx], trans, self.logb[:, idx], self.lengths[idx])
+        """The stack of the chains idx, with one transition matrix each."""
+        k = len(self.lengths) // len(self.trans)
+        return _stack(self.log_init[idx], self.trans[idx // k], self.logb[:, idx],
+                      self.lengths[idx])
+
+
+def _stack(log_init, trans, logb, lengths) -> _Chains:
+    """A stack in the engine's layout, with its runs of products."""
+    g = len(trans)
+    if len(lengths) % g:
+        raise ValueError(f"{g} transition matrices cannot serve {len(lengths)} chains")
+    return _Chains(log_init, trans, logb, lengths, _runs(lengths, g))
+
+
+def _runs(lengths: np.ndarray, g: int) -> tuple:
+    """The products of one step of a stack with g groups of chains:
+    (first group, end group, n) for each run of consecutive groups that have
+    n > 0 chains up to their last one of nonzero length."""
+    filled = lengths.reshape(g, -1) > 0
+    n = np.where(filled.any(axis=1), filled.shape[1] - np.argmax(filled[:, ::-1], axis=1), 0)
+    cut = [0, *(np.flatnonzero(np.diff(n)) + 1), g]
+    return tuple((int(a), int(b), int(n[a])) for a, b in zip(cut, cut[1:]) if n[a])
 
 
 def _lift(log_init, logb):
@@ -98,7 +124,8 @@ def _chains(log_init, trans, logb, lengths=None) -> _Chains:
     else:
         lengths = np.asarray(lengths, dtype=np.intp)
         table[np.arange(rows)[:, None] >= lengths] = -np.inf
-    return _Chains(log_init, np.asarray(trans, dtype=np.float64), table, lengths)
+    trans = np.asarray(trans, dtype=np.float64)
+    return _stack(log_init, trans.reshape((-1,) + trans.shape[-2:]), table, lengths)
 
 
 def _by_chain(x: np.ndarray) -> np.ndarray:
@@ -114,14 +141,21 @@ def _one(single: bool, *outs):
     return outs if len(outs) > 1 else outs[0]
 
 
-def _step(rows: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """Rows (B, S) or (R, B, S), one per chain, each times its chain's
-    transitions."""
-    if trans.ndim == 2:
-        return rows @ trans
-    if rows.ndim == 2:
-        return np.matmul(rows[:, None], trans)[:, 0]
-    return np.matmul(rows.swapaxes(0, 1), trans).swapaxes(0, 1)
+def _step(rows: np.ndarray, trans: np.ndarray, runs: tuple) -> np.ndarray:
+    """Rows (..., B, S), one per chain, each times its chain's transitions
+    (G, S, S): one (..., G, n, S) @ (G, S, S) product per run of groups
+    (`_runs`), one in all when every group's last chain has rows. The rows of
+    the chains of length 0 that end a group come out 0."""
+    shape = rows.shape
+    g, s = trans.shape[:2]
+    k = shape[-2] // g
+    view = rows.reshape(shape[:-2] + (g, k, s))
+    if runs == ((0, g, k),):
+        return np.matmul(view, trans).reshape(shape)
+    out = np.zeros(view.shape, np.result_type(rows, trans))
+    for a, b, n in runs:
+        np.matmul(view[..., a:b, :n, :], trans[a:b], out=out[..., a:b, :n, :])
+    return out.reshape(shape)
 
 
 def _row_ends(lengths: np.ndarray) -> dict[int, np.ndarray]:
@@ -130,12 +164,12 @@ def _row_ends(lengths: np.ndarray) -> dict[int, np.ndarray]:
     return {int(r): np.flatnonzero(last == r) for r in np.unique(last)}
 
 
-def _neighbours(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P, 1, S), or (P, B, S) for per-chain transitions, tables of the
-    predecessors of every state, lowest index first, and their log
-    transition probabilities; P is the largest in-degree and shorter lists
-    are padded with -inf entries. Pass the transposed matrices for
-    successors.
+def _neighbours(trans: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, B, S) tables of the predecessors of every state of each of the B
+    chains that the matrices trans (G, S, S) serve, lowest index first, and
+    their log transition probabilities; P is the largest in-degree and
+    shorter lists are padded with -inf entries. Pass the transposed matrices
+    for successors.
 
     Over these tables a recursion costs S * P per row: N**3 on the pair chain,
     where the dense (S, S) matrix has N**4 entries. Their first axis is P, so
@@ -145,13 +179,14 @@ def _neighbours(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     width = max(int(support.sum(axis=-2).max()), 1)
     idx = np.argsort(~support, axis=-2, kind="stable")[..., :width, :]
     log_p = _log(np.take_along_axis(trans, idx, axis=-2))
-    shape = (width, -1, trans.shape[-1])
-    return np.moveaxis(idx, -2, 0).reshape(shape), np.moveaxis(log_p, -2, 0).reshape(shape)
+    k = b // len(trans)
+    return (np.repeat(np.moveaxis(idx, -2, 0), k, axis=1),
+            np.repeat(np.moveaxis(log_p, -2, 0), k, axis=1))
 
 
-def _flat(idx: np.ndarray, b: int) -> np.ndarray:
-    """Neighbour tables as (P, B, S) indices into a flattened (B, S) row."""
-    return idx + idx.shape[-1] * np.arange(b)[:, None]
+def _flat(idx: np.ndarray) -> np.ndarray:
+    """Neighbour tables (P, B, S) as indices into a flattened (B, S) row."""
+    return idx + idx.shape[-1] * np.arange(idx.shape[1])[:, None]
 
 
 def _support(c: _Chains) -> np.ndarray:
@@ -165,7 +200,7 @@ def _support(c: _Chains) -> np.ndarray:
     # repeats until its chain ends
     settled = np.array_equal(finite, np.broadcast_to(within, finite.shape))
     for r in range(1, len(finite)):
-        live[r] = _step(live[r - 1], step) & finite[r]
+        live[r] = _step(live[r - 1], step, c.runs) & finite[r]
         if settled and np.array_equal(live[r], live[r - 1] & within[r]):
             live[r + 1:] = live[r] & within[r + 1:]
             break
@@ -214,7 +249,7 @@ def _scaled_pass(log_init, trans, logb, lengths=None) -> _Pass:
     with np.errstate(invalid="ignore"):
         for r in range(int(end.max())):
             if r:
-                pred = _step(alpha[r - 1], c.trans)
+                pred = _step(alpha[r - 1], c.trans, c.runs)
             row = alpha[r]
             np.multiply(pred, emit[r], out=row)
             row /= np.add.reduce(row, axis=1, out=scale[r])[:, None]
@@ -240,8 +275,8 @@ def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass:
 
 def _log_forward(c: _Chains) -> np.ndarray:
     """Log forward lattice (R, B, S) by log-sum-exp over each state's predecessors."""
-    into, log_into = _neighbours(c.trans)
-    flat = _flat(into, len(c.lengths))
+    into, log_into = _neighbours(c.trans, len(c.lengths))
+    flat = _flat(into)
     la = np.empty(c.logb.shape)
     la[0] = c.log_init + c.logb[0]
     for r in range(1, len(la)):
@@ -257,12 +292,20 @@ def _final(la: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return logsumexp(la[lengths - 1, np.arange(len(lengths))], axis=1)
 
 
+def _scaled_totals(log_scale: np.ndarray) -> np.ndarray:
+    """The running sums (R, B) of each chain's log scales, row by row. (numpy
+    sums the one column of a single chain pairwise, so `sum` would make a
+    chain's likelihood depend on the stack it runs in.)"""
+    return np.cumsum(log_scale, axis=0)
+
+
 def forward(log_init, trans, logb, lengths=None):
     """Log forward lattices (B, R, S) and total log-likelihoods (B,)."""
     single, log_init, logb = _lift(log_init, logb)
     fwd = _scaled_forward(log_init, trans, logb, lengths)
-    la = _log(fwd.alpha) + np.cumsum(fwd.log_scale, axis=0)[..., None]
-    ll = fwd.log_scale.sum(axis=0)
+    totals = _scaled_totals(fwd.log_scale)
+    la = _log(fwd.alpha) + totals[..., None]
+    ll = totals[-1]
     redo = np.flatnonzero(~fwd.ok)
     if redo.size:
         some = fwd.chains.some(redo)
@@ -277,7 +320,7 @@ def loglik(log_init, trans, logb, lengths=None):
     have lost exceeds LOGLIK_UNDERFLOW_TOL of the likelihood (`_underflow`)."""
     single, log_init, logb = _lift(log_init, logb)
     fwd = _scaled_pass(log_init, trans, logb, lengths)
-    ll = fwd.log_scale.sum(axis=0)
+    ll = _scaled_totals(fwd.log_scale)[-1]
     keep = fwd.ok & ((ll == -np.inf) | (_underflow(fwd) <= LOGLIK_UNDERFLOW_TOL))
     redo = np.flatnonzero(~keep)
     if redo.size:
@@ -315,13 +358,14 @@ def _underflow(fwd: _Pass) -> np.ndarray:
     revives) leaves the rows after it with small scale sums, so the bound
     grows with the loss it has to cover.
     """
-    alpha, scale, trans = fwd.alpha, fwd.scale, fwd.chains.trans
+    alpha, scale, c = fwd.alpha, fwd.scale, fwd.chains
     smallest = np.where(alpha > 0, alpha, np.inf).min(axis=2)
     dirty = np.minimum(alpha, alpha * scale[..., None]) < _TINY
     dirty[0] &= fwd.live[0]
-    least_in = np.where(trans > 0, trans, np.inf).min(axis=-2)
+    least_in = np.where(c.trans > 0, c.trans, np.inf).min(axis=-2)
+    least_in = np.repeat(least_in, len(c.lengths) // len(c.trans), axis=0)
     dirty[1:] |= smallest[:-1, :, None] * least_in < _FLOAT_TINY
-    dirty[1:] &= (_step(alpha[:-1] > 0, trans) > 0) & (fwd.chains.logb[1:] > -np.inf)
+    dirty[1:] &= (_step(alpha[:-1] > 0, c.trans, c.runs) > 0) & (c.logb[1:] > -np.inf)
     if not dirty.any():
         return np.zeros(alpha.shape[1])
     err = (alpha.shape[2] + 2) * _FLOAT_TINY / scale[..., None]
@@ -345,8 +389,8 @@ def backward(trans, logb, lengths=None) -> np.ndarray:
 
 def _backward(c: _Chains) -> np.ndarray:
     """Log backward lattice (R, B, S); padding rows are -inf."""
-    succ, log_succ = _neighbours(np.swapaxes(c.trans, -1, -2))
-    flat = _flat(succ, len(c.lengths))
+    succ, log_succ = _neighbours(np.swapaxes(c.trans, -1, -2), len(c.lengths))
+    flat = _flat(succ)
     ends = _row_ends(c.lengths)
     lb = np.zeros(c.logb.shape)
     for r in range(len(lb) - 1, 0, -1):
@@ -369,37 +413,32 @@ def estep(log_init, trans, logb, lengths=None):
     """
     single, log_init, logb = _lift(log_init, logb)
     fwd = _scaled_forward(log_init, trans, logb, lengths)
-    c = fwd.chains
-    gamma = np.empty(c.logb.shape)
-    counts = np.empty(c.logb.shape[1:] + c.logb.shape[2:])
-    ll = fwd.log_scale.sum(axis=0)
-    keep = np.flatnonzero(fwd.ok)
-    if keep.size:
-        _training_ll(ll[keep])
-        gamma[:, keep], counts[keep] = _scaled_estep(fwd, keep)
+    ll = _scaled_totals(fwd.log_scale)[-1]
+    _training_ll(ll[fwd.ok])
+    gamma, counts = _scaled_estep(fwd)
     redo = np.flatnonzero(~fwd.ok)
     if redo.size:
-        gamma[:, redo], counts[redo], ll[redo] = _log_estep(c.some(redo))
+        gamma[:, redo], counts[redo], ll[redo] = _log_estep(fwd.chains.some(redo))
     return _one(single, _by_chain(gamma), counts, ll)
 
 
-def _scaled_estep(fwd: _Pass, idx: np.ndarray):
-    """Posteriors (R, k, S) and transition counts (k, S, S) of the chains idx
-    of a scaled pass."""
-    some = fwd.chains.some(idx)
-    alpha, scale = fwd.alpha[:, idx], fwd.scale[:, idx]
+def _scaled_estep(fwd: _Pass):
+    """Posteriors (R, B, S) and transition counts (B, S, S) of a scaled pass;
+    those of the chains that are not ok are 0."""
+    c, alpha = fwd.chains, fwd.alpha
     live = alpha > 0
     beta = np.ones_like(alpha)
-    weights = fwd.emit[:, idx] / scale[..., None]  # row r becomes emit_r * beta_r / scale_r
-    back = np.ascontiguousarray(np.swapaxes(some.trans, -1, -2))
-    ends = _row_ends(some.lengths)
+    weights = fwd.emit / fwd.scale[..., None]  # row r becomes emit_r * beta_r / scale_r
+    back = np.ascontiguousarray(np.swapaxes(c.trans, -1, -2))
+    ends = _row_ends(c.lengths)
     for r in range(len(alpha) - 1, 0, -1):
         weights[r] *= beta[r]
-        np.multiply(_step(weights[r], back), live[r - 1], out=beta[r - 1])
+        np.multiply(_step(weights[r], back, c.runs), live[r - 1], out=beta[r - 1])
         if r - 1 in ends:
             beta[r - 1, ends[r - 1]] = 1.0
-    counts = some.trans * np.matmul(alpha[:-1].transpose(1, 2, 0), weights[1:].transpose(1, 0, 2))
-    return alpha * beta, counts
+    flow = np.matmul(alpha[:-1].transpose(1, 2, 0), weights[1:].transpose(1, 0, 2))
+    g, s = c.trans.shape[:2]
+    return alpha * beta, (c.trans[:, None] * flow.reshape(g, -1, s, s)).reshape(flow.shape)
 
 
 def _log_estep(c: _Chains):
@@ -408,8 +447,8 @@ def _log_estep(c: _Chains):
     ll = _training_ll(_final(la, c.lengths))
     lb = _backward(c)
     b, s = c.log_init.shape
-    succ, log_succ = _neighbours(np.swapaxes(c.trans, -1, -2))
-    flat = _flat(succ, b)
+    succ, log_succ = _neighbours(np.swapaxes(c.trans, -1, -2), b)
+    flat = _flat(succ)
     acc = np.zeros(flat.shape)
     for r in range(1, len(la)):
         acc += np.exp(la[r - 1] + log_succ + (c.logb[r] + lb[r] - ll[:, None]).take(flat))
@@ -448,7 +487,6 @@ def viterbi(log_init, trans, logb, lengths=None):
     back = np.zeros((rows, b, s), dtype=np.intp)
     for p in range(len(cand[0]) - 1, -1, -1):
         back[1:][cand[1:, p] == top[1:]] = p
-    into = np.broadcast_to(into, cand.shape[1:])
     ends = _row_ends(c.lengths)
     path = np.zeros((rows, b), dtype=np.intp)
     state = np.zeros(b, dtype=np.intp)
@@ -470,15 +508,15 @@ def viterbi_scores(log_init, trans, logb, lengths=None):
 
 
 def _max_product(c: _Chains):
-    """The max-product pass: each chain's best scores (B, S) at its last row,
-    the predecessor tables (P, 1 or B, S), and every row's predecessor
-    scores (R, P, B, S) with their maxima (R, B, S)."""
+    """The max-product pass: each chain's best scores (B, S) at its last row
+    (0 for a chain of length 0), the predecessor tables (P, B, S), and every
+    row's predecessor scores (R, P, B, S) with their maxima (R, B, S)."""
     rows, b, s = c.logb.shape
-    into, log_into = _neighbours(c.trans)
-    flat = _flat(into, b)
+    into, log_into = _neighbours(c.trans, b)
+    flat = _flat(into)
     ends = _row_ends(c.lengths)
     delta = c.log_init + c.logb[0]
-    final = np.empty((b, s))
+    final = np.zeros((b, s))
     cand = np.empty((rows,) + flat.shape)
     top = np.empty(c.logb.shape)
     for r in range(rows):

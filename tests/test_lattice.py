@@ -570,3 +570,175 @@ def test_ragged_estep_matches_each_sequence(order):
         assert np.allclose(gamma[k, :rows[k]], want_gamma, rtol=1e-12, atol=1e-300)
         assert np.all(gamma[k, rows[k]:] == 0)
         assert np.allclose(counts[k], want_counts, rtol=1e-12, atol=1e-300)
+
+
+# The grouped form: G transition matrices (G, S, S) serve G groups of K
+# chains, chain b taking matrix b // K.
+
+@st.composite
+def grouped_stacks(draw):
+    """G groups of K chains of S states with ragged lengths, one transition
+    matrix per group; every transition in {0, 1/2, 1} before normalising."""
+    g, k, s = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    lengths = np.array(draw(st.lists(st.integers(1, 6), min_size=g * k, max_size=g * k)))
+    log_init = _log(_stochastic(draw, (g * k, s)))
+    trans = _stochastic(draw, (g, s, s))
+    logb = np.zeros((g * k, lengths.max(), s))
+    for b, rows in enumerate(lengths):
+        logb[b, :rows] = _chain_table(draw, s, int(rows))
+    return log_init, trans, logb, lengths
+
+
+def _per_chain(stack):
+    """The same stack with each group's matrix repeated for each of its chains."""
+    log_init, trans, logb, lengths = stack
+    return log_init, np.repeat(trans, len(lengths) // len(trans), axis=0), logb, lengths
+
+
+def _agree(got, want, exact):
+    """Bit for bit where exact, elsewhere within 1e-12 relative; zeros and
+    infinities in the same places either way."""
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grouped_stacks())
+def test_grouped_transitions_match_repeated_ones(stack):
+    # the chains the scaled pass holds take the same steps in another layout,
+    # which BLAS may round differently; the others run in the log domain,
+    # with one matrix per chain, and max-product only adds and compares
+    per_chain = _per_chain(stack)
+    log_domain = ~lattice._scaled_forward(*stack).ok
+    paths, scores = lattice.viterbi(*stack)
+    want_paths, want_scores = lattice.viterbi(*per_chain)
+    assert np.array_equal(paths, want_paths) and np.array_equal(scores, want_scores)
+    assert np.array_equal(lattice.viterbi_scores(*stack), want_scores)
+    _agree(lattice.loglik(*stack), lattice.loglik(*per_chain), False)
+    la, ll = lattice.forward(*stack)
+    want_la, want_ll = lattice.forward(*per_chain)
+    for b, exact in enumerate(log_domain):
+        _agree(la[b], want_la[b], exact)
+        _agree(ll[b], want_ll[b], exact)
+    try:
+        want = lattice.estep(*per_chain)
+    except NumericError:
+        with pytest.raises(NumericError):
+            lattice.estep(*stack)
+        return
+    for got, expected in zip(lattice.estep(*stack), want):
+        for b, exact in enumerate(log_domain):
+            _agree(got[b], expected[b], exact)
+
+
+@st.composite
+def padded_groups(draw):
+    """A grouped stack whose groups hold 1-3 chains each, filled up to the
+    largest with chains of length 0, and each group's own stack."""
+    log_init, trans, logb, lengths = draw(grouped_stacks())
+    g, k = len(trans), len(lengths) // len(trans)
+    used = np.array(draw(st.lists(st.integers(1, k), min_size=g, max_size=g)))
+    lengths = np.where(np.arange(k) < used[:, None], lengths.reshape(g, k), 0).ravel()
+    groups = []
+    for i, n in enumerate(used):
+        own = slice(i * k, i * k + n)
+        rows = lengths[own].max()
+        groups.append((log_init[own], trans[i], logb[own, :rows], lengths[own]))
+    return (log_init, trans, logb, lengths), groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_groups())
+def test_padded_groups_match_each_group_alone(case):
+    # the chains of length 0 that fill a group take no part in its products,
+    # so each group's results are those of its stack alone, bit for bit
+    stack, groups = case
+    k = len(stack[3]) // len(stack[1])
+    la, ll = lattice.forward(*stack)
+    paths, scores = lattice.viterbi(*stack)
+    lls = lattice.loglik(*stack)
+    empty = stack[3] == 0
+    assert np.all(ll[empty] == 0) and np.all(lls[empty] == 0) and np.all(scores[empty] == 0)
+    alone = []
+    for i, group in enumerate(groups):
+        own = slice(i * k, i * k + len(group[3]))
+        rows = group[2].shape[1]
+        want_la, want_ll = lattice.forward(*group)
+        assert np.array_equal(la[own, :rows], want_la) and np.array_equal(ll[own], want_ll)
+        want_paths, want_scores = lattice.viterbi(*group)
+        assert np.array_equal(paths[own, :rows], want_paths)
+        assert np.array_equal(scores[own], want_scores)
+        assert np.allclose(lls[own], lattice.loglik(*group), rtol=1e-12, atol=0)
+        try:
+            alone.append((own, rows, lattice.estep(*group)))
+        except NumericError:
+            with pytest.raises(NumericError):
+                lattice.estep(*stack)
+            return
+    gamma, counts, em_ll = lattice.estep(*stack)
+    assert np.all(em_ll[empty] == 0)
+    assert np.all(gamma[empty] == 0) and np.all(counts[empty] == 0)
+    for own, rows, (want_gamma, want_counts, want_ll) in alone:
+        assert np.array_equal(gamma[own, :rows], want_gamma)
+        assert np.all(gamma[own, rows:] == 0)
+        assert np.array_equal(counts[own], want_counts)
+        assert np.array_equal(em_ll[own], want_ll)
+
+
+def test_group_with_a_log_domain_chain_and_chains_of_length_0():
+    # group 0: the chain of test_dropped_state_is_kept_when_its_row_still_has_mass,
+    # which only the log domain holds, and two chains the scaled pass holds;
+    # group 1: one chain, then two chains of length 0
+    left_right = np.array([[.5, .5, 0], [0, .5, .5], [0, 0, 1]])
+    trans = np.stack([left_right, np.full((3, 3), 1 / 3)])
+    log_init = _log(np.array([[1.0, 0, 0], [.5, .5, 0], [.2, .3, .5]] + [[1 / 3] * 3] * 3))
+    rng = np.random.default_rng(4)
+    logb = -rng.uniform(0, 3, size=(6, 6, 3))
+    logb[0] = [[0, 0, -700], [-1000, -1000, 0], [-1000, -1000, 0],
+               [0, 0, -700], [0, 0, -700], [0, 0, -700]]
+    lengths = np.array([6, 4, 5, 6, 0, 0])
+    stack = (log_init, trans, logb, lengths)
+    assert lattice._scaled_forward(*stack).ok.tolist() == [False] + [True] * 5
+    per_chain = _per_chain(stack)
+    gamma, counts, ll = lattice.estep(*stack)
+    want_gamma, want_counts, want_ll = lattice.estep(*per_chain)
+    assert np.array_equal(gamma[0], want_gamma[0]) and np.array_equal(counts[0], want_counts[0])
+    assert ll[0] == want_ll[0]
+    assert ll[0] == pytest.approx(enumerate_chain(*_one_chain(per_chain, 0)), rel=1e-12)
+    assert np.allclose(gamma, want_gamma, rtol=1e-12, atol=0)
+    assert np.allclose(counts, want_counts, rtol=1e-12, atol=0)
+    assert np.allclose(ll, want_ll, rtol=1e-12, atol=0)
+    for b in range(4):
+        single_gamma, single_counts, single_ll = lattice.estep(*_one_chain(per_chain, b))
+        assert ll[b] == pytest.approx(single_ll, rel=1e-12)
+        assert np.allclose(gamma[b, :lengths[b]], single_gamma, rtol=1e-12, atol=1e-300)
+        assert np.allclose(counts[b], single_counts, rtol=1e-12, atol=1e-300)
+    assert ll[4:].tolist() == [0.0, 0.0]
+    assert np.all(gamma[4:] == 0) and np.all(counts[4:] == 0)
+    assert np.array_equal(lattice.loglik(*stack)[4:], [0.0, 0.0])
+    assert np.array_equal(lattice.forward(*stack)[1][4:], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("s", [5, 25])
+def test_padded_groups_match_each_group_alone_at_model_sizes(s):
+    # at S = N = 5 and on the pair chain of N = 5, BLAS rounds a product of
+    # n rows differently for different n, so a group's chains of length 0
+    # must stay out of its products for it to match its stack alone
+    rng = np.random.default_rng(s)
+    used, k = [3, 1, 2, 3], 3
+    trans = rng.dirichlet(np.ones(s), size=(len(used), s))
+    log_init = _log(rng.dirichlet(np.ones(s), size=len(used) * k))
+    logb = rng.normal(-3.0, 2.0, size=(len(used) * k, 60, s))
+    lengths = np.where(np.arange(k) < np.array(used)[:, None],
+                       rng.integers(30, 61, size=(len(used), k)), 0).ravel()
+    gamma, counts, ll = lattice.estep(log_init, trans, logb, lengths)
+    for i, n in enumerate(used):
+        own = slice(i * k, i * k + n)
+        rows = lengths[own].max()
+        want_gamma, want_counts, want_ll = lattice.estep(log_init[own], trans[i],
+                                                         logb[own, :rows], lengths[own])
+        assert np.array_equal(gamma[own, :rows], want_gamma)
+        assert np.array_equal(counts[own], want_counts)
+        assert np.array_equal(ll[own], want_ll)

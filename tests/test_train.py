@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from hmm2tc import lattice
+from hmm2tc.classify import train_bank
 from hmm2tc.config import TrainConfig
 from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
-from hmm2tc.hmm1 import Hmm1Model, baum_welch1
-from hmm2tc.hmm2 import Hmm2Model, baum_welch2, forward2, lift_hmm1, sample_hmm2
+from hmm2tc.hmm1 import Hmm1Model, _train1, baum_welch1
+from hmm2tc.hmm2 import Hmm2Model, _train2, baum_welch2, forward2, lift_hmm1, sample_hmm2
 from hmm2tc.init import init_hmm1, init_hmm2
 from hmm2tc.model_io import dumps_model
 
@@ -178,3 +182,95 @@ class TestBaumWelch2:
         floor = np.maximum(1e-3 * pooled.var(axis=0), 1e-6)
         for mix in model.mixtures:
             assert np.all(mix.variances >= floor - 1e-15)
+
+
+def left_right_pair(order):
+    """A two-state left-right model of the given order with unit-variance
+    states at 0, and that order's bank trainer."""
+    mix = [GaussianMixture([1.0], [[0.0]], [[1.0]]) for _ in range(2)]
+    model = Hmm1Model([1.0, 0.0], [[0.5, 0.5], [0.0, 1.0]], mix, "left-right")
+    return (model, _train1) if order == 1 else (lift_hmm1(model), _train2)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_frame_too_large_to_square_raises_without_a_warning(order):
+    model, _ = left_right_pair(order)
+    train = baum_welch1 if order == 1 else baum_welch2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError):
+            train(model, [np.zeros((5, 1)), np.full((5, 1), 1e200)])
+
+
+def level_sets(rng, counts, dim=2):
+    """One label per count: that many sequences of 15-59 frames that step
+    through three levels 8 apart, offset by the label's index."""
+    sets = {}
+    for i, count in enumerate(counts):
+        seqs = []
+        for t in rng.integers(15, 60, size=count):
+            level = 8.0 * (3 * np.arange(t) // t) + i
+            seqs.append(rng.normal(level[:, None], 1.0, (t, dim)))
+        sets[f"c{i}"] = seqs
+    return sets
+
+
+class TestBankLoop:
+    """`train_bank` trains every label in one EM loop, and each label gets
+    the model and trace that `baum_welch1`/`baum_welch2` give it alone."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("topology", ["ergodic", "left-right"])
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_bank_matches_each_label_alone(self, order, topology, freeze, monkeypatch):
+        # labels of 3, 1, 4 and 2 sequences of different lengths, which stop
+        # at different iterations, and on which some chains run in the log
+        # domain
+        sets = level_sets(np.random.default_rng(12), [3, 1, 4, 2])
+        cfg = TrainConfig(max_iterations=12, tol=1e-3, seed=5, freeze_initials=freeze)
+        log_domain = []
+        log_estep = lattice._log_estep
+        monkeypatch.setattr(lattice, "_log_estep",
+                            lambda c: log_domain.append(len(c.lengths)) or log_estep(c))
+        bank, traces = train_bank(sets, order, 5, 2, topology, cfg)
+        assert log_domain
+        init, train = (init_hmm1, baum_welch1) if order == 1 else (init_hmm2, baum_welch2)
+        for idx, (label, seqs) in enumerate(sets.items()):
+            model, trace = train(init(seqs, 5, 2, topology, cfg.seed + idx), seqs, cfg)
+            assert dumps_model(bank.models[label]) == dumps_model(model)
+            assert traces[label] == trace
+        iterations = [len(trace) for trace in traces.values()]
+        assert len(set(iterations)) > 1 and min(iterations) < cfg.max_iterations
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_non_finite_likelihood_in_one_label_raises(self, order):
+        model, train = left_right_pair(order)
+        good = [np.zeros((5, 1)), np.ones((7, 1))]
+        with pytest.raises(NumericError):
+            train([model] * 3, [good, [good[0], np.full((5, 1), 1e200)], good], None)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_zero_occupancy_one_record_per_label_and_kind(self, order, caplog):
+        # component 2 sits far from every frame and the left-right pair (1, 0)
+        # never occurs, so both stay at zero occupancy in every label
+        mix = [GaussianMixture([0.5, 0.5], [[0.0], [1e3]], [[1.0], [1.0]])] * 2
+        model = Hmm1Model([0.5, 0.5], [[0.5, 0.5], [0.0, 1.0]], mix, "left-right")
+        train = _train1
+        if order == 2:
+            model, train = lift_hmm1(model), _train2
+        rng = np.random.default_rng(13)
+        corpora = [[rng.normal(size=(t, 1)) for t in rng.integers(10, 30, size=count)]
+                   for count in (2, 1, 3)]
+        cfg = TrainConfig(max_iterations=3, tol=1e-12)
+
+        def records(corpora):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="hmm2tc"):
+                train([model] * len(corpora), corpora, cfg)
+            return [(r.name, r.getMessage()) for r in caplog.records
+                    if "zero occupancy" in r.getMessage()]
+
+        alone = [record for corpus in corpora for record in records([corpus])]
+        assert len(alone) == 3 * order
+        assert {name for name, _ in alone} == {f"hmm2tc.hmm{order}"}
+        assert records(corpora) == alone
