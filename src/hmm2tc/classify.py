@@ -12,8 +12,8 @@ from . import lattice
 from .config import TrainConfig, frames_of
 from .errors import DataError, NumericError
 from .gmm import GaussianMixture, log_densities
-from .hmm1 import Hmm1Model, _chain1, _train1
-from .hmm2 import Hmm2Model, _pair_chain, _train2
+from .hmm1 import Hmm1Model, _baum_welch
+from .hmm2 import Hmm2Model
 from .init import init_hmm1, init_hmm2
 
 _SQUARABLE = np.sqrt(np.finfo(np.float64).max)  # the largest x whose x**2 is finite
@@ -36,14 +36,9 @@ class ConditionBank:
             raise DataError("bank labels must be nonempty and unique")
         if set(self.models) != set(self.labels):
             raise DataError("bank labels and models must correspond")
-        orders = {isinstance(m, Hmm2Model) for m in self.models.values()}
-        shapes = {(m.n_states, m.n_components, m.dim) for m in self.models.values()}
-        if len(orders) != 1 or len(shapes) != 1:
+        shapes = {(m.order, m.n_states, m.n_components, m.dim) for m in self.models.values()}
+        if len(shapes) != 1:
             raise DataError("bank models must share order, N, M and D")
-
-    @property
-    def order(self) -> int:
-        return 2 if isinstance(self.models[self.labels[0]], Hmm2Model) else 1
 
     @property
     def dim(self) -> int:
@@ -83,11 +78,11 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
         raise DataError("training sequences have heterogeneous dimensions")
     if order not in (1, 2):
         raise DataError(f"unsupported model order {order}")
-    init, train = (init_hmm1, _train1) if order == 1 else (init_hmm2, _train2)
+    init = init_hmm1 if order == 1 else init_hmm2
     labels, corpora = list(training_sets), list(training_sets.values())
     flat = [init(seqs, n_states, n_comp, topology, cfg.seed + idx)
             for idx, seqs in enumerate(corpora)]
-    trained = train(flat, corpora, cfg)
+    trained = _baum_welch(flat, corpora, cfg)
     models = {label: model for label, (model, _) in zip(labels, trained)}
     traces = {label: trace for label, (_, trace) in zip(labels, trained)}
     return ConditionBank(labels, models, scope or {}), traces
@@ -107,8 +102,8 @@ def _scores(models: list, mat: np.ndarray, scoring: str) -> np.ndarray:
         raise DataError(f"unknown scoring mode {scoring!r}")
     logb = log_densities(GaussianMixture.stack(model.mixtures for model in models), mat)
     logb = logb.reshape(len(mat), len(models), -1).transpose(1, 0, 2)
-    chain = _pair_chain if isinstance(models[0], Hmm2Model) else _chain1
-    log_init, trans, table = (np.stack(part) for part in zip(*map(chain, models, logb)))
+    chains = (model._chain(b) for model, b in zip(models, logb))
+    log_init, trans, table = (np.stack(part) for part in zip(*chains))
     if scoring == "forward":
         return lattice.loglik(log_init, trans, table)
     return lattice.viterbi_scores(log_init, trans, table)

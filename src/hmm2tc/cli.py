@@ -170,13 +170,18 @@ def _load_bank(bank_dir, scope_doc) -> ConditionBank:
 
 
 def _select_scope(doc, speaker, sentence) -> dict:
-    scopes = doc["scopes"]
-    if len(scopes) == 1:
-        return scopes[0]
-    for s in scopes:
-        if s["speaker"] == speaker and s["sentence"] == sentence:
-            return s
-    raise DataError("bank has multiple scopes; pass --speaker and --sentence")
+    """The bank's scope for --speaker and --sentence: a pooled bank's one
+    scope answers for any pair; otherwise each flag given must equal the
+    scope's value, and the flags must leave one scope."""
+    if doc["protocol"] == "pooled":
+        return doc["scopes"][0]
+    scopes = [s for s in doc["scopes"] if speaker in (None, s["speaker"])
+              and sentence in (None, s["sentence"])]
+    if not scopes:
+        raise DataError(f"bank has no scope for speaker {speaker!r}, sentence {sentence!r}")
+    if len(scopes) > 1:
+        raise DataError("bank has multiple scopes; pass --speaker and --sentence")
+    return scopes[0]
 
 
 def cmd_identify(args) -> int:

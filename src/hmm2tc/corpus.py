@@ -133,7 +133,6 @@ class SynthSpec:
     dim: int = 16
     separation: float = 4.0
     seed: int = 0
-    models: dict[str, Hmm2Model] | None = None
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels) or not self.labels:
@@ -216,14 +215,10 @@ def generate_synthetic_corpus(spec: SynthSpec, out_dir
     true_models: dict[str, Hmm2Model] = {}
     lo, hi = spec.frames
     for c, label in enumerate(spec.labels):
-        if spec.models is not None:
-            model = spec.models[label]
-        else:
-            rng = np.random.default_rng([spec.seed, c])
-            base = np.zeros(spec.dim)
-            base[0] = spec.separation * c
-            model = random_hmm2(spec.n_states, spec.n_components, spec.dim, rng,
-                                base_mean=base)
+        rng = np.random.default_rng([spec.seed, c])
+        base = np.zeros(spec.dim)
+        base[0] = spec.separation * c
+        model = random_hmm2(spec.n_states, spec.n_components, spec.dim, rng, base_mean=base)
         true_models[label] = model
         save_model(model, os.path.join(model_dir, f"{label}.model.json"))
         for token in range(1, spec.tokens_per_condition + 1):

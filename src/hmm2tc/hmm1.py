@@ -2,10 +2,12 @@
 code both model orders share.
 
 Forward, backward, Viterbi and the EM E-step run on the shared lattice engine
-(`hmm2tc.lattice`) with S = N states. `_baum_welch` is the one EM loop of both
-orders, for a bank of models at once (one model is a bank of one): `hmm2tc.hmm2`
-runs it on its pair chain with its own transition M-step. `_sample_frames`
-draws the frames for both orders' samplers.
+(`hmm2tc.lattice`) with S = N states. `_StateMixtures` is the base of both
+model classes: their emission stack and their one constructor check. Each
+class carries its order, `order`, and the three hooks through which
+`_baum_welch`, the one EM loop of both orders, trains a bank of its models at
+once (one model is a bank of one): `_chain`, `_occupancy` and `_reestimate`.
+`_sample_frames` draws the frames for both orders' samplers.
 """
 
 from __future__ import annotations
@@ -21,17 +23,58 @@ from .errors import DataError
 from .gmm import GaussianMixture, _stochastic, component_log_densities, log_densities
 from .lattice import _log, logsumexp
 
-log = logging.getLogger(__name__)
-
 TOPOLOGIES = ("ergodic", "left-right")
 
 
 class _StateMixtures:
-    """The emission half of both model orders: one stack of N Gaussian
-    mixtures, one per state (`GaussianMixture`). The constructors also take
-    a list of the per-state mixtures and stack it."""
+    """What both model orders share: one stack of N Gaussian mixtures, one per
+    state (`GaussianMixture`), and the constructor check. The constructors
+    also take a list of the per-state mixtures and stack it.
 
+    Each class names its initial vector and transition arrays in `_ARRAYS`.
+    The check makes them float arrays and requires shapes (N,), (N, N) and,
+    for the second order's a3, (N, N, N); probability rows; a known
+    topology; and, for a left-right model, no backward transition (k < j in
+    the last two axes of each transition array). Each class also carries
+    its `order` and the EM loop's hooks: `_chain(logb)`, the lattice
+    engine's (log initial rows, transitions, emission tables) for a (T, N)
+    emission table or a stack (B, T, N) of them, one row per frame from frame
+    `order - 1` on; `_occupancy(gamma)`, the map from those chains' (B, R, S)
+    posteriors to (B, T, N) state occupancies; and the transition M-step
+    `_reestimate(start, first, counts, mixtures, freeze, zero)`, which gets
+    the first-frame state occupancies, the chains' first-row posteriors and
+    their transition counts, each summed over a corpus, and returns the new
+    model.
+    """
+
+    _ARRAYS: tuple[str, ...]
     mixtures: GaussianMixture
+    topology: str
+
+    def __post_init__(self):
+        for name in self._ARRAYS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        if not isinstance(self.mixtures, GaussianMixture):
+            self.mixtures = GaussianMixture.stack(self.mixtures)
+        arrays = [getattr(self, name) for name in self._ARRAYS]
+        n = arrays[0].size
+        if (any(x.shape != (n,) * (rank + 1) for rank, x in enumerate(arrays))
+                or self.mixtures.weights.shape[:-1] != (n,)):
+            raise DataError(f"inconsistent state counts across {', '.join(self._ARRAYS)}, "
+                            "mixtures")
+        for name, x in zip(self._ARRAYS, arrays):
+            if not _stochastic(x):
+                raise DataError(f"every row of {name} must be a probability vector")
+        if self.topology not in TOPOLOGIES:
+            raise DataError(f"unknown topology {self.topology!r}")
+        for name, x in zip(self._ARRAYS[1:], arrays[1:]):
+            # on a3, tril takes the last two axes: a3[i, j, k] with k < j
+            if self.topology == "left-right" and np.any(np.tril(x, -1) != 0):
+                raise DataError(f"left-right topology forbids backward {name} transitions")
+
+    @property
+    def n_states(self) -> int:
+        return getattr(self, self._ARRAYS[0]).size
 
     @property
     def n_components(self) -> int:
@@ -53,44 +96,30 @@ class Hmm1Model(_StateMixtures):
     mixtures: GaussianMixture       # a stack of N
     topology: str = "ergodic"
 
-    def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64)
-        if not isinstance(self.mixtures, GaussianMixture):
-            self.mixtures = GaussianMixture.stack(self.mixtures)
-        n = self.pi.size
-        if self.a.shape != (n, n) or self.mixtures.weights.shape[:-1] != (n,):
-            raise DataError("inconsistent state counts across pi, a, mixtures")
-        if not _stochastic(self.pi):
-            raise DataError("pi must be a probability vector")
-        if not _stochastic(self.a):
-            raise DataError("every transition row must be a probability vector")
-        if self.topology not in TOPOLOGIES:
-            raise DataError(f"unknown topology {self.topology!r}")
-        if self.topology == "left-right" and np.any(np.tril(self.a, -1) != 0):
-            raise DataError("left-right topology requires an upper-triangular transition matrix")
+    order = 1
+    _ARRAYS = ("pi", "a")
 
-    @property
-    def n_states(self) -> int:
-        return self.pi.size
+    def _chain(self, logb: np.ndarray):
+        """Its own states, one lattice row per frame."""
+        return np.broadcast_to(_log(self.pi), logb.shape[:-2] + self.pi.shape), self.a, logb
 
+    def _occupancy(self, gamma: np.ndarray) -> np.ndarray:
+        return gamma
 
-def _chain1(model: Hmm1Model, logb: np.ndarray):
-    """The lattice engine's (log initial rows, transition matrix, emission
-    tables) for a first-order model, given one (T, N) emission table or a
-    stack (B, T, N) of them: its own states, one row per frame."""
-    return np.broadcast_to(_log(model.pi), logb.shape[:-2] + model.pi.shape), model.a, logb
+    def _reestimate(self, start, first, counts, mixtures, freeze, zero) -> "Hmm1Model":
+        pi = self.pi if freeze else start / start.sum()
+        return Hmm1Model(pi, _normalise_rows(counts, self.a)[0], mixtures, self.topology)
 
 
 def forward1(model: Hmm1Model, obs) -> tuple[np.ndarray, float]:
     """Log forward lattice (T, N) and total log-likelihood."""
-    return lattice.forward(*_chain1(model, model.emission_log_probs(obs)))
+    return lattice.forward(*model._chain(model.emission_log_probs(obs)))
 
 
 def viterbi1(model: Hmm1Model, obs) -> tuple[np.ndarray, float]:
     """Most likely state path and its log score; ties break toward the
     lowest state index, from the last frame back (`lattice.viterbi`)."""
-    return lattice.viterbi(*_chain1(model, model.emission_log_probs(obs)))
+    return lattice.viterbi(*model._chain(model.emission_log_probs(obs)))
 
 
 def backward1(model: Hmm1Model, obs) -> np.ndarray:
@@ -197,13 +226,14 @@ class _Member:
     """One model of a bank in the EM loop: its training frames, their
     sequence lengths, its variance floor, zero-occupancy tally and trace."""
 
-    def __init__(self, model, corpus, order: int, logger: logging.Logger):
+    def __init__(self, model, corpus, logger: logging.Logger):
         if not corpus:
             raise DataError("training corpus is empty")
         mats = [frames_of(o) for o in corpus]
         for mat in mats:
-            if mat.shape[0] <= order:
-                raise DataError(f"baum_welch{order} requires sequences with T >= {order + 1}")
+            if mat.shape[0] <= model.order:
+                raise DataError(f"baum_welch{model.order} requires sequences with "
+                                f"T >= {model.order + 1}")
             if mat.shape[1] != model.dim:
                 raise DataError("observation dim does not match the model")
         self.model = model
@@ -218,11 +248,10 @@ class _Member:
         return len(trace) >= 2 and trace[-1] - trace[-2] < tol * abs(trace[-2])
 
 
-def _baum_welch(models, corpora, cfg: TrainConfig | None, order: int, chain, occupancy,
-                reestimate, logger: logging.Logger) -> list[tuple]:
-    """The EM loop of a bank of same-order models, each with its own corpus;
-    returns each model's (model, log-likelihood trace). One model is a bank
-    of one.
+def _baum_welch(models, corpora, cfg: TrainConfig | None = None) -> list[tuple]:
+    """The EM loop of a bank of models of one class, each with its own
+    corpus; returns each model's (model, log-likelihood trace). One model is
+    a bank of one.
 
     Each iteration scores each training model's corpus in one emission call
     and runs one `lattice.estep` over the sequences of every model still
@@ -233,26 +262,21 @@ def _baum_welch(models, corpora, cfg: TrainConfig | None, order: int, chain, occ
     log-likelihood gain falls below `cfg.tol` leaves the stack, and the rest
     go on; each model's results are those it gets trained alone.
 
-    Each order supplies three things: `chain(model, logb)`, the lattice
-    engine's chains for a (K, T, N) stack of emission tables, one row per
-    frame from frame `order - 1` on; `occupancy(gamma, n)`, the map from their
-    (K, R, S) posteriors to (K, T, N) state occupancies; and its transition
-    M-step, `reestimate(model, start, first, counts, mixtures, freeze, zero)`,
-    which gets the first-frame state occupancies, the chains' first-row
-    posteriors and their transition counts, each summed over the model's
-    corpus, and returns the new model. Zero-occupancy summaries go to
-    `logger`, one per model and kind of parameter. Raises NumericError when a
-    sequence has a non-finite log-likelihood.
+    The model class supplies the chains, the state occupancies and the
+    transition M-step (`_StateMixtures`). Zero-occupancy summaries go to the
+    logger of the class's module, one per model and kind of parameter.
+    Raises NumericError when a sequence has a non-finite log-likelihood.
     """
     cfg = cfg or TrainConfig()
-    bank = [_Member(model, corpus, order, logger) for model, corpus in zip(models, corpora)]
+    logger = logging.getLogger(type(models[0]).__module__)
+    bank = [_Member(model, corpus, logger) for model, corpus in zip(models, corpora)]
     k = max(len(member.lengths) for member in bank)
     t_max = max(member.lengths.max() for member in bank)
     within = np.zeros((len(bank), k, t_max), dtype=bool)  # the frames of each sequence
     rows = np.zeros((len(bank), k), dtype=np.intp)          # lattice rows, 0 for padding
     for g, member in enumerate(bank):
         within[g, :len(member.lengths)] = np.arange(t_max) < member.lengths[:, None]
-        rows[g, :len(member.lengths)] = member.lengths - (order - 1)
+        rows[g, :len(member.lengths)] = member.lengths - (member.model.order - 1)
     table = np.zeros(within.shape + (models[0].n_states,))
     active = list(range(len(bank)))
     for _ in range(cfg.max_iterations):
@@ -262,19 +286,19 @@ def _baum_welch(models, corpora, cfg: TrainConfig | None, order: int, chain, occ
             logb = logsumexp(comp, axis=2)
             table[g][within[g]] = logb
             scored.append((comp, logb))
-        log_init, trans, tables = zip(*(chain(bank[g].model, table[g]) for g in active))
+        log_init, trans, tables = zip(*(bank[g].model._chain(table[g]) for g in active))
         gamma, xi, ll = lattice.estep(np.concatenate(log_init), np.stack(trans),
                                       np.concatenate(tables), rows[active].ravel())
         for i, (g, (comp, logb)) in enumerate(zip(active, scored)):
             member = bank[g]
             own = slice(i * k, i * k + len(member.lengths))
-            occ = occupancy(gamma[own], member.model.n_states)
+            occ = member.model._occupancy(gamma[own])
             member.trace.append(float(ll[own].sum()))
             mixtures, empty = _update_mixtures(member.model.mixtures, occ[within[g, :len(occ)]],
                                                member.frames, comp, logb, member.floor)
-            member.model = reestimate(member.model, occ[:, 0].sum(axis=0),
-                                      gamma[own, 0].sum(axis=0), xi[own].sum(axis=0), mixtures,
-                                      cfg.freeze_initials, member.zero)
+            member.model = member.model._reestimate(
+                occ[:, 0].sum(axis=0), gamma[own, 0].sum(axis=0), xi[own].sum(axis=0), mixtures,
+                cfg.freeze_initials, member.zero)
             member.zero.add("mixture components", empty)
         active = [g for g in active if not bank[g].converged(cfg.tol)]
         if not active:
@@ -284,21 +308,10 @@ def _baum_welch(models, corpora, cfg: TrainConfig | None, order: int, chain, occ
     return [(member.model, member.trace) for member in bank]
 
 
-def _reestimate1(model, start, first, counts, mixtures, freeze, zero) -> Hmm1Model:
-    pi = model.pi if freeze else start / start.sum()
-    return Hmm1Model(pi, _normalise_rows(counts, model.a)[0], mixtures, model.topology)
-
-
-def _train1(models, corpora, cfg: TrainConfig | None) -> list[tuple[Hmm1Model, list[float]]]:
-    """`_baum_welch` for a bank of first-order models."""
-    return _baum_welch(models, corpora, cfg, 1, _chain1, lambda gamma, n: gamma,
-                       _reestimate1, log)
-
-
 def baum_welch1(model: Hmm1Model, corpus, cfg: TrainConfig | None = None
                 ) -> tuple[Hmm1Model, list[float]]:
     """EM training over multiple sequences; returns (model, log-likelihood trace).
 
     Raises NumericError when a sequence has a non-finite log-likelihood.
     """
-    return _train1([model], [corpus], cfg)[0]
+    return _baum_welch([model], [corpus], cfg)[0]

@@ -6,12 +6,13 @@ over the N*N pairs, P[(i, j), (j, k)] = a3[i, j, k], on the shared lattice
 engine (`hmm2tc.lattice`): the forward pass and the EM E-step in the
 probability domain with per-row scaling (log domain for sequences that one
 scale per row cannot hold), backward and Viterbi in the log domain. Impossible events carry
--inf in every log-domain result.
+-inf in every log-domain result. `Hmm2Model` gives the shared EM loop
+(`hmm2tc.hmm1._baum_welch`) its pair chain, the map from pair posteriors to
+state occupancies, and its psi, a2 and a3 M-step.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +20,10 @@ import numpy as np
 from . import lattice
 from .config import TrainConfig
 from .errors import DataError
-from .gmm import GaussianMixture, _stochastic
-from .hmm1 import (Hmm1Model, TOPOLOGIES, _StateMixtures, _baum_welch, _cdf, _normalise_rows,
-                   _sample_frames)
+from .gmm import GaussianMixture
+from .hmm1 import Hmm1Model, _StateMixtures, _baum_welch, _cdf, _normalise_rows, _sample_frames
 from .lattice import _log
 from .lattice import logsumexp  # noqa: F401  (perfbench/spans.py counts its calls here)
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -36,34 +34,40 @@ class Hmm2Model(_StateMixtures):
     mixtures: GaussianMixture        # a stack of N
     topology: str = "ergodic"
 
-    def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=np.float64)
-        self.a2 = np.asarray(self.a2, dtype=np.float64)
-        self.a3 = np.asarray(self.a3, dtype=np.float64)
-        if not isinstance(self.mixtures, GaussianMixture):
-            self.mixtures = GaussianMixture.stack(self.mixtures)
-        n = self.psi.size
-        if (self.a2.shape != (n, n) or self.a3.shape != (n, n, n)
-                or self.mixtures.weights.shape[:-1] != (n,)):
-            raise DataError("inconsistent state counts across psi, a2, a3, mixtures")
-        if not _stochastic(self.psi):
-            raise DataError("psi must be a probability vector")
-        if not _stochastic(self.a2):
-            raise DataError("every a2 row must be a probability vector")
-        if not _stochastic(self.a3):
-            raise DataError("every a3 (i, j) row must be a probability vector")
-        if self.topology not in TOPOLOGIES:
-            raise DataError(f"unknown topology {self.topology!r}")
-        if self.topology == "left-right":
-            if np.any(np.tril(self.a2, -1) != 0):
-                raise DataError("left-right topology requires upper-triangular a2")
-            for j in range(n):
-                if np.any(self.a3[:, j, :j] != 0):
-                    raise DataError("left-right topology forbids backward a3 transitions")
+    order = 2
+    _ARRAYS = ("psi", "a2", "a3")
 
-    @property
-    def n_states(self) -> int:
-        return self.psi.size
+    def _chain(self, logb: np.ndarray):
+        """The chain over pairs (j, k), indexed j * N + k. Row r of the pair
+        lattice covers frames (r, r + 1): the initial row holds psi, a2 and
+        the first frame's emission, and pair (j, k) emits frame r + 1 from
+        state k."""
+        if logb.shape[-2] < 2:
+            raise DataError("second-order recursions require T >= 2")
+        n = self.n_states
+        log_init = (_log(self.psi) + logb[..., 0, :])[..., :, None] + _log(self.a2)
+        trans = np.zeros((n, n, n, n))
+        same = np.arange(n)
+        trans[:, same, same, :] = self.a3
+        return (log_init.reshape(logb.shape[:-2] + (n * n,)), trans.reshape(n * n, n * n),
+                np.tile(logb[..., 1:, :], n))
+
+    def _occupancy(self, gamma: np.ndarray) -> np.ndarray:
+        """(B, T, N) state occupancies from (B, T-1, N*N) pair posteriors."""
+        n = self.n_states
+        gamma = gamma.reshape(gamma.shape[:2] + (n, n))
+        return np.concatenate([gamma[:, :1].sum(axis=3), gamma.sum(axis=2)], axis=1)
+
+    def _reestimate(self, start, first, counts, mixtures, freeze, zero) -> "Hmm2Model":
+        n = self.n_states
+        psi, a2 = self.psi, self.a2
+        if not freeze:
+            psi = start / start.sum()
+            a2 = _normalise_rows(first.reshape(n, n), self.a2)[0]
+        same = np.arange(n)
+        a3, kept = _normalise_rows(counts.reshape(n, n, n, n)[:, same, same, :], self.a3)
+        zero.add("(i, j) pairs", kept)
+        return Hmm2Model(psi, a2, a3, mixtures, self.topology)
 
 
 @dataclass
@@ -102,36 +106,16 @@ def path_log_prob2(model: Hmm2Model, states, obs=None) -> float:
     return float(total)
 
 
-def _pair_chain(model: Hmm2Model, logb: np.ndarray):
-    """The lattice engine's (log initial rows, transition matrix, emission
-    tables) for the chain over pairs (j, k), indexed j * N + k, given one
-    (T, N) emission table or a stack (B, T, N) of them.
-
-    Row r of the pair lattice covers frames (r, r + 1): the initial row holds
-    psi, a2 and the first frame's emission, and pair (j, k) emits frame r + 1
-    from state k.
-    """
-    if logb.shape[-2] < 2:
-        raise DataError("second-order recursions require T >= 2")
-    n = model.n_states
-    log_init = (_log(model.psi) + logb[..., 0, :])[..., :, None] + _log(model.a2)
-    trans = np.zeros((n, n, n, n))
-    same = np.arange(n)
-    trans[:, same, same, :] = model.a3
-    return (log_init.reshape(logb.shape[:-2] + (n * n,)), trans.reshape(n * n, n * n),
-            np.tile(logb[..., 1:, :], n))
-
-
 def forward2(model: Hmm2Model, obs) -> tuple[Trellis2, float]:
     """Extended forward lattice alpha_t(j, k) and total log-likelihood."""
-    la, ll = lattice.forward(*_pair_chain(model, model.emission_log_probs(obs)))
+    la, ll = lattice.forward(*model._chain(model.emission_log_probs(obs)))
     n = model.n_states
     return Trellis2(la.reshape(-1, n, n)), ll
 
 
 def backward2(model: Hmm2Model, obs) -> Trellis2:
     """Extended backward lattice beta_t(i, j); beta_T is identically 1."""
-    _, trans, pair_logb = _pair_chain(model, model.emission_log_probs(obs))
+    _, trans, pair_logb = model._chain(model.emission_log_probs(obs))
     n = model.n_states
     return Trellis2(lattice.backward(trans, pair_logb).reshape(-1, n, n))
 
@@ -139,7 +123,7 @@ def backward2(model: Hmm2Model, obs) -> Trellis2:
 def viterbi2(model: Hmm2Model, obs) -> tuple[np.ndarray, float]:
     """Most likely state path and its log score; ties break toward the
     lowest pair index j * N + k, from the last frame back (`lattice.viterbi`)."""
-    pairs, score = lattice.viterbi(*_pair_chain(model, model.emission_log_probs(obs)))
+    pairs, score = lattice.viterbi(*model._chain(model.emission_log_probs(obs)))
     n = model.n_states
     return np.concatenate(([pairs[0] // n], pairs % n)), score
 
@@ -160,29 +144,6 @@ def sample_hmm2(model: Hmm2Model, t_len: int, seed: int) -> tuple[np.ndarray, np
     return states, _sample_frames(model.mixtures, states, rng)
 
 
-def _pair_occupancy(gamma: np.ndarray, n: int) -> np.ndarray:
-    """(B, T, N) state occupancies from (B, T-1, N*N) pair posteriors."""
-    gamma = gamma.reshape(gamma.shape[:2] + (n, n))
-    return np.concatenate([gamma[:, :1].sum(axis=3), gamma.sum(axis=2)], axis=1)
-
-
-def _reestimate2(model, start, first, counts, mixtures, freeze, zero) -> Hmm2Model:
-    n = model.n_states
-    psi, a2 = model.psi, model.a2
-    if not freeze:
-        psi = start / start.sum()
-        a2 = _normalise_rows(first.reshape(n, n), model.a2)[0]
-    same = np.arange(n)
-    a3, kept = _normalise_rows(counts.reshape(n, n, n, n)[:, same, same, :], model.a3)
-    zero.add("(i, j) pairs", kept)
-    return Hmm2Model(psi, a2, a3, mixtures, model.topology)
-
-
-def _train2(models, corpora, cfg: TrainConfig | None) -> list[tuple[Hmm2Model, list[float]]]:
-    """`_baum_welch` for a bank of second-order models."""
-    return _baum_welch(models, corpora, cfg, 2, _pair_chain, _pair_occupancy, _reestimate2, log)
-
-
 def baum_welch2(model: Hmm2Model, corpus, cfg: TrainConfig | None = None
                 ) -> tuple[Hmm2Model, list[float]]:
     """EM training of the second-order model over multiple sequences.
@@ -192,4 +153,4 @@ def baum_welch2(model: Hmm2Model, corpus, cfg: TrainConfig | None = None
     and the per-frame state occupancies for the GMM M-step. Raises
     NumericError when a sequence has a non-finite log-likelihood.
     """
-    return _train2([model], [corpus], cfg)[0]
+    return _baum_welch([model], [corpus], cfg)[0]

@@ -393,6 +393,7 @@ def _backward(c: _Chains) -> np.ndarray:
     flat = _flat(succ)
     ends = _row_ends(c.lengths)
     lb = np.zeros(c.logb.shape)
+    lb[-1:, c.lengths < len(lb)] = -np.inf
     for r in range(len(lb) - 1, 0, -1):
         np.logaddexp.reduce(log_succ + (c.logb[r] + lb[r]).take(flat), axis=0, out=lb[r - 1])
         if r - 1 in ends:

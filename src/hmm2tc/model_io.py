@@ -13,13 +13,16 @@ from .hmm2 import Hmm2Model
 
 MODEL_FORMAT_VERSION = 1
 _PARTS = ("weights", "means", "variances")   # the fields of each state in "mixtures"
+# the initial vector and transition arrays of either order: pi and a are
+# stored as psi and a2
+_ARRAYS = ("psi", "a2", "a3")
+_CLASSES = {cls.order: cls for cls in (Hmm1Model, Hmm2Model)}
 
 
 def model_to_dict(model: Hmm1Model | Hmm2Model, metadata: dict | None = None) -> dict:
-    order = 2 if isinstance(model, Hmm2Model) else 1
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "order": order,
+        "order": model.order,
         "N": model.n_states,
         "M": model.n_components,
         "D": model.dim,
@@ -27,13 +30,7 @@ def model_to_dict(model: Hmm1Model | Hmm2Model, metadata: dict | None = None) ->
         "mixtures": [dict(zip(_PARTS, state)) for state in
                      zip(*(getattr(model.mixtures, part).tolist() for part in _PARTS))],
     }
-    if order == 2:
-        doc["psi"] = model.psi.tolist()
-        doc["a2"] = model.a2.tolist()
-        doc["a3"] = model.a3.tolist()
-    else:
-        doc["psi"] = model.pi.tolist()
-        doc["a2"] = model.a.tolist()
+    doc.update((key, getattr(model, name).tolist()) for key, name in zip(_ARRAYS, model._ARRAYS))
     if metadata:
         doc["metadata"] = metadata
     return doc
@@ -46,14 +43,11 @@ def model_from_dict(doc: dict) -> Hmm1Model | Hmm2Model:
             raise FormatError(f"unsupported model format version {version}")
         mixtures = GaussianMixture(*(np.array([m[part] for m in doc["mixtures"]])
                                      for part in _PARTS))
-        topology = doc["topology"]
-        if doc["order"] == 2:
-            return Hmm2Model(np.array(doc["psi"]), np.array(doc["a2"]),
-                             np.array(doc["a3"]), mixtures, topology)
-        if doc["order"] == 1:
-            return Hmm1Model(np.array(doc["psi"]), np.array(doc["a2"]),
-                             mixtures, topology)
-        raise FormatError(f"unsupported model order {doc['order']}")
+        cls = _CLASSES.get(doc["order"])
+        if cls is None:
+            raise FormatError(f"unsupported model order {doc['order']}")
+        arrays = (np.array(doc[key]) for key in _ARRAYS[:cls.order + 1])
+        return cls(*arrays, mixtures, doc["topology"])
     except KeyError as exc:
         raise FormatError(f"model document missing field {exc}") from exc
     except (ValueError, TypeError) as exc:

@@ -679,3 +679,72 @@ class TestTrainCompareSynthFuzz:
         (tmp_path / "spec.json").write_text(content)
         self._exits_cleanly(capsys, ["synth", "--spec", str(tmp_path / "spec.json"),
                                      "--out", str(tmp_path / "c")])
+
+
+class TestIdentifyScope:
+    """identify's --speaker/--sentence against per-scope and pooled banks."""
+
+    FEATURES = os.path.join("features", "a_006.lpcc")
+
+    def _bank(self, capsys, corpus, out, *extra, manifest="manifest.tsv"):
+        code, _, err = run(capsys, "train", "--manifest", str(corpus / manifest),
+                           "--out", str(out), "--order", "1", "--states", "2",
+                           "--mixtures", "1", "--topology", "ergodic", "--max-iter", "2",
+                           *extra)
+        assert code == 0, err
+        return out
+
+    def _identify(self, capsys, corpus, bank, *flags):
+        return run(capsys, "identify", "--bank", str(bank),
+                   "--features", str(corpus / self.FEATURES), *flags)
+
+    @pytest.mark.parametrize("flags", [(), ("--speaker", "syn"), ("--sentence", "s1"),
+                                       ("--speaker", "syn", "--sentence", "s1")])
+    def test_one_scope_answers_for_its_own_pair(self, synth_corpus, tmp_path, capsys, flags):
+        bank = self._bank(capsys, synth_corpus, tmp_path / "bank")
+        code, out, err = self._identify(capsys, synth_corpus, bank, *flags)
+        assert code == 0, err
+        assert out.splitlines()[0] == "a"
+
+    @pytest.mark.parametrize("flags", [("--speaker", "nobody", "--sentence", "nothing"),
+                                       ("--speaker", "nobody"), ("--sentence", "nothing"),
+                                       ("--speaker", "syn", "--sentence", "nothing")])
+    def test_one_scope_rejects_another_pair(self, synth_corpus, tmp_path, capsys, flags):
+        bank = self._bank(capsys, synth_corpus, tmp_path / "bank")
+        code, out, err = self._identify(capsys, synth_corpus, bank, *flags)
+        assert code == 3 and out == ""
+        assert all(value in err for value in flags[1::2])
+
+    def test_pooled_bank_answers_for_any_pair(self, synth_corpus, tmp_path, capsys):
+        bank = self._bank(capsys, synth_corpus, tmp_path / "bank", "--pooled")
+        code, out, err = self._identify(capsys, synth_corpus, bank,
+                                        "--speaker", "nobody", "--sentence", "nothing")
+        assert code == 0, err
+        assert out.splitlines()[0] == "a"
+
+    @pytest.fixture
+    def two_scopes(self, synth_corpus, tmp_path, capsys):
+        """A bank of two scopes, (syn, s1) and (other, s1), on the same features."""
+        lines = (synth_corpus / "manifest.tsv").read_text().splitlines()
+        twin = [line.replace("syn\t", "other\t", 1) for line in lines[1:]]
+        (synth_corpus / "two.tsv").write_text("\n".join(lines + twin) + "\n")
+        return self._bank(capsys, synth_corpus, tmp_path / "bank2", manifest="two.tsv")
+
+    @pytest.mark.parametrize("speaker", ["syn", "other"])
+    def test_two_scopes_answer_for_each_pair(self, synth_corpus, two_scopes, capsys, speaker):
+        code, out, err = self._identify(capsys, synth_corpus, two_scopes,
+                                        "--speaker", speaker, "--sentence", "s1")
+        assert code == 0, err
+        assert out.splitlines()[0] == "a"
+
+    def test_two_scopes_name_the_pair_that_matches_none(self, synth_corpus, two_scopes,
+                                                        capsys):
+        code, out, err = self._identify(capsys, synth_corpus, two_scopes,
+                                        "--speaker", "nobody", "--sentence", "s1")
+        assert code == 3 and out == ""
+        assert "nobody" in err and "pass --speaker" not in err
+
+    def test_two_scopes_need_the_pair(self, synth_corpus, two_scopes, capsys):
+        code, out, err = self._identify(capsys, synth_corpus, two_scopes)
+        assert code == 3 and out == ""
+        assert "--speaker" in err

@@ -6,7 +6,7 @@ from scipy.special import logsumexp
 
 from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
-from hmm2tc.hmm1 import forward1, sample_hmm1, viterbi1
+from hmm2tc.hmm1 import Hmm1Model, forward1, sample_hmm1, viterbi1
 from hmm2tc.hmm2 import (Hmm2Model, backward2, forward2, lift_hmm1,
                          path_log_prob2, sample_hmm2, viterbi2)
 
@@ -302,3 +302,75 @@ def test_samplers_match_a_frame_by_frame_reference(seed):
         want_states, want_frames = reference_sample(model, 50, seed)
         assert np.array_equal(states, want_states)
         assert np.array_equal(frames, want_frames)
+
+
+LR_A = np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+ONE_STATE_MIXTURE = (np.ones(1), np.zeros((1, 1)), np.ones((1, 1)))
+
+
+def three_state_model(order, topology="left-right", part=None, index=None, value=None):
+    """A valid three-state left-right model of either order, with one part
+    ("initial", "transitions", "a3", "mixtures" or "topology") replaced
+    (index None) or one entry of it set."""
+    parts = {"initial": np.array([0.5, 0.25, 0.25]), "transitions": LR_A.copy(),
+             "a3": np.broadcast_to(LR_A, (3, 3, 3)).copy(),
+             "mixtures": GaussianMixture(*(np.stack([x] * 3) for x in ONE_STATE_MIXTURE)),
+             "topology": topology}
+    if index is None and part is not None:
+        parts[part] = value
+    elif part is not None:
+        parts[part][index] = value
+    arrays = [parts["initial"], parts["transitions"]] + [parts["a3"]] * (order == 2)
+    return (Hmm1Model if order == 1 else Hmm2Model)(*arrays, parts["mixtures"], parts["topology"])
+
+
+# (part, index, value): one change that the constructors of both orders
+# reject; "a3" applies to the second order only
+REJECTED = {
+    "initial shape": ("initial", None, np.full(4, 0.25)),
+    "transitions shape": ("transitions", None, np.full((3, 2), 0.5)),
+    "a3 shape": ("a3", None, np.full((3, 3, 2), 0.5)),
+    "mixture count": ("mixtures", None,
+                      GaussianMixture(*(np.stack([x] * 2) for x in ONE_STATE_MIXTURE))),
+    "initial NaN": ("initial", 0, np.nan),
+    "transitions NaN": ("transitions", (1, 1), np.nan),
+    "a3 NaN": ("a3", (0, 1, 1), np.nan),
+    "initial not stochastic": ("initial", 0, 0.9),
+    "transitions row not stochastic": ("transitions", (2, 2), 0.9),
+    "a3 row not stochastic": ("a3", (2, 1, 2), 0.9),
+    "unknown topology": ("topology", None, "circular"),
+    "left-right backward transition": ("transitions", 1, [0.5, 0.0, 0.5]),
+    "left-right backward a3 transition (k < j)": ("a3", (0, 2), [0.5, 0.0, 0.5]),
+}
+BACKWARD = [name for name in REJECTED if name.startswith("left-right")]
+
+
+def _by_order(names):
+    return [pytest.param(order, name, id=f"order{order}-{name}") for order in (1, 2)
+            for name in names if order == 2 or REJECTED[name][0] != "a3"]
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize("order, name", _by_order(REJECTED))
+    def test_rejected(self, order, name):
+        with pytest.raises(DataError):
+            three_state_model(order, "left-right", *REJECTED[name])
+
+    @pytest.mark.parametrize("order, name", _by_order(BACKWARD))
+    def test_backward_transitions_load_when_ergodic(self, order, name):
+        assert three_state_model(order, "ergodic", *REJECTED[name]).topology == "ergodic"
+
+    @pytest.mark.parametrize("order", (1, 2))
+    def test_valid_left_right_model_loads(self, order):
+        model = three_state_model(order)
+        assert (model.n_states, model.topology) == (3, "left-right")
+
+    def test_left_right_a3_with_forward_entries_only_loads(self):
+        # from state 2 back to state 0 is the a2 step's concern; a3 only
+        # forbids k < j, whatever i is
+        a3 = np.zeros((3, 3, 3))
+        a3[:, 0] = [0.0, 0.0, 1.0]
+        a3[:, 1] = [0.0, 1.0, 0.0]
+        a3[:, 2] = [0.0, 0.0, 1.0]
+        model = three_state_model(2, "left-right", "a3", None, a3)
+        assert np.array_equal(model.a3, a3)

@@ -12,8 +12,8 @@ from scipy.special import logsumexp
 from hmm2tc import lattice
 from hmm2tc.errors import NumericError
 from hmm2tc.gmm import GaussianMixture
-from hmm2tc.hmm1 import Hmm1Model, _chain1, backward1, forward1, viterbi1
-from hmm2tc.hmm2 import (Hmm2Model, _pair_chain, backward2, forward2, lift_hmm1,
+from hmm2tc.hmm1 import Hmm1Model, backward1, forward1, viterbi1
+from hmm2tc.hmm2 import (Hmm2Model, backward2, forward2, lift_hmm1,
                          viterbi2)
 
 from conftest import (_path_scores2, enumerate_loglik1, enumerate_loglik2,
@@ -144,7 +144,7 @@ class TestDroppedStateRevives:
         _, ll = forward2(model, self.FRAMES)
         assert ll == pytest.approx(want, rel=1e-9)
         gamma, counts, em_ll = lattice.estep(
-            *_pair_chain(model, model.emission_log_probs(self.FRAMES)))
+            *model._chain(model.emission_log_probs(self.FRAMES)))
         assert em_ll == pytest.approx(want, rel=1e-9)
         want_gamma, want_a3 = enumerated_posteriors2(model, self.FRAMES, em_ll)
         n, same = model.n_states, np.arange(model.n_states)
@@ -226,6 +226,16 @@ def test_unreachable_frames_give_minus_inf():
         lattice.estep(_log(model.pi), model.a, logb)
 
 
+def test_backward_padding_rows_are_minus_inf():
+    # chains of lengths 2 and 0 beside a full-length one: every row after a
+    # chain's length is padding, the last row included
+    trans = np.full((2, 2), 0.5)
+    lb = lattice.backward(trans, np.zeros((3, 4, 2)), [2, 0, 4])
+    assert np.all(lb[0, :2] == 0) and np.all(lb[0, 2:] == -np.inf)
+    assert np.all(lb[1] == -np.inf)
+    assert np.array_equal(lb[2], lattice.backward(trans, np.zeros((4, 2))))
+
+
 def _stochastic(draw, shape):
     """Rows with entries in {0, 1/2, 1} before normalising: many zeros and ties."""
     w = np.asarray(draw(st.lists(st.integers(0, 2), min_size=int(np.prod(shape)),
@@ -283,7 +293,7 @@ def test_estep_matches_enumerated_posteriors(case):
     if enumerate_loglik2(model, obs) == -np.inf:
         return
     n = model.n_states
-    gamma, counts, ll = lattice.estep(*_pair_chain(model, model.emission_log_probs(obs)))
+    gamma, counts, ll = lattice.estep(*model._chain(model.emission_log_probs(obs)))
     want_gamma, want_a3 = enumerated_posteriors2(model, obs, ll)
     assert np.allclose(gamma.reshape(-1, n, n), want_gamma, rtol=1e-9, atol=1e-12)
     same = np.arange(n)
@@ -323,7 +333,7 @@ def test_loglik_keeps_a_state_that_revives(order, frames):
     model = TestDroppedStateRevives().model1()
     if order == 2:
         model = lift_hmm1(model)
-        chain = _pair_chain(model, model.emission_log_probs(frames))
+        chain = model._chain(model.emission_log_probs(frames))
         want = enumerate_loglik2(model, frames)
     else:
         chain = (_log(model.pi), model.a, model.emission_log_probs(frames))
@@ -338,7 +348,7 @@ def test_loglik_keeps_a_state_that_revives(order, frames):
 def test_loglik_matches_the_log_domain(case):
     model, obs = case
     want = reference_forward2(model, obs)
-    chain = _pair_chain(model, model.emission_log_probs(obs))
+    chain = model._chain(model.emission_log_probs(obs))
     assert lattice.loglik(*chain) == pytest.approx(want, rel=1e-9, abs=1e-12)
     for first in (model.psi, model.a2[0]):
         # the order-1 engine on each of the model's first-order pieces
@@ -551,20 +561,19 @@ def test_ragged_estep_matches_each_sequence(order):
     rng = np.random.default_rng(7)
     mix = [GaussianMixture([1.0], [[m]], [[v]]) for m, v in ((0.0, 1.0), (2.0, 0.5), (-1.0, 4.0))]
     model = Hmm1Model([0.2, 0.3, 0.5], rng.dirichlet(np.ones(3), size=3), mix)
-    chain = _chain1
     if order == 2:
-        model, chain = lift_hmm1(model), _pair_chain
+        model = lift_hmm1(model)
     seqs = [rng.normal(0, 1.5, size=(t, 1)) for t in (3, 7, 12)]
     seqs[2][5] = 60.0   # this sequence needs the log domain
     table = np.zeros((3, 12, 3))
     for k, seq in enumerate(seqs):
         table[k, :len(seq)] = model.emission_log_probs(seq)
     rows = np.array([len(seq) for seq in seqs]) - (order - 1)
-    fwd = lattice._scaled_forward(*chain(model, table), rows)
+    fwd = lattice._scaled_forward(*model._chain(table), rows)
     assert fwd.ok.tolist() == [True, True, False]
-    gamma, counts, ll = lattice.estep(*chain(model, table), rows)
+    gamma, counts, ll = lattice.estep(*model._chain(table), rows)
     for k, seq in enumerate(seqs):
-        want = lattice.estep(*chain(model, model.emission_log_probs(seq)))
+        want = lattice.estep(*model._chain(model.emission_log_probs(seq)))
         want_gamma, want_counts, want_ll = want
         assert ll[k] == pytest.approx(want_ll, rel=1e-12)
         assert np.allclose(gamma[k, :rows[k]], want_gamma, rtol=1e-12, atol=1e-300)

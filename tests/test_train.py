@@ -8,8 +8,8 @@ from hmm2tc.classify import train_bank
 from hmm2tc.config import TrainConfig
 from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
-from hmm2tc.hmm1 import Hmm1Model, _train1, baum_welch1
-from hmm2tc.hmm2 import Hmm2Model, _train2, baum_welch2, forward2, lift_hmm1, sample_hmm2
+from hmm2tc.hmm1 import Hmm1Model, _baum_welch, baum_welch1
+from hmm2tc.hmm2 import Hmm2Model, baum_welch2, forward2, lift_hmm1, sample_hmm2
 from hmm2tc.init import init_hmm1, init_hmm2
 from hmm2tc.model_io import dumps_model
 
@@ -186,15 +186,15 @@ class TestBaumWelch2:
 
 def left_right_pair(order):
     """A two-state left-right model of the given order with unit-variance
-    states at 0, and that order's bank trainer."""
+    states at 0."""
     mix = [GaussianMixture([1.0], [[0.0]], [[1.0]]) for _ in range(2)]
     model = Hmm1Model([1.0, 0.0], [[0.5, 0.5], [0.0, 1.0]], mix, "left-right")
-    return (model, _train1) if order == 1 else (lift_hmm1(model), _train2)
+    return model if order == 1 else lift_hmm1(model)
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_frame_too_large_to_square_raises_without_a_warning(order):
-    model, _ = left_right_pair(order)
+    model = left_right_pair(order)
     train = baum_welch1 if order == 1 else baum_welch2
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -244,10 +244,10 @@ class TestBankLoop:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_non_finite_likelihood_in_one_label_raises(self, order):
-        model, train = left_right_pair(order)
+        model = left_right_pair(order)
         good = [np.zeros((5, 1)), np.ones((7, 1))]
         with pytest.raises(NumericError):
-            train([model] * 3, [good, [good[0], np.full((5, 1), 1e200)], good], None)
+            _baum_welch([model] * 3, [good, [good[0], np.full((5, 1), 1e200)], good], None)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_zero_occupancy_one_record_per_label_and_kind(self, order, caplog):
@@ -255,9 +255,8 @@ class TestBankLoop:
         # never occurs, so both stay at zero occupancy in every label
         mix = [GaussianMixture([0.5, 0.5], [[0.0], [1e3]], [[1.0], [1.0]])] * 2
         model = Hmm1Model([0.5, 0.5], [[0.5, 0.5], [0.0, 1.0]], mix, "left-right")
-        train = _train1
         if order == 2:
-            model, train = lift_hmm1(model), _train2
+            model = lift_hmm1(model)
         rng = np.random.default_rng(13)
         corpora = [[rng.normal(size=(t, 1)) for t in rng.integers(10, 30, size=count)]
                    for count in (2, 1, 3)]
@@ -266,7 +265,7 @@ class TestBankLoop:
         def records(corpora):
             caplog.clear()
             with caplog.at_level("WARNING", logger="hmm2tc"):
-                train([model] * len(corpora), corpora, cfg)
+                _baum_welch([model] * len(corpora), corpora, cfg)
             return [(r.name, r.getMessage()) for r in caplog.records
                     if "zero occupancy" in r.getMessage()]
 
