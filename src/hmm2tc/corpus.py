@@ -6,7 +6,7 @@ import logging
 import math
 import os
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -159,20 +159,16 @@ class SynthSpec:
         if not (isinstance(doc, dict) and isinstance(doc.get("labels"), list)
                 and all(isinstance(v, str) for v in doc["labels"])):
             raise FormatError("synth spec must be a JSON object with a list of label strings")
-        frames = doc.get("frames", (80, 200))
-        fields = {k: doc.get(k, v) for k, v in (
-            ("tokens_per_condition", 9), ("n_states", 5), ("n_components", 5), ("dim", 16),
-            ("seed", 0))}
-        separation = doc.get("separation", 4.0)
-        if isinstance(frames, list):
-            frames = tuple(frames)
-        if not (all(map(_is_int, fields.values()))
-                and (_is_int(frames) or (isinstance(frames, tuple) and len(frames) == 2
-                                         and all(map(_is_int, frames))))
-                and (_is_int(separation) or isinstance(separation, float))):
+        given = {f.name: doc[f.name] for f in fields(cls) if f.name in doc and f.name != "labels"}
+        checks = {"frames": lambda v: _is_int(v) or (isinstance(v, (list, tuple)) and len(v) == 2
+                                                     and all(map(_is_int, v))),
+                  "separation": lambda v: _is_int(v) or isinstance(v, float)}
+        if not all(checks.get(k, _is_int)(v) for k, v in given.items()):
             raise FormatError("synth spec fields must be integers (frames one or two of "
                               "them, separation a number)")
-        return cls(labels=list(doc["labels"]), frames=frames, separation=separation, **fields)
+        if isinstance(given.get("frames"), list):
+            given["frames"] = tuple(given["frames"])
+        return cls(labels=list(doc["labels"]), **given)
 
 
 def _is_int(v) -> bool:

@@ -21,18 +21,20 @@ length 0. Each row's step is one (G, K, S) @ (G, S, S) product; the chains of
 length 0 that end a group take no part in it, so that every group's product
 has the shape, and BLAS's rounding, of a stack of that group alone.
 
-The forward pass and the E-step run in the probability domain with one scale
-per row (Rabiner 1989, sec. V.A) for each chain whose reachable states one
-scale per row holds exactly. Each chain has its own scales, reachable set and
-test; the chains that fail it run in the log domain as one smaller stack,
-and the others stay scaled. `loglik`, which returns the likelihoods alone,
-keeps a chain's scaled pass whenever a bound on what underflow can have lost
-stays below 1e-12 of its likelihood. Viterbi runs in the log domain by
-max-product; ties break toward the lowest state index, from the last frame
-back, and `viterbi_scores` gives the best scores without the paths. The
-public backward pass runs in the log domain with log-sum-exp over
-each state's successors, so that it stays exact for states the forward pass
-cannot reach.
+One log-domain recursion, `_log_forward`, combines each state's
+predecessors by log-sum-exp for the public forward pass and the log-domain
+chains of `loglik` and the E-step, and by max for Viterbi (max-product).
+The E-step runs in the probability domain with one scale per row (Rabiner
+1989, sec. V.A) for each chain whose reachable states one scale per row
+holds exactly. Each chain has its own scales, reachable set and test; the
+chains that fail it run in the log domain as one smaller stack, and the
+others stay scaled. `loglik`, which returns the likelihoods alone, keeps a
+chain's scaled pass whenever a bound on what underflow can have lost stays
+below 1e-12 of its likelihood. Viterbi ties break toward the lowest state
+index, from the last frame back, and `viterbi_scores` gives the best scores
+without the paths. The public backward pass runs in the log domain with
+log-sum-exp over each state's successors, so that it stays exact for states
+the forward pass cannot reach.
 
 Inside the engine a stack's rows come first, (R, B, S), so that one row of
 every chain is one contiguous block for the row-by-row recursions.
@@ -273,8 +275,9 @@ def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass:
     return fwd._replace(ok=fwd.ok & held.all(axis=(0, 2)))
 
 
-def _log_forward(c: _Chains) -> np.ndarray:
-    """Log forward lattice (R, B, S) by log-sum-exp over each state's predecessors."""
+def _log_forward(c: _Chains, reduce=np.logaddexp.reduce) -> np.ndarray:
+    """Log forward lattice (R, B, S) by log-sum-exp over each state's
+    predecessors; with reduce=np.maximum.reduce, the max-product lattice."""
     into, log_into = _neighbours(c.trans, len(c.lengths))
     flat = _flat(into)
     la = np.empty(c.logb.shape)
@@ -282,14 +285,20 @@ def _log_forward(c: _Chains) -> np.ndarray:
     for r in range(1, len(la)):
         cand = la[r - 1].take(flat)
         cand += log_into
-        np.logaddexp.reduce(cand, axis=0, out=la[r])
+        reduce(cand, axis=0, out=la[r])
         la[r] += c.logb[r]
     return la
 
 
+def _last(la: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each chain's last row (B, S) of a lattice (R, B, S); 0 for a chain of length 0."""
+    return np.where((lengths > 0)[:, None], la[lengths - 1, np.arange(len(lengths))], 0.0)
+
+
 def _final(la: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Each chain's log-likelihood from its log forward lattice (R, B, S)."""
-    return logsumexp(la[lengths - 1, np.arange(len(lengths))], axis=1)
+    """Each chain's log-likelihood from its log forward lattice (R, B, S); 0
+    for a chain of length 0."""
+    return np.where(lengths > 0, logsumexp(_last(la, lengths), axis=1), 0.0)
 
 
 def _scaled_totals(log_scale: np.ndarray) -> np.ndarray:
@@ -300,18 +309,12 @@ def _scaled_totals(log_scale: np.ndarray) -> np.ndarray:
 
 
 def forward(log_init, trans, logb, lengths=None):
-    """Log forward lattices (B, R, S) and total log-likelihoods (B,)."""
+    """Log forward lattices (B, R, S) and total log-likelihoods (B,), in the
+    log domain."""
     single, log_init, logb = _lift(log_init, logb)
-    fwd = _scaled_forward(log_init, trans, logb, lengths)
-    totals = _scaled_totals(fwd.log_scale)
-    la = _log(fwd.alpha) + totals[..., None]
-    ll = totals[-1]
-    redo = np.flatnonzero(~fwd.ok)
-    if redo.size:
-        some = fwd.chains.some(redo)
-        la[:, redo] = _log_forward(some)
-        ll[redo] = _final(la[:, redo], some.lengths)
-    return _one(single, _by_chain(la), ll)
+    c = _chains(log_init, trans, logb, lengths)
+    la = _log_forward(c)
+    return _one(single, _by_chain(la), _final(la, c.lengths))
 
 
 def loglik(log_init, trans, logb, lengths=None):
@@ -476,7 +479,8 @@ def viterbi(log_init, trans, logb, lengths=None):
     """
     single, log_init, logb = _lift(log_init, logb)
     c = _chains(log_init, trans, logb, lengths)
-    final, into, cand, top = _max_product(c)
+    delta = _log_forward(c, np.maximum.reduce)
+    final = _last(delta, c.lengths)
     rows, b, s = c.logb.shape
     chains = np.arange(b)
     best = final.argmax(axis=1)
@@ -484,10 +488,12 @@ def viterbi(log_init, trans, logb, lengths=None):
     if single and score[0] == -np.inf:
         raise NumericError("no admissible state path for this observation sequence")
     # each cell's best predecessor is its lowest p that reaches the maximum,
-    # the one argmax would pick, found in P passes over all rows at once
+    # the one argmax picks, for all rows at once
+    into, log_into = _neighbours(c.trans, b)
+    cand = delta[:-1].reshape(rows - 1, b * s).take(_flat(into), axis=1)
+    cand += log_into
     back = np.zeros((rows, b, s), dtype=np.intp)
-    for p in range(len(cand[0]) - 1, -1, -1):
-        back[1:][cand[1:, p] == top[1:]] = p
+    back[1:] = np.argmax(cand == cand.max(axis=1, keepdims=True), axis=1)
     ends = _row_ends(c.lengths)
     path = np.zeros((rows, b), dtype=np.intp)
     state = np.zeros(b, dtype=np.intp)
@@ -505,26 +511,5 @@ def viterbi_scores(log_init, trans, logb, lengths=None):
     """The log scores (B,) of `viterbi`'s paths, without the paths; -inf for
     a chain with no admissible path."""
     single, log_init, logb = _lift(log_init, logb)
-    return _one(single, _max_product(_chains(log_init, trans, logb, lengths))[0].max(axis=1))
-
-
-def _max_product(c: _Chains):
-    """The max-product pass: each chain's best scores (B, S) at its last row
-    (0 for a chain of length 0), the predecessor tables (P, B, S), and every
-    row's predecessor scores (R, P, B, S) with their maxima (R, B, S)."""
-    rows, b, s = c.logb.shape
-    into, log_into = _neighbours(c.trans, b)
-    flat = _flat(into)
-    ends = _row_ends(c.lengths)
-    delta = c.log_init + c.logb[0]
-    final = np.zeros((b, s))
-    cand = np.empty((rows,) + flat.shape)
-    top = np.empty(c.logb.shape)
-    for r in range(rows):
-        if r:
-            np.add(delta.take(flat), log_into, out=cand[r])
-            np.maximum.reduce(cand[r], axis=0, out=top[r])
-            delta = top[r] + c.logb[r]
-        if r in ends:
-            final[ends[r]] = delta[ends[r]]
-    return final, into, cand, top
+    c = _chains(log_init, trans, logb, lengths)
+    return _one(single, _last(_log_forward(c, np.maximum.reduce), c.lengths).max(axis=1))

@@ -119,6 +119,14 @@ class TestSynthCorpus:
         assert np.array_equal(m1["a"].a3, m2["a"].a3)
         assert np.array_equal(m1["a"].mixtures[0].means, m2["a"].mixtures[0].means)
 
+    def test_spec_document_takes_the_dataclass_defaults(self):
+        # from_dict passes only the fields a document gives, so a document
+        # without them gets the dataclass's own defaults
+        assert SynthSpec.from_dict({"labels": ["a"]}) == SynthSpec(labels=["a"])
+        doc = {"labels": ["a", "b"], "frames": [20, 40], "dim": 3, "separation": 2}
+        assert SynthSpec.from_dict(doc) == SynthSpec(labels=["a", "b"], frames=(20, 40),
+                                                     dim=3, separation=2)
+
     def test_regeneration_byte_identical(self, tmp_path):
         spec = SynthSpec(labels=["a", "b"], tokens_per_condition=3, frames=(20, 40),
                          n_states=2, n_components=2, dim=3, seed=9)

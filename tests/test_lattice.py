@@ -670,6 +670,7 @@ def test_padded_groups_match_each_group_alone(case):
     lls = lattice.loglik(*stack)
     empty = stack[3] == 0
     assert np.all(ll[empty] == 0) and np.all(lls[empty] == 0) and np.all(scores[empty] == 0)
+    assert np.array_equal(lattice.viterbi_scores(*stack), scores)
     alone = []
     for i, group in enumerate(groups):
         own = slice(i * k, i * k + len(group[3]))
@@ -728,6 +729,8 @@ def test_group_with_a_log_domain_chain_and_chains_of_length_0():
     assert np.all(gamma[4:] == 0) and np.all(counts[4:] == 0)
     assert np.array_equal(lattice.loglik(*stack)[4:], [0.0, 0.0])
     assert np.array_equal(lattice.forward(*stack)[1][4:], [0.0, 0.0])
+    assert np.array_equal(lattice.viterbi_scores(*stack)[4:], [0.0, 0.0])
+    assert np.array_equal(lattice.viterbi(*stack)[1][4:], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("s", [5, 25])
