@@ -77,8 +77,8 @@ def main(argv=None) -> int:
         print(render_report_text(report, title=f"HMM{order} benchmark"), end="")
 
     print()
-    print(render_improvement_text(improvement_table(reports[1], reports[2])),
-          end="")
+    table = improvement_table(reports[1].to_dict(), reports[2].to_dict())
+    print(render_improvement_text(table), end="")
     acc = {o: 100.0 * np.trace(r.counts) / r.counts.sum()
            for o, r in reports.items()}
     print(f"\noverall accuracy: HMM1 {acc[1]:.1f}%  HMM2 {acc[2]:.1f}%")

@@ -12,7 +12,7 @@ import io
 import math
 import struct
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,7 +65,6 @@ class FeatureSequence:
 
     frames: np.ndarray
     source_id: str = ""
-    params: FrameParams | None = None
     degenerate_frames: int = 0
 
     def __post_init__(self):
@@ -241,8 +240,7 @@ def extract_features(clip: AudioClip, params: FrameParams | None = None,
     degenerate = (r[:, 0] <= SILENCE_THRESHOLD) | np.isnan(energy)
     out = lpc_to_lpcc(a, params.cepstral_order)
     out[degenerate] = 0.0
-    return FeatureSequence(out, source_id=source_id, params=params,
-                           degenerate_frames=int(degenerate.sum()))
+    return FeatureSequence(out, source_id=source_id, degenerate_frames=int(degenerate.sum()))
 
 
 def save_features(seq: FeatureSequence, path) -> None:
@@ -271,9 +269,3 @@ def load_features(path, source_id: str | None = None) -> FeatureSequence:
         raise FormatError(f"{path}: truncated payload")
     frames = np.frombuffer(payload, dtype="<f8").reshape(t, d).copy()
     return FeatureSequence(frames, source_id=source_id if source_id is not None else str(path))
-
-
-def features_to_csv(seq: FeatureSequence) -> str:
-    """One frame per line, full round-trip decimal precision."""
-    lines = [",".join(repr(v) for v in row) for row in seq.frames.tolist()]
-    return "\n".join(lines) + "\n"

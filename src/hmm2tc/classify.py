@@ -19,17 +19,15 @@ from .init import init_hmm1, init_hmm2
 _SQUARABLE = np.sqrt(np.finfo(np.float64).max)  # the largest x whose x**2 is finite
 
 
-def round_half_away(x: float, decimals: int = 1) -> float:
-    """Round with ties going away from zero (table-rendering convention)."""
-    scale = 10 ** decimals
-    return math.copysign(math.floor(abs(x) * scale + 0.5) / scale, x)
+def round_half_away(x: float) -> float:
+    """Round to one decimal, ties away from zero (table-rendering convention)."""
+    return math.copysign(math.floor(abs(x) * 10 + 0.5) / 10, x)
 
 
 @dataclass
 class ConditionBank:
     labels: list[str]
     models: dict[str, Hmm1Model | Hmm2Model]
-    scope: dict = field(default_factory=dict)  # e.g. speaker / sentence ids
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels) or not self.labels:
@@ -52,8 +50,7 @@ class IdentificationResult:
 
 
 def train_bank(training_sets: dict[str, list], order: int, n_states: int,
-               n_comp: int, topology: str = "left-right",
-               cfg: TrainConfig | None = None, scope: dict | None = None
+               n_comp: int, topology: str = "left-right", cfg: TrainConfig | None = None
                ) -> tuple[ConditionBank, dict[str, list[float]]]:
     """One model per condition label; returns the bank and per-label EM traces.
     Label i's flat start takes seed cfg.seed + i, and the whole bank trains
@@ -85,12 +82,12 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
     trained = _baum_welch(flat, corpora, cfg)
     models = {label: model for label, (model, _) in zip(labels, trained)}
     traces = {label: trace for label, (_, trace) in zip(labels, trained)}
-    return ConditionBank(labels, models, scope or {}), traces
+    return ConditionBank(labels, models), traces
 
 
-def score_sequence(model: Hmm1Model | Hmm2Model, obs, scoring: str = "forward") -> float:
-    """log P(O | model) ("forward") or the best path's log score ("viterbi")."""
-    return float(_scores([model], frames_of(obs), scoring)[0])
+def score_sequence(model: Hmm1Model | Hmm2Model, obs) -> float:
+    """log P(O | model)."""
+    return float(_scores([model], frames_of(obs), "forward")[0])
 
 
 def _scores(models: list, mat: np.ndarray, scoring: str) -> np.ndarray:
@@ -190,18 +187,11 @@ class EvaluationReport:
                    doc.get("protocol", {}), groups)
 
 
-def evaluate(bank: ConditionBank, test_sets: dict[str, list],
-             scoring: str = "forward", protocol: dict | None = None,
-             groups: dict[str, str] | None = None) -> EvaluationReport:
-    """Identify every test utterance and tabulate the confusion counts.
-
-    test_sets maps the true label to its utterances. When groups maps a
-    source id to a group name, per-group count matrices are kept as well.
-    """
-    groups = groups or {}
-    tests = ((None, label, obs, groups.get(getattr(obs, "source_id", "")))
-             for label, seqs in test_sets.items() for obs in seqs)
-    return evaluate_scopes({None: bank}, tests, scoring, protocol)
+def evaluate(bank: ConditionBank, test_sets: dict[str, list]) -> EvaluationReport:
+    """Identify every test utterance by forward likelihood and tabulate the
+    confusion counts; test_sets maps the true label to its utterances."""
+    tests = ((None, label, obs, None) for label, seqs in test_sets.items() for obs in seqs)
+    return evaluate_scopes({None: bank}, tests)
 
 
 def evaluate_scopes(banks: dict, tests, scoring: str = "forward",
@@ -258,20 +248,13 @@ def improvement_rate(perf_baseline: float, perf_new: float) -> float:
     return 100.0 * (perf_new - perf_baseline) / perf_baseline
 
 
-def improvement_table(baseline: EvaluationReport | dict, new: EvaluationReport | dict
-                      ) -> dict[str, float]:
-    """Per-condition improvement rates, rounded to one decimal."""
-    def rates_of(rep):
-        if isinstance(rep, EvaluationReport):
-            return list(rep.labels), list(rep.rates)
-        return list(rep["labels"]), list(rep["rates"])
-
-    labels_b, rates_b = rates_of(baseline)
-    labels_n, rates_n = rates_of(new)
-    if labels_b != labels_n:
+def improvement_table(baseline: dict, new: dict) -> dict[str, float]:
+    """Per-condition improvement rates of two report documents (`to_dict`),
+    rounded to one decimal."""
+    if baseline["labels"] != new["labels"]:
         raise DataError("reports have mismatched condition labels")
-    return {lab: round_half_away(improvement_rate(rb, rn), 1)
-            for lab, rb, rn in zip(labels_b, rates_b, rates_n)}
+    return {lab: round_half_away(improvement_rate(rb, rn))
+            for lab, rb, rn in zip(baseline["labels"], baseline["rates"], new["rates"])}
 
 
 def _fmt_row(cells: list[str], widths: list[int]) -> str:
@@ -292,8 +275,8 @@ def render_report_text(report: EvaluationReport, title: str = "") -> str:
     for i, lab in enumerate(labels):
         row = [lab]
         for g in group_rates:
-            row.append(f"{round_half_away(group_rates[g][i], 1):.1f}%")
-        row.append(f"{round_half_away(rates[i], 1):.1f}%")
+            row.append(f"{round_half_away(group_rates[g][i]):.1f}%")
+        row.append(f"{round_half_away(rates[i]):.1f}%")
         rows.append(row)
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     lines += [_fmt_row(r, widths) for r in rows]
@@ -302,7 +285,7 @@ def render_report_text(report: EvaluationReport, title: str = "") -> str:
     pct = report.percentages
     rows = [["Model"] + labels]
     for i, lab in enumerate(labels):
-        rows.append([lab] + [f"{round_half_away(pct[i, j], 1):.1f}%"
+        rows.append([lab] + [f"{round_half_away(pct[i, j]):.1f}%"
                              for j in range(len(labels))])
     widths = [max(len(r[c]) for r in rows) for c in range(len(labels) + 1)]
     lines += [_fmt_row(r, widths) for r in rows]

@@ -34,7 +34,7 @@ def _frame_params(args) -> FrameParams:
 
 def _train_config(args) -> TrainConfig:
     return TrainConfig(max_iterations=args.max_iter, tol=args.tol, seed=args.seed,
-                       freeze_initials=getattr(args, "freeze_initials", False))
+                       freeze_initials=args.freeze_initials)
 
 
 def _read_manifest(path) -> list[ManifestEntry]:
@@ -58,17 +58,28 @@ def _entry_path(base, entry):
     return entry.path if os.path.isabs(entry.path) else os.path.join(base, entry.path)
 
 
+def _distinct_names(named) -> None:
+    """DataError unless the (artifact name, its source) pairs give distinct
+    names: manifest IDs joined by '_' can spell one name twice."""
+    seen: dict = {}
+    for name, source in named:
+        if name in seen:
+            raise DataError(f"{seen[name]} and {source} map to the same artifact name {name!r}")
+        seen[name] = source
+
+
 def cmd_extract(args) -> int:
     entries = _read_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
     params = _frame_params(args)
+    names = [f"{e.speaker}_{e.sentence}_{e.condition}_{e.token:03d}.lpcc" for e in entries]
+    _distinct_names(zip(names, (f"entry {e.key}" for e in entries)))
     os.makedirs(args.out, exist_ok=True)
     failures = []
     new_entries = []
     log = []
-    for e in entries:
+    for e, rel in zip(entries, names):
         src = _entry_path(base, e)
-        rel = f"{e.speaker}_{e.sentence}_{e.condition}_{e.token:03d}.lpcc"
         try:
             with open(src, "rb") as fh:
                 clip = decode_pcm16_wav(fh.read())
@@ -114,13 +125,17 @@ def cmd_train(args) -> int:
             load_features(_entry_path(base, e), source_id=e.path))
     if not scopes:
         raise DataError("manifest has no training entries")
+    keys = sorted(scopes, key=lambda k: ("",) if k is None else k)
+    _distinct_names((_scope_name(k), f"scope {k}") for k in keys)
+    _distinct_names((f"{_scope_name(k)}_{lab}", f"scope {k} condition {lab!r}")
+                    for k in keys for lab in scopes[k])
     os.makedirs(os.path.join(args.out, "models"), exist_ok=True)
     bank_doc = {"format_version": 1, "order": args.order, "N": args.states,
                 "M": args.mixtures, "topology": args.topology,
                 "protocol": "pooled" if args.pooled else "per_scope",
                 "freeze_initials": cfg.freeze_initials, "scopes": []}
     train_log = {}
-    for key in sorted(scopes, key=lambda k: ("",) if k is None else k):
+    for key in keys:
         bank, traces = train_bank(scopes[key], args.order, args.states, args.mixtures,
                                   args.topology, cfg)
         scope_doc = {"speaker": None if key is None else key[0],
@@ -164,9 +179,7 @@ def _is_scope_doc(scope) -> bool:
 def _load_bank(bank_dir, scope_doc) -> ConditionBank:
     models = {lab: load_model(os.path.join(bank_dir, rel))
               for lab, rel in scope_doc["models"].items()}
-    return ConditionBank(list(scope_doc["labels"]), models,
-                         scope={"speaker": scope_doc["speaker"],
-                                "sentence": scope_doc["sentence"]})
+    return ConditionBank(list(scope_doc["labels"]), models)
 
 
 def _select_scope(doc, speaker, sentence) -> dict:

@@ -21,6 +21,10 @@ log = logging.getLogger(__name__)
 REQUIRED_COLUMNS = ("speaker", "sentence", "condition", "token", "path")
 ALL_COLUMNS = ("speaker", "group", "sentence", "condition", "token", "split", "path")
 SPLITS = ("train", "test", "auto", "unused")
+# Columns the CLI joins into artifact file names; a path separator of either
+# platform in one would move its file out of the output directory.
+NAME_COLUMNS = ("speaker", "sentence", "condition")
+PATH_SEPARATORS = ("/", "\\")
 
 
 @dataclass
@@ -53,7 +57,9 @@ def parse_manifest(text: str) -> list[ManifestEntry]:
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise FormatError(f"manifest missing required columns: {', '.join(missing)}")
-    for col in header:
+    for i, col in enumerate(header):
+        if col in header[:i]:
+            raise FormatError(f"manifest header names column {col!r} more than once")
         if col not in ALL_COLUMNS:
             log.warning("ignoring unknown manifest column %r", col)
     entries = []
@@ -63,6 +69,10 @@ def parse_manifest(text: str) -> list[ManifestEntry]:
         if len(cells) != len(header):
             raise FormatError(f"manifest line {lineno}: expected {len(header)} fields")
         row = dict(zip(header, (c.strip() for c in cells)))
+        for col in NAME_COLUMNS:
+            if any(sep in row[col] for sep in PATH_SEPARATORS):
+                raise FormatError(f"manifest line {lineno}: {col} {row[col]!r} holds a "
+                                  "path separator")
         try:
             token = int(row["token"])
         except ValueError:
@@ -94,8 +104,12 @@ def apply_split_protocol(entries: list[ManifestEntry], train_count: int,
     Tokens are ordered by index; the first train_count become training data
     and the next test_count become test data (the published 5-of-9 / 4-of-9
     protocol). With a seed, token order is shuffled deterministically first.
-    Explicit train/test markings are preserved untouched.
+    Explicit train/test markings are preserved untouched. A negative count
+    raises DataError.
     """
+    if train_count < 0 or test_count < 0:
+        raise DataError(f"split counts must be >= 0, got train {train_count} and "
+                        f"test {test_count}")
     groups: dict[tuple, list[int]] = {}
     for i, e in enumerate(entries):
         if e.split == "auto":

@@ -11,13 +11,12 @@ from .hmm1 import Hmm1Model
 from .hmm2 import Hmm2Model, lift_hmm1
 
 
-def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator,
-            n_iter: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Plain Lloyd iterations with seeded random-frame init; returns (centers, labels)."""
+def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Ten plain Lloyd iterations with seeded random-frame init; returns (centers, labels)."""
     n = data.shape[0]
     centers = data[rng.choice(n, size=k, replace=False)].copy()
     labels = np.zeros(n, dtype=np.intp)
-    for _ in range(n_iter):
+    for _ in range(10):
         dist = np.sum((data[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(dist, axis=1)
         for m in range(k):

@@ -493,7 +493,7 @@ def viterbi(log_init, trans, logb, lengths=None):
     cand = delta[:-1].reshape(rows - 1, b * s).take(_flat(into), axis=1)
     cand += log_into
     back = np.zeros((rows, b, s), dtype=np.intp)
-    back[1:] = np.argmax(cand == cand.max(axis=1, keepdims=True), axis=1)
+    back[1:] = cand.argmax(axis=1)
     ends = _row_ends(c.lengths)
     path = np.zeros((rows, b), dtype=np.intp)
     state = np.zeros(b, dtype=np.intp)

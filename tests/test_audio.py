@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hmm2tc.audio import (SILENCE_THRESHOLD, AudioClip, FeatureSequence, FrameParams,
                           autocorrelate, decode_pcm16_wav, extract_features,
-                          features_to_csv, frame_and_window, levinson_durbin,
+                          frame_and_window, levinson_durbin,
                           load_features, lpc_to_lpcc, save_features)
 from hmm2tc.errors import DataError, FormatError, NumericError
 
@@ -383,11 +383,3 @@ class TestFeatureIO:
         (tmp_path / "cut.lpcc").write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError, match="truncated"):
             load_features(tmp_path / "cut.lpcc")
-
-    def test_csv_round_trip(self):
-        rng = np.random.default_rng(7)
-        seq = FeatureSequence(rng.normal(size=(3, 4)))
-        text = features_to_csv(seq)
-        back = np.array([[float(v) for v in line.split(",")]
-                         for line in text.strip().splitlines()])
-        assert np.array_equal(back, seq.frames)

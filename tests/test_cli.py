@@ -124,6 +124,21 @@ class TestTrainEvaluate:
         table = json.loads(out_text)
         assert set(table) == {"a", "b"}
 
+    @pytest.mark.parametrize("flag", ["--train-count", "--test-count"])
+    def test_negative_split_count_exits_3(self, synth_corpus, tmp_path, capsys, flag):
+        manifest = str(synth_corpus / "manifest.tsv")
+        code, _, err = run(capsys, "train", "--manifest", manifest, "--out",
+                           str(tmp_path / "refused"), "--states", "2", "--mixtures", "1",
+                           "--max-iter", "2", flag, "-1")
+        assert code == 3 and "split counts must be >= 0" in err
+        assert not (tmp_path / "refused").exists()
+        bank = tmp_path / "bank"
+        assert self._train(capsys, synth_corpus, bank, 1)[0] == 0
+        code, _, err = run(capsys, "evaluate", "--manifest", manifest, "--bank", str(bank),
+                           "--out", str(tmp_path / "rep"), flag, "-1")
+        assert code == 3 and "split counts must be >= 0" in err
+        assert not (tmp_path / "rep").exists()
+
     def test_identify(self, synth_corpus, tmp_path, capsys):
         bank = tmp_path / "bank"
         assert self._train(capsys, synth_corpus, bank, 2)[0] == 0
@@ -181,6 +196,38 @@ class TestTrainEvaluate:
         rel = doc["scopes"][0]["models"]["a"]
         assert (tmp_path / "t1" / rel).read_bytes() == \
             (tmp_path / "t2" / rel).read_bytes()
+
+
+class TestTrainArtifactNames:
+    """Scopes whose IDs, joined by '_', spell one artifact name twice."""
+
+    @pytest.mark.parametrize("scope_of, first, second", [
+        # (a_b, c) and (a, b_c) both name the scope a_b_c
+        ({"x": [("a_b", "c"), ("a", "b_c")], "c_x": [("a_b", "c"), ("a", "b_c")]},
+         "('a', 'b_c')", "('a_b', 'c')"),
+        # scope (a, b) condition c_x and scope (a, b_c) condition x both name a_b_c_x
+        ({"x": [("a", "b_c")], "c_x": [("a", "b")]},
+         "('a', 'b') condition 'c_x'", "('a', 'b_c') condition 'x'"),
+    ], ids=["scopes", "models"])
+    def test_colliding_names_exit_3(self, tmp_path, capsys, scope_of, first, second):
+        write_synth_spec(tmp_path / "spec.json", labels=["x", "c_x"])
+        corpus = tmp_path / "corpus"
+        assert run(capsys, "synth", "--spec", str(tmp_path / "spec.json"),
+                   "--out", str(corpus))[0] == 0
+        lines = (corpus / "manifest.tsv").read_text().splitlines()
+        rows = [lines[0]]
+        for line in lines[1:]:
+            cells = line.split("\t")      # speaker group sentence condition ...
+            for speaker, sentence in scope_of[cells[3]]:
+                rows.append("\t".join([speaker, cells[1], sentence] + cells[3:]))
+        (corpus / "manifest.tsv").write_text("\n".join(rows) + "\n")
+        bank = tmp_path / "bank"
+        code, _, err = run(capsys, "train", "--manifest", str(corpus / "manifest.tsv"),
+                           "--out", str(bank), "--states", "2", "--mixtures", "1",
+                           "--max-iter", "2")
+        assert code == 3
+        assert f"scope {first} and scope {second}" in err
+        assert not bank.exists()
 
 
 class TestEvaluateScopes:
@@ -391,6 +438,25 @@ class TestExtract:
         # the frames wholly inside the gap: starts 1600 .. 2720 in steps of 80
         assert [f["degenerate_frames"] for f in log["files"]] == [0, 15]
         assert out_text == "extracted 2/3 files, 110 frames (15 degenerate)\n"
+
+    def test_colliding_names_exit_3(self, tmp_path, capsys):
+        for i in range(2):
+            self._noise_wav(tmp_path, f"u{i}.wav", seed=i)
+        manifest = self._manifest(tmp_path, ["a_b\tc\tx\t1\tu0.wav", "a\tb_c\tx\t1\tu1.wav"])
+        out = tmp_path / "feat"
+        code, _, err = run(capsys, "extract", "--manifest", str(manifest), "--out", str(out))
+        assert code == 3
+        assert "('a_b', 'c', 'x', 1)" in err and "('a', 'b_c', 'x', 1)" in err
+        assert not out.exists()
+
+    def test_absolute_speaker_exits_3(self, tmp_path, capsys):
+        self._noise_wav(tmp_path, "u.wav", seed=0)
+        escape = tmp_path / "escape"
+        manifest = self._manifest(tmp_path, [f"{escape}\tt1\tneutral\t1\tu.wav"])
+        out = tmp_path / "feat"
+        code, _, err = run(capsys, "extract", "--manifest", str(manifest), "--out", str(out))
+        assert code == 3 and "line 2" in err
+        assert sorted(os.listdir(tmp_path)) == ["manifest.tsv", "u.wav"]
 
     @pytest.mark.parametrize("wav, manifest, options, message", BAD_EXTRACT_INPUTS)
     def test_bad_input_exits_cleanly(self, tmp_path, capsys, wav, manifest, options,

@@ -46,6 +46,20 @@ class TestManifest:
         with pytest.raises(FormatError, match="empty"):
             parse_manifest("")
 
+    def test_duplicate_column(self):
+        text = "speaker\tsentence\tcondition\ttoken\tpath\tpath\ns1\tt1\ta\t1\tx\ty\n"
+        with pytest.raises(FormatError, match="'path' more than once"):
+            parse_manifest(text)
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("value", ["a/b", "/tmp/x", "a\\b"])
+    def test_path_separator_in_an_id(self, column, value):
+        cells = ["s1", "t1", "angry", "1", "x.lpcc"]
+        cells[column] = value
+        text = "speaker\tsentence\tcondition\ttoken\tpath\n" + "\t".join(cells) + "\n"
+        with pytest.raises(FormatError, match="line 2: .* path separator"):
+            parse_manifest(text)
+
     def test_round_trip(self):
         entries = [entry(token=i, path=f"{i}.lpcc", group="male",
                          split="train") for i in range(1, 4)]
@@ -93,6 +107,11 @@ class TestSplitProtocol:
         out = apply_split_protocol(entries, 5, 4)
         assert out[0].split == "test"
         assert sum(e.split == "train" for e in out) == 5
+
+    @pytest.mark.parametrize("counts", [(-1, 4), (5, -1)])
+    def test_negative_count(self, counts):
+        with pytest.raises(DataError, match="split counts must be >= 0"):
+            apply_split_protocol(self.group(9), *counts)
 
     def test_extra_tokens_unused(self):
         out = apply_split_protocol(self.group(11), 5, 4)
