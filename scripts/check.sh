@@ -14,7 +14,9 @@
 #    line must read "failed": 0 (a traced run also exercises the span
 #    tracer's hooks);
 # 5. an import of hmm2tc.cli with scipy blocked: src must not need scipy,
-#    which only the tests and perfbench/ use (the "test" extra).
+#    which only the tests and perfbench/ use (the "test" extra);
+# 6. the line count of src/hmm2tc/*.py, printed for information only (the
+#    size of the package is tracked from release to release, not gated).
 #
 # Every step runs even when an earlier one fails; the script exits 1 if any
 # step failed and names the failed steps at the end.
@@ -59,6 +61,9 @@ done
 echo "== src imports without scipy"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c \
     'import sys; sys.modules["scipy"] = None; import hmm2tc.cli' || failed="$failed no-scipy"
+
+echo "== lines in src/hmm2tc/*.py (information only)"
+cat src/hmm2tc/*.py | wc -l
 
 if [ -n "$failed" ]; then
     echo "FAILED:$failed"

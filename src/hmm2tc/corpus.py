@@ -68,6 +68,8 @@ def parse_manifest(text: str) -> list[ManifestEntry]:
         cells = line.split("\t")
         if len(cells) != len(header):
             raise FormatError(f"manifest line {lineno}: expected {len(header)} fields")
+        if any("\0" in c for c in cells):
+            raise FormatError(f"manifest line {lineno}: a field holds a NUL character")
         row = dict(zip(header, (c.strip() for c in cells)))
         for col in NAME_COLUMNS:
             if any(sep in row[col] for sep in PATH_SEPARATORS):
@@ -151,6 +153,9 @@ class SynthSpec:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels) or not self.labels:
             raise DataError("labels must be nonempty and unique")
+        for label in self.labels:
+            if any(c in label for c in (*PATH_SEPARATORS, "\0")):
+                raise DataError(f"label {label!r} holds a path separator or a NUL character")
         if self.tokens_per_condition < 2:
             raise DataError("tokens_per_condition must be >= 2")
         if isinstance(self.frames, int):

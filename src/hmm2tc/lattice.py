@@ -22,19 +22,18 @@ length 0 that end a group take no part in it, so that every group's product
 has the shape, and BLAS's rounding, of a stack of that group alone.
 
 One log-domain recursion, `_log_forward`, combines each state's
-predecessors by log-sum-exp for the public forward pass and the log-domain
-chains of `loglik` and the E-step, and by max for Viterbi (max-product).
-The E-step runs in the probability domain with one scale per row (Rabiner
-1989, sec. V.A) for each chain whose reachable states one scale per row
-holds exactly. Each chain has its own scales, reachable set and test; the
-chains that fail it run in the log domain as one smaller stack, and the
-others stay scaled. `loglik`, which returns the likelihoods alone, keeps a
-chain's scaled pass whenever a bound on what underflow can have lost stays
-below 1e-12 of its likelihood. Viterbi ties break toward the lowest state
-index, from the last frame back, and `viterbi_scores` gives the best scores
-without the paths. The public backward pass runs in the log domain with
-log-sum-exp over each state's successors, so that it stays exact for states
-the forward pass cannot reach.
+predecessors by log-sum-exp for `forward`, for `loglik` (`forward`'s
+likelihoods, bit for bit, without the lattices) and for the log-domain chains
+of the E-step, and by max for `viterbi` and `viterbi_scores` (max-product).
+The E-step alone runs a second forward pass, in the probability domain with
+one scale per row (Rabiner 1989, sec. V.A), for each chain whose reachable
+cells one scale per row holds exactly, a test made cell by cell; the chains
+that fail it run in the log domain as one smaller stack, and the others stay
+scaled. Viterbi ties break toward the lowest state index, from the last
+frame back, and `viterbi_scores` gives the best scores without the paths.
+The public backward pass runs in the log domain with log-sum-exp over each
+state's successors, so that it stays exact for states the forward pass
+cannot reach.
 
 Inside the engine a stack's rows come first, (R, B, S), so that one row of
 every chain is one contiguous block for the row-by-row recursions.
@@ -53,10 +52,6 @@ from .errors import NumericError
 # terms is then exact to far below 1e-16 relative, and no scaled backward
 # value can overflow.
 _TINY = 1e-280
-_FLOAT_TINY = np.finfo(np.float64).tiny
-# `loglik` keeps a scaled pass whose underflow can have cost at most this
-# share of the likelihood.
-LOGLIK_UNDERFLOW_TOL = 1e-12
 
 
 def _log(p: np.ndarray) -> np.ndarray:
@@ -108,17 +103,13 @@ def _runs(lengths: np.ndarray, g: int) -> tuple:
     return tuple((int(a), int(b), int(n[a])) for a, b in zip(cut, cut[1:]) if n[a])
 
 
-def _lift(log_init, logb):
-    """Whether one chain was given, and the arguments as a stack."""
+def _chains(log_init, trans, logb, lengths=None) -> tuple[bool, _Chains]:
+    """Whether one chain was given, and its or a stack's arguments as a stack
+    in the engine's layout."""
     log_init = np.asarray(log_init, dtype=np.float64)
-    if log_init.ndim == 1:
-        return True, log_init[None], np.asarray(logb)[None]
-    return False, log_init, logb
-
-
-def _chains(log_init, trans, logb, lengths=None) -> _Chains:
-    """One chain's or a stack's arguments in the engine's layout."""
-    _, log_init, logb = _lift(log_init, logb)
+    single = log_init.ndim == 1
+    if single:
+        log_init, logb = log_init[None], np.asarray(logb)[None]
     table = np.array(np.swapaxes(logb, 0, 1), dtype=np.float64, order="C")
     rows, b = table.shape[:2]
     if lengths is None:
@@ -127,7 +118,7 @@ def _chains(log_init, trans, logb, lengths=None) -> _Chains:
         lengths = np.asarray(lengths, dtype=np.intp)
         table[np.arange(rows)[:, None] >= lengths] = -np.inf
     trans = np.asarray(trans, dtype=np.float64)
-    return _stack(log_init, trans.reshape((-1,) + trans.shape[-2:]), table, lengths)
+    return single, _stack(log_init, trans.reshape((-1,) + trans.shape[-2:]), table, lengths)
 
 
 def _by_chain(x: np.ndarray) -> np.ndarray:
@@ -210,21 +201,21 @@ def _support(c: _Chains) -> np.ndarray:
 
 
 class _Pass(NamedTuple):
-    """A stack's forward pass with one scale per row (`_scaled_pass`)."""
+    """A stack's forward pass with one scale per row (`_scaled_forward`)."""
 
     chains: _Chains
     ok: np.ndarray         # (B,) the chain keeps its scaled pass
-    live: np.ndarray       # (R, B, S) reachable cells
     alpha: np.ndarray      # (R, B, S) normalised rows
     emit: np.ndarray       # (R, B, S) emission factors
     scale: np.ndarray      # (R, B) scale sums
     log_scale: np.ndarray  # (R, B)
 
 
-def _scaled_pass(log_init, trans, logb, lengths=None) -> _Pass:
-    """The forward pass with one scale per row, of a single chain (as a stack
-    of one) or a stack. A chain is ok unless one of its rows with reachable
-    cells sums to 0; the rows of a chain that is not are zero.
+def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass:
+    """The E-step's forward pass with one scale per row, of a single chain
+    (as a stack of one) or a stack. A chain is ok unless one of its rows with
+    reachable cells sums to 0, which leaves its rows zero, or one scale per
+    row does not hold each of its reachable cells exactly.
 
     Each chain's row r is shifted by its best emission among the states it
     can reach, so no factor exceeds 1 and the row's best state never
@@ -232,7 +223,7 @@ def _scaled_pass(log_init, trans, logb, lengths=None) -> _Pass:
     are zero, and that row's log scale is -inf; padding rows are zero, with
     scale 1.
     """
-    c = _chains(log_init, trans, logb, lengths)
+    _, c = _chains(log_init, trans, logb, lengths)
     rows, b, s = c.logb.shape
     live = _support(c)
     reach = live.any(axis=2)
@@ -264,15 +255,8 @@ def _scaled_pass(log_init, trans, logb, lengths=None) -> _Pass:
     log_scale[0] += top
     dead = np.flatnonzero(end < c.lengths)
     log_scale[end[dead], dead] = -np.inf
-    return _Pass(c, ok, live, alpha, emit, scale, log_scale)
-
-
-def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass:
-    """`_scaled_pass`, in which a chain is ok only if one scale per row holds
-    each of its reachable cells exactly."""
-    fwd = _scaled_pass(log_init, trans, logb, lengths)
-    held = (fwd.alpha * fwd.scale[..., None] >= _TINY) | ~fwd.live
-    return fwd._replace(ok=fwd.ok & held.all(axis=(0, 2)))
+    ok &= ((alpha * scale[..., None] >= _TINY) | ~live).all(axis=(0, 2))
+    return _Pass(c, ok, alpha, emit, scale, log_scale)
 
 
 def _log_forward(c: _Chains, reduce=np.logaddexp.reduce) -> np.ndarray:
@@ -311,72 +295,16 @@ def _scaled_totals(log_scale: np.ndarray) -> np.ndarray:
 def forward(log_init, trans, logb, lengths=None):
     """Log forward lattices (B, R, S) and total log-likelihoods (B,), in the
     log domain."""
-    single, log_init, logb = _lift(log_init, logb)
-    c = _chains(log_init, trans, logb, lengths)
+    single, c = _chains(log_init, trans, logb, lengths)
     la = _log_forward(c)
     return _one(single, _by_chain(la), _final(la, c.lengths))
 
 
 def loglik(log_init, trans, logb, lengths=None):
-    """Total log-likelihoods (B,), without the lattices: the scaled pass, and
-    the log domain only for the chains on which a bound on what underflow can
-    have lost exceeds LOGLIK_UNDERFLOW_TOL of the likelihood (`_underflow`)."""
-    single, log_init, logb = _lift(log_init, logb)
-    fwd = _scaled_pass(log_init, trans, logb, lengths)
-    ll = _scaled_totals(fwd.log_scale)[-1]
-    keep = fwd.ok & ((ll == -np.inf) | (_underflow(fwd) <= LOGLIK_UNDERFLOW_TOL))
-    redo = np.flatnonzero(~keep)
-    if redo.size:
-        some = fwd.chains.some(redo)
-        ll[redo] = _final(_log_forward(some), some.lengths)
-    return _one(single, ll)
-
-
-def _underflow(fwd: _Pass) -> np.ndarray:
-    """A bound (B,) on the share of each chain's likelihood that underflow
-    can have cost its scaled pass.
-
-    Rounding aside, the scaled pass loses only what its operations lose to
-    underflow, at most tiny (the smallest normal double) each; with gradual
-    underflow a sum loses nothing, since a sum that underflows is exact. Let
-    c_r be row r's scale sum: c_r <= 1 for r >= 1, since the predecessor mass
-    of a row sums to 1 and no emission factor exceeds 1, and c_0 <= S. A
-    cell is dirty when an operation that made it may have given a result
-    below tiny: its value lies below _TINY before or after the division by
-    c_r, or one of the products in its predecessor sum may lie below tiny.
-    A dirty cell of the normalised row r is off by at most
-    e_r = (S + 2) tiny / c_r: S products, the emission factor with its
-    product, and the division. An error e in cell (r, j) moves the
-    likelihood by e * beta_r(j) relative to it, where beta_r(j) is the
-    backward value in the scale of the normalised rows. Since
-    sum_j alpha_r(j) beta_r(j) = 1, beta_r(j) <= 1 / alpha_r(j); and since
-    every later row multiplies the one before by a row-stochastic matrix and
-    by factors in [0, 1], beta_r(j) <= 1 / prod_{r' > r} c_r'. So the
-    likelihood's relative loss is at most, to first order,
-
-        sum over dirty cells (r, j) of
-            e_r * min(1 / (alpha_r(j) - e_r), 1 / prod_{r' > r} c_r').
-
-    A state that underflows and later carries the likelihood (one that
-    revives) leaves the rows after it with small scale sums, so the bound
-    grows with the loss it has to cover.
-    """
-    alpha, scale, c = fwd.alpha, fwd.scale, fwd.chains
-    smallest = np.where(alpha > 0, alpha, np.inf).min(axis=2)
-    dirty = np.minimum(alpha, alpha * scale[..., None]) < _TINY
-    dirty[0] &= fwd.live[0]
-    least_in = np.where(c.trans > 0, c.trans, np.inf).min(axis=-2)
-    least_in = np.repeat(least_in, len(c.lengths) // len(c.trans), axis=0)
-    dirty[1:] |= smallest[:-1, :, None] * least_in < _FLOAT_TINY
-    dirty[1:] &= (_step(alpha[:-1] > 0, c.trans, c.runs) > 0) & (c.logb[1:] > -np.inf)
-    if not dirty.any():
-        return np.zeros(alpha.shape[1])
-    err = (alpha.shape[2] + 2) * _FLOAT_TINY / scale[..., None]
-    log_c = np.log(scale)
-    after = np.cumsum(log_c[::-1], axis=0)[::-1] - log_c  # log prod_{r' > r} c_r'
-    with np.errstate(divide="ignore", over="ignore"):
-        gain = np.minimum(1.0 / np.maximum(alpha - err, 0.0), np.exp(-after)[..., None])
-    return np.where(dirty, err * gain, 0.0).sum(axis=(0, 2))
+    """Total log-likelihoods (B,), without the lattices: `forward`'s
+    recursion, with the same results bit for bit."""
+    single, c = _chains(log_init, trans, logb, lengths)
+    return _one(single, _final(_log_forward(c), c.lengths))
 
 
 def backward(trans, logb, lengths=None) -> np.ndarray:
@@ -386,8 +314,8 @@ def backward(trans, logb, lengths=None) -> np.ndarray:
     (`np.logaddexp`), so every finite beta stays finite whatever the other
     states score.
     """
-    single, log_init, logb = _lift(np.zeros(np.shape(logb)[:-2] + np.shape(logb)[-1:]), logb)
-    return _one(single, _by_chain(_backward(_chains(log_init, trans, logb, lengths))))
+    single, c = _chains(np.zeros(np.shape(logb)[:-2] + np.shape(logb)[-1:]), trans, logb, lengths)
+    return _one(single, _by_chain(_backward(c)))
 
 
 def _backward(c: _Chains) -> np.ndarray:
@@ -415,7 +343,6 @@ def estep(log_init, trans, logb, lengths=None):
     E-step in the log domain. Raises NumericError when a chain's likelihood
     is not finite.
     """
-    single, log_init, logb = _lift(log_init, logb)
     fwd = _scaled_forward(log_init, trans, logb, lengths)
     ll = _scaled_totals(fwd.log_scale)[-1]
     _training_ll(ll[fwd.ok])
@@ -423,7 +350,7 @@ def estep(log_init, trans, logb, lengths=None):
     redo = np.flatnonzero(~fwd.ok)
     if redo.size:
         gamma[:, redo], counts[redo], ll[redo] = _log_estep(fwd.chains.some(redo))
-    return _one(single, _by_chain(gamma), counts, ll)
+    return _one(np.ndim(log_init) == 1, _by_chain(gamma), counts, ll)
 
 
 def _scaled_estep(fwd: _Pass):
@@ -477,8 +404,7 @@ def viterbi(log_init, trans, logb, lengths=None):
     lowest-index best predecessor of the state chosen after it, compared on
     its best score plus the transition.
     """
-    single, log_init, logb = _lift(log_init, logb)
-    c = _chains(log_init, trans, logb, lengths)
+    single, c = _chains(log_init, trans, logb, lengths)
     delta = _log_forward(c, np.maximum.reduce)
     final = _last(delta, c.lengths)
     rows, b, s = c.logb.shape
@@ -510,6 +436,5 @@ def viterbi(log_init, trans, logb, lengths=None):
 def viterbi_scores(log_init, trans, logb, lengths=None):
     """The log scores (B,) of `viterbi`'s paths, without the paths; -inf for
     a chain with no admissible path."""
-    single, log_init, logb = _lift(log_init, logb)
-    c = _chains(log_init, trans, logb, lengths)
+    single, c = _chains(log_init, trans, logb, lengths)
     return _one(single, _last(_log_forward(c, np.maximum.reduce), c.lengths).max(axis=1))

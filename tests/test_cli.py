@@ -354,6 +354,8 @@ BAD_EXTRACT_INPUTS = [
     pytest.param(_WAV[:-1000], _MANIFEST, [], "the file is cut", id="cut_data_chunk"),
     pytest.param(_WAV, "speaker\tcondition\tpath\ns1\tneutral\tu.wav\n", [],
                  "missing required columns", id="missing_columns"),
+    pytest.param(_WAV, _MANIFEST.replace("s1", "s\0"), [], "line 2: a field holds a NUL",
+                 id="nul_in_speaker"),
     pytest.param(_WAV, _MANIFEST, ["--lpc-order", "480"], "max_lag 480",
                  id="lpc_order_ge_window"),
     pytest.param(_WAV, _MANIFEST, ["--window-ms", "nan"], "finite and positive",
@@ -590,6 +592,11 @@ def _binary_manifest(root):
     return _train_args(root)
 
 
+def _nul_in_path(root):
+    _rewrite_manifest(root, lambda ln: ln.replace(".lpcc", ".lpcc\0"))
+    return _train_args(root)
+
+
 def _missing_features(root):
     (root / "features" / "b_002.lpcc").unlink()
     return _train_args(root)
@@ -635,10 +642,10 @@ def _nan_states(root):
 
 
 # each breaks a copy of a synthetic corpus (root) -> hmm2tc train arguments
-BAD_TRAIN_INPUTS = [_all_test, _no_train_tokens, _binary_manifest, _missing_features,
-                    _wrong_dim_features, _one_frame_sequence, _frame_too_large_to_square,
-                    _zero_iterations, _nan_tolerance, _negative_iterations, _negative_states,
-                    _zero_mixtures, _nan_states]
+BAD_TRAIN_INPUTS = [_all_test, _no_train_tokens, _binary_manifest, _nul_in_path,
+                    _missing_features, _wrong_dim_features, _one_frame_sequence,
+                    _frame_too_large_to_square, _zero_iterations, _nan_tolerance,
+                    _negative_iterations, _negative_states, _zero_mixtures, _nan_states]
 
 # report file contents that `compare` must refuse
 BAD_REPORTS = {
@@ -668,6 +675,7 @@ BAD_SPECS = {
     "separation_inf": '{"labels": ["a"], "separation": Infinity}',
     "negative_seed": '{"labels": ["a"], "seed": -1}',
     "fractional_seed": '{"labels": ["a"], "seed": 1.5}',
+    "label_leaves_out": '{"labels": ["a", "../esc"]}',
 }
 
 

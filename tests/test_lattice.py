@@ -327,9 +327,9 @@ def test_order_one_engine_with_zeroed_transitions():
 def test_loglik_keeps_a_state_that_revives(order, frames):
     # states 0 and 1 underflow on the frames at 45 and carry the likelihood on
     # the frames after them. At 0.0 state 2 underflows as well and the scaled
-    # pass stops; at 10.0 it keeps every row a nonzero scale, and only the
-    # underflow bound sends the sequence to the log domain: the scaled pass
-    # alone gives about -2857 there, where the enumeration gives about -2182.
+    # pass stops; at 10.0 it keeps every row a nonzero scale, and the scaled
+    # pass alone gives about -2857 there, where the enumeration gives about
+    # -2182.
     model = TestDroppedStateRevives().model1()
     if order == 2:
         model = lift_hmm1(model)
@@ -339,8 +339,6 @@ def test_loglik_keeps_a_state_that_revives(order, frames):
         chain = (_log(model.pi), model.a, model.emission_log_probs(frames))
         want = enumerate_loglik1(model, frames)
     assert lattice.loglik(*chain) == pytest.approx(want, rel=1e-12)
-    if frames[3, 0] == 10.0:
-        assert lattice._scaled_pass(*chain).ok[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -485,6 +483,7 @@ def test_stack_matches_each_chain(stack):
     singles = [_one_chain(stack, k) for k in range(len(lengths))]
     lls = lattice.loglik(*stack)
     la, fwd_lls = lattice.forward(*stack)
+    assert np.array_equal(lls, fwd_lls)
     paths, scores = lattice.viterbi(*stack)
     assert np.array_equal(lattice.viterbi_scores(*stack), scores)
     for k, (chain, rows) in enumerate(zip(singles, lengths)):
@@ -530,7 +529,6 @@ def test_bank_with_log_domain_chains_and_a_chain_with_no_path():
     logb[2, 3] = -np.inf
     logb[4, :2] = [[0, -1000, -np.inf], [-np.inf, -np.inf, 0]]
     stack = (log_init, trans, logb, np.full(5, 6))
-    assert lattice._scaled_pass(*stack).ok.tolist() == [True, True, True, True, False]
     assert lattice._scaled_forward(*stack).ok.tolist() == [True, False, True, True, False]
     lls = lattice.loglik(*stack)
     _, fwd_lls = lattice.forward(*stack)
