@@ -8,8 +8,9 @@
 #    fails by design (README.md, "Tests"), and anything else failing, or that
 #    test passing, is a change to look at;
 # 2. the benchmark's own tests (perfbench/tests);
-# 3. a small run of the end-to-end script scripts/run_synthetic_benchmark.py
-#    (synthesise, split, train and evaluate both orders), which must exit 0;
+# 3. a small run of the end-to-end script scripts/run_synthetic_benchmark.py,
+#    which runs the CLI's synth, train and evaluate for both orders and then
+#    compare, and must exit 0;
 # 4. a 2-second traced benchmark run of each workload at seed 1, whose result
 #    line must read "failed": 0 (a traced run also exercises the span
 #    tracer's hooks);

@@ -1,33 +1,31 @@
 #!/usr/bin/env python3
 """End-to-end synthetic benchmark: order-1 vs order-2 condition identification.
 
-Generates a synthetic six-condition corpus, applies the 5-train / 4-test token
-split, trains one bank of models per order, and prints both confusion-matrix
-reports plus the per-condition improvement-rate table of order 2 over order 1.
+Writes the spec of a synthetic six-condition corpus and runs the hmm2tc CLI
+on it: `synth`, then `train` and `evaluate` for each order on the 5-train /
+4-test token split, then `compare`, which prints the per-condition
+improvement-rate table of order 2 over order 1. Everything stays under --out:
+spec.json, the corpus, the banks bank1/ and bank2/, the reports report1/ and
+report2/, and the table, improvement.json.
 
 Example:
     python3 scripts/run_synthetic_benchmark.py --out /tmp/bench --separation 2.0
 """
 
 import argparse
+import json
 import os
 import sys
-import time
 
-import numpy as np
-
-from hmm2tc.audio import load_features
-from hmm2tc.classify import (evaluate, improvement_table, render_improvement_text,
-                             render_report_text, train_bank)
-from hmm2tc.config import TrainConfig
-from hmm2tc.corpus import SynthSpec, apply_split_protocol, generate_synthetic_corpus
+from hmm2tc import cli
 
 DEFAULT_LABELS = ["neutral", "shouted", "loud", "angry", "happy", "fear"]
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--out", required=True, help="directory for the generated corpus")
+    p.add_argument("--out", required=True,
+                   help="directory for the corpus, the banks and the reports")
     p.add_argument("--labels", nargs="+", default=DEFAULT_LABELS)
     p.add_argument("--tokens", type=int, default=9, help="tokens per condition")
     p.add_argument("--states", type=int, default=5)
@@ -46,41 +44,38 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    spec = SynthSpec(labels=args.labels, tokens_per_condition=args.tokens,
-                     frames=tuple(args.frames), n_states=args.states,
-                     n_components=args.mixtures, dim=args.dim,
-                     separation=args.separation, seed=args.seed)
-    t0 = time.monotonic()
-    entries, _ = generate_synthetic_corpus(spec, args.out)
-    entries = apply_split_protocol(entries, 5, 4)
-    train = {lab: [] for lab in args.labels}
-    test = {lab: [] for lab in args.labels}
-    for e in entries:
-        seq = load_features(os.path.join(args.out, e.path))
-        if e.split == "train":
-            train[e.condition].append(seq)
-        elif e.split == "test":
-            test[e.condition].append(seq)
-    print(f"corpus: {len(entries)} tokens, {len(args.labels)} conditions "
-          f"({time.monotonic() - t0:.1f}s)")
-
-    cfg = TrainConfig(max_iterations=args.max_iter, seed=args.seed)
-    reports = {}
+    out = args.out
+    os.makedirs(out, exist_ok=True)
+    spec = os.path.join(out, "spec.json")
+    with open(spec, "w", encoding="utf-8") as fh:
+        json.dump({"labels": args.labels, "tokens_per_condition": args.tokens,
+                   "frames": list(args.frames), "n_states": args.states,
+                   "n_components": args.mixtures, "dim": args.dim,
+                   "separation": args.separation, "seed": args.seed}, fh, indent=1)
+    manifest = os.path.join(out, "manifest.tsv")
+    report = {order: os.path.join(out, f"report{order}", "report.json") for order in (1, 2)}
+    commands = [["synth", "--spec", spec, "--out", out]]
     for order in (1, 2):
-        t0 = time.monotonic()
-        bank, _ = train_bank(train, order, args.states, args.mixtures,
-                             args.topology, cfg)
-        report = evaluate(bank, test)
-        reports[order] = report
-        print(f"\norder-{order} bank trained and evaluated in "
-              f"{time.monotonic() - t0:.1f}s")
-        print(render_report_text(report, title=f"HMM{order} benchmark"), end="")
+        bank = os.path.join(out, f"bank{order}")
+        commands += [["train", "--manifest", manifest, "--out", bank, "--order", str(order),
+                      "--states", str(args.states), "--mixtures", str(args.mixtures),
+                      "--topology", args.topology, "--max-iter", str(args.max_iter),
+                      "--seed", str(args.seed)],
+                     ["evaluate", "--manifest", manifest, "--bank", bank,
+                      "--out", os.path.dirname(report[order])]]
+    commands.append(["compare", report[1], report[2],
+                     "--out", os.path.join(out, "improvement.json")])
+    for command in commands:
+        print(f"\n$ hmm2tc {' '.join(command)}")
+        code = cli.main(command)
+        if code:
+            return code
 
-    print()
-    table = improvement_table(reports[1].to_dict(), reports[2].to_dict())
-    print(render_improvement_text(table), end="")
-    acc = {o: 100.0 * np.trace(r.counts) / r.counts.sum()
-           for o, r in reports.items()}
+    acc = {}
+    for order, path in report.items():
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        acc[order] = 100.0 * sum(row[i] for i, row in enumerate(doc["counts"])) / doc["n_test"]
     print(f"\noverall accuracy: HMM1 {acc[1]:.1f}%  HMM2 {acc[2]:.1f}%")
     return 0
 

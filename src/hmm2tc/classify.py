@@ -203,7 +203,8 @@ def evaluate_scopes(banks: dict, tests, scoring: str = "forward",
     utterance, group name or None) tuples. The report's labels are the union
     of the banks' labels, the first bank's in its order first. A true label
     that its own scope's bank has no model for raises DataError: that
-    utterance could only ever count as a miss.
+    utterance could only ever count as a miss. So does an empty test set,
+    whose report would read 0 % for every condition.
     """
     labels = list(dict.fromkeys(lab for bank in banks.values() for lab in bank.labels))
     index = {lab: i for i, lab in enumerate(labels)}
@@ -222,6 +223,8 @@ def evaluate_scopes(banks: dict, tests, scoring: str = "forward",
         if group is not None:
             group_counts.setdefault(group, np.zeros(shape, dtype=np.int64))[cell] += 1
         records.append(_score_record(true_label, result, obs))
+    if not records:
+        raise DataError("no test utterances to evaluate")
     return EvaluationReport(labels, counts, protocol or {}, group_counts, records)
 
 
@@ -257,45 +260,32 @@ def improvement_table(baseline: dict, new: dict) -> dict[str, float]:
             for lab, rb, rn in zip(baseline["labels"], baseline["rates"], new["rates"])}
 
 
-def _fmt_row(cells: list[str], widths: list[int]) -> str:
-    return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
+def _table(rows: list[list[str]]) -> list[str]:
+    """Rows of cells as lines, each column right-aligned to its widest cell."""
+    widths = [max(map(len, col)) for col in zip(*rows)]
+    return ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows]
 
 
 def render_report_text(report: EvaluationReport, title: str = "") -> str:
     """Aligned plain-text tables: per-condition rates then the confusion matrix."""
     labels = report.labels
-    lines = []
-    if title:
-        lines += [title, "=" * len(title), ""]
+    lines = [title, "=" * len(title), ""] if title else []
     group_rates = report.group_rates()
     lines.append("TALKING CONDITION IDENTIFICATION PERFORMANCE")
-    header = ["Condition"] + list(group_rates) + ["Average"]
-    rows = [header]
-    rates = report.rates
-    for i, lab in enumerate(labels):
-        row = [lab]
-        for g in group_rates:
-            row.append(f"{round_half_away(group_rates[g][i]):.1f}%")
-        row.append(f"{round_half_away(rates[i]):.1f}%")
-        rows.append(row)
-    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    lines += [_fmt_row(r, widths) for r in rows]
+    lines += _table([["Condition", *group_rates, "Average"]]
+                    + [[lab] + [f"{round_half_away(r[i]):.1f}%"
+                                for r in (*group_rates.values(), report.rates)]
+                       for i, lab in enumerate(labels)])
     lines.append("")
     lines.append("CONFUSION MATRIX (columns: portrayed condition, rows: evaluated; column %)")
-    pct = report.percentages
-    rows = [["Model"] + labels]
-    for i, lab in enumerate(labels):
-        rows.append([lab] + [f"{round_half_away(pct[i, j]):.1f}%"
-                             for j in range(len(labels))])
-    widths = [max(len(r[c]) for r in rows) for c in range(len(labels) + 1)]
-    lines += [_fmt_row(r, widths) for r in rows]
+    lines += _table([["Model", *labels]]
+                    + [[lab] + [f"{round_half_away(p):.1f}%" for p in row]
+                       for lab, row in zip(labels, report.percentages)])
     lines.append("")
     lines.append(f"test utterances: {report.n_test}")
     return "\n".join(lines) + "\n"
 
 
 def render_improvement_text(table: dict[str, float]) -> str:
-    rows = [["Model"] + list(table), ["%"] + [f"{v:.1f}" for v in table.values()]]
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    title = "AVERAGE IMPROVEMENT RATE"
-    return "\n".join([title] + [_fmt_row(r, widths) for r in rows]) + "\n"
+    rows = [["Model", *table], ["%"] + [f"{v:.1f}" for v in table.values()]]
+    return "\n".join(["AVERAGE IMPROVEMENT RATE", *_table(rows)]) + "\n"

@@ -27,7 +27,8 @@ likelihoods, bit for bit, without the lattices) and for the log-domain chains
 of the E-step, and by max for `viterbi` and `viterbi_scores` (max-product).
 The E-step alone runs a second forward pass, in the probability domain with
 one scale per row (Rabiner 1989, sec. V.A), for each chain whose reachable
-cells one scale per row holds exactly, a test made cell by cell; the chains
+cells one scale per row holds exactly, a test made cell by cell, which a row
+that sums to 0 fails, a row with no reachable state among them; the chains
 that fail it run in the log domain as one smaller stack, and the others stay
 scaled. Viterbi ties break toward the lowest state index, from the last
 frame back, and `viterbi_scores` gives the best scores without the paths.
@@ -208,39 +209,35 @@ class _Pass(NamedTuple):
     alpha: np.ndarray      # (R, B, S) normalised rows
     emit: np.ndarray       # (R, B, S) emission factors
     scale: np.ndarray      # (R, B) scale sums
-    log_scale: np.ndarray  # (R, B)
+    ll: np.ndarray         # (B,) log-likelihoods of the chains that are ok
 
 
 def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass:
     """The E-step's forward pass with one scale per row, of a single chain
-    (as a stack of one) or a stack. A chain is ok unless one of its rows with
-    reachable cells sums to 0, which leaves its rows zero, or one scale per
-    row does not hold each of its reachable cells exactly.
+    (as a stack of one) or a stack. A chain is ok unless one of its rows sums
+    to 0, as a row with no reachable state does (each of its cells has
+    predecessor mass 0 or emission factor 0), or one scale per row does not
+    hold each of its reachable cells exactly.
 
     Each chain's row r is shifted by its best emission among the states it
-    can reach, so no factor exceeds 1 and the row's best state never
-    underflows. A chain's rows after its first one with no reachable state
-    are zero, and that row's log scale is -inf; padding rows are zero, with
-    scale 1.
+    can reach (by 0 on a row with none), so no factor exceeds 1 and the row's
+    best state never underflows. Padding rows are zero, with scale 1.
     """
     _, c = _chains(log_init, trans, logb, lengths)
     rows, b, s = c.logb.shape
     live = _support(c)
-    reach = live.any(axis=2)
-    end = np.where(reach.all(axis=0), rows, np.argmin(reach, axis=0))
-    after = np.arange(rows)[:, None] >= end
+    after = np.arange(rows)[:, None] >= c.lengths
     shift = np.where(live, c.logb, -np.inf).max(axis=2)
-    shift[after] = 0.0
+    shift[~live.any(axis=2)] = 0.0
     emit = np.exp(np.minimum(c.logb - shift[..., None], 0.0))
-    emit[after] = 0.0
     alpha = np.zeros((rows, b, s))
     scale = np.ones((rows, b))
-    top = np.where(end > 0, c.log_init.max(axis=1), 0.0)
+    top = np.where(live[0].any(axis=1), c.log_init.max(axis=1), 0.0)
     pred = np.exp(c.log_init - top[:, None])
     # a row that sums to 0 turns its chain's later rows into NaN (0 / 0),
     # and only that chain's
     with np.errstate(invalid="ignore"):
-        for r in range(int(end.max())):
+        for r in range(int(c.lengths.max())):
             if r:
                 pred = _step(alpha[r - 1], c.trans, c.runs)
             row = alpha[r]
@@ -248,15 +245,16 @@ def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass:
             row /= np.add.reduce(row, axis=1, out=scale[r])[:, None]
     alpha[after] = 0.0
     scale[after] = 1.0
-    ok = np.all(scale > 0, axis=0)
+    # a chain that is not ok gets zero rows and scale 1, so that its scaled
+    # backward pass, which `estep` replaces, cannot overflow
+    ok = (scale > 0).all(axis=0) & ((alpha * scale[..., None] >= _TINY) | ~live).all(axis=(0, 2))
     alpha[:, ~ok] = 0.0
     scale[:, ~ok] = 1.0
     log_scale = shift + np.log(scale)
     log_scale[0] += top
-    dead = np.flatnonzero(end < c.lengths)
-    log_scale[end[dead], dead] = -np.inf
-    ok &= ((alpha * scale[..., None] >= _TINY) | ~live).all(axis=(0, 2))
-    return _Pass(c, ok, alpha, emit, scale, log_scale)
+    # numpy sums the one column of a single chain pairwise, so `sum` would
+    # make a chain's likelihood depend on the stack it runs in
+    return _Pass(c, ok, alpha, emit, scale, np.cumsum(log_scale, axis=0)[-1])
 
 
 def _log_forward(c: _Chains, reduce=np.logaddexp.reduce) -> np.ndarray:
@@ -283,13 +281,6 @@ def _final(la: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Each chain's log-likelihood from its log forward lattice (R, B, S); 0
     for a chain of length 0."""
     return np.where(lengths > 0, logsumexp(_last(la, lengths), axis=1), 0.0)
-
-
-def _scaled_totals(log_scale: np.ndarray) -> np.ndarray:
-    """The running sums (R, B) of each chain's log scales, row by row. (numpy
-    sums the one column of a single chain pairwise, so `sum` would make a
-    chain's likelihood depend on the stack it runs in.)"""
-    return np.cumsum(log_scale, axis=0)
 
 
 def forward(log_init, trans, logb, lengths=None):
@@ -339,18 +330,16 @@ def estep(log_init, trans, logb, lengths=None):
     After a scaled forward pass the backward pass reuses its scales, and
     states the forward pass did not reach keep beta = 0: their posteriors are
     0 either way, and a zero keeps their unscaled betas from overflowing into
-    the reachable ones. The chains the scaled pass cannot hold run the whole
-    E-step in the log domain. Raises NumericError when a chain's likelihood
-    is not finite.
+    the reachable ones. The chains the scaled pass cannot hold, a chain with
+    a row of no reachable state among them, run the whole E-step in the log
+    domain, which raises NumericError when a chain's likelihood is not finite.
     """
     fwd = _scaled_forward(log_init, trans, logb, lengths)
-    ll = _scaled_totals(fwd.log_scale)[-1]
-    _training_ll(ll[fwd.ok])
     gamma, counts = _scaled_estep(fwd)
     redo = np.flatnonzero(~fwd.ok)
     if redo.size:
-        gamma[:, redo], counts[redo], ll[redo] = _log_estep(fwd.chains.some(redo))
-    return _one(np.ndim(log_init) == 1, _by_chain(gamma), counts, ll)
+        gamma[:, redo], counts[redo], fwd.ll[redo] = _log_estep(fwd.chains.some(redo))
+    return _one(np.ndim(log_init) == 1, _by_chain(gamma), counts, fwd.ll)
 
 
 def _scaled_estep(fwd: _Pass):
@@ -375,7 +364,10 @@ def _scaled_estep(fwd: _Pass):
 def _log_estep(c: _Chains):
     """`estep` in the log domain, in the engine's layout."""
     la = _log_forward(c)
-    ll = _training_ll(_final(la, c.lengths))
+    ll = _final(la, c.lengths)
+    bad = ll[~np.isfinite(ll)]
+    if bad.size:
+        raise NumericError(f"training sequence has log-likelihood {bad[0]}")
     lb = _backward(c)
     b, s = c.log_init.shape
     succ, log_succ = _neighbours(np.swapaxes(c.trans, -1, -2), b)
@@ -386,13 +378,6 @@ def _log_estep(c: _Chains):
     counts = np.zeros((b, s, s))
     counts[np.arange(b)[:, None], np.arange(s), succ] = acc
     return np.exp(la + lb - ll[:, None]), counts, ll
-
-
-def _training_ll(ll: np.ndarray) -> np.ndarray:
-    bad = ll[~np.isfinite(ll)]
-    if bad.size:
-        raise NumericError(f"training sequence has log-likelihood {bad[0]}")
-    return ll
 
 
 def viterbi(log_init, trans, logb, lengths=None):

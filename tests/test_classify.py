@@ -120,6 +120,10 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(two_label_bank(), {"zzz": [np.zeros((5, 2))]})
 
+    def test_no_test_utterances(self):
+        with pytest.raises(DataError, match="no test utterances"):
+            evaluate(two_label_bank(), {})
+
     def test_report_round_trip(self):
         report = EvaluationReport(["a", "b"], [[3, 1], [1, 4]],
                                   protocol={"scoring": "forward"})

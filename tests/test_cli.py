@@ -139,6 +139,15 @@ class TestTrainEvaluate:
         assert code == 3 and "split counts must be >= 0" in err
         assert not (tmp_path / "rep").exists()
 
+    def test_evaluate_with_no_test_utterances_exits_3(self, synth_corpus, tmp_path, capsys):
+        bank = tmp_path / "bank"
+        assert self._train(capsys, synth_corpus, bank, 1)[0] == 0
+        code, _, err = run(capsys, "evaluate", "--manifest", str(synth_corpus / "manifest.tsv"),
+                           "--bank", str(bank), "--out", str(tmp_path / "rep"),
+                           "--test-count", "0")
+        assert code == 3 and "no test utterances" in err
+        assert not (tmp_path / "rep").exists()
+
     def test_identify(self, synth_corpus, tmp_path, capsys):
         bank = tmp_path / "bank"
         assert self._train(capsys, synth_corpus, bank, 2)[0] == 0

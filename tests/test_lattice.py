@@ -181,6 +181,17 @@ def test_dropped_state_is_kept_when_its_row_still_has_mass():
     assert em_ll == pytest.approx(want, rel=1e-12)
 
 
+def test_chain_whose_scale_only_the_per_cell_check_rejects_leaves_no_overflow():
+    # row 1 keeps only state 1, whose mass e**-730 is subnormal: the row's
+    # scale is above 0, but 1 / scale overflows
+    log_init = _log(np.array([.5, .5]))
+    logb = np.array([[0, -730], [-1000, 0], [0, 0]], dtype=float)
+    fwd = lattice._scaled_forward(log_init, np.eye(2), logb)
+    assert not fwd.ok[0] and np.all(fwd.scale == 1.0)
+    _, _, ll = lattice.estep(log_init, np.eye(2), logb)
+    assert ll == pytest.approx(enumerate_chain(log_init, np.eye(2), logb), rel=1e-12)
+
+
 def reference_forward1(model, obs):
     """Log-domain forward recursion with log-sum-exp per frame."""
     logb = model.emission_log_probs(obs)
@@ -516,9 +527,11 @@ def test_stack_matches_each_chain(stack):
 
 def test_bank_with_log_domain_chains_and_a_chain_with_no_path():
     # chain 1 is the chain of test_dropped_state_is_kept_when_its_row_still_has_mass,
-    # which only the log domain holds; chain 2 can emit nothing on row 3; on
-    # chain 4 the one state reachable on row 1 has its only predecessor
-    # underflow on row 0, so the scaled pass sums row 1 to 0
+    # which only the log domain holds; chain 2 can emit nothing on row 3, so
+    # the scaled pass sums that row to 0 and the chain goes to the log domain,
+    # where its -inf likelihood raises; on chain 4 the one state reachable on
+    # row 1 has its only predecessor underflow on row 0, so the scaled pass
+    # sums row 1 to 0
     log_init = _log(np.array([[.5, .5, 0], [1.0, 0, 0], [.2, .3, .5], [0, .5, .5], [.5, .5, 0]]))
     left_right = np.array([[.5, .5, 0], [0, .5, .5], [0, 0, 1]])
     trans = np.stack([left_right] * 4 + [np.array([[1.0, 0, 0], [0, 0, 1], [0, 0, 1]])])
@@ -529,7 +542,7 @@ def test_bank_with_log_domain_chains_and_a_chain_with_no_path():
     logb[2, 3] = -np.inf
     logb[4, :2] = [[0, -1000, -np.inf], [-np.inf, -np.inf, 0]]
     stack = (log_init, trans, logb, np.full(5, 6))
-    assert lattice._scaled_forward(*stack).ok.tolist() == [True, False, True, True, False]
+    assert lattice._scaled_forward(*stack).ok.tolist() == [True, False, False, True, False]
     lls = lattice.loglik(*stack)
     _, fwd_lls = lattice.forward(*stack)
     _, scores = lattice.viterbi(*stack)
@@ -545,6 +558,8 @@ def test_bank_with_log_domain_chains_and_a_chain_with_no_path():
         assert lls[k] == pytest.approx(enumerate_chain(*_one_chain(stack, k)), rel=1e-12)
     with pytest.raises(NumericError):
         lattice.estep(*stack)
+    with pytest.raises(NumericError, match="log-likelihood -inf"):
+        lattice.estep(*_one_chain(stack, 2))
     keep = [0, 1, 3, 4]
     gamma, counts, ll = lattice.estep(log_init[keep], trans[keep], logb[keep])
     for i, k in enumerate(keep):
