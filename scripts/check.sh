@@ -19,6 +19,9 @@
 # 6. the line count of src/hmm2tc/*.py, printed for information only (the
 #    size of the package is tracked from release to release, not gated).
 #
+# Steps 1 and 3 also print their wall time in seconds, the end-to-end times
+# tracked from release to release; neither is gated.
+#
 # Every step runs even when an earlier one fails; the script exits 1 if any
 # step failed and names the failed steps at the end.
 set -u
@@ -27,11 +30,16 @@ cd "$(dirname "$0")/.." || exit 2
 EXPECTED_FAILURE="tests/test_acceptance.py::test_criterion_3_order_reduction_equivalence"
 failed=""
 
+now() { python3 -c 'import time; print(time.time())'; }
+elapsed() { awk -v a="$1" -v b="$(now)" 'BEGIN { printf "%.1f s\n", b - a }'; }
+
 echo "== tier-1 tests"
+start=$(now)
 out=$(PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m pytest -q -rfE \
     --continue-on-collection-errors 2>&1)
 status=$?
 printf '%s\n' "$out"
+echo "tier-1 wall time: $(elapsed "$start")"
 got=$(printf '%s\n' "$out" | sed -n -E 's/^(FAILED|ERROR) ([^ ]+).*/\2/p' | sort -u)
 if [ "$status" -gt 1 ] || [ "$got" != "$EXPECTED_FAILURE" ]; then
     echo "tier-1: failing tests differ from the expected one ($EXPECTED_FAILURE)"
@@ -43,10 +51,12 @@ python3 -m pytest perfbench/tests -q || failed="$failed perfbench-tests"
 
 echo "== end-to-end synthetic benchmark, small"
 scratch=$(mktemp -d) || exit 2
+start=$(now)
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 scripts/run_synthetic_benchmark.py \
     --out "$scratch/corpus" --tokens 9 --states 3 --mixtures 2 --dim 4 --frames 40 60 \
     --max-iter 2 > "$scratch/log" 2>&1 || failed="$failed synthetic-benchmark"
 tail -n 3 "$scratch/log"
+echo "end-to-end synthetic benchmark wall time: $(elapsed "$start")"
 rm -rf "$scratch"
 
 for w in extract train identify; do

@@ -14,7 +14,7 @@ from .errors import DataError, NumericError
 from .gmm import GaussianMixture, log_densities
 from .hmm1 import Hmm1Model, _baum_welch
 from .hmm2 import Hmm2Model
-from .init import init_hmm1, init_hmm2
+from .init import flat_start
 
 _SQUARABLE = np.sqrt(np.finfo(np.float64).max)  # the largest x whose x**2 is finite
 
@@ -53,9 +53,9 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
                n_comp: int, topology: str = "left-right", cfg: TrainConfig | None = None
                ) -> tuple[ConditionBank, dict[str, list[float]]]:
     """One model per condition label; returns the bank and per-label EM traces.
-    Label i's flat start takes seed cfg.seed + i, and the whole bank trains
-    in one EM loop (`hmm1._baum_welch`). A training frame with a value too
-    large to square raises DataError."""
+    The whole bank flat-starts in one call (`init.flat_start`, label i with
+    seed cfg.seed + i) and trains in one EM loop (`hmm1._baum_welch`). A
+    training frame with a value too large to square raises DataError."""
     cfg = cfg or TrainConfig()
     if not training_sets:
         raise DataError("no condition labels to train")
@@ -75,10 +75,8 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
         raise DataError("training sequences have heterogeneous dimensions")
     if order not in (1, 2):
         raise DataError(f"unsupported model order {order}")
-    init = init_hmm1 if order == 1 else init_hmm2
     labels, corpora = list(training_sets), list(training_sets.values())
-    flat = [init(seqs, n_states, n_comp, topology, cfg.seed + idx)
-            for idx, seqs in enumerate(corpora)]
+    flat = flat_start(training_sets, order, n_states, n_comp, topology, cfg.seed)
     trained = _baum_welch(flat, corpora, cfg)
     models = {label: model for label, (model, _) in zip(labels, trained)}
     traces = {label: trace for label, (_, trace) in zip(labels, trained)}

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hmm2tc import cli
 from hmm2tc.cli import main
 
 from conftest import make_wav_bytes
@@ -343,6 +344,37 @@ class TestCompareErrors:
                                 "--format", "json")
         assert code == 0
         assert json.loads(out_text) == {"x": 0.0, "y": 0.0}
+
+
+def test_parser_built_once_and_each_call_parses_its_own_arguments(monkeypatch):
+    seen = []
+    for name in ("cmd_train", "cmd_identify", "cmd_compare"):
+        monkeypatch.setattr(cli, name,
+                            lambda args, name=name: seen.append((name, vars(args))) or 0)
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:   # the parser built now holds the recorders above, so it must not outlive the test
+        assert main(["train", "--manifest", "m", "--out", "o", "--pooled", "--order", "1",
+                     "--seed", "4"]) == 0
+        assert main(["identify", "--bank", "b", "--features", "f", "--scoring", "viterbi"]) == 0
+        assert main(["train", "--manifest", "m2", "--out", "o2"]) == 0
+        assert main(["identify", "--bank", "b", "--features", "f"]) == 0
+        assert main(["compare", "x", "y"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert [name for name, _ in seen] == ["cmd_train", "cmd_identify", "cmd_train",
+                                          "cmd_identify", "cmd_compare"]
+    (_, train1), (_, identify1), (_, train2), (_, identify2), (_, compare) = seen
+    assert (train1["manifest"], train1["pooled"], train1["order"], train1["seed"]) == \
+        ("m", True, 1, 4)
+    assert (train2["manifest"], train2["pooled"], train2["order"], train2["seed"]) == \
+        ("m2", False, 2, 0)
+    assert (identify1["scoring"], identify2["scoring"]) == ("viterbi", "forward")
+    assert "scoring" not in train2 and "pooled" not in identify2
+    assert (compare["baseline"], compare["new"], compare["out"]) == ("x", "y", None)
+    assert "bank" not in compare and "manifest" not in compare
 
 
 _NOISE = (np.random.default_rng(0).normal(0, 0.05, 4800) * 32767).astype(np.int16)
@@ -721,6 +753,19 @@ class TestTrainCompareSynthFuzz:
             err = self._exits_cleanly(capsys, breaker(root))
         if too_large:
             assert "a_001.lpcc" in err and "frame 5" in err, err
+
+    def test_train_names_the_condition_short_of_frames(self, corpus, tmp_path, capsys):
+        # two train tokens of three frames give b's first state 2 frames each,
+        # 4 in all, fewer than the 6 components asked for; a has 40-60 a token
+        root = tmp_path / "c"
+        shutil.copytree(corpus, root)
+        for tok in range(1, 10):
+            (root / "features" / f"b_{tok:03d}.lpcc").write_bytes(_lpcc(np.zeros((3, 3))))
+        capsys.readouterr()
+        code = main(_train_args(root, "manifest.tsv", "--train-count", "2", "--mixtures", "6"))
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "condition 'b' state 0: 4 frames for 6 mixture components" in err, err
 
     @pytest.mark.parametrize("order", ["1", "2"])
     def test_train_frame_one_state_cannot_emit(self, corpus, tmp_path, capsys, order):

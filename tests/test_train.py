@@ -3,14 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from hmm2tc import lattice
+from hmm2tc import init, lattice
 from hmm2tc.classify import train_bank
-from hmm2tc.config import TrainConfig
+from hmm2tc.config import TrainConfig, variance_floor
 from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
 from hmm2tc.hmm1 import Hmm1Model, _baum_welch, baum_welch1
 from hmm2tc.hmm2 import Hmm2Model, baum_welch2, forward2, lift_hmm1, sample_hmm2
-from hmm2tc.init import init_hmm1, init_hmm2
+from hmm2tc.init import flat_start, init_hmm1, init_hmm2
 from hmm2tc.model_io import dumps_model
 
 from conftest import random_hmm2
@@ -69,6 +69,119 @@ class TestInit:
             model1 = init_hmm1(corpus, n_states, n_comp, topology, seed=3)
             model2 = init_hmm2(corpus, n_states, n_comp, topology, seed=3)
             assert dumps_model(model2) == dumps_model(lift_hmm1(model1))
+
+
+def reference_flat_start(mats, n_states, n_comp, seed):
+    """The per-label, per-state flat start, one k-means per state with a loop
+    over the components: per state j the labels of every Lloyd iteration,
+    then the (N, M) weights and (N, M, D) means and variances, and the number
+    of empty-cluster reseeds."""
+    rng = np.random.default_rng(seed)
+    frames = np.concatenate(mats)
+    assign = np.concatenate([np.minimum((np.arange(len(mat)) * n_states) // len(mat),
+                                        n_states - 1) for mat in mats])
+    floor = variance_floor(mats)
+    iterations, reseeds = [], 0
+    weights = np.zeros((n_states, n_comp))
+    means = np.empty((n_states, n_comp, frames.shape[1]))
+    variances = np.empty_like(means)
+    for j in range(n_states):
+        data = frames[assign == j]
+        n = data.shape[0]
+        centers = data[rng.choice(n, size=n_comp, replace=False)].copy()
+        iterations.append([])
+        for _ in range(10):
+            dist = np.sum((data[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+            labels = np.argmin(dist, axis=1)
+            iterations[j].append(labels)
+            for m in range(n_comp):
+                sel = labels == m
+                if not np.any(sel):
+                    centers[m] = data[rng.integers(n)]
+                    reseeds += 1
+                else:
+                    centers[m] = data[sel].mean(axis=0)
+        means[j] = centers
+        for m in range(n_comp):
+            sel = labels == m
+            weights[j, m] = max(int(np.sum(sel)), 1)
+            scatter = data[sel] - means[j, m] if np.any(sel) else np.zeros((1, data.shape[1]))
+            variances[j, m] = np.maximum((scatter ** 2).mean(axis=0), floor)
+    return iterations, weights / weights.sum(axis=1, keepdims=True), means, variances, reseeds
+
+
+def random_ragged_bank(rng):
+    """L 1-6 labels of 1-4 sequences, N 1-5, M 1-5, D 2-16; each sequence
+    long enough for M frames per state. About a third of the banks repeat a
+    few rows of small integers, or of small multiples of 0.1, which make
+    ties and empty clusters."""
+    n_labels, n_states, n_comp = rng.integers(1, 7), rng.integers(1, 6), rng.integers(1, 6)
+    dim = rng.integers(2, 17)
+    tied = rng.random() < 0.35
+    bank = {}
+    for i in range(n_labels):
+        lengths = rng.integers(n_states * n_comp, n_states * n_comp + 60, size=rng.integers(1, 5))
+        if tied:
+            rows = rng.integers(-2, 3, size=(rng.integers(1, 2 * n_comp + 1), dim)) \
+                * rng.choice([1.0, 0.1])
+            seqs = [rows[rng.integers(len(rows), size=t)] for t in lengths]
+        else:
+            scale = 10.0 ** rng.uniform(-3, 3)
+            seqs = [scale * rng.normal(rng.normal(size=dim), 1.0, size=(t, dim)) for t in lengths]
+        bank[f"c{i}"] = seqs
+    return bank, int(n_states), int(n_comp)
+
+
+def test_flat_start_matches_the_per_label_kmeans(monkeypatch):
+    """The batched flat start against the per-label one on seeded random
+    ragged banks: every Lloyd iteration's labels and the weights identical,
+    means and variances within 1e-12 of the data's scale, and each label's
+    model serialising like `init_hmm1` on its corpus alone."""
+    seen = []
+    nearest = init._nearest
+
+    def record(xt, sq_norms, valid, centers):
+        best = nearest(xt, sq_norms, valid, centers)
+        seen.append([b[v] for b, v in zip(best, valid)])
+        return best
+
+    monkeypatch.setattr(init, "_nearest", record)
+    rng = np.random.default_rng(20)
+    reseeds = 0
+    for case in range(60):
+        bank, n_states, n_comp = random_ragged_bank(rng)
+        seen.clear()
+        models = flat_start(bank, 1, n_states, n_comp, "ergodic", seed=case)
+        for i, (mats, model) in enumerate(zip(bank.values(), models)):
+            iterations, weights, means, variances, count = reference_flat_start(
+                mats, n_states, n_comp, case + i)
+            reseeds += count
+            for j in range(n_states):
+                for it in range(10):
+                    assert np.array_equal(seen[10 * j + it][i], iterations[j][it]), (case, i, j)
+            scale = np.abs(np.concatenate(mats)).max()
+            assert np.array_equal(model.mixtures.weights, weights), case
+            np.testing.assert_allclose(model.mixtures.means, means, rtol=1e-12,
+                                       atol=1e-12 * scale)
+            np.testing.assert_allclose(model.mixtures.variances, variances, rtol=1e-12,
+                                       atol=1e-12 * scale ** 2)
+            alone = init_hmm1(mats, n_states, n_comp, "ergodic", seed=case + i)
+            assert dumps_model(alone) == dumps_model(model), (case, i)
+    assert reseeds > 100   # the tied banks reach the empty-cluster path
+
+
+def test_flat_start_ranks_a_frame_whose_squared_norm_overflows():
+    # each value of frame 5 can be squared, its squared norm cannot: the
+    # expanded distances overflow, and the direct form must rank the frame
+    rng = np.random.default_rng(22)
+    mats = [rng.normal(size=(60, 16)), rng.normal(size=(40, 16))]
+    mats[0][5] = 1.2e154
+    with np.errstate(over="ignore"):
+        model = flat_start({"a": mats}, 1, 3, 2, "ergodic", seed=0)[0]
+        _, weights, means, variances, _ = reference_flat_start(mats, 3, 2, 0)
+    assert np.array_equal(model.mixtures.weights, weights)
+    assert np.array_equal(model.mixtures.means, means)
+    assert np.array_equal(model.mixtures.variances, variances)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
