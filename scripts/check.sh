@@ -10,7 +10,9 @@
 # 2. the benchmark's own tests (perfbench/tests);
 # 3. a small run of the end-to-end script scripts/run_synthetic_benchmark.py,
 #    which runs the CLI's synth, train and evaluate for both orders and then
-#    compare, and must exit 0;
+#    compare, and must exit 0; it runs twice, into two directories, and the
+#    two must not differ under diff -r (CLI artifacts are byte-identical from
+#    run to run);
 # 4. a 2-second traced benchmark run of each workload at seed 1, whose result
 #    line must read "failed": 0 (a traced run also exercises the span
 #    tracer's hooks);
@@ -51,12 +53,16 @@ python3 -m pytest perfbench/tests -q || failed="$failed perfbench-tests"
 
 echo "== end-to-end synthetic benchmark, small"
 scratch=$(mktemp -d) || exit 2
-start=$(now)
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 scripts/run_synthetic_benchmark.py \
-    --out "$scratch/corpus" --tokens 9 --states 3 --mixtures 2 --dim 4 --frames 40 60 \
-    --max-iter 2 > "$scratch/log" 2>&1 || failed="$failed synthetic-benchmark"
-tail -n 3 "$scratch/log"
-echo "end-to-end synthetic benchmark wall time: $(elapsed "$start")"
+for run in 1 2; do
+    start=$(now)
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 scripts/run_synthetic_benchmark.py \
+        --out "$scratch/run$run" --tokens 9 --states 3 --mixtures 2 --dim 4 --frames 40 60 \
+        --max-iter 2 > "$scratch/log$run" 2>&1 || failed="$failed synthetic-benchmark"
+    tail -n 3 "$scratch/log$run"
+    echo "end-to-end synthetic benchmark wall time: $(elapsed "$start")"
+done
+diff -r "$scratch/run1" "$scratch/run2" > /dev/null ||
+    { echo "the two runs' artifacts differ"; failed="$failed synthetic-determinism"; }
 rm -rf "$scratch"
 
 for w in extract train identify; do

@@ -16,8 +16,6 @@ from .hmm1 import Hmm1Model, _baum_welch
 from .hmm2 import Hmm2Model
 from .init import flat_start
 
-_SQUARABLE = np.sqrt(np.finfo(np.float64).max)  # the largest x whose x**2 is finite
-
 
 def round_half_away(x: float) -> float:
     """Round to one decimal, ties away from zero (table-rendering convention)."""
@@ -55,7 +53,7 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
     """One model per condition label; returns the bank and per-label EM traces.
     The whole bank flat-starts in one call (`init.flat_start`, label i with
     seed cfg.seed + i) and trains in one EM loop (`hmm1._baum_welch`). A
-    training frame with a value too large to square raises DataError."""
+    training frame whose squared norm is not finite raises DataError."""
     cfg = cfg or TrainConfig()
     if not training_sets:
         raise DataError("no condition labels to train")
@@ -66,11 +64,12 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
         for i, seq in enumerate(seqs):
             mat = frames_of(seq)
             dims.add(mat.shape[1])
-            big = np.flatnonzero(np.any(np.abs(mat) > _SQUARABLE, axis=1))
+            with np.errstate(over="ignore"):
+                big = np.flatnonzero(~np.isfinite(np.sum(mat * mat, axis=1)))
             if big.size:
                 source = getattr(seq, "source_id", "") or f"sequence {i}"
-                raise DataError(f"condition {label!r}: {source} frame {big[0]} holds a value "
-                                f"too large to square (|x| > {_SQUARABLE:.4g})")
+                raise DataError(f"condition {label!r}: {source} frame {big[0]} is too large "
+                                "or not a number: its squared norm is not finite")
     if len(dims) != 1:
         raise DataError("training sequences have heterogeneous dimensions")
     if order not in (1, 2):
@@ -83,16 +82,12 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
     return ConditionBank(labels, models), traces
 
 
-def score_sequence(model: Hmm1Model | Hmm2Model, obs) -> float:
-    """log P(O | model)."""
-    return float(_scores([model], frames_of(obs), "forward")[0])
-
-
 def _scores(models: list, mat: np.ndarray, scoring: str) -> np.ndarray:
     """The score of one (T, D) utterance under each of B models of one order
-    and shape (`score_sequence`), -inf where a model gives it probability 0
-    or has no admissible path: one emission call over the models' emission
-    stacks, concatenated, and one lattice pass over the stack of their chains."""
+    and shape, log P(O | model) or its best path's, -inf where a model gives
+    it probability 0 or has no admissible path: one emission call over the
+    models' emission stacks, concatenated, and one lattice pass over the
+    stack of their chains."""
     if scoring not in ("forward", "viterbi"):
         raise DataError(f"unknown scoring mode {scoring!r}")
     logb = log_densities(GaussianMixture.stack(model.mixtures for model in models), mat)
@@ -177,12 +172,6 @@ class EvaluationReport:
             doc["group_counts"] = {g: c.tolist() for g, c in self.group_counts.items()}
             doc["group_rates"] = {g: r.tolist() for g, r in self.group_rates().items()}
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EvaluationReport":
-        groups = {g: np.asarray(c) for g, c in doc.get("group_counts", {}).items()}
-        return cls(list(doc["labels"]), np.asarray(doc["counts"]),
-                   doc.get("protocol", {}), groups)
 
 
 def evaluate(bank: ConditionBank, test_sets: dict[str, list]) -> EvaluationReport:

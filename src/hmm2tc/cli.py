@@ -34,8 +34,7 @@ def _frame_params(args) -> FrameParams:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(max_iterations=args.max_iter, tol=args.tol, seed=args.seed,
-                       freeze_initials=args.freeze_initials)
+    return TrainConfig(max_iterations=args.max_iter, tol=args.tol, seed=args.seed)
 
 
 def _read_manifest(path) -> list[ManifestEntry]:
@@ -133,8 +132,7 @@ def cmd_train(args) -> int:
     os.makedirs(os.path.join(args.out, "models"), exist_ok=True)
     bank_doc = {"format_version": 1, "order": args.order, "N": args.states,
                 "M": args.mixtures, "topology": args.topology,
-                "protocol": "pooled" if args.pooled else "per_scope",
-                "freeze_initials": cfg.freeze_initials, "scopes": []}
+                "protocol": "pooled" if args.pooled else "per_scope", "scopes": []}
     train_log = {}
     for key in keys:
         bank, traces = train_bank(scopes[key], args.order, args.states, args.mixtures,
@@ -144,8 +142,7 @@ def cmd_train(args) -> int:
                      "labels": bank.labels, "models": {}}
         for lab in bank.labels:
             rel = os.path.join("models", f"{_scope_name(key)}_{lab}.model.json")
-            save_model(bank.models[lab], os.path.join(args.out, rel),
-                       metadata={"freeze_initials": cfg.freeze_initials})
+            save_model(bank.models[lab], os.path.join(args.out, rel))
             scope_doc["models"][lab] = rel
         bank_doc["scopes"].append(scope_doc)
         train_log[_scope_name(key)] = traces
@@ -302,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pooled", action="store_true",
                    help="one bank across speakers/sentences instead of per scope")
-    p.add_argument("--freeze-initials", action="store_true")
     _add_split_args(p)
     p.set_defaults(func=cmd_train)
 

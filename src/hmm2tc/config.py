@@ -18,13 +18,14 @@ class TrainConfig:
     max_iterations: int = 40
     tol: float = 1e-5                 # relative log-likelihood improvement
     seed: int = 0
-    freeze_initials: bool = False     # keep pi (order 2: Psi and a2) fixed
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise DataError("max_iterations must be >= 1")
         if not self.tol > 0:          # NaN fails too
             raise DataError("tol must be positive")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
 
 
 def frames_of(obs) -> np.ndarray:

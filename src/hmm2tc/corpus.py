@@ -107,11 +107,13 @@ def apply_split_protocol(entries: list[ManifestEntry], train_count: int,
     and the next test_count become test data (the published 5-of-9 / 4-of-9
     protocol). With a seed, token order is shuffled deterministically first.
     Explicit train/test markings are preserved untouched. A negative count
-    raises DataError.
+    or seed raises DataError.
     """
     if train_count < 0 or test_count < 0:
         raise DataError(f"split counts must be >= 0, got train {train_count} and "
                         f"test {test_count}")
+    if seed is not None and seed < 0:
+        raise DataError(f"shuffle seed must be >= 0, got {seed}")
     groups: dict[tuple, list[int]] = {}
     for i, e in enumerate(entries):
         if e.split == "auto":

@@ -72,13 +72,6 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[-1]
 
-    def log_density_frames(self, obs: np.ndarray) -> np.ndarray:
-        """log b(O_t) for every frame of a (T, D) observation matrix -> (T,)."""
-        return log_densities(self, obs)[:, 0]
-
-    def log_density(self, o: np.ndarray) -> float:
-        return float(self.log_density_frames(np.atleast_2d(o))[0])
-
 
 def component_log_densities(mixtures, obs) -> np.ndarray:
     """log w_m + log N(o_t; mu_m, diag sigma2_m) of every component of a stack

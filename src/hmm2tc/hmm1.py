@@ -1,13 +1,14 @@
-"""First-order continuous-density HMM baseline, and the training and sampling
-code both model orders share.
+"""First-order continuous-density HMM baseline, and the training code both
+model orders share.
 
-Forward, backward, Viterbi and the EM E-step run on the shared lattice engine
-(`hmm2tc.lattice`) with S = N states. `_StateMixtures` is the base of both
-model classes: their emission stack and their one constructor check. Each
-class carries its order, `order`, and the three hooks through which
-`_baum_welch`, the one EM loop of both orders, trains a bank of its models at
-once (one model is a bank of one): `_chain`, `_occupancy` and `_reestimate`.
-`_sample_frames` draws the frames for both orders' samplers.
+Forward, Viterbi, the backward pass (`lattice.backward(model.a, logb)`) and
+the EM E-step run on the shared lattice engine (`hmm2tc.lattice`) with S = N
+states. `_StateMixtures` is the base of both model classes: their emission
+stack and their one constructor check. Each class carries its order,
+`order`, and the three hooks through which `_baum_welch`, the one EM loop of
+both orders, trains a bank of its models at once (one model is a bank of
+one): `_chain`, `_occupancy` and `_reestimate`. An HMM1 samples as its
+lift, `sample_hmm2(lift_hmm1(model))`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class _StateMixtures:
     emission table or a stack (B, T, N) of them, one row per frame from frame
     `order - 1` on; `_occupancy(gamma)`, the map from those chains' (B, R, S)
     posteriors to (B, T, N) state occupancies; and the transition M-step
-    `_reestimate(start, first, counts, mixtures, freeze, zero)`, which gets
+    `_reestimate(start, first, counts, mixtures, zero)`, which gets
     the first-frame state occupancies, the chains' first-row posteriors and
     their transition counts, each summed over a corpus, and returns the new
     model.
@@ -106,9 +107,9 @@ class Hmm1Model(_StateMixtures):
     def _occupancy(self, gamma: np.ndarray) -> np.ndarray:
         return gamma
 
-    def _reestimate(self, start, first, counts, mixtures, freeze, zero) -> "Hmm1Model":
-        pi = self.pi if freeze else start / start.sum()
-        return Hmm1Model(pi, _normalise_rows(counts, self.a)[0], mixtures, self.topology)
+    def _reestimate(self, start, first, counts, mixtures, zero) -> "Hmm1Model":
+        return Hmm1Model(start / start.sum(), _normalise_rows(counts, self.a)[0], mixtures,
+                         self.topology)
 
 
 def forward1(model: Hmm1Model, obs) -> tuple[np.ndarray, float]:
@@ -120,41 +121,6 @@ def viterbi1(model: Hmm1Model, obs) -> tuple[np.ndarray, float]:
     """Most likely state path and its log score; ties break toward the
     lowest state index, from the last frame back (`lattice.viterbi`)."""
     return lattice.viterbi(*model._chain(model.emission_log_probs(obs)))
-
-
-def backward1(model: Hmm1Model, obs) -> np.ndarray:
-    """Log backward lattice (T, N); the last row is identically 0."""
-    return lattice.backward(model.a, model.emission_log_probs(obs))
-
-
-def sample_hmm1(model: Hmm1Model, t_len: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a state path and observation sequence from the generative model."""
-    if t_len < 1:
-        raise DataError("sequence length must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(t_len)
-    cdf_a = _cdf(model.a)
-    states = np.empty(t_len, dtype=np.intp)
-    states[0] = np.searchsorted(_cdf(model.pi), u[0], side="right")
-    for t in range(1, t_len):
-        states[t] = np.searchsorted(cdf_a[states[t - 1]], u[t], side="right")
-    return states, _sample_frames(model.mixtures, states, rng)
-
-
-def _cdf(p: np.ndarray) -> np.ndarray:
-    """Cumulative sums along the last axis, each row ending at exactly 1."""
-    cdf = np.cumsum(p, axis=-1)
-    cdf[..., -1] = 1.0
-    return cdf
-
-
-def _sample_frames(mixtures: GaussianMixture, states, rng: np.random.Generator) -> np.ndarray:
-    """One frame per state of the path, from a component drawn by weight;
-    the frame-drawing half of both orders' samplers."""
-    u = rng.random(len(states))
-    # each frame's searchsorted(cdf, u, side="right"): the cdf entries <= u
-    comps = np.sum(_cdf(mixtures.weights)[states] <= u[:, None], axis=1)
-    return rng.normal(mixtures.means[states, comps], np.sqrt(mixtures.variances[states, comps]))
 
 
 def _update_mixtures(mixtures, occ, frames, comp, logb, floor):
@@ -298,7 +264,7 @@ def _baum_welch(models, corpora, cfg: TrainConfig | None = None) -> list[tuple]:
                                                member.frames, comp, logb, member.floor)
             member.model = member.model._reestimate(
                 occ[:, 0].sum(axis=0), gamma[own, 0].sum(axis=0), xi[own].sum(axis=0), mixtures,
-                cfg.freeze_initials, member.zero)
+                member.zero)
             member.zero.add("mixture components", empty)
         active = [g for g in active if not bank[g].converged(cfg.tol)]
         if not active:

@@ -1,4 +1,4 @@
-"""Second-order continuous-density HMM: extended Viterbi, forward/backward, EM.
+"""Second-order continuous-density HMM: extended Viterbi, forward/backward, sampling, EM.
 
 State pairs index every lattice: a trellis cell (t, j, k) covers the
 transition between times t-1 and t. The model runs as a first-order chain
@@ -8,7 +8,8 @@ per-row scaling (log domain for sequences that one scale per row cannot
 hold), forward, backward and Viterbi in the log domain. Impossible events
 carry -inf in every log-domain result. `Hmm2Model` gives the shared EM loop
 (`hmm2tc.hmm1._baum_welch`) its pair chain, the map from pair posteriors to
-state occupancies, and its psi, a2 and a3 M-step.
+state occupancies, and its psi, a2 and a3 M-step. `sample_hmm2` is the one
+sampler: an HMM1 draws as its lift (`lift_hmm1`), a3[i, j, k] = a[j, k].
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import lattice
 from .config import TrainConfig
 from .errors import DataError
 from .gmm import GaussianMixture
-from .hmm1 import Hmm1Model, _StateMixtures, _baum_welch, _cdf, _normalise_rows, _sample_frames
+from .hmm1 import Hmm1Model, _StateMixtures, _baum_welch, _normalise_rows
 from .lattice import _log
 from .lattice import logsumexp  # noqa: F401  (perfbench/spans.py counts its calls here)
 
@@ -58,16 +59,13 @@ class Hmm2Model(_StateMixtures):
         gamma = gamma.reshape(gamma.shape[:2] + (n, n))
         return np.concatenate([gamma[:, :1].sum(axis=3), gamma.sum(axis=2)], axis=1)
 
-    def _reestimate(self, start, first, counts, mixtures, freeze, zero) -> "Hmm2Model":
+    def _reestimate(self, start, first, counts, mixtures, zero) -> "Hmm2Model":
         n = self.n_states
-        psi, a2 = self.psi, self.a2
-        if not freeze:
-            psi = start / start.sum()
-            a2 = _normalise_rows(first.reshape(n, n), self.a2)[0]
+        a2 = _normalise_rows(first.reshape(n, n), self.a2)[0]
         same = np.arange(n)
         a3, kept = _normalise_rows(counts.reshape(n, n, n, n)[:, same, same, :], self.a3)
         zero.add("(i, j) pairs", kept)
-        return Hmm2Model(psi, a2, a3, mixtures, self.topology)
+        return Hmm2Model(start / start.sum(), a2, a3, mixtures, self.topology)
 
 
 @dataclass
@@ -142,6 +140,21 @@ def sample_hmm2(model: Hmm2Model, t_len: int, seed: int) -> tuple[np.ndarray, np
         states[t] = np.searchsorted(cdf_a3[states[t - 2], states[t - 1]],
                                     u[t], side="right")
     return states, _sample_frames(model.mixtures, states, rng)
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, each row ending at exactly 1."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
+def _sample_frames(mixtures: GaussianMixture, states, rng: np.random.Generator) -> np.ndarray:
+    """One frame per state of the path, from a component drawn by weight."""
+    u = rng.random(len(states))
+    # each frame's searchsorted(cdf, u, side="right"): the cdf entries <= u
+    comps = np.sum(_cdf(mixtures.weights)[states] <= u[:, None], axis=1)
+    return rng.normal(mixtures.means[states, comps], np.sqrt(mixtures.variances[states, comps]))
 
 
 def baum_welch2(model: Hmm2Model, corpus, cfg: TrainConfig | None = None

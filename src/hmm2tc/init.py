@@ -136,12 +136,6 @@ def flat_start(training_sets: dict[str, list], order: int, n_states: int, n_comp
     return models if order == 1 else [lift_hmm1(model) for model in models]
 
 
-def init_hmm1(corpus, n_states: int, n_comp: int, topology: str = "ergodic",
-              seed: int = 0) -> Hmm1Model:
-    """The flat start of a bank of one (`flat_start`)."""
-    return flat_start({"": corpus}, 1, n_states, n_comp, topology, seed)[0]
-
-
 def init_hmm2(corpus, n_states: int, n_comp: int, topology: str = "ergodic",
               seed: int = 0) -> Hmm2Model:
     """The order-1 flat start, lifted: a3[i, j, k] = a[j, k] for every i."""

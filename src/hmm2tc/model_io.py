@@ -19,7 +19,7 @@ _ARRAYS = ("psi", "a2", "a3")
 _CLASSES = {cls.order: cls for cls in (Hmm1Model, Hmm2Model)}
 
 
-def model_to_dict(model: Hmm1Model | Hmm2Model, metadata: dict | None = None) -> dict:
+def model_to_dict(model: Hmm1Model | Hmm2Model) -> dict:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "order": model.order,
@@ -31,8 +31,6 @@ def model_to_dict(model: Hmm1Model | Hmm2Model, metadata: dict | None = None) ->
                      zip(*(getattr(model.mixtures, part).tolist() for part in _PARTS))],
     }
     doc.update((key, getattr(model, name).tolist()) for key, name in zip(_ARRAYS, model._ARRAYS))
-    if metadata:
-        doc["metadata"] = metadata
     return doc
 
 
@@ -54,15 +52,14 @@ def model_from_dict(doc: dict) -> Hmm1Model | Hmm2Model:
         raise FormatError(f"malformed model document: {exc}") from exc
 
 
-def dumps_model(model, metadata: dict | None = None) -> str:
+def dumps_model(model) -> str:
     # sort_keys + fixed separators makes serialization canonical (byte-stable)
-    return json.dumps(model_to_dict(model, metadata), sort_keys=True,
-                      separators=(",", ":"))
+    return json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
 
 
-def save_model(model, path, metadata: dict | None = None) -> None:
+def save_model(model, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_model(model, metadata))
+        fh.write(dumps_model(model))
         fh.write("\n")
 
 

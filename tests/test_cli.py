@@ -125,19 +125,21 @@ class TestTrainEvaluate:
         table = json.loads(out_text)
         assert set(table) == {"a", "b"}
 
-    @pytest.mark.parametrize("flag", ["--train-count", "--test-count"])
+    @pytest.mark.parametrize("flag", ["--train-count", "--test-count", "--shuffle-seed"])
     def test_negative_split_count_exits_3(self, synth_corpus, tmp_path, capsys, flag):
+        refusal = ("shuffle seed" if flag == "--shuffle-seed" else "split counts") + \
+            " must be >= 0"
         manifest = str(synth_corpus / "manifest.tsv")
         code, _, err = run(capsys, "train", "--manifest", manifest, "--out",
                            str(tmp_path / "refused"), "--states", "2", "--mixtures", "1",
                            "--max-iter", "2", flag, "-1")
-        assert code == 3 and "split counts must be >= 0" in err
+        assert code == 3 and refusal in err
         assert not (tmp_path / "refused").exists()
         bank = tmp_path / "bank"
         assert self._train(capsys, synth_corpus, bank, 1)[0] == 0
         code, _, err = run(capsys, "evaluate", "--manifest", manifest, "--bank", str(bank),
                            "--out", str(tmp_path / "rep"), flag, "-1")
-        assert code == 3 and "split counts must be >= 0" in err
+        assert code == 3 and refusal in err
         assert not (tmp_path / "rep").exists()
 
     def test_evaluate_with_no_test_utterances_exits_3(self, synth_corpus, tmp_path, capsys):
@@ -157,18 +159,16 @@ class TestTrainEvaluate:
                                 "--features", str(feat))
         assert code == 0
         assert out_text.splitlines()[0] == "a"
-
-    def test_freeze_initials_metadata(self, synth_corpus, tmp_path, capsys):
-        bank = tmp_path / "bankf"
-        code, _, _ = run(capsys, "train", "--manifest",
-                         str(synth_corpus / "manifest.tsv"), "--out", str(bank),
-                         "--order", "2", "--states", "2", "--mixtures", "1",
-                         "--topology", "ergodic", "--max-iter", "3",
-                         "--freeze-initials")
-        assert code == 0
+        # a bank written while train had --freeze-initials holds the flag in
+        # bank.json and in each model file; it loads and identifies alike
         doc = json.loads((bank / "bank.json").read_text())
-        model_doc = json.loads((bank / doc["scopes"][0]["models"]["a"]).read_text())
-        assert model_doc["metadata"]["freeze_initials"] is True
+        (bank / "bank.json").write_text(json.dumps({**doc, "freeze_initials": False}))
+        for rel in doc["scopes"][0]["models"].values():
+            model_doc = json.loads((bank / rel).read_text())
+            model_doc["metadata"] = {"freeze_initials": False}
+            (bank / rel).write_text(json.dumps(model_doc))
+        assert run(capsys, "identify", "--bank", str(bank), "--features", str(feat)) == \
+            (0, out_text, "")
 
     def test_identify_malformed_model_exits_3(self, synth_corpus, tmp_path, capsys):
         bank = tmp_path / "bank"
@@ -605,10 +605,10 @@ def _train_args(root, manifest="manifest.tsv", *extra):
             "--pooled", *extra]
 
 
-def _set_frame(root, name, row, value):
+def _set_frame(root, name, row, value, column=0):
     path = root / "features" / name
     frames = np.frombuffer(path.read_bytes()[13:], dtype="<f8").reshape(-1, 3).copy()
-    frames[row, 0] = value
+    frames[row, column] = value
     path.write_bytes(_lpcc(frames))
 
 
@@ -658,6 +658,13 @@ def _frame_too_large_to_square(root):
     return _train_args(root)
 
 
+def _squared_norm_overflows(root):
+    # each value of the frame can be squared, the sum of their squares cannot
+    for column in range(3):
+        _set_frame(root, "a_001.lpcc", 5, 1.2e154, column)
+    return _train_args(root)
+
+
 def _zero_iterations(root):
     return _train_args(root, "manifest.tsv", "--max-iter", "0")
 
@@ -682,11 +689,20 @@ def _nan_states(root):
     return _train_args(root, "manifest.tsv", "--states", "nan")
 
 
+def _negative_seed(root):
+    return _train_args(root, "manifest.tsv", "--seed", "-1")
+
+
+def _negative_shuffle_seed(root):
+    return _train_args(root, "manifest.tsv", "--shuffle-seed", "-1")
+
+
 # each breaks a copy of a synthetic corpus (root) -> hmm2tc train arguments
 BAD_TRAIN_INPUTS = [_all_test, _no_train_tokens, _binary_manifest, _nul_in_path,
                     _missing_features, _wrong_dim_features, _one_frame_sequence,
-                    _frame_too_large_to_square, _zero_iterations, _nan_tolerance,
-                    _negative_iterations, _negative_states, _zero_mixtures, _nan_states]
+                    _frame_too_large_to_square, _squared_norm_overflows, _zero_iterations,
+                    _nan_tolerance, _negative_iterations, _negative_states, _zero_mixtures,
+                    _nan_states, _negative_seed, _negative_shuffle_seed]
 
 # report file contents that `compare` must refuse
 BAD_REPORTS = {
@@ -746,7 +762,7 @@ class TestTrainCompareSynthFuzz:
     def test_train_bad_input_exits_cleanly(self, corpus, tmp_path, capsys, breaker):
         root = tmp_path / "c"
         shutil.copytree(corpus, root)
-        too_large = breaker is _frame_too_large_to_square
+        too_large = breaker in (_frame_too_large_to_square, _squared_norm_overflows)
         with warnings.catch_warnings():
             if too_large:   # refused before any arithmetic can overflow
                 warnings.simplefilter("error", RuntimeWarning)
@@ -778,9 +794,9 @@ class TestTrainCompareSynthFuzz:
         _set_frame(root, "a_001.lpcc", 2, 9e153)
         _set_frame(root, "a_001.lpcc", -3, -9e153)
         from hmm2tc.audio import load_features
-        from hmm2tc.init import init_hmm1
+        from hmm2tc.init import flat_start
         seqs = [load_features(p) for p in sorted((root / "features").glob("*.lpcc"))]
-        flat = init_hmm1(seqs, 2, 2, "ergodic", 0).emission_log_probs(seqs[0])[-3]
+        flat = flat_start({"": seqs}, 1, 2, 2, "ergodic", 0)[0].emission_log_probs(seqs[0])[-3]
         assert sorted(np.isfinite(flat).tolist()) == [False, True]
         capsys.readouterr()
         code = main(_train_args(root, "manifest.tsv", "--order", order, "--mixtures", "2"))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from hmm2tc import lattice
 from hmm2tc.config import TrainConfig
 from hmm2tc.errors import DataError, NumericError
-from hmm2tc.gmm import GaussianMixture
-from hmm2tc.hmm1 import Hmm1Model, backward1, baum_welch1, forward1, sample_hmm1, \
-    viterbi1
-from hmm2tc.hmm2 import forward2, lift_hmm1, viterbi2
+from hmm2tc.gmm import GaussianMixture, log_densities
+from hmm2tc.hmm1 import Hmm1Model, baum_welch1, forward1, viterbi1
+from hmm2tc.hmm2 import forward2, lift_hmm1, sample_hmm2, viterbi2
 
 from conftest import enumerate_loglik1, random_hmm1
 
@@ -16,7 +16,7 @@ def test_single_state_forward_is_emission_sum():
     model = Hmm1Model([1.0], [[1.0]], [mix])
     obs = np.array([[0.0], [1.0], [2.0]])
     _, ll = forward1(model, obs)
-    assert ll == pytest.approx(mix.log_density_frames(obs).sum())
+    assert ll == pytest.approx(log_densities(mix, obs).sum())
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -42,7 +42,7 @@ def test_forward_backward_consistency():
     model = random_hmm1(rng, 3, 2, 2)
     obs = rng.normal(size=(7, 2))
     la, ll = forward1(model, obs)
-    lb = backward1(model, obs)
+    lb = lattice.backward(model.a, model.emission_log_probs(obs))
     for t in range(7):
         assert np.logaddexp.reduce(la[t] + lb[t]) == pytest.approx(ll, abs=1e-10)
 
@@ -76,7 +76,7 @@ def test_viterbi_score_is_path_prob():
 def test_baum_welch_monotone_and_stochastic():
     rng = np.random.default_rng(5)
     true = random_hmm1(rng, 2, 1, 2)
-    corpus = [sample_hmm1(true, 40, seed=s)[1] for s in range(5)]
+    corpus = [sample_hmm2(lift_hmm1(true), 40, seed=s)[1] for s in range(5)]
     init = random_hmm1(np.random.default_rng(99), 2, 1, 2)
     cfg = TrainConfig(max_iterations=10, tol=1e-12)
     model, trace = baum_welch1(init, corpus, cfg)
@@ -86,18 +86,6 @@ def test_baum_welch_monotone_and_stochastic():
     assert np.all(np.abs(model.a.sum(axis=1) - 1) < 1e-10)
     for mix in model.mixtures:
         assert abs(mix.weights.sum() - 1) < 1e-10
-
-
-def test_baum_welch_freeze_initials_keeps_pi_only():
-    rng = np.random.default_rng(8)
-    true = random_hmm1(rng, 2, 1, 2)
-    corpus = [sample_hmm1(true, 40, seed=s)[1] for s in range(3)]
-    init = random_hmm1(np.random.default_rng(98), 2, 1, 2)
-    model, _ = baum_welch1(init, corpus, TrainConfig(max_iterations=5, tol=1e-12,
-                                                      freeze_initials=True))
-    assert np.array_equal(model.pi, init.pi)
-    assert not np.array_equal(model.a, init.a)
-    assert np.all(np.abs(model.a.sum(axis=1) - 1) < 1e-10)
 
 
 def test_nan_parameters_rejected():
@@ -144,6 +132,6 @@ def test_baum_welch_empty_corpus():
 
 def test_sample_deterministic():
     model = random_hmm1(np.random.default_rng(7), 3, 2, 2)
-    s1, f1 = sample_hmm1(model, 20, seed=1)
-    s2, f2 = sample_hmm1(model, 20, seed=1)
+    s1, f1 = sample_hmm2(lift_hmm1(model), 20, seed=1)
+    s2, f2 = sample_hmm2(lift_hmm1(model), 20, seed=1)
     assert np.array_equal(s1, s2) and np.array_equal(f1, f2)

@@ -5,8 +5,8 @@ import pytest
 from scipy.special import logsumexp
 
 from hmm2tc.errors import DataError, NumericError
-from hmm2tc.gmm import GaussianMixture
-from hmm2tc.hmm1 import Hmm1Model, forward1, sample_hmm1, viterbi1
+from hmm2tc.gmm import GaussianMixture, log_densities
+from hmm2tc.hmm1 import Hmm1Model, forward1, viterbi1
 from hmm2tc.hmm2 import (Hmm2Model, backward2, forward2, lift_hmm1,
                          path_log_prob2, sample_hmm2, viterbi2)
 
@@ -67,7 +67,7 @@ class TestForward2:
     def test_constant_emission(self):
         model = constant_emission_model()
         obs = np.zeros((6, 1))
-        kappa = model.mixtures[0].log_density([0.0])
+        kappa = log_densities(model.mixtures[0], [[0.0]])[0, 0]
         _, ll = forward2(model, obs)
         assert ll == pytest.approx(6 * kappa)
 
@@ -118,7 +118,7 @@ class TestBackward2:
         a3[:, 1, 0] = 1.0
         model = Hmm2Model([1.0, 0.0], a2, a3, [unit_gmm([0.0]), unit_gmm([0.0])])
         obs = np.zeros((5, 1))
-        kappa = model.mixtures[0].log_density([0.0])
+        kappa = log_densities(model.mixtures[0], [[0.0]])[0, 0]
         beta = backward2(model, obs)
         for s in range(4):
             t = s + 2  # 1-based time of the pair's second slot
@@ -221,14 +221,6 @@ class TestSampling:
         with pytest.raises(DataError):
             sample_hmm2(model, 1, seed=0)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_lifted_model_samples_as_order1(self, seed):
-        model1 = random_hmm1(np.random.default_rng(seed), 3, 2, 2)
-        for t_len in (2, 3, 40):
-            s1, f1 = sample_hmm1(model1, t_len, seed=seed)
-            s2, f2 = sample_hmm2(lift_hmm1(model1), t_len, seed=seed)
-            assert np.array_equal(s1, s2) and np.array_equal(f1, f2)
-
 
 class TestModelValidation:
     def test_bad_a3_rows(self):
@@ -264,9 +256,9 @@ class TestModelValidation:
 
 
 def reference_sample(model, t_len, seed):
-    """The samplers' draws made one frame at a time: the state path by
-    inverse cdf, then each frame's component by np.searchsorted on its
-    state's weight cdf, then one normal draw per frame."""
+    """`sample_hmm2`'s draws, for a model of either order, made one frame at
+    a time: the state path by inverse cdf, then each frame's component by
+    np.searchsorted on its state's weight cdf, then one normal draw per frame."""
     def cdf(p):
         c = np.cumsum(p)
         c[-1] = 1.0
@@ -297,8 +289,10 @@ def test_samplers_match_a_frame_by_frame_reference(seed):
     # a component of weight 0 leaves two equal entries in its state's cdf
     zero = GaussianMixture([0.5, 0.0, 0.25, 0.25], rng.normal(size=(4, 2)), np.ones((4, 2)))
     model2 = Hmm2Model(model2.psi, model2.a2, model2.a3, [zero] + list(model2.mixtures)[1:])
-    for model, sample in ((random_hmm1(rng, 4, 3, 3), sample_hmm1), (model2, sample_hmm2)):
-        states, frames = sample(model, 50, seed)
+    # an HMM1 samples as its lift, against the reference's order-1 draws
+    model1 = random_hmm1(rng, 4, 3, 3)
+    for model, drawn in ((model1, lift_hmm1(model1)), (model2, model2)):
+        states, frames = sample_hmm2(drawn, 50, seed)
         want_states, want_frames = reference_sample(model, 50, seed)
         assert np.array_equal(states, want_states)
         assert np.array_equal(frames, want_frames)

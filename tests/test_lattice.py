@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 from hmm2tc import lattice
 from hmm2tc.errors import NumericError
 from hmm2tc.gmm import GaussianMixture
-from hmm2tc.hmm1 import Hmm1Model, backward1, forward1, viterbi1
+from hmm2tc.hmm1 import Hmm1Model, forward1, viterbi1
 from hmm2tc.hmm2 import (Hmm2Model, backward2, forward2, lift_hmm1,
                          viterbi2)
 
@@ -100,7 +100,7 @@ class TestLeftRightFarFromUnreachable:
         # state 0 scores ~1013 nats per frame below state 2; its beta stays finite
         model = Hmm1Model([1.0, 0.0, 0.0], [[.5, .5, 0], [0, .5, .5], [0, 0, 1]],
                           left_right_mixtures(), "left-right")
-        lb = backward1(model, FRAMES_45)
+        lb = lattice.backward(model.a, model.emission_log_probs(FRAMES_45))
         assert np.all(np.isfinite(lb))
         assert lb[0, 0] == pytest.approx(-1018.48098703, abs=1e-6)
 
@@ -220,7 +220,7 @@ def test_scaled_and_log_domain_passes_agree(far):
     assert ll == pytest.approx(logsumexp(want[-1]), rel=1e-12)
     gamma, counts, em_ll = lattice.estep(_log(model.pi), model.a, logb)
     assert em_ll == pytest.approx(ll, rel=1e-12)
-    lb = backward1(model, obs)
+    lb = lattice.backward(model.a, model.emission_log_probs(obs))
     assert np.allclose(gamma, np.exp(want + lb - em_ll), rtol=1e-9, atol=1e-15)
     assert np.allclose(gamma.sum(axis=1), 1.0, rtol=1e-12)
     assert counts.sum() == pytest.approx(29.0, rel=1e-12)
@@ -328,7 +328,7 @@ def test_order_one_engine_with_zeroed_transitions():
         obs = rng.normal(0, 2, size=(5, 1))
         la, ll = forward1(model, obs)
         assert ll == pytest.approx(enumerate_loglik1(model, obs), rel=1e-9)
-        lb = backward1(model, obs)
+        lb = lattice.backward(model.a, model.emission_log_probs(obs))
         assert np.all(np.abs(logsumexp(la + lb, axis=1) - ll) <= 1e-9 * abs(ll))
 
 

@@ -10,7 +10,7 @@ from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
 from hmm2tc.hmm1 import Hmm1Model, _baum_welch, baum_welch1
 from hmm2tc.hmm2 import Hmm2Model, baum_welch2, forward2, lift_hmm1, sample_hmm2
-from hmm2tc.init import flat_start, init_hmm1, init_hmm2
+from hmm2tc.init import flat_start, init_hmm2
 from hmm2tc.model_io import dumps_model
 
 from conftest import random_hmm2
@@ -59,14 +59,14 @@ class TestInit:
 
     def test_too_few_frames(self):
         with pytest.raises(DataError):
-            init_hmm1([np.zeros((3, 2))], 2, 2, seed=0)
+            flat_start({"": [np.zeros((3, 2))]}, 1, 2, 2, seed=0)
 
     @pytest.mark.parametrize("topology", ["ergodic", "left-right"])
     def test_order2_flat_start_is_the_lifted_order1_one(self, topology):
         rng = np.random.default_rng(4)
         corpus = [rng.normal(size=(40, 2)), rng.normal(size=(25, 2))]
         for n_states, n_comp in [(1, 1), (3, 2), (5, 3)]:
-            model1 = init_hmm1(corpus, n_states, n_comp, topology, seed=3)
+            model1 = flat_start({"": corpus}, 1, n_states, n_comp, topology, seed=3)[0]
             model2 = init_hmm2(corpus, n_states, n_comp, topology, seed=3)
             assert dumps_model(model2) == dumps_model(lift_hmm1(model1))
 
@@ -136,7 +136,7 @@ def test_flat_start_matches_the_per_label_kmeans(monkeypatch):
     """The batched flat start against the per-label one on seeded random
     ragged banks: every Lloyd iteration's labels and the weights identical,
     means and variances within 1e-12 of the data's scale, and each label's
-    model serialising like `init_hmm1` on its corpus alone."""
+    model serialising like the flat start of a bank of its corpus alone."""
     seen = []
     nearest = init._nearest
 
@@ -165,7 +165,7 @@ def test_flat_start_matches_the_per_label_kmeans(monkeypatch):
                                        atol=1e-12 * scale)
             np.testing.assert_allclose(model.mixtures.variances, variances, rtol=1e-12,
                                        atol=1e-12 * scale ** 2)
-            alone = init_hmm1(mats, n_states, n_comp, "ergodic", seed=case + i)
+            alone = flat_start({"": mats}, 1, n_states, n_comp, "ergodic", seed=case + i)[0]
             assert dumps_model(alone) == dumps_model(model), (case, i)
     assert reseeds > 100   # the tied banks reach the empty-cluster path
 
@@ -182,6 +182,17 @@ def test_flat_start_ranks_a_frame_whose_squared_norm_overflows():
     assert np.array_equal(model.mixtures.weights, weights)
     assert np.array_equal(model.mixtures.means, means)
     assert np.array_equal(model.mixtures.variances, variances)
+
+
+def test_train_bank_refuses_a_frame_whose_squared_norm_overflows():
+    # each value of frame 5 can be squared, its squared norm cannot
+    rng = np.random.default_rng(22)
+    mats = [rng.normal(size=(60, 16)), rng.normal(size=(40, 16))]
+    mats[1][5] = 1.2e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DataError, match="'a': sequence 1 frame 5 is too large"):
+            train_bank({"a": mats}, 1, 3, 2, "ergodic")
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
@@ -275,16 +286,6 @@ class TestBaumWelch2:
         with pytest.raises(DataError):
             baum_welch2(model, [np.zeros((5, 3))])
 
-    def test_freeze_initials(self):
-        rng = np.random.default_rng(8)
-        true = random_hmm2(rng, 2, 1, 2)
-        corpus = [sample_hmm2(true, 40, seed=s)[1] for s in range(3)]
-        init = init_hmm2(corpus, 2, 1, "ergodic", seed=0)
-        cfg = TrainConfig(max_iterations=5, tol=1e-12, freeze_initials=True)
-        model, _ = baum_welch2(init, corpus, cfg)
-        assert np.array_equal(model.psi, init.psi)
-        assert np.array_equal(model.a2, init.a2)
-
     def test_variance_floor_respected(self):
         rng = np.random.default_rng(9)
         corpus = [rng.normal(size=(50, 2)) for _ in range(3)]
@@ -334,22 +335,22 @@ class TestBankLoop:
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("topology", ["ergodic", "left-right"])
-    @pytest.mark.parametrize("freeze", [False, True])
-    def test_bank_matches_each_label_alone(self, order, topology, freeze, monkeypatch):
+    def test_bank_matches_each_label_alone(self, order, topology, monkeypatch):
         # labels of 3, 1, 4 and 2 sequences of different lengths, which stop
         # at different iterations, and on which some chains run in the log
         # domain
         sets = level_sets(np.random.default_rng(12), [3, 1, 4, 2])
-        cfg = TrainConfig(max_iterations=12, tol=1e-3, seed=5, freeze_initials=freeze)
+        cfg = TrainConfig(max_iterations=12, tol=1e-3, seed=5)
         log_domain = []
         log_estep = lattice._log_estep
         monkeypatch.setattr(lattice, "_log_estep",
                             lambda c: log_domain.append(len(c.lengths)) or log_estep(c))
         bank, traces = train_bank(sets, order, 5, 2, topology, cfg)
         assert log_domain
-        init, train = (init_hmm1, baum_welch1) if order == 1 else (init_hmm2, baum_welch2)
+        train = baum_welch1 if order == 1 else baum_welch2
         for idx, (label, seqs) in enumerate(sets.items()):
-            model, trace = train(init(seqs, 5, 2, topology, cfg.seed + idx), seqs, cfg)
+            flat = flat_start({label: seqs}, order, 5, 2, topology, cfg.seed + idx)[0]
+            model, trace = train(flat, seqs, cfg)
             assert dumps_model(bank.models[label]) == dumps_model(model)
             assert traces[label] == trace
         iterations = [len(trace) for trace in traces.values()]
