@@ -18,8 +18,9 @@
 #    tracer's hooks);
 # 5. an import of hmm2tc.cli with scipy blocked: src must not need scipy,
 #    which only the tests and perfbench/ use (the "test" extra);
-# 6. the line count of src/hmm2tc/*.py, printed for information only (the
-#    size of the package is tracked from release to release, not gated).
+# 6. the line count of each module of src/hmm2tc and their total, printed
+#    for information only (the size of the package and of its modules is
+#    tracked from release to release, not gated).
 #
 # Steps 1 and 3 also print their wall time in seconds, the end-to-end times
 # tracked from release to release; neither is gated.
@@ -80,7 +81,7 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c \
     'import sys; sys.modules["scipy"] = None; import hmm2tc.cli' || failed="$failed no-scipy"
 
 echo "== lines in src/hmm2tc/*.py (information only)"
-cat src/hmm2tc/*.py | wc -l
+wc -l src/hmm2tc/*.py
 
 if [ -n "$failed" ]; then
     echo "FAILED:$failed"

@@ -9,10 +9,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lattice
-from .config import TrainConfig, frames_of
+from .config import TrainConfig, frames_of, source_of
 from .errors import DataError, NumericError
 from .gmm import GaussianMixture, log_densities
-from .hmm1 import Hmm1Model, _baum_welch
+from .em import baum_welch
+from .hmm1 import Hmm1Model
 from .hmm2 import Hmm2Model
 from .init import flat_start
 
@@ -52,34 +53,32 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
                ) -> tuple[ConditionBank, dict[str, list[float]]]:
     """One model per condition label; returns the bank and per-label EM traces.
     The whole bank flat-starts in one call (`init.flat_start`, label i with
-    seed cfg.seed + i) and trains in one EM loop (`hmm1._baum_welch`). A
-    training frame whose squared norm is not finite raises DataError."""
+    seed cfg.seed + i) and trains in one EM loop (`em.baum_welch`). A
+    training frame whose squared norm is not finite, or a sequence whose
+    dimension differs from the first sequence's, raises DataError naming its
+    condition and source."""
     cfg = cfg or TrainConfig()
     if not training_sets:
         raise DataError("no condition labels to train")
-    dims = set()
+    dim = None
     for label, seqs in training_sets.items():
-        if not seqs:
-            raise DataError(f"condition {label!r} has no training sequences")
         for i, seq in enumerate(seqs):
             mat = frames_of(seq)
-            dims.add(mat.shape[1])
             with np.errstate(over="ignore"):
                 big = np.flatnonzero(~np.isfinite(np.sum(mat * mat, axis=1)))
             if big.size:
-                source = getattr(seq, "source_id", "") or f"sequence {i}"
-                raise DataError(f"condition {label!r}: {source} frame {big[0]} is too large "
-                                "or not a number: its squared norm is not finite")
-    if len(dims) != 1:
-        raise DataError("training sequences have heterogeneous dimensions")
+                raise DataError(f"condition {label!r}: {source_of(seq, i)} frame {big[0]} is too "
+                                "large or not a number: its squared norm is not finite")
+            dim = mat.shape[1] if dim is None else dim
+            if mat.shape[1] != dim:
+                raise DataError(f"condition {label!r}: {source_of(seq, i)} has {mat.shape[1]} "
+                                f"dimensions, the first training sequence {dim}")
     if order not in (1, 2):
         raise DataError(f"unsupported model order {order}")
-    labels, corpora = list(training_sets), list(training_sets.values())
     flat = flat_start(training_sets, order, n_states, n_comp, topology, cfg.seed)
-    trained = _baum_welch(flat, corpora, cfg)
-    models = {label: model for label, (model, _) in zip(labels, trained)}
-    traces = {label: trace for label, (_, trace) in zip(labels, trained)}
-    return ConditionBank(labels, models), traces
+    models, traces = zip(*baum_welch(flat, training_sets, cfg))
+    labels = list(training_sets)
+    return ConditionBank(labels, dict(zip(labels, models))), dict(zip(labels, traces))
 
 
 def _scores(models: list, mat: np.ndarray, scoring: str) -> np.ndarray:
@@ -191,7 +190,8 @@ def evaluate_scopes(banks: dict, tests, scoring: str = "forward",
     of the banks' labels, the first bank's in its order first. A true label
     that its own scope's bank has no model for raises DataError: that
     utterance could only ever count as a miss. So does an empty test set,
-    whose report would read 0 % for every condition.
+    whose report would read 0 % for every condition. An utterance that
+    `identify` cannot score raises its error again, named by its source id.
     """
     labels = list(dict.fromkeys(lab for bank in banks.values() for lab in bank.labels))
     index = {lab: i for i, lab in enumerate(labels)}
@@ -204,7 +204,10 @@ def evaluate_scopes(banks: dict, tests, scoring: str = "forward",
             raise DataError(f"no trained bank for scope {key}")
         if true_label not in banks[key].models:
             raise DataError(f"unknown condition label {true_label!r} in scope {key}")
-        result = identify(banks[key], obs, scoring)
+        try:
+            result = identify(banks[key], obs, scoring)
+        except (DataError, NumericError) as exc:
+            raise type(exc)(f"{source_of(obs, len(records))}: {exc}") from exc
         cell = index[result.label], index[true_label]
         counts[cell] += 1
         if group is not None:

@@ -27,16 +27,6 @@ EXIT_NUMERIC = 4
 BANK_FILE = "bank.json"
 
 
-def _frame_params(args) -> FrameParams:
-    return FrameParams(window_ms=args.window_ms, shift_ms=args.shift_ms,
-                       lpc_order=args.lpc_order, cepstral_order=args.cepstral_order,
-                       pre_emphasis=args.pre_emphasis)
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(max_iterations=args.max_iter, tol=args.tol, seed=args.seed)
-
-
 def _read_manifest(path) -> list[ManifestEntry]:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -71,7 +61,9 @@ def _distinct_names(named) -> None:
 def cmd_extract(args) -> int:
     entries = _read_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
-    params = _frame_params(args)
+    params = FrameParams(window_ms=args.window_ms, shift_ms=args.shift_ms,
+                         lpc_order=args.lpc_order, cepstral_order=args.cepstral_order,
+                         pre_emphasis=args.pre_emphasis)
     names = [f"{e.speaker}_{e.sentence}_{e.condition}_{e.token:03d}.lpcc" for e in entries]
     _distinct_names(zip(names, (f"entry {e.key}" for e in entries)))
     os.makedirs(args.out, exist_ok=True)
@@ -115,7 +107,7 @@ def _scope_name(key) -> str:
 def cmd_train(args) -> int:
     entries = _read_manifest(args.manifest)
     entries, base = _resolve(entries, args.manifest, args)
-    cfg = _train_config(args)
+    cfg = TrainConfig(max_iterations=args.max_iter, tol=args.tol, seed=args.seed)
     scopes: dict = {}   # scope key -> {label, in manifest order -> sequences}
     for e in entries:
         if e.split != "train":

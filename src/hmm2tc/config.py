@@ -34,6 +34,11 @@ def frames_of(obs) -> np.ndarray:
     return np.atleast_2d(np.asarray(mat, dtype=np.float64))
 
 
+def source_of(obs, index: int) -> str:
+    """A sequence's name in messages: its source id, or "sequence <index>"."""
+    return getattr(obs, "source_id", "") or f"sequence {index}"
+
+
 def variance_floor(corpus) -> np.ndarray:
     """Per-dimension floor from the pooled corpus variance; inf where that
     variance exceeds the largest double."""

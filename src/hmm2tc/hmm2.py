@@ -6,9 +6,9 @@ over the N*N pairs, P[(i, j), (j, k)] = a3[i, j, k], on the shared lattice
 engine (`hmm2tc.lattice`): the EM E-step in the probability domain with
 per-row scaling (log domain for sequences that one scale per row cannot
 hold), forward, backward and Viterbi in the log domain. Impossible events
-carry -inf in every log-domain result. `Hmm2Model` gives the shared EM loop
-(`hmm2tc.hmm1._baum_welch`) its pair chain, the map from pair posteriors to
-state occupancies, and its psi, a2 and a3 M-step. `sample_hmm2` is the one
+carry -inf in every log-domain result. `Hmm2Model` gives the EM loop of both
+orders (`hmm2tc.em`) its pair chain, the map from pair posteriors to state
+occupancies, and its psi, a2 and a3 M-step. `sample_hmm2` is the one
 sampler: an HMM1 draws as its lift (`lift_hmm1`), a3[i, j, k] = a[j, k].
 """
 
@@ -22,13 +22,14 @@ from . import lattice
 from .config import TrainConfig
 from .errors import DataError
 from .gmm import GaussianMixture
-from .hmm1 import Hmm1Model, _StateMixtures, _baum_welch, _normalise_rows
+from .em import StateModel, baum_welch, normalise_rows
+from .hmm1 import Hmm1Model
 from .lattice import _log
 from .lattice import logsumexp  # noqa: F401  (perfbench/spans.py counts its calls here)
 
 
 @dataclass
-class Hmm2Model(_StateMixtures):
+class Hmm2Model(StateModel):
     psi: np.ndarray                  # (N,)  initial state probabilities
     a2: np.ndarray                   # (N, N)  first-step transition matrix
     a3: np.ndarray                   # (N, N, N)  a3[i, j, k] = P(k | j, i)
@@ -59,13 +60,13 @@ class Hmm2Model(_StateMixtures):
         gamma = gamma.reshape(gamma.shape[:2] + (n, n))
         return np.concatenate([gamma[:, :1].sum(axis=3), gamma.sum(axis=2)], axis=1)
 
-    def _reestimate(self, start, first, counts, mixtures, zero) -> "Hmm2Model":
+    def _reestimate(self, start, first, counts, mixtures) -> tuple["Hmm2Model", dict]:
         n = self.n_states
-        a2 = _normalise_rows(first.reshape(n, n), self.a2)[0]
+        a2 = normalise_rows(first.reshape(n, n), self.a2)[0]
         same = np.arange(n)
-        a3, kept = _normalise_rows(counts.reshape(n, n, n, n)[:, same, same, :], self.a3)
-        zero.add("(i, j) pairs", kept)
-        return Hmm2Model(start / start.sum(), a2, a3, mixtures, self.topology)
+        a3, kept = normalise_rows(counts.reshape(n, n, n, n)[:, same, same, :], self.a3)
+        return (Hmm2Model(start / start.sum(), a2, a3, mixtures, self.topology),
+                {"(i, j) pairs": kept})
 
 
 @dataclass
@@ -166,4 +167,4 @@ def baum_welch2(model: Hmm2Model, corpus, cfg: TrainConfig | None = None
     and the per-frame state occupancies for the GMM M-step. Raises
     NumericError when a sequence has a non-finite log-likelihood.
     """
-    return _baum_welch([model], [corpus], cfg)[0]
+    return baum_welch([model], {"": corpus}, cfg)[0]

@@ -535,6 +535,16 @@ def _wrong_dim(bank, feat):
     feat.write_bytes(_lpcc(np.zeros((40, 4))))
 
 
+def _one_frame(bank, feat):
+    feat.write_bytes(_lpcc(np.zeros((1, 3))))
+
+
+def _one_huge_value(bank, feat):
+    frames = np.frombuffer(feat.read_bytes()[13:], dtype="<f8").reshape(-1, 3).copy()
+    frames[5, 0] = 1e200
+    feat.write_bytes(_lpcc(frames))
+
+
 def _huge_features(bank, feat):
     frames = np.full((40, 3), 1e306)
     frames[::2] *= -1
@@ -560,8 +570,17 @@ def _bank_wrong_shape(bank, feat):
 
 # each breaks a copy of a trained bank directory or of one utterance's
 # feature file (bank, feature path) -> None
-BAD_SCORING_INPUTS = [_cut_features, _odd_features, _no_frames, _wrong_dim, _huge_features,
-                      _missing_model, _model_not_text, _bank_not_json, _bank_wrong_shape]
+BAD_SCORING_INPUTS = [_cut_features, _odd_features, _no_frames, _wrong_dim, _one_frame,
+                      _one_huge_value, _huge_features, _missing_model, _model_not_text,
+                      _bank_not_json, _bank_wrong_shape]
+
+# (exit code, message) of evaluate on an utterance that the order-2 bank
+# cannot score: the message names the utterance's file
+UNSCORABLE = {
+    _wrong_dim: (3, "error: u.lpcc: observation dim 4 != bank dim 3"),
+    _one_frame: (3, "error: u.lpcc: second-order recursions require T >= 2"),
+    _one_huge_value: (4, "numeric error: u.lpcc: no model assigns nonzero probability"),
+}
 
 
 class TestScoringFuzz:
@@ -597,6 +616,9 @@ class TestScoringFuzz:
         assert code in (2, 3, 4), (code, err)
         assert "Traceback" not in err
         assert "nan" not in out.lower()
+        if command == "evaluate" and breaker in UNSCORABLE:
+            want_code, message = UNSCORABLE[breaker]
+            assert code == want_code and message in err, (code, err)
 
 
 def _train_args(root, manifest="manifest.tsv", *extra):
@@ -653,6 +675,11 @@ def _one_frame_sequence(root):
     return _train_args(root)
 
 
+def _one_frame_sequence_order1(root):
+    (root / "features" / "b_002.lpcc").write_bytes(_lpcc(np.zeros((1, 3))))
+    return _train_args(root, "manifest.tsv", "--order", "1")
+
+
 def _frame_too_large_to_square(root):
     _set_frame(root, "a_001.lpcc", 5, 1e200)
     return _train_args(root)
@@ -700,9 +727,22 @@ def _negative_shuffle_seed(root):
 # each breaks a copy of a synthetic corpus (root) -> hmm2tc train arguments
 BAD_TRAIN_INPUTS = [_all_test, _no_train_tokens, _binary_manifest, _nul_in_path,
                     _missing_features, _wrong_dim_features, _one_frame_sequence,
-                    _frame_too_large_to_square, _squared_norm_overflows, _zero_iterations,
-                    _nan_tolerance, _negative_iterations, _negative_states, _zero_mixtures,
-                    _nan_states, _negative_seed, _negative_shuffle_seed]
+                    _one_frame_sequence_order1, _frame_too_large_to_square,
+                    _squared_norm_overflows, _zero_iterations, _nan_tolerance,
+                    _negative_iterations, _negative_states, _zero_mixtures, _nan_states,
+                    _negative_seed, _negative_shuffle_seed]
+
+# what the error message of a breaker above must say: the condition and file
+NAMED_IN_TRAIN_ERROR = {
+    _wrong_dim_features: "condition 'b': features/b_002.lpcc has 4 dimensions, "
+                         "the first training sequence 3",
+    _one_frame_sequence: "condition 'b': features/b_002.lpcc has T = 2; "
+                         "order-2 training needs T >= 3",
+    _one_frame_sequence_order1: "condition 'b': features/b_002.lpcc has T = 1; "
+                                "order-1 training needs T >= 2",
+    _frame_too_large_to_square: "condition 'a': features/a_001.lpcc frame 5",
+    _squared_norm_overflows: "condition 'a': features/a_001.lpcc frame 5",
+}
 
 # report file contents that `compare` must refuse
 BAD_REPORTS = {
@@ -767,8 +807,8 @@ class TestTrainCompareSynthFuzz:
             if too_large:   # refused before any arithmetic can overflow
                 warnings.simplefilter("error", RuntimeWarning)
             err = self._exits_cleanly(capsys, breaker(root))
-        if too_large:
-            assert "a_001.lpcc" in err and "frame 5" in err, err
+        if breaker in NAMED_IN_TRAIN_ERROR:   # a DataError: exit 3
+            assert f"error: {NAMED_IN_TRAIN_ERROR[breaker]}" in err, err
 
     def test_train_names_the_condition_short_of_frames(self, corpus, tmp_path, capsys):
         # two train tokens of three frames give b's first state 2 frames each,

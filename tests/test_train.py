@@ -8,7 +8,8 @@ from hmm2tc.classify import train_bank
 from hmm2tc.config import TrainConfig, variance_floor
 from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
-from hmm2tc.hmm1 import Hmm1Model, _baum_welch, baum_welch1
+from hmm2tc.em import baum_welch
+from hmm2tc.hmm1 import Hmm1Model, baum_welch1
 from hmm2tc.hmm2 import Hmm2Model, baum_welch2, forward2, lift_hmm1, sample_hmm2
 from hmm2tc.init import flat_start, init_hmm2
 from hmm2tc.model_io import dumps_model
@@ -361,7 +362,8 @@ class TestBankLoop:
         model = left_right_pair(order)
         good = [np.zeros((5, 1)), np.ones((7, 1))]
         with pytest.raises(NumericError):
-            _baum_welch([model] * 3, [good, [good[0], np.full((5, 1), 1e200)], good], None)
+            baum_welch([model] * 3, {"a": good, "b": [good[0], np.full((5, 1), 1e200)],
+                                     "c": good}, None)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_zero_occupancy_one_record_per_label_and_kind(self, order, caplog):
@@ -372,18 +374,20 @@ class TestBankLoop:
         if order == 2:
             model = lift_hmm1(model)
         rng = np.random.default_rng(13)
-        corpora = [[rng.normal(size=(t, 1)) for t in rng.integers(10, 30, size=count)]
-                   for count in (2, 1, 3)]
+        sets = {f"c{count}": [rng.normal(size=(t, 1)) for t in rng.integers(10, 30, size=count)]
+                for count in (2, 1, 3)}
         cfg = TrainConfig(max_iterations=3, tol=1e-12)
 
-        def records(corpora):
+        def records(sets):
             caplog.clear()
             with caplog.at_level("WARNING", logger="hmm2tc"):
-                _baum_welch([model] * len(corpora), corpora, cfg)
+                baum_welch([model] * len(sets), sets, cfg)
             return [(r.name, r.getMessage()) for r in caplog.records
                     if "zero occupancy" in r.getMessage()]
 
-        alone = [record for corpus in corpora for record in records([corpus])]
-        assert len(alone) == 3 * order
-        assert {name for name, _ in alone} == {f"hmm2tc.hmm{order}"}
-        assert records(corpora) == alone
+        alone = [record for label, seqs in sets.items() for record in records({label: seqs})]
+        kinds = ["1 (i, j) pairs", "2 mixture components"][2 - order:]
+        assert alone == [(f"hmm2tc.hmm{order}",
+                          f"{kind} had zero occupancy in 3 of 3 EM iterations; kept")
+                         for _ in sets for kind in kinds]
+        assert records(sets) == alone
