@@ -15,7 +15,9 @@
 #    run to run);
 # 4. a 2-second traced benchmark run of each workload at seed 1, whose result
 #    line must read "failed": 0 (a traced run also exercises the span
-#    tracer's hooks);
+#    tracer's hooks); numpy's RuntimeWarnings are errors there, as in the
+#    tier-1 suite, so a floating-point warning on benchmark-sized input
+#    counts as a failed operation;
 # 5. an import of hmm2tc.cli with scipy blocked: src must not need scipy,
 #    which only the tests and perfbench/ use (the "test" extra);
 # 6. the line count of each module of src/hmm2tc and their total, printed
@@ -68,7 +70,8 @@ rm -rf "$scratch"
 
 for w in extract train identify; do
     echo "== traced benchmark run: $w"
-    result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 1 | tail -n 1)
+    result=$(python3 -W error::RuntimeWarning perfbench/run.py --workload "$w" --seed 1 \
+        --seconds 2 --trace 1 | tail -n 1)
     echo "$result" | cut -c 1-160
     case "$result" in
         *'"failed": 0,'*) ;;

@@ -86,16 +86,16 @@ def _scores(models: list, mat: np.ndarray, scoring: str) -> np.ndarray:
     and shape, log P(O | model) or its best path's, -inf where a model gives
     it probability 0 or has no admissible path: one emission call over the
     models' emission stacks, concatenated, and one lattice pass over the
-    stack of their chains."""
+    stack of their chains, whose tables are stacked into the engine's layout."""
     if scoring not in ("forward", "viterbi"):
         raise DataError(f"unknown scoring mode {scoring!r}")
     logb = log_densities(GaussianMixture.stack(model.mixtures for model in models), mat)
-    logb = logb.reshape(len(mat), len(models), -1).transpose(1, 0, 2)
-    chains = (model._chain(b) for model, b in zip(models, logb))
-    log_init, trans, table = (np.stack(part) for part in zip(*chains))
+    logb = logb.reshape(len(mat), len(models), -1)  # (T, B, N), a view of the (B*N, T) table
+    log_init, trans, tables = zip(*(model._chain(logb[:, b]) for b, model in enumerate(models)))
+    chains = np.stack(log_init), np.stack(trans), np.stack(tables, axis=1).swapaxes(0, 1)
     if scoring == "forward":
-        return lattice.loglik(log_init, trans, table)
-    return lattice.viterbi_scores(log_init, trans, table)
+        return lattice.loglik(*chains)
+    return lattice.viterbi_scores(*chains)
 
 
 def identify(bank: ConditionBank, obs, scoring: str = "forward") -> IdentificationResult:

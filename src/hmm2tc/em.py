@@ -11,7 +11,7 @@ import numpy as np
 from . import lattice
 from .config import MIXTURE_WEIGHT_FLOOR, TrainConfig, frames_of, source_of, variance_floor
 from .errors import DataError
-from .gmm import GaussianMixture, _stochastic, component_log_densities, log_densities
+from .gmm import GaussianMixture, _stochastic, component_table, log_densities
 
 TOPOLOGIES = ("ergodic", "left-right")
 
@@ -57,9 +57,9 @@ class StateModel:
                 raise DataError(f"every row of {name} must be a probability vector")
         if self.topology not in TOPOLOGIES:
             raise DataError(f"unknown topology {self.topology!r}")
+        back = np.tri(n, k=-1, dtype=bool)  # on a3, the last two axes: a3[i, j, k] with k < j
         for name, x in zip(self._ARRAYS[1:], arrays[1:]):
-            # on a3, tril takes the last two axes: a3[i, j, k] with k < j
-            if self.topology == "left-right" and np.any(np.tril(x, -1) != 0):
+            if self.topology == "left-right" and x[..., back].any():
                 raise DataError(f"left-right topology forbids backward {name} transitions")
 
     @property
@@ -93,20 +93,20 @@ def _update_mixtures(mixtures, occ, frames, comp, logb, floor):
     """Shared GMM M-step given per-frame state occupancies.
 
     occ: the (T, N) state occupancies of every training frame; frames: those
-    (T, D) frames; comp and logb: their (T, N, M) weighted component log
-    densities and (T, N) emission table. A state that cannot emit a frame
-    (log density -inf) takes no share of it. Returns the new stack and a
-    (N, M) mask of the components that had zero occupancy; those components,
-    and states whose every component is empty, keep their previous
-    parameters.
+    (T, D) frames; comp and logb: their state-major (N, M, T) weighted
+    component log densities (`component_table`) and (N, T) emission table. A
+    state that cannot emit a frame (log density -inf) takes no share of it.
+    Returns the new stack and a (N, M) mask of the components that had zero
+    occupancy; those components, and states whose every component is empty,
+    keep their previous parameters.
     """
     n, m_comp, d = mixtures.means.shape
     with np.errstate(invalid="ignore"):
-        share = np.exp(comp - logb[:, :, None])
-    share[logb == -np.inf] = 0.0
-    resp = occ[:, :, None] * share                            # (T, N, M)
-    w_acc = resp.sum(axis=0)
-    moments = resp.reshape(len(frames), -1).T @ np.concatenate([frames, frames * frames], axis=1)
+        resp = np.exp(comp - logb[:, None])                   # (N, M, T)
+    resp.transpose(0, 2, 1)[logb == -np.inf] = 0.0  # exp(-inf - -inf) is NaN, even times 0
+    resp *= occ.T[:, None]
+    w_acc = resp.sum(axis=2)
+    moments = resp.reshape(n * m_comp, -1) @ np.concatenate([frames, frames * frames], axis=1)
     mean_acc, sq_acc = np.moveaxis(moments.reshape(n, m_comp, 2, d), 2, 0)
     tot = w_acc.sum(axis=1)
     dead = tot <= 1e-300
@@ -186,9 +186,9 @@ def baum_welch(models, training_sets: dict[str, list], cfg: TrainConfig | None =
     for _ in range(cfg.max_iterations):
         scored = []
         for g in active:
-            comp = component_log_densities(bank[g].model.mixtures, bank[g].frames)
-            logb = lattice.logsumexp(comp, axis=2)
-            table[g][within[g]] = logb
+            comp = component_table(bank[g].model.mixtures, bank[g].frames)
+            logb = lattice.logsumexp(comp, axis=1)
+            table[g][within[g]] = logb.T
             scored.append((comp, logb))
         log_init, trans, tables = zip(*(bank[g].model._chain(table[g]) for g in active))
         gamma, xi, ll = lattice.estep(np.concatenate(log_init), np.stack(trans),

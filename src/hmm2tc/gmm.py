@@ -20,10 +20,10 @@ WEIGHT_TOL = 1e-10
 
 
 def _stochastic(p: np.ndarray) -> bool:
-    """True when every entry is finite and nonnegative and every row (along
-    the last axis) sums to 1 within WEIGHT_TOL; NaN fails every test."""
-    return bool(np.all(np.isfinite(p)) and np.all(p >= 0)
-                and np.all(np.abs(p.sum(axis=-1) - 1.0) <= WEIGHT_TOL))
+    """True when every entry is nonnegative and every row (along the last
+    axis) sums to 1 within WEIGHT_TOL, so is finite; NaN fails every test."""
+    return bool(p.min(initial=0.0) >= 0
+                and np.abs(p.sum(axis=-1) - 1.0).max(initial=0.0) <= WEIGHT_TOL)
 
 
 @dataclass
@@ -43,9 +43,10 @@ class GaussianMixture:
             raise DataError("one weight per mixture component required")
         if not _stochastic(self.weights):
             raise DataError("component weights must be nonnegative and sum to 1")
-        if not np.all(np.isfinite(self.means)):
+        # a NaN entry makes min and max NaN, which fail every comparison
+        if not (-np.inf < self.means.min(initial=0.0) and self.means.max(initial=0.0) < np.inf):
             raise DataError("means must be finite")
-        if not (np.all(np.isfinite(self.variances)) and np.all(self.variances > 0)):
+        if not (0 < self.variances.min(initial=1.0) and self.variances.max(initial=1.0) < np.inf):
             raise DataError("variances must be finite and strictly positive")
 
     @classmethod
@@ -73,16 +74,18 @@ class GaussianMixture:
         return self.means.shape[-1]
 
 
-def component_log_densities(mixtures, obs) -> np.ndarray:
+def component_table(mixtures, obs) -> np.ndarray:
     """log w_m + log N(o_t; mu_m, diag sigma2_m) of every component of a stack
     of N mixtures (a single mixture is a stack of one, and a list of mixtures
-    is stacked), for a (T, D) observation matrix -> (T, N, M).
+    is stacked), for a (T, D) observation matrix, state-major: (N, M, T), so
+    that a reduction over the components or over the frames works on whole
+    contiguous blocks of frames.
 
     The exponent is expanded as in scikit-learn's diagonal-covariance
     `_estimate_log_gaussian_prob` (Pedregosa et al., 2011):
     sum_d (o_d - mu_d)**2 / s_d = sum_d o_d**2 / s_d - 2 o_d mu_d / s_d + mu_d**2 / s_d,
-    so the part that depends on the frame is, per state, one (T, 2D) x (2D, M)
-    product of [o**2, o] with [-1/(2 s), mu / s]. Frames and means are first
+    so the part that depends on the frame is one (N, M, 2D) x (N, 2D, T)
+    product of [-1/(2 s), mu / s] with [o**2, o]. Frames and means are first
     centred on the state's mean of its component means: the terms of the
     expansion, and so its cancellation error, then grow with the spread of
     the state's components, not with their common offset. A frame whose
@@ -103,17 +106,23 @@ def component_log_densities(mixtures, obs) -> np.ndarray:
     centre = means.mean(axis=1, keepdims=True)                # (N, 1, D)
     means = means - centre
     const = logw - 0.5 * (np.sum(means * means * prec - np.log(prec), axis=2) + d * _LOG_2PI)
-    coef = np.concatenate([-0.5 * prec, means * prec], axis=2).transpose(0, 2, 1)
-    powers = np.empty((len(means), obs.shape[0], 2 * d))  # per state [x**2, x]
+    coef = np.concatenate([-0.5 * prec, means * prec], axis=2)  # (N, M, 2D)
+    powers = np.empty((len(means), 2 * d, obs.shape[0]))  # per state [x**2, x]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(obs, centre, out=powers[:, :, d:])
-        np.square(powers[:, :, d:], out=powers[:, :, :d])
-        comp = powers @ coef                                  # (N, T, M)
-    comp += const[:, None]
+        np.subtract(obs.T, centre.transpose(0, 2, 1), out=powers[:, d:])
+        np.square(powers[:, d:], out=powers[:, :d])
+        comp = coef @ powers                                  # (N, M, T)
+    comp += const[:, :, None]
     comp[np.isnan(comp)] = -np.inf
-    return comp.transpose(1, 0, 2)
+    return comp
+
+
+def component_log_densities(mixtures, obs) -> np.ndarray:
+    """`component_table` as a (T, N, M) view."""
+    return component_table(mixtures, obs).transpose(2, 0, 1)
 
 
 def log_densities(mixtures, obs) -> np.ndarray:
-    """(T, N) log densities of a stack of N mixtures at every frame of obs."""
-    return logsumexp(component_log_densities(mixtures, obs), axis=2)
+    """(T, N) log densities of a stack of N mixtures at every frame of obs, a
+    view of the state-major (N, T) table."""
+    return logsumexp(component_table(mixtures, obs), axis=1).T

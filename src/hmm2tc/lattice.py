@@ -62,9 +62,7 @@ def _log(p: np.ndarray) -> np.ndarray:
 
 def logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(x))) along one axis, shifted by each line's own maximum."""
-    # numpy takes the maximum over a short contiguous axis one line at a
-    # time, and over the first axis of a copy one whole block at a time
-    top = np.expand_dims(np.moveaxis(x, axis, 0).copy().max(axis=0), axis)
+    top = x.max(axis=axis, keepdims=True)
     top[top == -np.inf] = 0.0
     with np.errstate(divide="ignore"):
         return np.squeeze(top, axis) + np.log(np.exp(x - top).sum(axis=axis))
@@ -111,11 +109,13 @@ def _chains(log_init, trans, logb, lengths=None) -> tuple[bool, _Chains]:
     single = log_init.ndim == 1
     if single:
         log_init, logb = log_init[None], np.asarray(logb)[None]
-    table = np.array(np.swapaxes(logb, 0, 1), dtype=np.float64, order="C")
+    table = np.swapaxes(np.asarray(logb, dtype=np.float64), 0, 1)
     rows, b = table.shape[:2]
-    if lengths is None:
+    if lengths is None:   # a table given in the engine's layout is not copied
+        table = np.ascontiguousarray(table)
         lengths = np.full(b, rows)
     else:
+        table = np.array(table, order="C")
         lengths = np.asarray(lengths, dtype=np.intp)
         table[np.arange(rows)[:, None] >= lengths] = -np.inf
     trans = np.asarray(trans, dtype=np.float64)

@@ -6,9 +6,10 @@ from hmm2tc.classify import (ConditionBank, EvaluationReport, evaluate, identify
                              render_improvement_text, render_report_text,
                              round_half_away, train_bank)
 from hmm2tc.config import TrainConfig
-from hmm2tc.errors import DataError
+from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
-from hmm2tc.hmm2 import Hmm2Model, sample_hmm2
+from hmm2tc.hmm1 import Hmm1Model, forward1, viterbi1
+from hmm2tc.hmm2 import Hmm2Model, forward2, sample_hmm2, viterbi2
 
 from conftest import random_hmm2
 
@@ -54,6 +55,54 @@ class TestIdentify:
             _, frames = sample_hmm2(models[lab], 20, seed=trial)
             correct += identify(bank, frames).label == lab
         assert correct >= 190
+
+
+def random_model(rng, order, topology, n=3, m=2, dim=2):
+    """A random model of the given order and topology; a left-right model's
+    backward transitions are 0."""
+    def rows(shape):
+        p = rng.dirichlet(np.ones(n), shape)
+        if topology == "left-right":
+            p = np.triu(p)
+            p /= p.sum(axis=-1, keepdims=True)
+        return p
+
+    mixtures = GaussianMixture(rng.dirichlet(np.ones(m), n), rng.normal(0.0, 2.0, (n, m, dim)),
+                               rng.uniform(0.5, 1.5, (n, m, dim)))
+    pi = rng.dirichlet(np.ones(n))
+    if order == 1:
+        return Hmm1Model(pi, rows(n), mixtures, topology)
+    return Hmm2Model(pi, rows(n), rows((n, n)), mixtures, topology)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_bank_scores_equal_each_model_scored_alone(order):
+    # six models, ergodic and left-right; model "z" has tiny variances in
+    # the first dimension, so it cannot emit a frame of 1e154 there (the
+    # square overflows) and gives the second utterance probability 0
+    rng = np.random.default_rng(30 + order)
+    topologies = ["ergodic", "left-right"] * 3
+    models = {f"m{i}": random_model(rng, order, top) for i, top in enumerate(topologies[:5])}
+    models["z"] = random_model(rng, order, topologies[5])
+    models["z"].mixtures.variances[:, :, 0] = 0.1
+    bank = ConditionBank(list(models), models)
+    utterance = rng.normal(0.0, 2.0, (25, 2))
+    huge = utterance.copy()
+    huge[11, 0] = 1e154
+    alone = {1: (forward1, viterbi1), 2: (forward2, viterbi2)}[order]
+    for obs in (utterance, huge):
+        for scoring, score in zip(("forward", "viterbi"), alone):
+            got = identify(bank, obs, scoring).scores
+            for label, model in models.items():
+                try:
+                    want = score(model, obs)[1]
+                except NumericError:   # a single chain with no admissible path
+                    want = -np.inf
+                if obs is huge and label == "z":
+                    assert got[label] == want == -np.inf
+                else:
+                    assert np.isfinite(want)
+                    assert abs(got[label] - want) <= 1e-12 * abs(want), (scoring, label)
 
 
 class TestTrainBank:

@@ -621,6 +621,66 @@ class TestScoringFuzz:
             assert code == want_code and message in err, (code, err)
 
 
+def _set(part, index, value):
+    """A fault that sets one entry of state 0's mixture part (or of a3)."""
+    def fault(doc):
+        target = doc["a3"] if part == "a3" else doc["mixtures"][0][part]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value(target[index[-1]]) if callable(value) else value
+    return fault
+
+
+WEIGHTS_MESSAGE = "component weights must be nonnegative and sum to 1"
+VARIANCES_MESSAGE = "variances must be finite and strictly positive"
+# (fault, message) for a model file of a left-right order-2 bank (N = M = 2)
+MODEL_FAULTS = {
+    "nan_weight": (_set("weights", [0], float("nan")), WEIGHTS_MESSAGE),
+    "infinite_weight": (_set("weights", [0], float("inf")), WEIGHTS_MESSAGE),
+    "negative_weight": (lambda doc: doc["mixtures"][0].update(weights=[-0.25, 1.25]),
+                        WEIGHTS_MESSAGE),
+    "weight_sum_off": (_set("weights", [0], lambda w: w + 2e-10), WEIGHTS_MESSAGE),
+    "zero_variance": (_set("variances", [1, 0], 0.0), VARIANCES_MESSAGE),
+    "nan_variance": (_set("variances", [1, 0], float("nan")), VARIANCES_MESSAGE),
+    "infinite_mean": (_set("means", [0, 1], float("-inf")), "means must be finite"),
+    "nan_mean": (_set("means", [0, 1], float("nan")), "means must be finite"),
+    "backward_a3": (_set("a3", [0, 1], [0.5, 0.5]),
+                    "left-right topology forbids backward a3 transitions"),
+}
+
+
+class TestModelFaults:
+    """identify on a bank whose model file breaks one model check."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("faults")
+        write_synth_spec(root / "spec.json")
+        assert main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "c")]) == 0
+        assert main(["train", "--manifest", str(root / "c" / "manifest.tsv"), "--out",
+                     str(root / "bank"), "--states", "2", "--mixtures", "2", "--order", "2",
+                     "--topology", "left-right", "--max-iter", "2", "--pooled"]) == 0
+        return root
+
+    @pytest.mark.parametrize("fault", MODEL_FAULTS)
+    def test_faulty_model_exits_3(self, trained, tmp_path, capsys, fault):
+        bank = tmp_path / "bank"
+        shutil.copytree(trained / "bank", bank)
+        scope = json.loads((bank / "bank.json").read_text())["scopes"][0]
+        model_path = bank / scope["models"]["b"]
+        doc = json.loads(model_path.read_text())
+        assert doc["a3"][0][1] == [0.0, 1.0]
+        breaker, message = MODEL_FAULTS[fault]
+        breaker(doc)
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["identify", "--bank", str(bank), "--features",
+                     str(trained / "c" / "features" / "a_006.lpcc")])
+        out, err = capsys.readouterr()
+        assert code == 3, err
+        assert out == "" and "Traceback" not in err and message in err
+
+
 def _train_args(root, manifest="manifest.tsv", *extra):
     return ["train", "--manifest", str(root / manifest), "--out", str(root / "bank"),
             "--states", "2", "--mixtures", "1", "--topology", "ergodic", "--max-iter", "2",

@@ -5,10 +5,10 @@ import pytest
 
 from hmm2tc import init, lattice
 from hmm2tc.classify import train_bank
-from hmm2tc.config import TrainConfig, variance_floor
+from hmm2tc.config import MIXTURE_WEIGHT_FLOOR, TrainConfig, variance_floor
 from hmm2tc.errors import DataError, NumericError
-from hmm2tc.gmm import GaussianMixture
-from hmm2tc.em import baum_welch
+from hmm2tc.gmm import GaussianMixture, component_table
+from hmm2tc.em import _update_mixtures, baum_welch
 from hmm2tc.hmm1 import Hmm1Model, baum_welch1
 from hmm2tc.hmm2 import Hmm2Model, baum_welch2, forward2, lift_hmm1, sample_hmm2
 from hmm2tc.init import flat_start, init_hmm2
@@ -391,3 +391,67 @@ class TestBankLoop:
                           f"{kind} had zero occupancy in 3 of 3 EM iterations; kept")
                          for _ in sets for kind in kinds]
         assert records(sets) == alone
+
+
+def reference_mixture_update(mixtures, occ, frames, floor):
+    """The GMM M-step by a loop over frames, from the direct density formula
+    log w + log N(x; mu, diag s): weights, means and two-pass variances of
+    each state's occupancy-weighted component responsibilities."""
+    n, m, d = mixtures.means.shape
+    acc = np.zeros((n, m))
+    first = np.zeros((n, m, d))
+    resp = np.zeros((len(frames), n, m))
+    for t, x in enumerate(frames):
+        for j in range(n):
+            with np.errstate(over="ignore"):
+                quad = np.sum((x - mixtures.means[j]) ** 2 / mixtures.variances[j], axis=1)
+            log_p = np.log(mixtures.weights[j]) - 0.5 * (
+                quad + np.sum(np.log(2 * np.pi * mixtures.variances[j]), axis=1))
+            if np.all(log_p == -np.inf):
+                continue   # a frame the state cannot emit: no share of it
+            p = np.exp(log_p - log_p.max())
+            resp[t, j] = occ[t, j] * p / p.sum()
+            acc[j] += resp[t, j]
+            first[j] += resp[t, j][:, None] * x
+    weights = mixtures.weights.copy()
+    means = mixtures.means.copy()
+    variances = mixtures.variances.copy()
+    for j in range(n):
+        if acc[j].sum() > 0:
+            w = np.maximum(acc[j] / acc[j].sum(), MIXTURE_WEIGHT_FLOOR)
+            weights[j] = w / w.sum()
+        for k in range(m):
+            if acc[j, k] > 0:
+                means[j, k] = first[j, k] / acc[j, k]
+                second = sum(resp[t, j, k] * (x - means[j, k]) ** 2
+                             for t, x in enumerate(frames))
+                variances[j, k] = np.maximum(second / acc[j, k], floor)
+    return weights, means, variances
+
+
+def test_mixture_update_matches_a_frame_loop():
+    # three 2-component states in 2 dimensions on 40 frames: state 2's second
+    # component sits far from every frame and is empty; frame 7 is too large
+    # for states 0 and 2 (its square over their variances overflows), and
+    # state 0 has occupancy there but cannot emit it, while state 1 can
+    rng = np.random.default_rng(21)
+    frames = rng.normal(0.0, 1.5, (40, 2))
+    frames[7] = [1e154, 0.0]
+    means = rng.normal(0.0, 1.0, (3, 2, 2))
+    means[2, 1] = [60.0, -60.0]
+    variances = rng.uniform(0.2, 0.5, (3, 2, 2))
+    variances[:, :, 0] = 0.1
+    variances[1] = [[0.8, 1.2], [0.6, 0.9]]
+    mixtures = GaussianMixture(rng.dirichlet(np.ones(2), 3), means, variances)
+    occ = rng.dirichlet(np.ones(3), 40)
+    floor = np.array([1e-3, 2e-3])
+    comp = component_table(mixtures, frames)
+    logb = lattice.logsumexp(comp, axis=1)
+    assert logb[0, 7] == -np.inf and np.isfinite(logb[1, 7]) and occ[7, 0] > 0
+    new, empty = _update_mixtures(mixtures, occ, frames, comp, logb, floor)
+    want = reference_mixture_update(mixtures, occ, frames, floor)
+    for got, ref in zip((new.weights, new.means, new.variances), want):
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+    assert empty.tolist() == [[False, False], [False, False], [False, True]]
+    assert np.array_equal(new.means[2, 1], means[2, 1])
+    assert np.array_equal(new.variances[2, 1], variances[2, 1])
