@@ -12,7 +12,9 @@
 #    which runs the CLI's synth, train and evaluate for both orders and then
 #    compare, and must exit 0; it runs twice, into two directories, and the
 #    two must not differ under diff -r (CLI artifacts are byte-identical from
-#    run to run);
+#    run to run); then one more process trains an order-2 bank on that
+#    corpus and prints its own peak RSS (ru_maxrss) and minor page faults
+#    (ru_minflt), for information only (not gated);
 # 4. a 2-second traced benchmark run of each workload at seed 1, whose result
 #    line must read "failed": 0 (a traced run also exercises the span
 #    tracer's hooks); numpy's RuntimeWarnings are errors there, as in the
@@ -66,6 +68,16 @@ for run in 1 2; do
 done
 diff -r "$scratch/run1" "$scratch/run2" > /dev/null ||
     { echo "the two runs' artifacts differ"; failed="$failed synthetic-determinism"; }
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
+import contextlib, io, resource, sys
+from hmm2tc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["train", "--manifest", sys.argv[1], "--out", sys.argv[2], "--order", "2",
+                     "--states", "3", "--mixtures", "2", "--max-iter", "2"])
+use = resource.getrusage(resource.RUSAGE_SELF)
+print(f"one order-2 train process (exit {code}): peak RSS {use.ru_maxrss / 1024:.1f} MB, "
+      f"{use.ru_minflt} minor page faults")
+' "$scratch/run1/manifest.tsv" "$scratch/memory-bank"
 rm -rf "$scratch"
 
 for w in extract train identify; do

@@ -29,12 +29,14 @@ class StateModel:
     its `order` and the EM loop's hooks: `_chain(logb)`, the lattice
     engine's (log initial rows, transitions, emission tables) for a (T, N)
     emission table or a stack (B, T, N) of them, one row per frame from frame
-    `order - 1` on; `_occupancy(gamma)`, the map from those chains' (B, R, S)
-    posteriors to (B, T, N) state occupancies; and the transition M-step
-    `_reestimate(start, first, counts, mixtures)`, which gets the first-frame
-    state occupancies, the chains' first-row posteriors and their transition
-    counts, each summed over a corpus, and returns the new model and {kind of
-    parameter: mask of those that had no count and kept their values}.
+    `order - 1` on, over N**order states that emit from their last index;
+    `_head(first)`, the rows and transitions alone for first-frame emissions
+    (..., N); `_occupancy(gamma)`, from (R, B, S) chain posteriors to
+    (T, B, N) state occupancies; and the transition M-step `_reestimate(start,
+    first, counts, mixtures)`, which gets the first-frame state occupancies,
+    the chains' first-row posteriors and their transition counts, each summed
+    over a corpus, and returns the new model and {kind of parameter: mask of
+    those that had no count and kept their values}.
     """
 
     _ARRAYS: tuple[str, ...]
@@ -124,9 +126,9 @@ def _update_mixtures(mixtures, occ, frames, comp, logb, floor):
 
 
 class _Member:
-    """One model of a bank in the EM loop: its training frames, their
-    sequence lengths, its variance floor, trace and zero-occupancy tally
-    ({kind: (mask of parameters ever kept, iterations that kept any)})."""
+    """One model of a bank in the EM loop: its training frames, each one's
+    time and sequence, the sequence lengths, variance floor, trace and
+    zero-occupancy tally ({kind: (mask ever kept, iterations that kept any)})."""
 
     def __init__(self, model, label: str, corpus):
         if not corpus:
@@ -143,6 +145,8 @@ class _Member:
         self.floor = variance_floor(mats)
         self.frames = np.concatenate(mats)
         self.lengths = np.array([len(mat) for mat in mats])
+        self.time = np.concatenate([np.arange(len(mat)) for mat in mats])
+        self.seq = np.repeat(np.arange(len(mats)), self.lengths)
         self.trace: list[float] = []
         self.zero: dict[str, tuple[np.ndarray, int]] = {}
 
@@ -157,14 +161,15 @@ def baum_welch(models, training_sets: dict[str, list], cfg: TrainConfig | None =
     training_sets (label -> sequences), in its order; returns each model's
     (model, log-likelihood trace).
 
-    Each iteration scores each training model's corpus in one emission call
-    and runs one `lattice.estep` over the sequences of every model still
-    training: K sequences to a model, K the most any model has, padded to
-    the longest, and a model with fewer fills its group with chains of
-    length 0, which the engine leaves out of its products. Then each model
-    takes its GMM M-step and its transition M-step. A model whose relative
-    log-likelihood gain falls below `cfg.tol` leaves the stack, and the rest
-    go on; each model's results are those it gets trained alone.
+    Each iteration writes each training model's emission (one call over its
+    corpus) into one table in the lattice engine's (R, B, S) layout, padded
+    -inf, and runs one `lattice.estep` on it: K chains to a model, K the
+    most sequences any model has, and a model with fewer fills its group
+    with chains of length 0, which the engine leaves out of its products.
+    The whole stack's occupancies, then each model's GMM and transition
+    M-steps follow. A model whose relative log-likelihood gain falls below
+    `cfg.tol` leaves the stack; each model's results are those it gets
+    trained alone.
 
     Zero-occupancy summaries go to the logger of the models' module, one per
     model and kind of parameter. A sequence too short for the order, or of
@@ -175,36 +180,37 @@ def baum_welch(models, training_sets: dict[str, list], cfg: TrainConfig | None =
     logger = logging.getLogger(type(models[0]).__module__)
     bank = [_Member(model, label, corpus)
             for model, (label, corpus) in zip(models, training_sets.items())]
-    k = max(len(member.lengths) for member in bank)
-    t_max = max(member.lengths.max() for member in bank)
-    within = np.zeros((len(bank), k, t_max), dtype=bool)  # the frames of each sequence
-    for g, member in enumerate(bank):
-        within[g, :len(member.lengths)] = np.arange(t_max) < member.lengths[:, None]
-    rows = np.maximum(within.sum(axis=2) - (models[0].order - 1), 0)  # lattice rows
-    table = np.zeros(within.shape + (models[0].n_states,))
+    order, n = models[0].order, models[0].n_states
+    k, t_max = max(len(m.lengths) for m in bank), max(m.lengths.max() for m in bank)
+    rows = np.array([np.pad(m.lengths - (order - 1), (0, k - len(m.lengths))) for m in bank])
     active = list(range(len(bank)))
     for _ in range(cfg.max_iterations):
-        scored = []
-        for g in active:
-            comp = component_table(bank[g].model.mixtures, bank[g].frames)
+        # frame t of each chain, from frame order - 1 on its lattice rows
+        table = np.full((t_max, len(active) * k, n ** order), -np.inf)
+        heads, scored = [], []
+        for i, g in enumerate(active):
+            member, chains = bank[g], i * k + bank[g].seq
+            comp = component_table(member.model.mixtures, member.frames)
             logb = lattice.logsumexp(comp, axis=1)
-            table[g][within[g]] = logb.T
-            scored.append((comp, logb))
-        log_init, trans, tables = zip(*(bank[g].model._chain(table[g]) for g in active))
+            table.reshape(table.shape[:2] + (-1, n))[member.time, chains] = logb.T[:, None]
+            heads.append(member.model._head(table[0, i * k:(i + 1) * k, :n]))
+            scored.append((comp, logb, chains))
+        log_init, trans = zip(*heads)
         gamma, xi, ll = lattice.estep(np.concatenate(log_init), np.stack(trans),
-                                      np.concatenate(tables), rows[active].ravel())
-        for i, (g, (comp, logb)) in enumerate(zip(active, scored)):
+                                      table[order - 1:].swapaxes(0, 1), rows[active].ravel())
+        occ = models[0]._occupancy(gamma.swapaxes(0, 1))  # in the engine's (R, B, S) layout
+        for i, (g, (comp, logb, chains)) in enumerate(zip(active, scored)):
             member = bank[g]
             own = slice(i * k, i * k + len(member.lengths))
-            occ = member.model._occupancy(gamma[own])
             member.trace.append(float(ll[own].sum()))
-            mixtures, empty = _update_mixtures(member.model.mixtures, occ[within[g, :len(occ)]],
+            mixtures, empty = _update_mixtures(member.model.mixtures, occ[member.time, chains],
                                                member.frames, comp, logb, member.floor)
             member.model, kept = member.model._reestimate(
-                occ[:, 0].sum(axis=0), gamma[own, 0].sum(axis=0), xi[own].sum(axis=0), mixtures)
+                occ[0, own].sum(axis=0), gamma[own, 0].sum(axis=0), xi[own].sum(axis=0), mixtures)
             for kind, mask in {**kept, "mixture components": empty}.items():
                 seen, iters = member.zero.get(kind, (False, 0))
                 member.zero[kind] = (seen | mask, iters + int(np.any(mask)))
+        del gamma, occ, table  # before the next iteration allocates its own
         active = [g for g in active if not bank[g].converged(cfg.tol)]
         if not active:
             break

@@ -109,7 +109,7 @@ def component_table(mixtures, obs) -> np.ndarray:
     coef = np.concatenate([-0.5 * prec, means * prec], axis=2)  # (N, M, 2D)
     powers = np.empty((len(means), 2 * d, obs.shape[0]))  # per state [x**2, x]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(obs.T, centre.transpose(0, 2, 1), out=powers[:, d:])
+        np.subtract(np.ascontiguousarray(obs.T), centre.transpose(0, 2, 1), out=powers[:, d:])
         np.square(powers[:, d:], out=powers[:, :d])
         comp = coef @ powers                                  # (N, M, T)
     comp += const[:, :, None]

@@ -33,7 +33,10 @@ class Hmm1Model(StateModel):
 
     def _chain(self, logb: np.ndarray):
         """Its own states, one lattice row per frame."""
-        return np.broadcast_to(_log(self.pi), logb.shape[:-2] + self.pi.shape), self.a, logb
+        return (*self._head(logb[..., 0, :]), logb)
+
+    def _head(self, first: np.ndarray):
+        return np.broadcast_to(_log(self.pi), first.shape), self.a
 
     def _occupancy(self, gamma: np.ndarray) -> np.ndarray:
         return gamma

@@ -15,6 +15,7 @@ sampler: an HMM1 draws as its lift (`lift_hmm1`), a3[i, j, k] = a[j, k].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -42,29 +43,33 @@ class Hmm2Model(StateModel):
     def _chain(self, logb: np.ndarray):
         """The chain over pairs (j, k), indexed j * N + k. Row r of the pair
         lattice covers frames (r, r + 1): the initial row holds psi, a2 and
-        the first frame's emission, and pair (j, k) emits frame r + 1 from
-        state k."""
+        the first frame's emission (`_head`), and pair (j, k) emits frame
+        r + 1 from state k."""
         if logb.shape[-2] < 2:
             raise DataError("second-order recursions require T >= 2")
+        return (*self._head(logb[..., 0, :]), np.tile(logb[..., 1:, :], self.n_states))
+
+    def _head(self, first: np.ndarray):
         n = self.n_states
-        log_init = (_log(self.psi) + logb[..., 0, :])[..., :, None] + _log(self.a2)
+        log_init = (_log(self.psi) + first)[..., :, None] + _log(self.a2)
         trans = np.zeros((n, n, n, n))
         same = np.arange(n)
         trans[:, same, same, :] = self.a3
-        return (log_init.reshape(logb.shape[:-2] + (n * n,)), trans.reshape(n * n, n * n),
-                np.tile(logb[..., 1:, :], n))
+        return log_init.reshape(first.shape[:-1] + (n * n,)), trans.reshape(n * n, n * n)
 
     def _occupancy(self, gamma: np.ndarray) -> np.ndarray:
-        """(B, T, N) state occupancies from (B, T-1, N*N) pair posteriors."""
+        """(T, B, N) state occupancies from (T-1, B, N*N) pair posteriors; the
+        N planes j added in turn beat numpy's sum over that short axis."""
         n = self.n_states
         gamma = gamma.reshape(gamma.shape[:2] + (n, n))
-        return np.concatenate([gamma[:, :1].sum(axis=3), gamma.sum(axis=2)], axis=1)
+        return np.concatenate([gamma[:1].sum(axis=3), reduce(np.add, np.moveaxis(gamma, 2, 0))])
 
     def _reestimate(self, start, first, counts, mixtures) -> tuple["Hmm2Model", dict]:
         n = self.n_states
         a2 = normalise_rows(first.reshape(n, n), self.a2)[0]
         same = np.arange(n)
         a3, kept = normalise_rows(counts.reshape(n, n, n, n)[:, same, same, :], self.a3)
+        kept &= (self.topology == "ergodic") | ~np.tri(n, k=-1, dtype=bool)  # left-right: j >= i
         return (Hmm2Model(start / start.sum(), a2, a3, mixtures, self.topology),
                 {"(i, j) pairs": kept})
 

@@ -37,11 +37,14 @@ state's successors, so that it stays exact for states the forward pass
 cannot reach.
 
 Inside the engine a stack's rows come first, (R, B, S), so that one row of
-every chain is one contiguous block for the row-by-row recursions.
+every chain is one contiguous block for the row-by-row recursions; a table
+given in that layout, padded -inf, is read without a copy. The engine writes
+only into arrays it allocated, anew in each call.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -111,13 +114,11 @@ def _chains(log_init, trans, logb, lengths=None) -> tuple[bool, _Chains]:
         log_init, logb = log_init[None], np.asarray(logb)[None]
     table = np.swapaxes(np.asarray(logb, dtype=np.float64), 0, 1)
     rows, b = table.shape[:2]
-    if lengths is None:   # a table given in the engine's layout is not copied
-        table = np.ascontiguousarray(table)
-        lengths = np.full(b, rows)
-    else:
+    lengths = np.full(b, rows) if lengths is None else np.asarray(lengths, dtype=np.intp)
+    after = np.arange(rows)[:, None] >= lengths
+    if not (table.flags.c_contiguous and np.all(table[after] == -np.inf)):
         table = np.array(table, order="C")
-        lengths = np.asarray(lengths, dtype=np.intp)
-        table[np.arange(rows)[:, None] >= lengths] = -np.inf
+        table[after] = -np.inf
     trans = np.asarray(trans, dtype=np.float64)
     return single, _stack(log_init, trans.reshape((-1,) + trans.shape[-2:]), table, lengths)
 
@@ -206,9 +207,11 @@ class _Pass(NamedTuple):
 
     chains: _Chains
     ok: np.ndarray         # (B,) the chain keeps its scaled pass
+    live: np.ndarray       # (R, B, S) `_support`
     alpha: np.ndarray      # (R, B, S) normalised rows
     emit: np.ndarray       # (R, B, S) emission factors
     scale: np.ndarray      # (R, B) scale sums
+    beta: np.ndarray       # (R, B, S) the backward pass's buffer
     ll: np.ndarray         # (B,) log-likelihoods of the chains that are ok
 
 
@@ -227,11 +230,12 @@ def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass:
     rows, b, s = c.logb.shape
     live = _support(c)
     after = np.arange(rows)[:, None] >= c.lengths
-    shift = np.where(live, c.logb, -np.inf).max(axis=2)
-    shift[~live.any(axis=2)] = 0.0
-    emit = np.exp(np.minimum(c.logb - shift[..., None], 0.0))
-    alpha = np.zeros((rows, b, s))
-    scale = np.ones((rows, b))
+    emit = np.where(live, c.logb, -np.inf)
+    shift = reduce(np.maximum, np.moveaxis(emit, 2, 0))  # faster than .max(axis=2)
+    shift[shift == -np.inf] = 0.0
+    np.exp(np.minimum(np.subtract(c.logb, shift[..., None], out=emit), 0.0, out=emit), out=emit)
+    alpha = np.empty((rows, b, s))
+    scale = np.empty((rows, b))
     top = np.where(live[0].any(axis=1), c.log_init.max(axis=1), 0.0)
     pred = np.exp(c.log_init - top[:, None])
     # a row that sums to 0 turns its chain's later rows into NaN (0 / 0),
@@ -245,16 +249,18 @@ def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass:
             row /= np.add.reduce(row, axis=1, out=scale[r])[:, None]
     alpha[after] = 0.0
     scale[after] = 1.0
+    beta = alpha * scale[..., None]  # the backward pass's buffer holds the test's product
+    held = np.greater_equal(beta >= _TINY, live)  # held by the scale, or out of reach
+    ok = (scale > 0).all(axis=0) & held.all(axis=0).all(axis=1)
     # a chain that is not ok gets zero rows and scale 1, so that its scaled
     # backward pass, which `estep` replaces, cannot overflow
-    ok = (scale > 0).all(axis=0) & ((alpha * scale[..., None] >= _TINY) | ~live).all(axis=(0, 2))
     alpha[:, ~ok] = 0.0
     scale[:, ~ok] = 1.0
     log_scale = shift + np.log(scale)
     log_scale[0] += top
     # numpy sums the one column of a single chain pairwise, so `sum` would
     # make a chain's likelihood depend on the stack it runs in
-    return _Pass(c, ok, alpha, emit, scale, np.cumsum(log_scale, axis=0)[-1])
+    return _Pass(c, ok, live, alpha, emit, scale, beta, np.cumsum(log_scale, axis=0)[-1])
 
 
 def _log_forward(c: _Chains, reduce=np.logaddexp.reduce) -> np.ndarray:
@@ -343,12 +349,11 @@ def estep(log_init, trans, logb, lengths=None):
 
 
 def _scaled_estep(fwd: _Pass):
-    """Posteriors (R, B, S) and transition counts (B, S, S) of a scaled pass;
-    those of the chains that are not ok are 0."""
-    c, alpha = fwd.chains, fwd.alpha
-    live = alpha > 0
-    beta = np.ones_like(alpha)
-    weights = fwd.emit / fwd.scale[..., None]  # row r becomes emit_r * beta_r / scale_r
+    """Posteriors (R, B, S), in the buffer of alpha, and transition counts
+    (B, S, S) of a scaled pass; those of the chains that are not ok are 0."""
+    c, alpha, beta, live = fwd.chains, fwd.alpha, fwd.beta, fwd.live
+    weights = np.divide(fwd.emit, fwd.scale[..., None], out=fwd.emit)  # emit_r * beta_r / scale_r
+    beta[-1] = 1.0
     back = np.ascontiguousarray(np.swapaxes(c.trans, -1, -2))
     ends = _row_ends(c.lengths)
     for r in range(len(alpha) - 1, 0, -1):
@@ -358,7 +363,8 @@ def _scaled_estep(fwd: _Pass):
             beta[r - 1, ends[r - 1]] = 1.0
     flow = np.matmul(alpha[:-1].transpose(1, 2, 0), weights[1:].transpose(1, 0, 2))
     g, s = c.trans.shape[:2]
-    return alpha * beta, (c.trans[:, None] * flow.reshape(g, -1, s, s)).reshape(flow.shape)
+    alpha *= beta
+    return alpha, (c.trans[:, None] * flow.reshape(g, -1, s, s)).reshape(flow.shape)
 
 
 def _log_estep(c: _Chains):

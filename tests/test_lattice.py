@@ -767,3 +767,38 @@ def test_padded_groups_match_each_group_alone_at_model_sizes(s):
         assert np.array_equal(gamma[own, :rows], want_gamma)
         assert np.array_equal(counts[own], want_counts)
         assert np.array_equal(ll[own], want_ll)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+@pytest.mark.parametrize("layout", ["chain-major", "engine"])
+def test_engine_writes_only_arrays_it_allocated(b, layout):
+    # chain 0 is the chain of test_dropped_state_is_kept_when_its_row_still_has_mass,
+    # which only the log domain holds; the others are ragged and scaled. In
+    # the engine's own layout, padded -inf, the table is read without a copy,
+    # so a write into it, or a buffer shared between two calls, would show.
+    rng = np.random.default_rng(b)
+    lengths = np.array([6, 4, 5, 3][:b])
+    log_init = _log(np.array([[1.0, 0, 0]] + [[.2, .3, .5]] * (b - 1)))
+    trans = np.array([[.5, .5, 0], [0, .5, .5], [0, 0, 1]])
+    table = np.full((6, b, 3), -np.inf)  # (R, B, S)
+    table[:, 0] = [[0, 0, -700], [-1000, -1000, 0], [-1000, -1000, 0],
+                   [0, 0, -700], [0, 0, -700], [0, 0, -700]]
+    for k in range(1, b):
+        table[:lengths[k], k] = -rng.uniform(0, 3, size=(lengths[k], 3))
+    logb = table.swapaxes(0, 1)
+    if layout == "chain-major":
+        logb = np.ascontiguousarray(logb)
+    else:
+        assert np.shares_memory(lattice._chains(log_init, trans, logb, lengths)[1].logb, table)
+    args = (log_init, trans, logb, lengths)
+    given_args = [x.copy() for x in args]
+    assert lattice._scaled_forward(*args).ok.tolist() == [False] + [True] * (b - 1)
+    first = lattice.estep(*args)
+    first_copy = [x.copy() for x in first]
+    for run in (lattice.forward, lattice.loglik, lattice.viterbi, lattice.viterbi_scores):
+        run(*args)
+    lattice.estep(log_init, trans, logb * 1.5, lengths)
+    for got, want in zip(args, given_args):
+        assert np.array_equal(got, want)
+    for got, want in zip(first, first_copy):
+        assert np.array_equal(got, want)

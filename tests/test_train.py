@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -250,20 +251,23 @@ class TestBaumWelch2:
         rng = np.random.default_rng(10)
         corpus = [rng.normal(size=(30, 2)) for _ in range(3)]
         init = init_hmm2(corpus, 3, 1, "left-right", seed=0)
+        # no jump from state 0 to state 2, so the pair (0, 2), which the
+        # topology allows, never occurs
+        init.a2[0] = init.a3[:, 0] = [0.5, 0.5, 0.0]
         with caplog.at_level("WARNING", logger="hmm2tc"):
             baum_welch2(init, corpus, TrainConfig(max_iterations=4, tol=1e-12))
         pair_records = [r.getMessage() for r in caplog.records
                         if "pairs had zero occupancy" in r.getMessage()]
-        assert len(pair_records) == 1
-        assert pair_records[0].endswith("in 4 of 4 EM iterations; kept")
+        assert pair_records == ["1 (i, j) pairs had zero occupancy in 4 of 4 EM iterations; kept"]
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_zero_occupancy_reported_on_the_trainer_logger(self, order, caplog):
-        # component 2 sits far from every frame and the left-right pair (1, 0)
-        # never occurs, so both stay at zero occupancy
+        # component 2 sits far from every frame, and state 0 holds the first
+        # frame alone, so the pair (0, 0), which the topology allows, never
+        # occurs: both stay at zero occupancy
         mix = [GaussianMixture([0.5, 0.5], [[0.0], [1e3]], [[1.0], [1.0]])] * 2
-        a = np.array([[0.5, 0.5], [0.0, 1.0]])
-        model1 = Hmm1Model([0.5, 0.5], a, mix, "left-right")
+        a = np.array([[0.0, 1.0], [0.0, 1.0]])
+        model1 = Hmm1Model([1.0, 0.0], a, mix, "left-right")
         rng = np.random.default_rng(11)
         corpus = [rng.normal(size=(20, 1)) for _ in range(2)]
         with caplog.at_level("WARNING", logger="hmm2tc"):
@@ -367,10 +371,11 @@ class TestBankLoop:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_zero_occupancy_one_record_per_label_and_kind(self, order, caplog):
-        # component 2 sits far from every frame and the left-right pair (1, 0)
-        # never occurs, so both stay at zero occupancy in every label
+        # component 2 sits far from every frame, and state 0 holds the first
+        # frame alone, so the pair (0, 0), which the topology allows, never
+        # occurs: both stay at zero occupancy in every label
         mix = [GaussianMixture([0.5, 0.5], [[0.0], [1e3]], [[1.0], [1.0]])] * 2
-        model = Hmm1Model([0.5, 0.5], [[0.5, 0.5], [0.0, 1.0]], mix, "left-right")
+        model = Hmm1Model([1.0, 0.0], [[0.0, 1.0], [0.0, 1.0]], mix, "left-right")
         if order == 2:
             model = lift_hmm1(model)
         rng = np.random.default_rng(13)
@@ -455,3 +460,23 @@ def test_mixture_update_matches_a_frame_loop():
     assert empty.tolist() == [[False, False], [False, False], [False, True]]
     assert np.array_equal(new.means[2, 1], means[2, 1])
     assert np.array_equal(new.variances[2, 1], variances[2, 1])
+
+
+def test_pair_occupancy_matches_a_loop_over_pairs():
+    # from (R, B, N*N) pair posteriors in the engine's layout: frame t + 1 of
+    # state k adds the pairs (j, k) of row t over j in turn, as numpy's sum
+    # over that axis does, bit for bit; frame 0 of state j sums row 0's (j, k)
+    rng = np.random.default_rng(14)
+    n, rows, chains = 3, 6, 4
+    mix = [GaussianMixture([1.0], [[0.0]], [[1.0]])] * n
+    model = lift_hmm1(Hmm1Model(np.full(n, 1 / n), np.full((n, n), 1 / n), mix))
+    gamma = rng.random((rows, chains, n * n))
+    pairs = gamma.reshape(rows, chains, n, n)
+    occ = model._occupancy(gamma)
+    assert occ.shape == (rows + 1, chains, n)
+    assert np.array_equal(occ[0], pairs[0].sum(axis=2))
+    for r, b, k in itertools.product(range(rows), range(chains), range(n)):
+        total = pairs[r, b, 0, k]
+        for j in range(1, n):
+            total += pairs[r, b, j, k]
+        assert occ[r + 1, b, k] == total
