@@ -14,7 +14,9 @@
 #    two must not differ under diff -r (CLI artifacts are byte-identical from
 #    run to run); then one more process trains an order-2 bank on that
 #    corpus and prints its own peak RSS (ru_maxrss) and minor page faults
-#    (ru_minflt), for information only (not gated);
+#    (ru_minflt), for information only (not gated); last, hmm2tc extract runs
+#    twice over a manifest of a few seeded WAVs (one with a digital silence),
+#    into two directories that must not differ under diff -r;
 # 4. a 2-second traced benchmark run of each workload at seed 1, whose result
 #    line must read "failed": 0 (a traced run also exercises the span
 #    tracer's hooks); numpy's RuntimeWarnings are errors there, as in the
@@ -78,6 +80,31 @@ use = resource.getrusage(resource.RUSAGE_SELF)
 print(f"one order-2 train process (exit {code}): peak RSS {use.ru_maxrss / 1024:.1f} MB, "
       f"{use.ru_minflt} minor page faults")
 ' "$scratch/run1/manifest.tsv" "$scratch/memory-bank"
+echo "== hmm2tc extract twice over seeded WAVs"
+python3 -c '
+import sys, wave
+import numpy as np
+rows = ["speaker\tsentence\tcondition\ttoken\tpath"]
+for i, n in enumerate([4800, 7000, 3000, 9000, 5200]):
+    rng = np.random.default_rng([7, i])
+    samples = (rng.normal(0, 0.1, n) * 32767).clip(-32768, 32767).astype("<i2")
+    samples[n // 4 : n // 2] = 0
+    with wave.open(f"{sys.argv[1]}/u{i}.wav", "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+        wf.writeframes(samples.tobytes())
+    rows.append(f"s1\tt1\tneutral\t{i + 1}\tu{i}.wav")
+with open(f"{sys.argv[1]}/wavs.tsv", "w") as fh:
+    fh.write("\n".join(rows) + "\n")
+' "$scratch" || failed="$failed extract-inputs"
+for run in 1 2; do
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m hmm2tc.cli extract \
+        --manifest "$scratch/wavs.tsv" --out "$scratch/features$run" ||
+        failed="$failed extract"
+done
+diff -r "$scratch/features1" "$scratch/features2" > /dev/null ||
+    { echo "the two extract runs' feature directories differ"; failed="$failed extract-determinism"; }
 rm -rf "$scratch"
 
 for w in extract train identify; do

@@ -2,8 +2,12 @@
 
 The pipeline is decode -> frame/window -> autocorrelate -> Levinson-Durbin
 -> cepstral recursion, one 16-dim LPCC row per 30 ms frame at a 5 ms shift.
-Each stage runs once per clip over the (frames, window) stack, every frame
-advancing through the same short loop over the lag or order together.
+Decoding, windowing and autocorrelation run once per clip, over the clip's
+(frames, window) stack. Levinson-Durbin and the cepstral recursion run once
+per block of clips (`lpcc_sequences`) over their concatenated autocorrelation
+rows, with their state held order-major, (order, frames): every frame of the
+block advances through the same short loop over the order, each step one
+contiguous row, so a frame's result does not depend on the block it is in.
 """
 
 from __future__ import annotations
@@ -177,12 +181,16 @@ def levinson_durbin(r: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     reflection coefficient is non-finite or leaves the unit disc: a single
     row raises NumericError, while in a stack the failed rows come back as
     NaN in both a and E_p and the other rows are unaffected.
+
+    The working state is order-major, lags (p + 1, F) and coefficients
+    (p, F), so that each step reads and writes whole rows over every frame;
+    the (F, p) result is a transposed view of it.
     """
     r = np.asarray(r, dtype=np.float64)
-    rows = np.atleast_2d(r)
-    n_rows, p = rows.shape[0], rows.shape[1] - 1
-    a = np.zeros((n_rows, p))
-    energy = rows[:, 0].copy()
+    lags = np.ascontiguousarray(np.atleast_2d(r).T)
+    p, n_rows = lags.shape[0] - 1, lags.shape[1]
+    a = np.zeros((p, n_rows))
+    energy = lags[0].copy()
     ok = energy > 0.0
     if r.ndim == 1 and not ok[0]:
         raise NumericError("zero-energy frame: r_0 must be positive")
@@ -190,57 +198,76 @@ def levinson_durbin(r: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
         for i in range(1, p + 1):
             acc = np.zeros(n_rows)
             for j in range(i - 1):
-                acc += a[:, j] * rows[:, i - 1 - j]
-            k = -(rows[:, i] + acc) / energy
+                acc += a[j] * lags[i - 1 - j]
+            k = -(lags[i] + acc) / energy
             ok &= np.abs(k) < 1.0          # NaN and inf fail too
             if r.ndim == 1 and not ok[0]:
                 raise NumericError(f"unstable frame: |k_{i}| = {abs(k[0]):.6g} >= 1")
             k[~ok] = 0.0                   # failed rows stay finite until masked
-            a[:, : i - 1] = a[:, : i - 1] + k[:, None] * a[:, : i - 1][:, ::-1]
-            a[:, i - 1] = k
+            a[: i - 1] = a[: i - 1] + k * a[: i - 1][::-1]
+            a[i - 1] = k
             energy *= 1.0 - k * k
-    a[~ok] = np.nan
+    a[:, ~ok] = np.nan
     energy[~ok] = np.nan
-    return (a[0], float(energy[0])) if r.ndim == 1 else (a, energy)
+    return (a[:, 0], float(energy[0])) if r.ndim == 1 else (a.T, energy)
 
 
 def lpc_to_lpcc(lpc: np.ndarray, cepstral_order: int) -> np.ndarray:
     """Cepstrum c_1..c_Q of 1/A(z) via the standard recursion (gain term
-    dropped), for one LPC row (p,) or a stack (F, p), one column per step."""
+    dropped), for one LPC row (p,) or a stack (F, p). The working state is
+    order-major, (p, F) in and (Q, F) out, one whole row per step; the
+    (F, Q) result is a transposed view of it."""
     a = np.asarray(lpc, dtype=np.float64)
     if cepstral_order < 1:
         raise DataError("cepstral_order must be >= 1")
-    rows = np.atleast_2d(a)
-    p = rows.shape[1]
-    c = np.zeros((rows.shape[0], cepstral_order))
+    rows = np.ascontiguousarray(np.atleast_2d(a).T)
+    p, n_rows = rows.shape
+    c = np.zeros((cepstral_order, n_rows))
     for m in range(1, cepstral_order + 1):
-        acc = -rows[:, m - 1] if m <= p else np.zeros(rows.shape[0])
+        acc = -rows[m - 1] if m <= p else np.zeros(n_rows)
         for k in range(max(1, m - p), m):
-            acc -= (k / m) * c[:, k - 1] * rows[:, m - k - 1]
-        c[:, m - 1] = acc
-    return c[0] if a.ndim == 1 else c
+            acc -= (k / m) * c[k - 1] * rows[m - k - 1]
+        c[m - 1] = acc
+    return c[:, 0] if a.ndim == 1 else c.T
 
 
 SILENCE_THRESHOLD = 1e-12
 
 
-def extract_features(clip: AudioClip, params: FrameParams | None = None,
-                     source_id: str = "") -> FeatureSequence:
-    """Full front-end: windowed frames -> LPC -> LPCC rows, each stage run
-    once over the clip's whole frame stack.
+def clip_autocorrelation(clip: AudioClip, params: FrameParams) -> np.ndarray:
+    """The per-clip stages of the front end: the clip's windowed frames and
+    their (F, lpc_order + 1) autocorrelation rows."""
+    return autocorrelate(frame_and_window(clip, params), params.lpc_order)
+
+
+def lpcc_sequences(autocorrelations: list[np.ndarray], params: FrameParams,
+                   source_ids: list[str]) -> list[FeatureSequence]:
+    """The LPC and cepstrum stages, run once over the autocorrelation rows of
+    a block of clips, then split back into one FeatureSequence per clip.
 
     A frame is degenerate when r_0 <= SILENCE_THRESHOLD or its Levinson-Durbin
-    recursion fails; it becomes an all-zero row and is counted in the
-    sequence metadata instead of aborting the utterance.
+    recursion fails; it becomes an all-zero row and is counted in its
+    sequence's metadata instead of aborting the utterance.
     """
-    params = params or FrameParams()
-    frames = frame_and_window(clip, params)
-    r = autocorrelate(frames, params.lpc_order)
+    if not autocorrelations:
+        return []
+    r = np.concatenate(autocorrelations)
     a, energy = levinson_durbin(r)
     degenerate = (r[:, 0] <= SILENCE_THRESHOLD) | np.isnan(energy)
     out = lpc_to_lpcc(a, params.cepstral_order)
     out[degenerate] = 0.0
-    return FeatureSequence(out, source_id=source_id, degenerate_frames=int(degenerate.sum()))
+    out = np.ascontiguousarray(out)
+    bounds = np.cumsum([0] + [len(x) for x in autocorrelations]).tolist()
+    return [FeatureSequence(out[start:stop], source_id=sid,
+                            degenerate_frames=int(degenerate[start:stop].sum()))
+            for start, stop, sid in zip(bounds, bounds[1:], source_ids)]
+
+
+def extract_features(clip: AudioClip, params: FrameParams | None = None,
+                     source_id: str = "") -> FeatureSequence:
+    """Full front end for one clip: `lpcc_sequences` on a block of one."""
+    params = params or FrameParams()
+    return lpcc_sequences([clip_autocorrelation(clip, params)], params, [source_id])[0]
 
 
 def save_features(seq: FeatureSequence, path) -> None:

@@ -9,8 +9,8 @@ import math
 import os
 import sys
 
-from .audio import FrameParams, decode_pcm16_wav, extract_features, load_features, \
-    save_features
+from .audio import FrameParams, clip_autocorrelation, decode_pcm16_wav, load_features, \
+    lpcc_sequences, save_features
 from .classify import ConditionBank, evaluate_scopes, identify, improvement_table, \
     render_improvement_text, render_report_text, train_bank
 from .config import TrainConfig
@@ -58,6 +58,25 @@ def _distinct_names(named) -> None:
         seen[name] = source
 
 
+# Frames per block of whole files that `extract` passes through the LPC and
+# cepstrum stages at once; a file longer than this is a block of its own.
+EXTRACT_BLOCK_FRAMES = 1 << 16
+
+
+def _blocks(items, budget: int):
+    """Consecutive runs of (..., rows) items holding at most `budget` rows in
+    all, or a single item that holds more."""
+    block, rows = [], 0
+    for item in items:
+        if block and rows + len(item[-1]) > budget:
+            yield block
+            block, rows = [], 0
+        block.append(item)
+        rows += len(item[-1])
+    if block:
+        yield block
+
+
 def cmd_extract(args) -> int:
     entries = _read_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
@@ -70,20 +89,27 @@ def cmd_extract(args) -> int:
     failures = []
     new_entries = []
     log = []
-    for e, rel in zip(entries, names):
-        src = _entry_path(base, e)
-        try:
-            with open(src, "rb") as fh:
-                clip = decode_pcm16_wav(fh.read())
-            seq = extract_features(clip, params, source_id=e.path)
-        except (OSError, Hmm2tcError) as exc:
-            failures.append(f"{src}: {exc}")
-            continue
-        save_features(seq, os.path.join(args.out, rel))
-        log.append({"source": e.path, "features": rel, "frames": seq.T,
-                    "degenerate_frames": seq.degenerate_frames})
-        new_entries.append(ManifestEntry(e.speaker, e.sentence, e.condition,
-                                         e.token, rel, e.group, e.split))
+
+    def autocorrelations():
+        for e, rel in zip(entries, names):
+            src = _entry_path(base, e)
+            try:
+                with open(src, "rb") as fh:
+                    clip = decode_pcm16_wav(fh.read())
+                r = clip_autocorrelation(clip, params)
+            except (OSError, Hmm2tcError) as exc:
+                failures.append(f"{src}: {exc}")
+                continue
+            yield e, rel, r
+
+    for block in _blocks(autocorrelations(), EXTRACT_BLOCK_FRAMES):
+        seqs = lpcc_sequences([r for _, _, r in block], params, [e.path for e, _, _ in block])
+        for (e, rel, _), seq in zip(block, seqs):
+            save_features(seq, os.path.join(args.out, rel))
+            log.append({"source": e.path, "features": rel, "frames": seq.T,
+                        "degenerate_frames": seq.degenerate_frames})
+            new_entries.append(ManifestEntry(e.speaker, e.sentence, e.condition,
+                                             e.token, rel, e.group, e.split))
     with open(os.path.join(args.out, "manifest.tsv"), "w", encoding="utf-8") as fh:
         fh.write(format_manifest(new_entries))
     with open(os.path.join(args.out, "extract_log.json"), "w", encoding="utf-8") as fh:

@@ -153,10 +153,12 @@ def _step(rows: np.ndarray, trans: np.ndarray, runs: tuple) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _row_ends(lengths: np.ndarray) -> dict[int, np.ndarray]:
-    """{row: the chains whose last row it is}."""
-    last = lengths - 1
-    return {int(r): np.flatnonzero(last == r) for r in np.unique(last)}
+def _row_ends(lengths: np.ndarray) -> dict[int, list[int]]:
+    """{row: the chains whose last row it is, in ascending order}."""
+    ends: dict[int, list[int]] = {}
+    for b, n in enumerate(lengths.tolist()):
+        ends.setdefault(n - 1, []).append(b)
+    return ends
 
 
 def _neighbours(trans: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from hmm2tc import cli
+from hmm2tc.audio import FrameParams, decode_pcm16_wav, extract_features, lpcc_sequences, \
+    save_features
 from hmm2tc.cli import main
+from hmm2tc.corpus import ManifestEntry, format_manifest
+from hmm2tc.errors import Hmm2tcError
 
 from conftest import make_wav_bytes
 
@@ -481,6 +485,84 @@ class TestExtract:
         # the frames wholly inside the gap: starts 1600 .. 2720 in steps of 80
         assert [f["degenerate_frames"] for f in log["files"]] == [0, 15]
         assert out_text == "extracted 2/3 files, 110 frames (15 degenerate)\n"
+
+    @pytest.mark.parametrize("options", [
+        [],
+        ["--pre-emphasis", "0.97"],
+        ["--lpc-order", "12", "--cepstral-order", "8"],
+        ["--lpc-order", "6", "--cepstral-order", "20", "--pre-emphasis", "0.97"],
+    ])
+    def test_blocks_write_what_each_clip_gives_alone(self, tmp_path, capsys, monkeypatch,
+                                                     options):
+        # 55, 82, 32, 121 and 60 frames: under a 120-frame budget the good
+        # files make the blocks {u0}, {u1, u2}, {u3} (over the budget alone)
+        # and {u4}; the corrupt and the too-short file sit between them
+        rng = np.random.default_rng(8)
+        wavs = {"u0.wav": 4800, "u1.wav": 7000, "bad.wav": None, "u2.wav": 3000,
+                "short.wav": 479, "u3.wav": 10080, "u4.wav": 5200}
+        for name, n in wavs.items():
+            if n is None:
+                (tmp_path / name).write_bytes(b"RIFF junk")
+                continue
+            samples = (rng.normal(0, 0.05, n) * 32767).astype(np.int16)
+            if name == "u1.wav":
+                samples[1600:3200] = 0               # 100 ms of digital silence
+            (tmp_path / name).write_bytes(make_wav_bytes(samples))
+        manifest = self._manifest(tmp_path, [f"s1\tt1\tneutral\t{i + 1}\t{name}"
+                                             for i, name in enumerate(wavs)])
+        blocks = []
+
+        def spy(autocorrelations, *rest):
+            blocks.append([len(r) for r in autocorrelations])
+            return lpcc_sequences(autocorrelations, *rest)
+
+        monkeypatch.setattr(cli, "EXTRACT_BLOCK_FRAMES", 120)
+        monkeypatch.setattr(cli, "lpcc_sequences", spy)
+        out = tmp_path / "feat"
+        code, out_text, err = run(capsys, "extract", "--manifest", str(manifest),
+                                  "--out", str(out), *options)
+        assert blocks == [[55], [82, 32], [121], [60]]
+
+        # the per-file loop: each clip through extract_features on its own
+        args = cli.build_parser().parse_args(["extract", "--manifest", "m", "--out", "o",
+                                              *options])
+        params = FrameParams(window_ms=args.window_ms, shift_ms=args.shift_ms,
+                             lpc_order=args.lpc_order, cepstral_order=args.cepstral_order,
+                             pre_emphasis=args.pre_emphasis)
+        log, entries, errors = [], [], ""
+        for token, name in enumerate(wavs, 1):
+            try:
+                clip = decode_pcm16_wav((tmp_path / name).read_bytes())
+                seq = extract_features(clip, params, source_id=name)
+            except Hmm2tcError as exc:
+                errors += f"error: {tmp_path / name}: {exc}\n"
+                continue
+            rel = f"s1_t1_neutral_{token:03d}.lpcc"
+            save_features(seq, tmp_path / "want.lpcc")
+            assert (out / rel).read_bytes() == (tmp_path / "want.lpcc").read_bytes()
+            log.append({"source": name, "features": rel, "frames": seq.T,
+                        "degenerate_frames": seq.degenerate_frames})
+            entries.append(ManifestEntry("s1", "t1", "neutral", token, rel))
+        assert sorted(os.listdir(out)) == sorted(
+            [e.path for e in entries] + ["extract_log.json", "manifest.tsv"])
+        assert code == 3
+        assert out_text == (f"extracted 5/7 files, {sum(f['frames'] for f in log)} frames "
+                            f"({sum(f['degenerate_frames'] for f in log)} degenerate)\n")
+        assert err == errors and "bad.wav" in err and "short.wav" in err
+        assert (out / "extract_log.json").read_text() == json.dumps(
+            {"files": log}, sort_keys=True, indent=1)
+        assert (out / "manifest.tsv").read_text() == format_manifest(entries)
+
+    def test_every_file_failing_exits_3(self, tmp_path, capsys):
+        (tmp_path / "bad.wav").write_bytes(b"junk")
+        self._noise_wav(tmp_path, "short.wav", seed=1, n=479)
+        manifest = self._manifest(tmp_path, [
+            "s1\tt1\tneutral\t1\tbad.wav", "s1\tt1\tneutral\t2\tshort.wav"])
+        code, out_text, err = run(capsys, "extract", "--manifest", str(manifest),
+                                  "--out", str(tmp_path / "feat"))
+        assert code == 3
+        assert out_text == "extracted 0/2 files, 0 frames (0 degenerate)\n"
+        assert "bad.wav" in err and "short.wav" in err and "Traceback" not in err
 
     def test_colliding_names_exit_3(self, tmp_path, capsys):
         for i in range(2):

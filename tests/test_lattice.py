@@ -247,6 +247,18 @@ def test_backward_padding_rows_are_minus_inf():
     assert np.array_equal(lb[2], lattice.backward(trans, np.zeros((4, 2))))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=30))
+def test_row_ends_match_a_search_per_distinct_length(lengths):
+    lengths = np.array(lengths, dtype=np.intp)
+    last = lengths - 1
+    want = {int(r): np.flatnonzero(last == r) for r in np.unique(last)}
+    got = lattice._row_ends(lengths)
+    assert got.keys() == want.keys()
+    for r, chains in want.items():
+        assert np.array_equal(got[r], chains)
+
+
 def _stochastic(draw, shape):
     """Rows with entries in {0, 1/2, 1} before normalising: many zeros and ties."""
     w = np.asarray(draw(st.lists(st.integers(0, 2), min_size=int(np.prod(shape)),
