@@ -12,11 +12,15 @@
 #    which runs the CLI's synth, train and evaluate for both orders and then
 #    compare, and must exit 0; it runs twice, into two directories, and the
 #    two must not differ under diff -r (CLI artifacts are byte-identical from
-#    run to run); then one more process trains an order-2 bank on that
-#    corpus and prints its own peak RSS (ru_maxrss) and minor page faults
-#    (ru_minflt), for information only (not gated); last, hmm2tc extract runs
-#    twice over a manifest of a few seeded WAVs (one with a digital silence),
-#    into two directories that must not differ under diff -r;
+#    run to run); evaluate then runs on the first run's banks once as
+#    written and once with their packed/ directories removed, and the two
+#    report directories must not differ under diff -r (a pack only speeds up
+#    loading; the model files' JSON says what a bank holds); then one more
+#    process trains an order-2 bank on that corpus and prints its own peak
+#    RSS (ru_maxrss) and minor page faults (ru_minflt), for information only
+#    (not gated); last, hmm2tc extract runs twice over a manifest of a few
+#    seeded WAVs (one with a digital silence), into two directories that
+#    must not differ under diff -r;
 # 4. a 2-second traced benchmark run of each workload at seed 1, whose result
 #    line must read "failed": 0 (a traced run also exercises the span
 #    tracer's hooks); numpy's RuntimeWarnings are errors there, as in the
@@ -70,6 +74,17 @@ for run in 1 2; do
 done
 diff -r "$scratch/run1" "$scratch/run2" > /dev/null ||
     { echo "the two runs' artifacts differ"; failed="$failed synthetic-determinism"; }
+for order in 1 2; do
+    cp -r "$scratch/run1/bank$order" "$scratch/unpacked$order"
+    rm -r "$scratch/unpacked$order/packed"
+    for bank in "run1/bank$order" "unpacked$order"; do
+        PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m hmm2tc.cli evaluate \
+            --manifest "$scratch/run1/manifest.tsv" --bank "$scratch/$bank" \
+            --out "$scratch/report-$(basename "$bank")" > /dev/null || failed="$failed evaluate"
+    done
+    diff -r "$scratch/report-bank$order" "$scratch/report-unpacked$order" > /dev/null ||
+        { echo "order-$order reports differ without packed/"; failed="$failed pack-equivalence"; }
+done
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
 import contextlib, io, resource, sys
 from hmm2tc import cli

@@ -117,6 +117,8 @@ def decode_pcm16_wav(data: bytes) -> AudioClip:
             rate = wf.getframerate()
     except (wave.Error, EOFError, struct.error) as exc:
         raise FormatError(f"malformed or non-PCM WAV file: {exc}") from exc
+    except RuntimeError as exc:   # wave's chunk reader, on a chunk size past its container
+        raise FormatError("malformed WAV file: a chunk size runs past the file") from exc
     if sampwidth != 2:
         raise FormatError(f"expected 16-bit samples, got {8 * sampwidth}-bit")
     if n_channels != 1:

@@ -17,7 +17,7 @@ from .config import TrainConfig
 from .corpus import ManifestEntry, SynthSpec, apply_split_protocol, format_manifest, \
     generate_synthetic_corpus, parse_manifest
 from .errors import DataError, FormatError, Hmm2tcError, NumericError
-from .model_io import load_model, read_json, save_model
+from .model_io import load_model, load_pack, read_json, save_model, save_pack, sha256
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -25,6 +25,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 BANK_FILE = "bank.json"
+PACK_DIR = "packed"   # beside models/: one pack of model arrays per scope
 
 
 def _read_manifest(path) -> list[ManifestEntry]:
@@ -147,7 +148,8 @@ def cmd_train(args) -> int:
     _distinct_names((_scope_name(k), f"scope {k}") for k in keys)
     _distinct_names((f"{_scope_name(k)}_{lab}", f"scope {k} condition {lab!r}")
                     for k in keys for lab in scopes[k])
-    os.makedirs(os.path.join(args.out, "models"), exist_ok=True)
+    for sub in ("models", PACK_DIR):
+        os.makedirs(os.path.join(args.out, sub), exist_ok=True)
     bank_doc = {"format_version": 1, "order": args.order, "N": args.states,
                 "M": args.mixtures, "topology": args.topology,
                 "protocol": "pooled" if args.pooled else "per_scope", "scopes": []}
@@ -158,10 +160,16 @@ def cmd_train(args) -> int:
         scope_doc = {"speaker": None if key is None else key[0],
                      "sentence": None if key is None else key[1],
                      "labels": bank.labels, "models": {}}
+        digests = []
         for lab in bank.labels:
             rel = os.path.join("models", f"{_scope_name(key)}_{lab}.model.json")
-            save_model(bank.models[lab], os.path.join(args.out, rel))
+            digests.append(save_model(bank.models[lab], os.path.join(args.out, rel)))
             scope_doc["models"][lab] = rel
+        rel = os.path.join(PACK_DIR, f"{_scope_name(key)}.f8")
+        scope_doc["packed"] = {
+            "path": rel, "model_sha256": digests,
+            "sha256": save_pack([bank.models[lab] for lab in bank.labels],
+                                os.path.join(args.out, rel))}
         bank_doc["scopes"].append(scope_doc)
         train_log[_scope_name(key)] = traces
     with open(os.path.join(args.out, BANK_FILE), "w", encoding="utf-8") as fh:
@@ -192,10 +200,43 @@ def _is_scope_doc(scope) -> bool:
             and all(isinstance(v, str) for v in scope["models"].values()))
 
 
-def _load_bank(bank_dir, scope_doc) -> ConditionBank:
-    models = {lab: load_model(os.path.join(bank_dir, rel))
-              for lab, rel in scope_doc["models"].items()}
+def _load_bank(bank_dir, doc, scope_doc) -> ConditionBank:
+    """The scope's bank. Each model file is read once; the models come from
+    the scope's pack when `_packed` vouches for it, and otherwise from the
+    model files' JSON, the format of record."""
+    paths = {lab: os.path.join(bank_dir, rel) for lab, rel in scope_doc["models"].items()}
+    texts = {}
+    for lab, path in paths.items():
+        try:
+            with open(path, "rb") as fh:
+                texts[lab] = fh.read()
+        except OSError:   # load_model names the file, after parsing the files before it
+            break
+    models = _packed(bank_dir, doc, scope_doc, texts)
+    if models is None:
+        models = {lab: load_model(path, texts.get(lab)) for lab, path in paths.items()}
     return ConditionBank(list(scope_doc["labels"]), models)
+
+
+def _packed(bank_dir, doc, scope_doc, texts) -> dict | None:
+    """The scope's models read from its pack, or None. The pack is read only
+    when the scope's "packed" record lists, in label order, the SHA-256 of
+    each model file's bytes (`texts`, by label) and names a pack whose own
+    SHA-256 it holds and whose size fits bank.json's order, N and M: so a
+    pack is never read in place of a model file that changed after train
+    wrote both."""
+    record, labels = scope_doc.get("packed"), scope_doc["labels"]
+    if not (isinstance(record, dict) and isinstance(record.get("path"), str)
+            and sorted(labels) == sorted(texts)
+            and record.get("model_sha256") == [sha256(texts[lab]) for lab in labels]):
+        return None
+    models = load_pack(os.path.join(bank_dir, record["path"]), record.get("sha256"),
+                       len(labels), doc.get("order"), doc.get("N"), doc.get("M"),
+                       doc.get("topology"))
+    if models is None:
+        return None
+    by_label = dict(zip(labels, models))
+    return {lab: by_label[lab] for lab in texts}   # in the order the JSON path gives
 
 
 def _select_scope(doc, speaker, sentence) -> dict:
@@ -215,7 +256,7 @@ def _select_scope(doc, speaker, sentence) -> dict:
 
 def cmd_identify(args) -> int:
     doc = _load_bank_doc(args.bank)
-    bank = _load_bank(args.bank, _select_scope(doc, args.speaker, args.sentence))
+    bank = _load_bank(args.bank, doc, _select_scope(doc, args.speaker, args.sentence))
     obs = load_features(args.features)
     result = identify(bank, obs, args.scoring)
     print(result.label)
@@ -230,7 +271,7 @@ def cmd_evaluate(args) -> int:
     doc = _load_bank_doc(args.bank)
     pooled = doc["protocol"] == "pooled"
     banks = {None if pooled else (scope_doc["speaker"], scope_doc["sentence"]):
-             _load_bank(args.bank, scope_doc) for scope_doc in doc["scopes"]}
+             _load_bank(args.bank, doc, scope_doc) for scope_doc in doc["scopes"]}
     tests = ((_scope_key(e, pooled), e.condition,
               load_features(_entry_path(base, e), source_id=e.path), e.group or None)
              for e in entries if e.split == "test")

@@ -46,8 +46,12 @@ class GaussianMixture:
         # a NaN entry makes min and max NaN, which fail every comparison
         if not (-np.inf < self.means.min(initial=0.0) and self.means.max(initial=0.0) < np.inf):
             raise DataError("means must be finite")
-        if not (0 < self.variances.min(initial=1.0) and self.variances.max(initial=1.0) < np.inf):
+        smallest = self.variances.min(initial=1.0)
+        if not (0 < smallest and self.variances.max(initial=1.0) < np.inf):
             raise DataError("variances must be finite and strictly positive")
+        with np.errstate(over="ignore"):   # component_table divides by every variance
+            if not 1.0 / smallest < np.inf:
+                raise DataError(f"variances must have finite reciprocals, not {float(smallest)!r}")
 
     @classmethod
     def stack(cls, mixtures) -> GaussianMixture:

@@ -1,12 +1,26 @@
-"""Versioned JSON persistence for order-1 and order-2 models."""
+"""Versioned JSON persistence for order-1 and order-2 models, and packs of
+their arrays.
+
+A model file's JSON is the format of record. A pack holds the arrays of a
+list of same-shaped models as one run of raw little-endian float64 values,
+model after model: psi (or pi), a2 (or a), a3 for the second order, then the
+mixture weights, means and variances. It carries no shapes: its reader takes
+them from the caller and from the file's size, and reads a pack only when
+the pack's bytes have the SHA-256 that the caller gives.
+"""
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
+import math
+import os
+import stat
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 from .gmm import GaussianMixture
 from .hmm1 import Hmm1Model
 from .hmm2 import Hmm2Model
@@ -17,6 +31,7 @@ _PARTS = ("weights", "means", "variances")   # the fields of each state in "mixt
 # stored as psi and a2
 _ARRAYS = ("psi", "a2", "a3")
 _CLASSES = {cls.order: cls for cls in (Hmm1Model, Hmm2Model)}
+PACK_DTYPE = np.dtype("<f8")
 
 
 def model_to_dict(model: Hmm1Model | Hmm2Model) -> dict:
@@ -57,21 +72,85 @@ def dumps_model(model) -> str:
     return json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
 
 
-def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_model(model))
-        fh.write("\n")
+def sha256(data: bytes) -> str:
+    # imported on first use: loading hashlib's OpenSSL bindings takes ~3 ms,
+    # which every extract or synth process would otherwise pay for nothing
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
 
 
-def read_json(path):
-    """The JSON document in a file; FormatError naming the file unless it
-    holds one."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:   # not JSON, or not UTF-8 text
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+def save_model(model, path) -> str:
+    """Write the model's JSON file; returns the SHA-256 of the bytes written."""
+    data = (dumps_model(model) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return sha256(data)
 
 
-def load_model(path) -> Hmm1Model | Hmm2Model:
-    return model_from_dict(read_json(path))
+def read_json(path, data: bytes | None = None):
+    """The JSON document in a file, or in `data`, the file's bytes when they
+    are already read; FormatError naming the file unless it holds one."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:   # read as open(path, encoding="utf-8") reads text
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except ValueError as exc:   # not JSON, or not UTF-8 text
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_model(path, data: bytes | None = None) -> Hmm1Model | Hmm2Model:
+    return model_from_dict(read_json(path, data))
+
+
+def _pack_arrays(model):
+    return [getattr(model, name) for name in model._ARRAYS] + \
+        [getattr(model.mixtures, part) for part in _PARTS]
+
+
+def save_pack(models, path) -> str:
+    """Write the models' arrays, in order, as one pack file; returns the
+    SHA-256 of its bytes."""
+    data = b"".join(np.ascontiguousarray(x, dtype=PACK_DTYPE).tobytes()
+                    for model in models for x in _pack_arrays(model))
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return sha256(data)
+
+
+def load_pack(path, digest: str, count: int, order: int, n_states: int, n_components: int,
+              topology: str) -> list | None:
+    """The `count` models of a pack file, each of the given order, N, M and
+    topology (D follows from the file's size), built by the model classes'
+    constructors, so that every model check runs; None unless the file is a
+    regular file whose size fits that layout and whose bytes have SHA-256
+    `digest`, or when a constructor refuses the arrays."""
+    if not all(type(v) is int and v > 0 for v in (count, order, n_states, n_components)) \
+            or order not in _CLASSES:
+        return None
+    n, m = n_states, n_components
+    shapes = [(n,) * (rank + 1) for rank in range(order + 1)] + [(n, m)]
+    head = sum(map(math.prod, shapes))   # the values of a model that do not depend on D
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno())
+            per, rest = divmod(size.st_size // PACK_DTYPE.itemsize, count)
+            dim, spare = divmod(per - head, 2 * n * m)
+            if (not stat.S_ISREG(size.st_mode) or size.st_size % PACK_DTYPE.itemsize
+                    or rest or spare or dim < 1):
+                return None
+            data = bytearray(size.st_size)
+            if fh.readinto(data) != len(data) or sha256(data) != digest:
+                return None
+    except (OSError, ValueError):   # ValueError: a NUL in the path
+        return None
+    shapes += [(n, m, dim)] * 2
+    ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+    models = []
+    try:
+        for row in np.frombuffer(data, dtype=PACK_DTYPE).reshape(count, per):
+            arrays = [row[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
+            models.append(_CLASSES[order](*arrays[:-3], GaussianMixture(*arrays[-3:]), topology))
+    except DataError:
+        return None
+    return models

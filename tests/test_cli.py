@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import shutil
+import struct
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from hmm2tc.audio import FrameParams, decode_pcm16_wav, extract_features, lpcc_s
 from hmm2tc.cli import main
 from hmm2tc.corpus import ManifestEntry, format_manifest
 from hmm2tc.errors import Hmm2tcError
+from hmm2tc.model_io import load_model, load_pack
 
 from conftest import make_wav_bytes
 
@@ -553,6 +556,22 @@ class TestExtract:
             {"files": log}, sort_keys=True, indent=1)
         assert (out / "manifest.tsv").read_text() == format_manifest(entries)
 
+    def test_corrupt_fmt_chunk_size_exits_3(self, tmp_path, capsys):
+        # stdlib wave raises RuntimeError, not wave.Error, on this chunk size
+        self._noise_wav(tmp_path, "good.wav", seed=1)
+        wav = bytearray(make_wav_bytes(np.zeros(4800, dtype=np.int16)))
+        assert wav[12:16] == b"fmt "
+        wav[16:20] = struct.pack("<I", 0xEBBF22CE)
+        (tmp_path / "bad.wav").write_bytes(wav)
+        manifest = self._manifest(tmp_path, [
+            "s1\tt1\tneutral\t1\tgood.wav", "s1\tt1\tneutral\t2\tbad.wav"])
+        code, out_text, err = run(capsys, "extract", "--manifest", str(manifest),
+                                  "--out", str(tmp_path / "feat"))
+        assert code == 3
+        assert "extracted 1/2" in out_text
+        assert "bad.wav: malformed WAV file: a chunk size runs past the file" in err
+        assert "Traceback" not in err
+
     def test_every_file_failing_exits_3(self, tmp_path, capsys):
         (tmp_path / "bad.wav").write_bytes(b"junk")
         self._noise_wav(tmp_path, "short.wav", seed=1, n=479)
@@ -728,7 +747,21 @@ MODEL_FAULTS = {
     "nan_mean": (_set("means", [0, 1], float("nan")), "means must be finite"),
     "backward_a3": (_set("a3", [0, 1], [0.5, 0.5]),
                     "left-right topology forbids backward a3 transitions"),
+    # positive, but its reciprocal overflows in the emission formula
+    "subnormal_variance": (_set("variances", [1, 0], 1e-320),
+                           "variances must have finite reciprocals"),
 }
+
+
+def _pack_bytes(docs) -> bytes:
+    """A pack of model documents' arrays, in the order the pack layout gives,
+    written from the documents alone (no model check runs)."""
+    parts = []
+    for doc in docs:
+        parts += [doc[key] for key in ("psi", "a2", "a3")[:doc["order"] + 1]]
+        parts += [[state[part] for state in doc["mixtures"]]
+                  for part in ("weights", "means", "variances")]
+    return b"".join(np.asarray(x, dtype="<f8").tobytes() for x in parts)
 
 
 class TestModelFaults:
@@ -761,6 +794,20 @@ class TestModelFaults:
         out, err = capsys.readouterr()
         assert code == 3, err
         assert out == "" and "Traceback" not in err and message in err
+
+    @pytest.mark.parametrize("fault", MODEL_FAULTS)
+    def test_faulty_pack_is_refused(self, trained, tmp_path, fault):
+        scope = json.loads((trained / "bank" / "bank.json").read_text())["scopes"][0]
+        docs = [json.loads((trained / "bank" / scope["models"][lab]).read_text())
+                for lab in scope["labels"]]
+        layout = (len(docs), 2, 2, 2, "left-right")
+        for broken in (False, True):
+            if broken:
+                MODEL_FAULTS[fault][0](docs[1])
+            data = _pack_bytes(docs)
+            (tmp_path / "pack.f8").write_bytes(data)
+            models = load_pack(tmp_path / "pack.f8", hashlib.sha256(data).hexdigest(), *layout)
+            assert (models is None) == broken
 
 
 def _train_args(root, manifest="manifest.tsv", *extra):
@@ -1074,3 +1121,198 @@ class TestIdentifyScope:
         code, out, err = self._identify(capsys, synth_corpus, two_scopes)
         assert code == 3 and out == ""
         assert "--speaker" in err
+
+
+def _edit_bank_json(edit):
+    """A breaker that edits a bank directory's bank.json in place."""
+    def breaker(bank):
+        doc = json.loads((bank / "bank.json").read_text())
+        edit(doc)
+        (bank / "bank.json").write_text(json.dumps(doc))
+    return breaker
+
+
+def _first_pack(bank):
+    return bank / json.loads((bank / "bank.json").read_text())["scopes"][0]["packed"]["path"]
+
+
+def _reformatted_model(bank):
+    # the same numbers in other bytes: the record's digest for it is stale
+    scope = json.loads((bank / "bank.json").read_text())["scopes"][0]
+    path = bank / scope["models"][scope["labels"][0]]
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+
+
+def _truncated_pack(bank):
+    _first_pack(bank).write_bytes(_first_pack(bank).read_bytes()[:-8])
+
+
+def _bit_flipped_pack(bank):
+    data = bytearray(_first_pack(bank).read_bytes())
+    data[100] ^= 1
+    _first_pack(bank).write_bytes(data)
+
+
+def _no_pack_dir(bank):
+    shutil.rmtree(bank / "packed")
+
+
+def _records(edit):
+    return _edit_bank_json(lambda doc: [edit(scope) for scope in doc["scopes"]])
+
+
+# each makes a trained bank's packs unusable, so that its models load from
+# their JSON files (bank directory) -> None
+UNUSABLE_PACKS = {
+    "edited_model_file": _reformatted_model,
+    "truncated_pack": _truncated_pack,
+    "bit_flipped_pack": _bit_flipped_pack,
+    "no_pack_dir": _no_pack_dir,
+    "no_record": _records(lambda scope: scope.pop("packed")),
+    "record_not_an_object": _records(lambda scope: scope.update(packed=["packed"])),
+    "path_not_a_string": _records(lambda scope: scope["packed"].update(path=7)),
+    "path_a_directory": _records(lambda scope: scope["packed"].update(path="models")),
+    "path_with_nul": _records(lambda scope: scope["packed"].update(path="packed/\0")),
+    "pack_digest_missing": _records(lambda scope: scope["packed"].pop("sha256")),
+    "model_digest_missing": _records(
+        lambda scope: scope["packed"].update(model_sha256=scope["packed"]["model_sha256"][1:])),
+    "bank_n_off": _edit_bank_json(lambda doc: doc.update(N=doc["N"] + 1)),
+    "bank_m_not_a_number": _edit_bank_json(lambda doc: doc.update(M="2")),
+}
+
+
+def _reversed_labels(scope):
+    scope["labels"].reverse()
+
+
+def _swapped_models(scope):
+    first, second = scope["labels"][:2]
+    models = scope["models"]
+    models[first], models[second] = models[second], models[first]
+
+
+class TestPackedBank:
+    """train writes one pack of model arrays per scope beside the model files,
+    and identify and evaluate read a pack only when its record vouches for
+    it: what a bank says never depends on whether a pack is read."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        """A synthetic corpus and a manifest of two scopes, (syn, s1) and
+        (other, s1), on its features."""
+        root = tmp_path_factory.mktemp("packed")
+        write_synth_spec(root / "spec.json", n_components=2)
+        assert main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "c")]) == 0
+        lines = (root / "c" / "manifest.tsv").read_text().splitlines()
+        twin = [line.replace("syn\t", "other\t", 1) for line in lines[1:]]
+        (root / "c" / "two.tsv").write_text("\n".join(lines + twin) + "\n")
+        return root / "c"
+
+    def _train(self, corpus, out, order=2, topology="left-right"):
+        assert main(["train", "--manifest", str(corpus / "two.tsv"), "--out", str(out),
+                     "--order", str(order), "--states", "3", "--mixtures", "2",
+                     "--topology", topology, "--max-iter", "2"]) == 0
+        return out
+
+    @pytest.fixture(scope="class")
+    def bank(self, corpus, tmp_path_factory):
+        return self._train(corpus, tmp_path_factory.mktemp("bank") / "bank")
+
+    def _outputs(self, corpus, bank, out, capsys):
+        """identify's stdout in each scope, and evaluate's report.json."""
+        results = []
+        for speaker in ("syn", "other"):
+            code, text, err = run(capsys, "identify", "--bank", str(bank), "--features",
+                                  str(corpus / "features" / "b_007.lpcc"),
+                                  "--speaker", speaker, "--sentence", "s1")
+            assert code == 0, err
+            results.append(text)
+        code, _, err = run(capsys, "evaluate", "--manifest", str(corpus / "two.tsv"),
+                           "--bank", str(bank), "--out", str(out))
+        assert code == 0, err
+        return results + [(out / "report.json").read_bytes()]
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The model files that the CLI parses as JSON, in order."""
+        paths = []
+
+        def spy(path, data=None):
+            paths.append(path)
+            return load_model(path, data)
+        monkeypatch.setattr(cli, "load_model", spy)
+        return paths
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("topology", ["ergodic", "left-right"])
+    def test_pack_holds_the_model_files_arrays(self, corpus, tmp_path, parsed, order,
+                                               topology):
+        bank = self._train(corpus, tmp_path / "bank", order, topology)
+        doc = cli._load_bank_doc(bank)
+        assert sorted(os.listdir(bank / "packed")) == ["other_s1.f8", "syn_s1.f8"]
+        for scope in doc["scopes"]:
+            assert sorted(scope["packed"]) == ["model_sha256", "path", "sha256"]
+            packed = cli._load_bank(str(bank), doc, scope).models
+            assert parsed == []
+            for lab, rel in scope["models"].items():
+                want, got = load_model(bank / rel), packed[lab]
+                assert (got.order, got.topology) == (want.order, want.topology) \
+                    == (order, topology)
+                for name in (*want._ARRAYS, "weights", "means", "variances"):
+                    owner = (want, got) if hasattr(want, name) else (want.mixtures, got.mixtures)
+                    a, b = (getattr(x, name) for x in owner)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (lab, name)
+
+    def test_train_writes_the_same_packs_twice(self, corpus, tmp_path, bank):
+        again = self._train(corpus, tmp_path / "again")
+        for rel in ("bank.json", "packed/syn_s1.f8", "packed/other_s1.f8"):
+            assert (bank / rel).read_bytes() == (again / rel).read_bytes()
+
+    @pytest.mark.parametrize("breaker", UNUSABLE_PACKS.values(), ids=UNUSABLE_PACKS)
+    def test_unusable_pack_reads_the_json(self, corpus, bank, tmp_path, capsys, parsed,
+                                          breaker):
+        want = self._outputs(corpus, bank, tmp_path / "packed", capsys)
+        assert parsed == []
+        broken = tmp_path / "bank"
+        shutil.copytree(bank, broken)
+        breaker(broken)
+        assert self._outputs(corpus, broken, tmp_path / "json", capsys) == want
+        assert parsed
+
+    @pytest.mark.parametrize("edit", [_reversed_labels, _swapped_models],
+                             ids=lambda f: f.__name__[1:])
+    def test_scope_edits_read_as_the_json_says(self, corpus, bank, tmp_path, capsys,
+                                               monkeypatch, edit):
+        # the record lists the model digests in label order, so the pack is
+        # not read once labels or model files change places
+        edited = tmp_path / "bank"
+        shutil.copytree(bank, edited)
+        _records(edit)(edited)
+        got = self._outputs(corpus, edited, tmp_path / "a", capsys)
+        monkeypatch.setattr(cli, "load_pack", lambda *args: pytest.fail("pack read"))
+        _records(lambda scope: scope.pop("packed"))(edited)
+        assert self._outputs(corpus, edited, tmp_path / "b", capsys) == got
+
+    @pytest.mark.parametrize("command", ["identify", "evaluate"])
+    @pytest.mark.parametrize("unreadable", ["missing", "not_utf8"])
+    def test_unreadable_model_file_exits_3(self, corpus, bank, tmp_path, capsys, command,
+                                           unreadable):
+        broken = tmp_path / "bank"
+        shutil.copytree(bank, broken)
+        scope = json.loads((broken / "bank.json").read_text())["scopes"][0]
+        path = os.path.join(str(broken), scope["models"]["a"])
+        if unreadable == "missing":
+            os.remove(path)
+            message = f"error: [Errno 2] No such file or directory: {path!r}\n"
+        else:
+            with open(path, "wb") as fh:
+                fh.write(b"\xff\xfe\x00\x01")
+            message = (f"error: {path}: not valid JSON: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+        if command == "identify":
+            argv = ["identify", "--bank", str(broken), "--speaker", scope["speaker"],
+                    "--features", str(corpus / "features" / "b_007.lpcc")]
+        else:
+            argv = ["evaluate", "--manifest", str(corpus / "two.tsv"), "--bank", str(broken),
+                    "--out", str(tmp_path / "rep")]
+        assert run(capsys, *argv) == (3, "", message)
