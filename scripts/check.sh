@@ -12,10 +12,12 @@
 #    which runs the CLI's synth, train and evaluate for both orders and then
 #    compare, and must exit 0; it runs twice, into two directories, and the
 #    two must not differ under diff -r (CLI artifacts are byte-identical from
-#    run to run); evaluate then runs on the first run's banks once as
-#    written and once with their packed/ directories removed, and the two
-#    report directories must not differ under diff -r (a pack only speeds up
-#    loading; the model files' JSON says what a bank holds); then one more
+#    run to run); one more run trains left-right banks (the two runs above
+#    are ergodic, the script's default); evaluate then runs on the first
+#    run's banks and on the left-right run's, once as written and once with
+#    their packed/ directories removed, and the two report directories must
+#    not differ under diff -r (a pack only speeds up loading; the model
+#    files' JSON says what a bank holds); then one more
 #    process trains an order-2 bank on that corpus and prints its own peak
 #    RSS (ru_maxrss) and minor page faults (ru_minflt), for information only
 #    (not gated); last, hmm2tc extract runs twice over a manifest of a few
@@ -74,16 +76,27 @@ for run in 1 2; do
 done
 diff -r "$scratch/run1" "$scratch/run2" > /dev/null ||
     { echo "the two runs' artifacts differ"; failed="$failed synthetic-determinism"; }
-for order in 1 2; do
-    cp -r "$scratch/run1/bank$order" "$scratch/unpacked$order"
-    rm -r "$scratch/unpacked$order/packed"
-    for bank in "run1/bank$order" "unpacked$order"; do
-        PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m hmm2tc.cli evaluate \
-            --manifest "$scratch/run1/manifest.tsv" --bank "$scratch/$bank" \
-            --out "$scratch/report-$(basename "$bank")" > /dev/null || failed="$failed evaluate"
+start=$(now)
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 scripts/run_synthetic_benchmark.py \
+    --out "$scratch/lr" --tokens 9 --states 3 --mixtures 2 --dim 4 --frames 40 60 \
+    --max-iter 2 --topology left-right > "$scratch/log-lr" 2>&1 ||
+    failed="$failed synthetic-benchmark-left-right"
+tail -n 3 "$scratch/log-lr"
+echo "end-to-end synthetic benchmark wall time, left-right: $(elapsed "$start")"
+for run in run1 lr; do
+    for order in 1 2; do
+        cp -r "$scratch/$run/bank$order" "$scratch/unpacked-$run$order"
+        rm -r "$scratch/unpacked-$run$order/packed"
+        for bank in "$run/bank$order" "unpacked-$run$order"; do
+            PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m hmm2tc.cli evaluate \
+                --manifest "$scratch/$run/manifest.tsv" --bank "$scratch/$bank" \
+                --out "$scratch/report-$(echo "$bank" | tr / -)" > /dev/null ||
+                failed="$failed evaluate"
+        done
+        diff -r "$scratch/report-$run-bank$order" "$scratch/report-unpacked-$run$order" \
+            > /dev/null || { echo "$run order-$order reports differ without packed/"
+                             failed="$failed pack-equivalence"; }
     done
-    diff -r "$scratch/report-bank$order" "$scratch/report-unpacked$order" > /dev/null ||
-        { echo "order-$order reports differ without packed/"; failed="$failed pack-equivalence"; }
 done
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
 import contextlib, io, resource, sys

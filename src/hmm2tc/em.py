@@ -5,6 +5,7 @@ the GMM M-step, and the loop that trains a bank of models (`baum_welch`).
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -18,14 +19,15 @@ TOPOLOGIES = ("ergodic", "left-right")
 
 class StateModel:
     """What both model orders share: one stack of N Gaussian mixtures, one per
-    state (`GaussianMixture`), and the constructor check. The constructors
-    also take a list of the per-state mixtures and stack it.
+    state (`GaussianMixture`), and the constructor check (`check_model`).
+    The constructors also take a list of the per-state mixtures and stack it.
 
     Each class names its initial vector and transition arrays in `_ARRAYS`.
-    The check makes them float arrays and requires shapes (N,), (N, N) and,
-    for the second order's a3, (N, N, N); probability rows; a known
-    topology; and, for a left-right model, no backward transition (k < j in
-    the last two axes of each transition array). Each class also carries
+    The constructor makes them float arrays, and its check requires shapes
+    (N,), (N, N) and, for the second order's a3, (N, N, N); probability
+    rows; a known topology; and, for a left-right model, no backward
+    transition (k < j in the last two axes of each transition array). Each
+    class also carries
     its `order` and the EM loop's hooks: `_chain(logb)`, the lattice
     engine's (log initial rows, transitions, emission tables) for a (T, N)
     emission table or a stack (B, T, N) of them, one row per frame from frame
@@ -48,21 +50,16 @@ class StateModel:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if not isinstance(self.mixtures, GaussianMixture):
             self.mixtures = GaussianMixture.stack(self.mixtures)
-        arrays = [getattr(self, name) for name in self._ARRAYS]
-        n = arrays[0].size
-        if (any(x.shape != (n,) * (rank + 1) for rank, x in enumerate(arrays))
-                or self.mixtures.weights.shape[:-1] != (n,)):
-            raise DataError(f"inconsistent state counts across {', '.join(self._ARRAYS)}, "
-                            "mixtures")
-        for name, x in zip(self._ARRAYS, arrays):
-            if not _stochastic(x):
-                raise DataError(f"every row of {name} must be a probability vector")
-        if self.topology not in TOPOLOGIES:
-            raise DataError(f"unknown topology {self.topology!r}")
-        back = np.tri(n, k=-1, dtype=bool)  # on a3, the last two axes: a3[i, j, k] with k < j
-        for name, x in zip(self._ARRAYS[1:], arrays[1:]):
-            if self.topology == "left-right" and x[..., back].any():
-                raise DataError(f"left-right topology forbids backward {name} transitions")
+        check_model(self._ARRAYS, [getattr(self, name) for name in self._ARRAYS],
+                    self.mixtures.weights.shape, self.topology)
+
+    @classmethod
+    def from_checked(cls, *fields):
+        """A model of its fields, in order, whose arrays `check_model` and
+        `check_mixtures` have passed, built without checking them again."""
+        model = object.__new__(cls)
+        model.__dict__.update(zip(cls._ARRAYS + ("mixtures", "topology"), fields))
+        return model
 
     @property
     def n_states(self) -> int:
@@ -79,6 +76,30 @@ class StateModel:
     def emission_log_probs(self, obs) -> np.ndarray:
         """(T, N) matrix of log b_j(O_t)."""
         return log_densities(self.mixtures, frames_of(obs))
+
+
+def check_model(names, arrays, weights_shape, topology, lead: int = 0) -> None:
+    """`StateModel`'s check, on the float initial vector and transition
+    arrays `arrays`, named `names`, of one model, or of many under `lead`
+    leading axes (a pack's models, say), with mixture weights of shape
+    `weights_shape`: DataError unless every array has the model's N on each
+    of its own axes and the weights one row per state, every row is a
+    probability vector, the topology is known, and a left-right model has no
+    backward transition."""
+    shape = arrays[0].shape[:lead]
+    n = arrays[0].size // max(math.prod(shape), 1)
+    if (any(x.shape != shape + (n,) * (rank + 1) for rank, x in enumerate(arrays))
+            or weights_shape[:-1] != shape + (n,)):
+        raise DataError(f"inconsistent state counts across {', '.join(names)}, mixtures")
+    for name, x in zip(names, arrays):
+        if not _stochastic(x):
+            raise DataError(f"every row of {name} must be a probability vector")
+    if topology not in TOPOLOGIES:
+        raise DataError(f"unknown topology {topology!r}")
+    back = np.tri(n, k=-1, dtype=bool)  # on a3, the last two axes: a3[i, j, k] with k < j
+    for name, x in zip(names[1:], arrays[1:]):
+        if topology == "left-right" and x[..., back].any():
+            raise DataError(f"left-right topology forbids backward {name} transitions")
 
 
 def normalise_rows(counts: np.ndarray, old: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

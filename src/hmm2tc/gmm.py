@@ -26,6 +26,28 @@ def _stochastic(p: np.ndarray) -> bool:
                 and np.abs(p.sum(axis=-1) - 1.0).max(initial=0.0) <= WEIGHT_TOL)
 
 
+def check_mixtures(weights, means, variances, lead: int = 0) -> None:
+    """`GaussianMixture`'s check, on float arrays of one mixture or stack, or
+    of many under `lead` more leading axes (a pack's models, say): DataError
+    unless the shapes match, the weights are probability rows, the means are
+    finite and the variances finite and positive with finite reciprocals."""
+    if means.shape != variances.shape:
+        raise DataError("means and variances must have matching shapes")
+    if weights.ndim - lead not in (1, 2) or weights.shape != means.shape[:-1]:
+        raise DataError("one weight per mixture component required")
+    if not _stochastic(weights):
+        raise DataError("component weights must be nonnegative and sum to 1")
+    # a NaN entry makes min and max NaN, which fail every comparison
+    if not (-np.inf < means.min(initial=0.0) and means.max(initial=0.0) < np.inf):
+        raise DataError("means must be finite")
+    smallest = variances.min(initial=1.0)
+    if not (0 < smallest and variances.max(initial=1.0) < np.inf):
+        raise DataError("variances must be finite and strictly positive")
+    with np.errstate(over="ignore"):   # component_table divides by every variance
+        if not 1.0 / smallest < np.inf:
+            raise DataError(f"variances must have finite reciprocals, not {float(smallest)!r}")
+
+
 @dataclass
 class GaussianMixture:
     weights: np.ndarray    # (M,), or (N, M) for a stack
@@ -37,21 +59,15 @@ class GaussianMixture:
         lift = np.atleast_2d if self.weights.ndim < 2 else np.asarray  # one mixture or a stack
         self.means = lift(np.asarray(self.means, dtype=np.float64))
         self.variances = lift(np.asarray(self.variances, dtype=np.float64))
-        if self.means.shape != self.variances.shape:
-            raise DataError("means and variances must have matching shapes")
-        if self.weights.ndim not in (1, 2) or self.weights.shape != self.means.shape[:-1]:
-            raise DataError("one weight per mixture component required")
-        if not _stochastic(self.weights):
-            raise DataError("component weights must be nonnegative and sum to 1")
-        # a NaN entry makes min and max NaN, which fail every comparison
-        if not (-np.inf < self.means.min(initial=0.0) and self.means.max(initial=0.0) < np.inf):
-            raise DataError("means must be finite")
-        smallest = self.variances.min(initial=1.0)
-        if not (0 < smallest and self.variances.max(initial=1.0) < np.inf):
-            raise DataError("variances must be finite and strictly positive")
-        with np.errstate(over="ignore"):   # component_table divides by every variance
-            if not 1.0 / smallest < np.inf:
-                raise DataError(f"variances must have finite reciprocals, not {float(smallest)!r}")
+        check_mixtures(self.weights, self.means, self.variances)
+
+    @classmethod
+    def from_checked(cls, weights, means, variances) -> GaussianMixture:
+        """A stack of float arrays that `check_mixtures` has passed, built
+        without checking them again."""
+        mix = object.__new__(cls)
+        mix.weights, mix.means, mix.variances = weights, means, variances
+        return mix
 
     @classmethod
     def stack(cls, mixtures) -> GaussianMixture:
@@ -119,11 +135,6 @@ def component_table(mixtures, obs) -> np.ndarray:
     comp += const[:, :, None]
     comp[np.isnan(comp)] = -np.inf
     return comp
-
-
-def component_log_densities(mixtures, obs) -> np.ndarray:
-    """`component_table` as a (T, N, M) view."""
-    return component_table(mixtures, obs).transpose(2, 0, 1)
 
 
 def log_densities(mixtures, obs) -> np.ndarray:

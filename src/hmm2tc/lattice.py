@@ -25,6 +25,21 @@ One log-domain recursion, `_log_forward`, combines each state's
 predecessors by log-sum-exp for `forward`, for `loglik` (`forward`'s
 likelihoods, bit for bit, without the lattices) and for the log-domain chains
 of the E-step, and by max for `viterbi` and `viterbi_scores` (max-product).
+Each row gathers every state's predecessors from a (P, B, S) table and
+reduces over its first axis (`_neighbours`). The log-sum-exp table leaves out
+the lanes that read -inf on every row: those of a zero transition, and those
+from a state that no initial row of the stack can reach (`_reachable`: the
+closure of the initial rows' support under the union of the stack's
+transitions, once per call; on a left-right pair chain, the pairs (j, k)
+with k < j). Each state's absent lanes come first, carrying -inf, so that
+its reduction starts on np.logaddexp's cheap -inf (+) -inf case, and its real
+predecessors follow, lowest index first, in the order of the full table,
+which gives the same bits. A flat edge list reduced by
+`np.logaddexp.reduceat` is faster on left-right chains but slower on dense
+(ergodic) pair chains, where each state's segment becomes one long serial
+chain of operations instead of a reduction over whole (B, S) blocks. The
+max-product table, which Viterbi's back pointers and tie rule read, keeps
+every nonzero transition, real lanes first.
 The E-step alone runs a second forward pass, in the probability domain with
 one scale per row (Rabiner 1989, sec. V.A), for each chain whose reachable
 cells one scale per row holds exactly, a test made cell by cell, which a row
@@ -161,24 +176,55 @@ def _row_ends(lengths: np.ndarray) -> dict[int, list[int]]:
     return ends
 
 
-def _neighbours(trans: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+def _neighbours(trans: np.ndarray, b: int, reach: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """(P, B, S) tables of the predecessors of every state of each of the B
-    chains that the matrices trans (G, S, S) serve, lowest index first, and
-    their log transition probabilities; P is the largest in-degree and
-    shorter lists are padded with -inf entries. Pass the transposed matrices
-    for successors.
+    chains that the matrices trans (G, S, S) serve, and their log transition
+    probabilities. Without `reach` each state's predecessors come first,
+    lowest index first, and P is the largest in-degree; shorter lists are
+    padded with -inf entries after them. Pass the transposed matrices for
+    successors.
+
+    With `reach`, the (S,) mask of the states some chain can reach
+    (`_reachable`), the tables are log-sum-exp's: a lane is absent when its
+    transition is 0 or its source is out of reach, absent lanes come first
+    and carry -inf, and each state's real predecessors follow, lowest index
+    first; P is the largest number of real predecessors. A reduction in
+    that order takes -inf (+) -inf steps, numpy's cheap case, before its
+    first real term, which it then gives exactly, and combines the others
+    in the order the unpruned table would, where every left-out term is
+    -inf on every row: the same bits. The lanes stay, rather than becoming
+    a flat edge list for `np.logaddexp.reduceat`, because a segment of that
+    list reduces as one serial chain, which is slower on dense chains.
 
     Over these tables a recursion costs S * P per row: N**3 on the pair chain,
     where the dense (S, S) matrix has N**4 entries. Their first axis is P, so
     that a reduction over the predecessors combines P whole (B, S) blocks.
     """
+    if reach is not None:
+        trans = trans * reach[:, None]   # a source out of reach: transition 0
     support = trans > 0
     width = max(int(support.sum(axis=-2).max()), 1)
-    idx = np.argsort(~support, axis=-2, kind="stable")[..., :width, :]
+    if reach is None:
+        idx = np.argsort(~support, axis=-2, kind="stable")[..., :width, :]
+    else:
+        idx = np.argsort(support, axis=-2, kind="stable")[..., -width:, :]
     log_p = _log(np.take_along_axis(trans, idx, axis=-2))
     k = b // len(trans)
     return (np.repeat(np.moveaxis(idx, -2, 0), k, axis=1),
             np.repeat(np.moveaxis(log_p, -2, 0), k, axis=1))
+
+
+def _reachable(c: _Chains) -> np.ndarray:
+    """(S,) mask of the states that some chain of the stack can reach: the
+    closure of its initial rows' support under the union of its transitions."""
+    reach = (c.log_init != -np.inf).any(axis=0)
+    step = (c.trans > 0).any(axis=0)
+    while True:
+        more = reach | (reach @ step)
+        if np.array_equal(more, reach):
+            return reach
+        reach = more
 
 
 def _flat(idx: np.ndarray) -> np.ndarray:
@@ -265,17 +311,20 @@ def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass:
     return _Pass(c, ok, live, alpha, emit, scale, beta, np.cumsum(log_scale, axis=0)[-1])
 
 
-def _log_forward(c: _Chains, reduce=np.logaddexp.reduce) -> np.ndarray:
+def _log_forward(c: _Chains, best: bool = False) -> np.ndarray:
     """Log forward lattice (R, B, S) by log-sum-exp over each state's
-    predecessors; with reduce=np.maximum.reduce, the max-product lattice."""
-    into, log_into = _neighbours(c.trans, len(c.lengths))
+    predecessors (`_neighbours` with the stack's reach); with best=True, the
+    max-product lattice, over the table that `viterbi` reads its back
+    pointers from."""
+    into, log_into = _neighbours(c.trans, len(c.lengths), None if best else _reachable(c))
+    combine = np.maximum.reduce if best else np.logaddexp.reduce
     flat = _flat(into)
     la = np.empty(c.logb.shape)
     la[0] = c.log_init + c.logb[0]
     for r in range(1, len(la)):
         cand = la[r - 1].take(flat)
         cand += log_into
-        reduce(cand, axis=0, out=la[r])
+        combine(cand, axis=0, out=la[r])
         la[r] += c.logb[r]
     return la
 
@@ -398,7 +447,7 @@ def viterbi(log_init, trans, logb, lengths=None):
     its best score plus the transition.
     """
     single, c = _chains(log_init, trans, logb, lengths)
-    delta = _log_forward(c, np.maximum.reduce)
+    delta = _log_forward(c, best=True)
     final = _last(delta, c.lengths)
     rows, b, s = c.logb.shape
     chains = np.arange(b)
@@ -430,4 +479,4 @@ def viterbi_scores(log_init, trans, logb, lengths=None):
     """The log scores (B,) of `viterbi`'s paths, without the paths; -inf for
     a chain with no admissible path."""
     single, c = _chains(log_init, trans, logb, lengths)
-    return _one(single, _last(_log_forward(c, np.maximum.reduce), c.lengths).max(axis=1))
+    return _one(single, _last(_log_forward(c, best=True), c.lengths).max(axis=1))

@@ -6,7 +6,8 @@ list of same-shaped models as one run of raw little-endian float64 values,
 model after model: psi (or pi), a2 (or a), a3 for the second order, then the
 mixture weights, means and variances. It carries no shapes: its reader takes
 them from the caller and from the file's size, and reads a pack only when
-the pack's bytes have the SHA-256 that the caller gives.
+the pack's bytes have the SHA-256 that the caller gives. The model checks
+run once over a pack's stacked arrays, not once per model.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import stat
 
 import numpy as np
 
+from .em import check_model
 from .errors import DataError, FormatError
-from .gmm import GaussianMixture
+from .gmm import GaussianMixture, check_mixtures
 from .hmm1 import Hmm1Model
 from .hmm2 import Hmm2Model
 
@@ -121,10 +123,12 @@ def save_pack(models, path) -> str:
 def load_pack(path, digest: str, count: int, order: int, n_states: int, n_components: int,
               topology: str) -> list | None:
     """The `count` models of a pack file, each of the given order, N, M and
-    topology (D follows from the file's size), built by the model classes'
-    constructors, so that every model check runs; None unless the file is a
+    topology (D follows from the file's size); None unless the file is a
     regular file whose size fits that layout and whose bytes have SHA-256
-    `digest`, or when a constructor refuses the arrays."""
+    `digest`, or when the model checks refuse its arrays. Every check of the
+    model constructors runs once, over all the models' arrays stacked
+    (`check_model`, `check_mixtures`), and each model is then built from its
+    views without checking it again."""
     if not all(type(v) is int and v > 0 for v in (count, order, n_states, n_components)) \
             or order not in _CLASSES:
         return None
@@ -146,11 +150,14 @@ def load_pack(path, digest: str, count: int, order: int, n_states: int, n_compon
         return None
     shapes += [(n, m, dim)] * 2
     ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
-    models = []
+    rows = np.frombuffer(data, dtype=PACK_DTYPE).astype(np.float64, copy=False).reshape(count, per)
+    # each part of every model at once: (count,) + its shape, a view of the pack
+    parts = [rows[:, a:b].reshape((count,) + s) for a, b, s in zip(ends, ends[1:], shapes)]
+    cls = _CLASSES[order]
     try:
-        for row in np.frombuffer(data, dtype=PACK_DTYPE).reshape(count, per):
-            arrays = [row[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
-            models.append(_CLASSES[order](*arrays[:-3], GaussianMixture(*arrays[-3:]), topology))
+        check_mixtures(*parts[-3:], lead=1)
+        check_model(cls._ARRAYS, parts[:-3], parts[-3].shape, topology, lead=1)
     except DataError:
         return None
-    return models
+    return [cls.from_checked(*arrays[:-3], GaussianMixture.from_checked(*arrays[-3:]), topology)
+            for arrays in zip(*parts)]

@@ -809,6 +809,40 @@ class TestModelFaults:
             models = load_pack(tmp_path / "pack.f8", hashlib.sha256(data).hexdigest(), *layout)
             assert (models is None) == broken
 
+    @pytest.mark.parametrize("fault", MODEL_FAULTS)
+    def test_faulty_pack_with_matching_digests_falls_back_to_json(self, trained, tmp_path,
+                                                                  capsys, monkeypatch, fault):
+        # the model file and the pack both carry the fault, and bank.json the
+        # digests of both, so the pack is read and only the model checks can
+        # refuse it; identify then says what the unpacked bank says
+        bank = tmp_path / "bank"
+        shutil.copytree(trained / "bank", bank)
+        doc = json.loads((bank / "bank.json").read_text())
+        scope = doc["scopes"][0]
+        paths = [bank / scope["models"][lab] for lab in scope["labels"]]
+        docs = [json.loads(path.read_text()) for path in paths]
+        packs = []
+        monkeypatch.setattr(cli, "load_pack", lambda *a: packs.append(load_pack(*a)) or packs[-1])
+        features = str(trained / "c" / "features" / "a_006.lpcc")
+        for broken in (False, True):
+            if broken:
+                MODEL_FAULTS[fault][0](docs[1])
+            for path, model_doc in zip(paths, docs):
+                path.write_text(json.dumps(model_doc))
+            data = _pack_bytes(docs)
+            (bank / scope["packed"]["path"]).write_bytes(data)
+            scope["packed"].update(sha256=hashlib.sha256(data).hexdigest(), model_sha256=[
+                hashlib.sha256(path.read_bytes()).hexdigest() for path in paths])
+            (bank / "bank.json").write_text(json.dumps(doc))
+            capsys.readouterr()
+            code = main(["identify", "--bank", str(bank), "--features", features])
+            assert (packs[-1] is None, code) == (broken, 3 if broken else 0)
+        packed = capsys.readouterr()
+        shutil.rmtree(bank / "packed")
+        assert main(["identify", "--bank", str(bank), "--features", features]) == 3
+        assert packs[-1] is None and capsys.readouterr() == packed
+        assert MODEL_FAULTS[fault][1] in packed.err and "Traceback" not in packed.err
+
 
 def _train_args(root, manifest="manifest.tsv", *extra):
     return ["train", "--manifest", str(root / manifest), "--out", str(root / "bank"),

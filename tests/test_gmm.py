@@ -4,7 +4,7 @@ from scipy.special import logsumexp
 
 from hmm2tc.config import VARIANCE_FLOOR_MIN
 from hmm2tc.errors import DataError
-from hmm2tc.gmm import GaussianMixture, component_log_densities, log_densities
+from hmm2tc.gmm import GaussianMixture, component_table, log_densities
 
 
 def density(mixture, o):
@@ -87,7 +87,7 @@ def test_stacked_components_match_the_centred_form(seed):
         mixtures.append(GaussianMixture(rng.dirichlet(np.ones(5)), rng.normal(0, 1, (5, 16)), var))
     near = mixtures[1].means[rng.integers(0, 5, 20)] + rng.normal(0, 1e-3, (20, 16))
     obs = np.concatenate([near, rng.normal(0, 1, (20, 16)), rng.normal(0, 50, (20, 16))])
-    got = component_log_densities(mixtures, obs)
+    got = component_table(mixtures, obs).transpose(2, 0, 1)
     want = centred_log_densities(mixtures, obs)
     assert got.shape == (60, 5, 5)
     # Near a mean at the variance floor a cell is the sum of expanded terms
@@ -104,7 +104,7 @@ def test_overflowing_frame_scores_minus_inf():
     # the square of 1e306 overflows; the expanded form would give inf - inf
     for gmm in (GaussianMixture([1.0], [[1.0, -1.0]], [[1e-3, 1e-3]]),
                 GaussianMixture([0.5, 0.5], [[1.0, -1.0], [-1.0, 1.0]], np.full((2, 2), 1e-3))):
-        comp = component_log_densities([gmm], np.array([[1e306, -1e306]]))
+        comp = component_table([gmm], np.array([[1e306, -1e306]])).transpose(2, 0, 1)
         assert np.all(comp == -np.inf)
         assert density(gmm, [1e306, -1e306]) == -np.inf
 
@@ -123,8 +123,8 @@ def test_stack_holds_the_per_state_arrays_and_scores_like_them(seed):
     for part in ("weights", "means", "variances"):
         assert np.array_equal(getattr(stack, part), np.stack([getattr(s, part) for s in states]))
     obs = np.random.default_rng(seed + 10).normal(0, 3, (30, 5))
-    assert np.array_equal(component_log_densities(stack, obs),
-                          component_log_densities(states, obs))
+    assert np.array_equal(component_table(stack, obs).transpose(2, 0, 1),
+                          component_table(states, obs).transpose(2, 0, 1))
     assert np.array_equal(log_densities(stack, obs), log_densities(states, obs))
     for j, state in enumerate(states):
         assert np.array_equal(log_densities(stack, obs)[:, j], log_densities(state, obs)[:, 0])

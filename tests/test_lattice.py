@@ -814,3 +814,88 @@ def test_engine_writes_only_arrays_it_allocated(b, layout):
         assert np.array_equal(got, want)
     for got, want in zip(first, first_copy):
         assert np.array_equal(got, want)
+
+
+# The log-sum-exp gather: each state's reduction over its predecessors runs
+# over a table without the lanes that read -inf on every row (a zero
+# transition, or a source no initial row reaches), and with its -inf lanes
+# first. Its results are those of the padded table, bit for bit.
+
+def padded_forward(log_init, trans, logb, lengths):
+    """Log forward lattices (B, R, S) and log-likelihoods (B,) of a grouped
+    stack over the padded predecessor table: each state's predecessors with
+    a nonzero transition, lowest index first, then -inf entries up to the
+    largest in-degree, combined by np.logaddexp.reduce in that order."""
+    b, rows, s = logb.shape
+    k = b // len(trans)
+    support = trans > 0
+    width = max(int(support.sum(axis=1).max()), 1)
+    idx = np.argsort(~support, axis=1, kind="stable")[:, :width]  # (G, P, S)
+    log_p = _log(np.take_along_axis(trans, idx, axis=1))
+    la = np.full((b, rows, s), -np.inf)
+    for c, n in enumerate(lengths):
+        g = c // k
+        if n:
+            la[c, 0] = log_init[c] + logb[c, 0]
+        for r in range(1, n):
+            cand = la[c, r - 1][idx[g]] + log_p[g]
+            la[c, r] = np.logaddexp.reduce(cand, axis=0) + logb[c, r]
+    last = la[np.arange(b), np.maximum(lengths - 1, 0)]
+    return la, np.where(lengths > 0, lattice.logsumexp(last, axis=1), 0.0)
+
+
+@st.composite
+def gather_stacks(draw):
+    """G groups of K chains of S states with ragged lengths 0-6, one
+    transition matrix per group with zeros of its own (upper triangular
+    now and then, so that states below the first start state are out of
+    reach), initial rows over a drawn set of start states, which may be
+    empty, and emissions in {0, -1, -2.5, -1000, -inf}."""
+    g, k, s = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    lengths = np.array(draw(st.lists(st.integers(0, 6), min_size=g * k, max_size=g * k)))
+    trans = _stochastic(draw, (g, s, s))
+    if draw(st.booleans()):
+        trans = np.triu(trans)
+    starts = np.array(draw(st.lists(st.booleans(), min_size=s, max_size=s)))
+    log_init = _log(_stochastic(draw, (g * k, s)) * starts)
+    logb = np.full((g * k, max(lengths.max(), 1), s), -np.inf)
+    for b, rows in enumerate(lengths):
+        logb[b, :rows] = _chain_table(draw, s, int(rows))
+    return log_init, trans, logb, lengths
+
+
+@settings(max_examples=300, deadline=None)
+@given(gather_stacks())
+def test_forward_gather_matches_the_padded_table_bit_for_bit(stack):
+    want_la, want_ll = padded_forward(*stack)
+    la, ll = lattice.forward(*stack)
+    assert np.array_equal(la, want_la)
+    assert np.array_equal(ll, want_ll)
+    assert np.array_equal(lattice.loglik(*stack), want_ll)
+
+
+def test_stack_with_no_reachable_state_scores_minus_inf():
+    trans = np.array([[[.5, .5], [0, 1]], [[1, 0], [.5, .5]]])
+    log_init = np.full((4, 2), -np.inf)
+    logb = np.zeros((4, 3, 2))
+    lengths = np.array([3, 1, 0, 2])
+    la, ll = lattice.forward(log_init, trans, logb, lengths)
+    assert np.all(la == -np.inf)
+    assert ll.tolist() == [-np.inf, -np.inf, 0.0, -np.inf]
+    assert np.array_equal(lattice.loglik(log_init, trans, logb, lengths), ll)
+
+
+def test_gather_puts_absent_lanes_first():
+    # the pair chain of a left-right HMM2: pairs (j, k) with k < j are out of
+    # reach, so every lane from them is absent, as is every zero transition
+    model = left_right_hmm2()
+    _, c = lattice._chains(*model._chain(np.zeros((4, 3))))
+    reach = lattice._reachable(c)
+    assert reach.tolist() == [j <= k for j in range(3) for k in range(3)]
+    into, log_into = lattice._neighbours(c.trans, 1, reach)
+    real = log_into > -np.inf
+    assert np.array_equal(np.sort(real, axis=0), real)   # absent lanes first
+    assert np.all(reach[into[real]])
+    assert np.array_equal(real.sum(axis=0), ((c.trans > 0) & reach[:, None]).sum(axis=-2))
+    order = np.where(real, into, -1)
+    assert np.all(np.diff(order, axis=0)[real[1:] & real[:-1]] > 0)   # lowest index first
