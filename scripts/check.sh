@@ -14,10 +14,11 @@
 #    two must not differ under diff -r (CLI artifacts are byte-identical from
 #    run to run); one more run trains left-right banks (the two runs above
 #    are ergodic, the script's default); evaluate then runs on the first
-#    run's banks and on the left-right run's, once as written and once with
-#    their packed/ directories removed, and the two report directories must
-#    not differ under diff -r (a pack only speeds up loading; the model
-#    files' JSON says what a bank holds); then one more
+#    run's banks and on the left-right run's, with forward and with Viterbi
+#    scoring, each once as written and once with the banks' packed/
+#    directories removed, and the two report directories must not differ
+#    under diff -r (a pack only speeds up loading; the model files' JSON
+#    says what a bank holds); then one more
 #    process trains an order-2 bank on that corpus and prints its own peak
 #    RSS (ru_maxrss) and minor page faults (ru_minflt), for information only
 #    (not gated); last, hmm2tc extract runs twice over a manifest of a few
@@ -87,15 +88,19 @@ for run in run1 lr; do
     for order in 1 2; do
         cp -r "$scratch/$run/bank$order" "$scratch/unpacked-$run$order"
         rm -r "$scratch/unpacked-$run$order/packed"
-        for bank in "$run/bank$order" "unpacked-$run$order"; do
-            PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m hmm2tc.cli evaluate \
-                --manifest "$scratch/$run/manifest.tsv" --bank "$scratch/$bank" \
-                --out "$scratch/report-$(echo "$bank" | tr / -)" > /dev/null ||
-                failed="$failed evaluate"
+        for scoring in forward viterbi; do
+            for bank in "$run/bank$order" "unpacked-$run$order"; do
+                PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m hmm2tc.cli evaluate \
+                    --manifest "$scratch/$run/manifest.tsv" --bank "$scratch/$bank" \
+                    --scoring "$scoring" \
+                    --out "$scratch/report-$scoring-$(echo "$bank" | tr / -)" > /dev/null ||
+                    failed="$failed evaluate"
+            done
+            diff -r "$scratch/report-$scoring-$run-bank$order" \
+                "$scratch/report-$scoring-unpacked-$run$order" > /dev/null ||
+                { echo "$run order-$order $scoring reports differ without packed/"
+                  failed="$failed pack-equivalence"; }
         done
-        diff -r "$scratch/report-$run-bank$order" "$scratch/report-unpacked-$run$order" \
-            > /dev/null || { echo "$run order-$order reports differ without packed/"
-                             failed="$failed pack-equivalence"; }
     done
 done
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '

@@ -11,7 +11,7 @@ import numpy as np
 from . import lattice
 from .config import TrainConfig, frames_of, source_of
 from .errors import DataError, NumericError
-from .gmm import GaussianMixture, log_densities
+from .gmm import log_densities
 from .em import baum_welch
 from .hmm1 import Hmm1Model
 from .hmm2 import Hmm2Model
@@ -25,8 +25,12 @@ def round_half_away(x: float) -> float:
 
 @dataclass
 class ConditionBank:
+    """One model per label. `stack` holds the models' arrays stacked once, in
+    label order (`StateModel.stack`), which bank scoring reads."""
+
     labels: list[str]
     models: dict[str, Hmm1Model | Hmm2Model]
+    stack: Hmm1Model | Hmm2Model = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels) or not self.labels:
@@ -36,6 +40,8 @@ class ConditionBank:
         shapes = {(m.order, m.n_states, m.n_components, m.dim) for m in self.models.values()}
         if len(shapes) != 1:
             raise DataError("bank models must share order, N, M and D")
+        models = [self.models[label] for label in self.labels]
+        self.stack = type(models[0]).stack(models)
 
     @property
     def dim(self) -> int:
@@ -81,20 +87,18 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
     return ConditionBank(labels, dict(zip(labels, models))), dict(zip(labels, traces))
 
 
-def _scores(models: list, mat: np.ndarray, scoring: str) -> np.ndarray:
-    """The score of one (T, D) utterance under each of B models of one order
-    and shape, log P(O | model) or its best path's, -inf where a model gives
-    it probability 0 or has no admissible path: one emission call over the
-    models' emission stacks, concatenated, and one lattice pass over the
-    stack of their chains, whose tables are stacked into the engine's layout."""
+def _scores(stack, mat: np.ndarray, scoring: str) -> np.ndarray:
+    """The score of one (T, D) utterance under each of the B models of a
+    stack (`StateModel.stack`), log P(O | model) or its best path's, -inf
+    where a model gives it probability 0 or has no admissible path: one
+    emission call over the stack's mixtures and one lattice pass over its
+    chains, one per model, whose tables come out in the engine's layout."""
     if scoring not in ("forward", "viterbi"):
         raise DataError(f"unknown scoring mode {scoring!r}")
-    logb = log_densities(GaussianMixture.stack(model.mixtures for model in models), mat)
-    logb = logb.reshape(len(mat), len(models), -1)  # (T, B, N), a view of the (B*N, T) table
-    log_init, trans, tables = zip(*(model._chain(logb[:, b]) for b, model in enumerate(models)))
-    chains = np.stack(log_init), np.stack(trans), np.stack(tables, axis=1).swapaxes(0, 1)
+    logb = log_densities(stack.mixtures, mat)   # (T, B*N), a view of the (B*N, T) table
+    chains = stack._chain(logb.reshape(len(mat), -1, stack.n_states).swapaxes(0, 1))
     if scoring == "forward":
-        return lattice.loglik(*chains)
+        return lattice.loglik(*chains, among=stack._among())
     return lattice.viterbi_scores(*chains)
 
 
@@ -104,7 +108,7 @@ def identify(bank: ConditionBank, obs, scoring: str = "forward") -> Identificati
     mat = frames_of(obs)
     if mat.shape[1] != bank.dim:
         raise DataError(f"observation dim {mat.shape[1]} != bank dim {bank.dim}")
-    values = _scores([bank.models[label] for label in bank.labels], mat, scoring)
+    values = _scores(bank.stack, mat, scoring)
     scores = {label: float(v) for label, v in zip(bank.labels, values)}
     best = max(bank.labels, key=lambda lab: scores[lab])  # max keeps first on ties
     if scores[best] == -np.inf:

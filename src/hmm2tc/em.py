@@ -26,19 +26,32 @@ class StateModel:
     The constructor makes them float arrays, and its check requires shapes
     (N,), (N, N) and, for the second order's a3, (N, N, N); probability
     rows; a known topology; and, for a left-right model, no backward
-    transition (k < j in the last two axes of each transition array). Each
-    class also carries
-    its `order` and the EM loop's hooks: `_chain(logb)`, the lattice
-    engine's (log initial rows, transitions, emission tables) for a (T, N)
-    emission table or a stack (B, T, N) of them, one row per frame from frame
-    `order - 1` on, over N**order states that emit from their last index;
-    `_head(first)`, the rows and transitions alone for first-frame emissions
-    (..., N); `_occupancy(gamma)`, from (R, B, S) chain posteriors to
-    (T, B, N) state occupancies; and the transition M-step `_reestimate(start,
-    first, counts, mixtures)`, which gets the first-frame state occupancies,
-    the chains' first-row posteriors and their transition counts, each summed
-    over a corpus, and returns the new model and {kind of parameter: mask of
-    those that had no count and kept their values}.
+    transition (k < j in the last two axes of each transition array).
+
+    Each class also carries its `order` and the hooks of the EM loop and of
+    bank scoring. They all read one map of the S states of the model's
+    chain: its N states at the first order, and at the second the state
+    pairs its topology allows (`hmm2._pairs`). A model made by `stack`
+    carries its models' arrays under a leading bank axis, and its hooks then
+    serve one chain per model (G = B in the engine's terms).
+    - `_chain(logb)`: the lattice engine's (log initial rows, transitions,
+      emission tables) for a (T, N) emission table, or a stack (..., T, N)
+      of them under the arrays' leading axes or over one model's arrays.
+      It is `_head` of the first frame, then `_rows`.
+    - `_head(first)`: the rows and transitions alone, for first-frame
+      emissions (..., N).
+    - `_rows(logb)`: the tables alone, one row per frame from frame
+      `order - 1` on, as a view of one row-major (R, ..., S) array: the
+      layout the engine reads without a copy.
+    - `_among()`: None when the chain holds all N**order states, and
+      otherwise the mask of those it holds, for the engine's `among`.
+    - `_occupancy(gamma)`: from (R, B, S) chain posteriors to (T, B, N)
+      state occupancies.
+    - `_reestimate(start, first, counts, mixtures)`: the transition M-step.
+      It gets the first-frame state occupancies, the chains' first-row
+      posteriors and their transition counts, each summed over a corpus. It
+      returns the new model and {kind of parameter: mask of those that had
+      no count and kept their values}.
     """
 
     _ARRAYS: tuple[str, ...]
@@ -61,9 +74,31 @@ class StateModel:
         model.__dict__.update(zip(cls._ARRAYS + ("mixtures", "topology"), fields))
         return model
 
+    @classmethod
+    def stack(cls, models) -> StateModel:
+        """One model whose arrays are the given models' arrays stacked on a
+        leading axis, in order, built without checking them again; its
+        topology is theirs when they share one, and otherwise ergodic, whose
+        chain holds every model of either topology."""
+        models = list(models)
+        topologies = {model.topology for model in models}
+        return cls.from_checked(
+            *(np.stack([getattr(model, name) for model in models]) for name in cls._ARRAYS),
+            GaussianMixture.from_checked(*(np.stack([getattr(model.mixtures, part)
+                                                     for model in models])
+                                           for part in ("weights", "means", "variances"))),
+            topologies.pop() if len(topologies) == 1 else "ergodic")
+
+    def _chain(self, logb: np.ndarray):
+        rows = self._rows(logb)
+        return (*self._head(logb[..., 0, :]), rows)
+
+    def _among(self) -> np.ndarray | None:
+        return None
+
     @property
     def n_states(self) -> int:
-        return getattr(self, self._ARRAYS[0]).size
+        return getattr(self, self._ARRAYS[0]).shape[-1]
 
     @property
     def n_components(self) -> int:
@@ -183,8 +218,9 @@ def baum_welch(models, training_sets: dict[str, list], cfg: TrainConfig | None =
     (model, log-likelihood trace).
 
     Each iteration writes each training model's emission (one call over its
-    corpus) into one table in the lattice engine's (R, B, S) layout, padded
-    -inf, and runs one `lattice.estep` on it: K chains to a model, K the
+    corpus) into one (T, B, N) table, padded -inf, takes the chains' tables
+    from it (`_rows`) in the lattice engine's (R, B, S) layout, and runs one
+    `lattice.estep` on them: K chains to a model, K the
     most sequences any model has, and a model with fewer fills its group
     with chains of length 0, which the engine leaves out of its products.
     The whole stack's occupancies, then each model's GMM and transition
@@ -198,6 +234,8 @@ def baum_welch(models, training_sets: dict[str, list], cfg: TrainConfig | None =
     non-finite log-likelihood raises NumericError.
     """
     cfg = cfg or TrainConfig()
+    if len({model.topology for model in models}) > 1:
+        raise DataError("the models of one EM loop must share one topology")
     logger = logging.getLogger(type(models[0]).__module__)
     bank = [_Member(model, label, corpus)
             for model, (label, corpus) in zip(models, training_sets.items())]
@@ -206,19 +244,21 @@ def baum_welch(models, training_sets: dict[str, list], cfg: TrainConfig | None =
     rows = np.array([np.pad(m.lengths - (order - 1), (0, k - len(m.lengths))) for m in bank])
     active = list(range(len(bank)))
     for _ in range(cfg.max_iterations):
-        # frame t of each chain, from frame order - 1 on its lattice rows
-        table = np.full((t_max, len(active) * k, n ** order), -np.inf)
+        # frame t of each chain at row t, then each chain's table (`_rows`)
+        frames = np.full((t_max, len(active) * k, n), -np.inf)
         heads, scored = [], []
         for i, g in enumerate(active):
             member, chains = bank[g], i * k + bank[g].seq
             comp = component_table(member.model.mixtures, member.frames)
             logb = lattice.logsumexp(comp, axis=1)
-            table.reshape(table.shape[:2] + (-1, n))[member.time, chains] = logb.T[:, None]
-            heads.append(member.model._head(table[0, i * k:(i + 1) * k, :n]))
+            frames[member.time, chains] = logb.T
+            heads.append(member.model._head(frames[0, i * k:(i + 1) * k]))
             scored.append((comp, logb, chains))
         log_init, trans = zip(*heads)
-        gamma, xi, ll = lattice.estep(np.concatenate(log_init), np.stack(trans),
-                                      table[order - 1:].swapaxes(0, 1), rows[active].ravel())
+        table = models[0]._rows(frames.swapaxes(0, 1))
+        del frames
+        gamma, xi, ll = lattice.estep(np.concatenate(log_init), np.stack(trans), table,
+                                      rows[active].ravel())
         occ = models[0]._occupancy(gamma.swapaxes(0, 1))  # in the engine's (R, B, S) layout
         for i, (g, (comp, logb, chains)) in enumerate(zip(active, scored)):
             member = bank[g]

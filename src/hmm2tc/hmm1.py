@@ -31,12 +31,12 @@ class Hmm1Model(StateModel):
     order = 1
     _ARRAYS = ("pi", "a")
 
-    def _chain(self, logb: np.ndarray):
-        """Its own states, one lattice row per frame."""
-        return (*self._head(logb[..., 0, :]), logb)
-
     def _head(self, first: np.ndarray):
         return np.broadcast_to(_log(self.pi), first.shape), self.a
+
+    def _rows(self, logb: np.ndarray) -> np.ndarray:
+        """Its own states, one lattice row per frame."""
+        return logb
 
     def _occupancy(self, gamma: np.ndarray) -> np.ndarray:
         return gamma

@@ -2,20 +2,28 @@
 
 State pairs index every lattice: a trellis cell (t, j, k) covers the
 transition between times t-1 and t. The model runs as a first-order chain
-over the N*N pairs, P[(i, j), (j, k)] = a3[i, j, k], on the shared lattice
-engine (`hmm2tc.lattice`): the EM E-step in the probability domain with
-per-row scaling (log domain for sequences that one scale per row cannot
-hold), forward, backward and Viterbi in the log domain. Impossible events
-carry -inf in every log-domain result. `Hmm2Model` gives the EM loop of both
-orders (`hmm2tc.em`) its pair chain, the map from pair posteriors to state
-occupancies, and its psi, a2 and a3 M-step. `sample_hmm2` is the one
-sampler: an HMM1 draws as its lift (`lift_hmm1`), a3[i, j, k] = a[j, k].
+over the pairs (j, k) that its topology allows, P[(i, j), (j, k)] =
+a3[i, j, k] (du Preez 1998, order reduction): all N*N of them when ergodic,
+and the N(N + 1)/2 with k >= j when left-right, whose other pairs no path
+can enter. One index map (`_pairs`) gives the chain's pairs, in ascending
+j * N + k, and its steps; every hook reads it. The chain runs on the shared
+lattice engine (`hmm2tc.lattice`): the EM E-step in the probability domain
+with per-row scaling (log domain for sequences that one scale per row
+cannot hold), forward and Viterbi in the log domain. `forward2` and
+`viterbi2` give their lattices and paths over every pair and state, a pair
+the chain leaves out reading -inf, with the bits of the chain over all N*N
+pairs. `backward2` runs on all N*N pairs, since beta is defined on pairs
+that no path enters too. Impossible events carry -inf in every log-domain
+result. `Hmm2Model` gives the EM loop of both orders (`hmm2tc.em`) its pair
+chain, the map from pair posteriors to state occupancies, and its psi, a2
+and a3 M-step; its hooks also serve a bank's models stacked on a leading
+axis (`StateModel.stack`). `sample_hmm2` is the one sampler: an HMM1 draws
+as its lift (`lift_hmm1`), a3[i, j, k] = a[j, k].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -29,6 +37,25 @@ from .lattice import _log
 from .lattice import logsumexp  # noqa: F401  (perfbench/spans.py counts its calls here)
 
 
+def _allowed(n: int, topology: str) -> np.ndarray:
+    """(N, N) mask of the pairs (j, k) that a model of the topology can
+    enter: every pair when ergodic, and k >= j when left-right."""
+    if topology == "ergodic":
+        return np.ones((n, n), bool)
+    states = np.arange(n)
+    return states[:, None] <= states
+
+
+def _pairs(n: int, topology: str):
+    """The index map of the pair chain: its pairs (j, k), those `_allowed`,
+    in ascending j * N + k, as the arrays j and k, in which each j's pairs
+    run from some k up to N - 1; and its steps, as the arrays p and q of the
+    pairs p = (i, j) that step to q = (j, k)."""
+    j, k = np.nonzero(_allowed(n, topology))
+    p, q = np.nonzero(k[:, None] == j)
+    return j, k, p, q
+
+
 @dataclass
 class Hmm2Model(StateModel):
     psi: np.ndarray                  # (N,)  initial state probabilities
@@ -40,38 +67,57 @@ class Hmm2Model(StateModel):
     order = 2
     _ARRAYS = ("psi", "a2", "a3")
 
-    def _chain(self, logb: np.ndarray):
-        """The chain over pairs (j, k), indexed j * N + k. Row r of the pair
-        lattice covers frames (r, r + 1): the initial row holds psi, a2 and
-        the first frame's emission (`_head`), and pair (j, k) emits frame
-        r + 1 from state k."""
+    def _rows(self, logb: np.ndarray) -> np.ndarray:
+        """Row r of the pair lattice covers frames (r, r + 1), and pair
+        (j, k) emits frame r + 1 from state k; the initial row holds psi, a2
+        and the first frame's emission (`_head`)."""
         if logb.shape[-2] < 2:
             raise DataError("second-order recursions require T >= 2")
-        return (*self._head(logb[..., 0, :]), np.tile(logb[..., 1:, :], self.n_states))
+        k = np.nonzero(_allowed(self.n_states, self.topology))[1]
+        rows = np.ascontiguousarray(np.moveaxis(logb, -2, 0)[1:])
+        return np.moveaxis(rows[..., k], 0, -2)   # row-major in, row-major out
 
     def _head(self, first: np.ndarray):
-        n = self.n_states
-        log_init = (_log(self.psi) + first)[..., :, None] + _log(self.a2)
-        trans = np.zeros((n, n, n, n))
-        same = np.arange(n)
-        trans[:, same, same, :] = self.a3
-        return log_init.reshape(first.shape[:-1] + (n * n,)), trans.reshape(n * n, n * n)
+        j, k, p, q = _pairs(self.n_states, self.topology)
+        log_init = (_log(self.psi) + first)[..., j] + _log(self.a2[..., j, k])
+        trans = np.zeros(self.a3.shape[:-3] + (len(j), len(j)))
+        trans[..., p, q] = self.a3[..., j[p], k[p], k[q]]
+        return log_init, trans
+
+    def _among(self) -> np.ndarray | None:
+        if self.topology == "ergodic":
+            return None
+        return _allowed(self.n_states, self.topology).ravel()
 
     def _occupancy(self, gamma: np.ndarray) -> np.ndarray:
-        """(T, B, N) state occupancies from (T-1, B, N*N) pair posteriors; the
-        N planes j added in turn beat numpy's sum over that short axis."""
+        """(T, B, N) state occupancies from (T-1, B, S) pair posteriors: frame 0
+        of state j sums row 0's pairs (j, k) over all N values of k, and frame
+        r + 1 of state k adds row r's pairs (j, k) over j in turn, which
+        beats numpy's sum over that short axis. A pair the chain leaves out
+        has posterior 0, so each sum has the bits of the same sum over every
+        pair."""
         n = self.n_states
-        gamma = gamma.reshape(gamma.shape[:2] + (n, n))
-        return np.concatenate([gamma[:1].sum(axis=3), reduce(np.add, np.moveaxis(gamma, 2, 0))])
+        j, k = _pairs(n, self.topology)[:2]
+        occ = np.zeros((len(gamma) + 1,) + gamma.shape[1:-1] + (n,))
+        first = np.zeros(gamma.shape[1:-1] + (n, n))
+        first[..., j, k] = gamma[0]
+        first.sum(axis=-1, out=occ[0])
+        starts = np.flatnonzero(np.diff(j, prepend=-1))   # each j's first pair
+        for a, b in zip(starts, [*starts[1:], len(j)]):
+            occ[1:, ..., k[a]:] += gamma[..., a:b]
+        return occ
 
     def _reestimate(self, start, first, counts, mixtures) -> tuple["Hmm2Model", dict]:
         n = self.n_states
-        a2 = normalise_rows(first.reshape(n, n), self.a2)[0]
-        same = np.arange(n)
-        a3, kept = normalise_rows(counts.reshape(n, n, n, n)[:, same, same, :], self.a3)
-        kept &= (self.topology == "ergodic") | ~np.tri(n, k=-1, dtype=bool)  # left-right: j >= i
+        j, k, p, q = _pairs(n, self.topology)
+        pair_first = np.zeros((n, n))
+        pair_first[j, k] = first
+        a2 = normalise_rows(pair_first, self.a2)[0]
+        a3_counts = np.zeros((n, n, n))
+        a3_counts[j[p], k[p], k[q]] = counts[p, q]
+        a3, kept = normalise_rows(a3_counts, self.a3)
         return (Hmm2Model(start / start.sum(), a2, a3, mixtures, self.topology),
-                {"(i, j) pairs": kept})
+                {"(i, j) pairs": kept[j, k]})
 
 
 @dataclass
@@ -111,15 +157,22 @@ def path_log_prob2(model: Hmm2Model, states, obs=None) -> float:
 
 
 def forward2(model: Hmm2Model, obs) -> tuple[Trellis2, float]:
-    """Extended forward lattice alpha_t(j, k) and total log-likelihood."""
-    la, ll = lattice.forward(*model._chain(model.emission_log_probs(obs)))
+    """Extended forward lattice alpha_t(j, k) and total log-likelihood; a
+    pair that the topology does not allow reads -inf."""
+    among = model._among()
+    la, ll = lattice.forward(*model._chain(model.emission_log_probs(obs)), among=among)
     n = model.n_states
+    if among is not None:
+        la, chain = np.full((len(la), n * n), -np.inf), la
+        la[:, among] = chain
     return Trellis2(la.reshape(-1, n, n)), ll
 
 
 def backward2(model: Hmm2Model, obs) -> Trellis2:
-    """Extended backward lattice beta_t(i, j); beta_T is identically 1."""
-    _, trans, pair_logb = model._chain(model.emission_log_probs(obs))
+    """Extended backward lattice beta_t(i, j) over every pair, those that the
+    topology does not allow too; beta_T is identically 1."""
+    every = Hmm2Model.from_checked(model.psi, model.a2, model.a3, model.mixtures, "ergodic")
+    _, trans, pair_logb = every._chain(model.emission_log_probs(obs))
     n = model.n_states
     return Trellis2(lattice.backward(trans, pair_logb).reshape(-1, n, n))
 
@@ -128,8 +181,8 @@ def viterbi2(model: Hmm2Model, obs) -> tuple[np.ndarray, float]:
     """Most likely state path and its log score; ties break toward the
     lowest pair index j * N + k, from the last frame back (`lattice.viterbi`)."""
     pairs, score = lattice.viterbi(*model._chain(model.emission_log_probs(obs)))
-    n = model.n_states
-    return np.concatenate(([pairs[0] // n], pairs % n)), score
+    j, k = _pairs(model.n_states, model.topology)[:2]
+    return np.concatenate((j[pairs[:1]], k[pairs])), score
 
 
 def sample_hmm2(model: Hmm2Model, t_len: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,13 +13,17 @@ initial row, an (S, S) matrix and an (R, S) table, and returns that chain's
 results alone: it runs as a stack of one, on the same code.
 
 A first-order HMM is a chain with S = N. A second-order HMM is the chain over
-its N*N state pairs, with P[(i, j), (j, k)] = a3[i, j, k] (du Preez 1998,
-order reduction). A stack may hold one utterance under each model of a bank
-(G = B), or the training sequences of a bank's models, K to a model (the EM
-loop's E-step): a model with fewer sequences fills its group with chains of
-length 0. Each row's step is one (G, K, S) @ (G, S, S) product; the chains of
-length 0 that end a group take no part in it, so that every group's product
-has the shape, and BLAS's rounding, of a stack of that group alone.
+the state pairs its topology allows, with P[(i, j), (j, k)] = a3[i, j, k]
+(du Preez 1998, order reduction): N*N of them, or fewer when a topology
+leaves out pairs that no path can enter. Such a chain passes `among` to
+`forward` and `loglik`, the mask of its states among the N*N, so that its
+likelihoods keep the bits of the chain over all of them (`_final`). A stack
+may hold one utterance under each model of a bank (G = B), or the training
+sequences of a bank's models, K to a model (the EM loop's E-step): a model
+with fewer sequences fills its group with chains of length 0. Each row's
+step is one (G, K, S) @ (G, S, S) product; the chains of length 0 that end a
+group take no part in it, so that every group's product has the shape, and
+BLAS's rounding, of a stack of that group alone.
 
 One log-domain recursion, `_log_forward`, combines each state's
 predecessors by log-sum-exp for `forward`, for `loglik` (`forward`'s
@@ -30,11 +34,11 @@ reduces over its first axis (`_neighbours`). The log-sum-exp table leaves out
 the lanes that read -inf on every row: those of a zero transition, and those
 from a state that no initial row of the stack can reach (`_reachable`: the
 closure of the initial rows' support under the union of the stack's
-transitions, once per call; on a left-right pair chain, the pairs (j, k)
-with k < j). Each state's absent lanes come first, carrying -inf, so that
-its reduction starts on np.logaddexp's cheap -inf (+) -inf case, and its real
-predecessors follow, lowest index first, in the order of the full table,
-which gives the same bits. A flat edge list reduced by
+transitions, once per call; on a left-right model's chain over all N*N
+pairs, the pairs (j, k) with k < j). Each state's absent lanes come first,
+carrying -inf, so that its reduction starts on np.logaddexp's cheap
+-inf (+) -inf case, and its real predecessors follow, lowest index first,
+in the order of the full table, which gives the same bits. A flat edge list reduced by
 `np.logaddexp.reduceat` is faster on left-right chains but slower on dense
 (ergodic) pair chains, where each state's segment becomes one long serial
 chain of operations instead of a reduction over whole (B, S) blocks. The
@@ -334,25 +338,34 @@ def _last(la: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.where((lengths > 0)[:, None], la[lengths - 1, np.arange(len(lengths))], 0.0)
 
 
-def _final(la: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _final(la: np.ndarray, lengths: np.ndarray, among: np.ndarray | None = None) -> np.ndarray:
     """Each chain's log-likelihood from its log forward lattice (R, B, S); 0
-    for a chain of length 0."""
-    return np.where(lengths > 0, logsumexp(_last(la, lengths), axis=1), 0.0)
+    for a chain of length 0. With `among`, a (W,) mask with S entries set,
+    each last row is first spread over a row of W states, the others -inf,
+    so that its sum runs in the order, and gives the bits, of the chain of
+    those W states."""
+    last = _last(la, lengths)
+    if among is not None:
+        last, held = np.full((len(last), len(among)), -np.inf), last
+        last[:, among] = held
+    return np.where(lengths > 0, logsumexp(last, axis=1), 0.0)
 
 
-def forward(log_init, trans, logb, lengths=None):
+def forward(log_init, trans, logb, lengths=None, among=None):
     """Log forward lattices (B, R, S) and total log-likelihoods (B,), in the
-    log domain."""
+    log domain. `among` (W,), a mask of S entries set, gives the chain's
+    states as those of a chain of W states that leaves out states no path
+    enters: each likelihood then has the bits of that chain's (`_final`)."""
     single, c = _chains(log_init, trans, logb, lengths)
     la = _log_forward(c)
-    return _one(single, _by_chain(la), _final(la, c.lengths))
+    return _one(single, _by_chain(la), _final(la, c.lengths, among))
 
 
-def loglik(log_init, trans, logb, lengths=None):
+def loglik(log_init, trans, logb, lengths=None, among=None):
     """Total log-likelihoods (B,), without the lattices: `forward`'s
     recursion, with the same results bit for bit."""
     single, c = _chains(log_init, trans, logb, lengths)
-    return _one(single, _final(_log_forward(c), c.lengths))
+    return _one(single, _final(_log_forward(c), c.lengths, among))
 
 
 def backward(trans, logb, lengths=None) -> np.ndarray:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hmm2tc.classify import (ConditionBank, EvaluationReport, evaluate, identify,
+from hmm2tc import lattice
+from hmm2tc.classify import (ConditionBank, EvaluationReport, _scores, evaluate, identify,
                              improvement_rate, improvement_table,
                              render_improvement_text, render_report_text,
                              round_half_away, train_bank)
@@ -10,6 +13,7 @@ from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
 from hmm2tc.hmm1 import Hmm1Model, forward1, viterbi1
 from hmm2tc.hmm2 import Hmm2Model, forward2, sample_hmm2, viterbi2
+from hmm2tc.lattice import _log
 
 from conftest import random_hmm2
 
@@ -103,6 +107,87 @@ def test_bank_scores_equal_each_model_scored_alone(order):
                 else:
                     assert np.isfinite(want)
                     assert abs(got[label] - want) <= 1e-12 * abs(want), (scoring, label)
+
+
+# Bank scoring runs one stacked chain per bank, and an order-2 model's chain
+# holds only the pairs its topology allows. Its scores, lattices and paths
+# are those of each model's chain over all N*N pairs, bit for bit.
+
+def full_pair_chain(model, logb):
+    """An order-2 model's chain over all N*N pairs (j, k), indexed j * N + k,
+    for a (T, N) emission table: psi, a2 and the first frame in the initial
+    row, P[(i, j), (j, k)] = a3[i, j, k], and pair (j, k) emitting frame
+    r + 1 from state k at row r."""
+    n = model.n_states
+    log_init = ((_log(model.psi) + logb[0])[:, None] + _log(model.a2)).reshape(n * n)
+    trans = np.zeros((n, n, n, n))
+    trans[:, np.arange(n), np.arange(n), :] = model.a3
+    return log_init, trans.reshape(n * n, n * n), np.tile(logb[1:], n)
+
+
+def _rows(draw, shape, left_right):
+    """Probability rows along the last axis, with entries in {0, 1/2, 1}
+    before normalising: zeros and ties. A left-right row j has no entry
+    before k = j, and a row with no entry puts its mass on the last state."""
+    size = int(np.prod(shape))
+    w = np.asarray(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)),
+                   dtype=float).reshape(shape)
+    if left_right and len(shape) > 1:
+        w *= ~np.tri(shape[-1], k=-1, dtype=bool)
+    w[..., -1] += w.sum(axis=-1) == 0
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def banks_and_utterances(draw):
+    """A bank of 1-4 models of one order and N = 1-5 states, left-right or
+    ergodic (one topology for the bank, or one per model), with zeros in
+    every transition array; a model's state may copy state 0's emission,
+    so that paths tie. The utterance has 2-7 frames, now and then one far
+    from every mean."""
+    order, n, b = draw(st.integers(1, 2)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    shared = draw(st.sampled_from([None, "ergodic", "left-right"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    models = {}
+    for label in "abcd"[:b]:
+        topology = shared or draw(st.sampled_from(["ergodic", "left-right"]))
+        means = rng.normal(0.0, 1.5, (n, 2, 2))
+        variances = rng.uniform(0.5, 2.0, (n, 2, 2))
+        copies = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        means[copies], variances[copies] = means[0], variances[0]
+        mixtures = GaussianMixture(np.full((n, 2), 0.5), means, variances)
+        arrays = [_rows(draw, (n,) * (rank + 1), topology == "left-right")
+                  for rank in range(order + 1)]
+        models[label] = (Hmm1Model if order == 1 else Hmm2Model)(*arrays, mixtures, topology)
+    t_len = draw(st.integers(2, 7))
+    obs = rng.normal(0.0, 2.0, (t_len, 2))
+    obs[rng.random(t_len) < 0.1] = 40.0
+    return ConditionBank(list(models), models), obs
+
+
+@settings(max_examples=200, deadline=None)
+@given(banks_and_utterances())
+def test_bank_scores_equal_each_full_chain_bit_for_bit(case):
+    bank, obs = case
+    want = {"forward": [], "viterbi": []}
+    for model in bank.models.values():
+        logb = model.emission_log_probs(obs)
+        chain = model._chain(logb) if model.order == 1 else full_pair_chain(model, logb)
+        want["forward"].append(lattice.loglik(*chain))
+        want["viterbi"].append(lattice.viterbi_scores(*chain))
+        if model.order == 1:
+            continue
+        n = model.n_states
+        want_la, want_ll = lattice.forward(*chain)
+        trellis, ll = forward2(model, obs)
+        assert np.array_equal(trellis.values, want_la.reshape(-1, n, n)) and ll == want_ll
+        if want["viterbi"][-1] > -np.inf:
+            pairs, score = lattice.viterbi(*chain)
+            path, got = viterbi2(model, obs)
+            assert got == score
+            assert path.tolist() == [pairs[0] // n, *(pairs % n)]
+    for scoring, scores in want.items():
+        assert np.array_equal(_scores(bank.stack, obs, scoring), scores), scoring
 
 
 class TestTrainBank:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,12 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
-from hmm2tc import cli
+from hmm2tc import classify, cli
 from hmm2tc.audio import FrameParams, decode_pcm16_wav, extract_features, lpcc_sequences, \
     save_features
 from hmm2tc.cli import main
 from hmm2tc.corpus import ManifestEntry, format_manifest
 from hmm2tc.errors import Hmm2tcError
+from hmm2tc.gmm import MEAN_SPREAD, GaussianMixture
 from hmm2tc.model_io import load_model, load_pack
 
 from conftest import make_wav_bytes
@@ -844,6 +846,89 @@ class TestModelFaults:
         assert MODEL_FAULTS[fault][1] in packed.err and "Traceback" not in packed.err
 
 
+def _largest_spread(doc) -> float:
+    """The largest ratio |mu - c| / sqrt(s) in a model document, c the mean
+    of its state's component means."""
+    means, variances = (np.array([state[part] for state in doc["mixtures"]])
+                        for part in ("means", "variances"))
+    return float((np.abs(means - means.mean(axis=1, keepdims=True)) / np.sqrt(variances)).max())
+
+
+class TestFarComponentMean:
+    """A component mean past MEAN_SPREAD is scored exactly, not refused."""
+
+    def test_far_mean_lowers_its_model_and_keeps_the_winner(self, tmp_path, capsys):
+        # one component mean of b at 1e154: b can only lose density, so its
+        # scores fall, and each token's winner stays
+        write_synth_spec(tmp_path / "spec.json")
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out",
+                     str(tmp_path / "c")]) == 0
+        bank = tmp_path / "bank"
+        assert main(["train", "--manifest", str(tmp_path / "c" / "manifest.tsv"), "--out",
+                     str(bank), "--states", "2", "--mixtures", "2", "--order", "2",
+                     "--topology", "left-right", "--max-iter", "2", "--pooled"]) == 0
+        capsys.readouterr()
+
+        def identify():   # [winner, a's score, b's score] for a token of each label
+            outputs = [run(capsys, "identify", "--bank", str(bank), "--features",
+                           str(tmp_path / "c" / "features" / f"{name}.lpcc"))
+                       for name in ("a_006", "b_006")]
+            assert all(code == 0 and err == "" for code, _, err in outputs)
+            return [out.split()[:5:2] for _, out, _ in outputs]
+
+        before = identify()
+        assert [winner for winner, _, _ in before] == ["a", "b"]
+        scope = json.loads((bank / "bank.json").read_text())["scopes"][0]
+        model_path = bank / scope["models"]["b"]
+        doc = json.loads(model_path.read_text())
+        _set("means", [0, 0], 1e154)(doc)
+        model_path.write_text(json.dumps(doc))
+        after = identify()
+        assert [token[:2] for token in after] == [token[:2] for token in before]
+        fall = [float(new[2]) - float(old[2]) for old, new in zip(before, after)]
+        assert max(fall) <= 0 and min(fall) < 0
+
+    def test_train_writes_what_identify_and_evaluate_score(self, tmp_path, capsys, monkeypatch):
+        # b's flat start gets a component 1e6 away from its frames, which
+        # stays empty through EM: train writes a model past MEAN_SPREAD, and
+        # identify (from the pack and from the JSON) and evaluate score it
+        write_synth_spec(tmp_path / "spec.json")
+        corpus = tmp_path / "c"
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(corpus)]) == 0
+        flat_start = classify.flat_start
+
+        def far_start(*args):
+            models = flat_start(*args)
+            mix = models[1].mixtures
+            means = mix.means.copy()
+            means[0, 1, 0] += 1e6
+            models[1] = dataclasses.replace(
+                models[1], mixtures=GaussianMixture(mix.weights, means, mix.variances))
+            return models
+
+        monkeypatch.setattr(classify, "flat_start", far_start)
+        bank = tmp_path / "bank"
+        assert main(["train", "--manifest", str(corpus / "manifest.tsv"), "--out", str(bank),
+                     "--states", "2", "--mixtures", "2", "--order", "2", "--topology",
+                     "left-right", "--max-iter", "3", "--pooled"]) == 0
+        scope = json.loads((bank / "bank.json").read_text())["scopes"][0]
+        assert _largest_spread(json.loads((bank / scope["models"]["b"]).read_text())) \
+            > MEAN_SPREAD
+        outputs = []
+        for unpacked in (False, True):
+            if unpacked:
+                shutil.rmtree(bank / "packed")
+            capsys.readouterr()
+            for name in ("a_006", "b_006"):
+                assert main(["identify", "--bank", str(bank), "--features",
+                             str(corpus / "features" / f"{name}.lpcc")]) == 0
+            assert main(["evaluate", "--manifest", str(corpus / "manifest.tsv"), "--bank",
+                         str(bank), "--out", str(tmp_path / "report")]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+        assert outputs[0].out.split()[0:10:5] == ["a", "b"]   # the two winners
+
+
 def _train_args(root, manifest="manifest.tsv", *extra):
     return ["train", "--manifest", str(root / manifest), "--out", str(root / "bank"),
             "--states", "2", "--mixtures", "1", "--topology", "ergodic", "--max-iter", "2",
@@ -1350,3 +1435,154 @@ class TestPackedBank:
             argv = ["evaluate", "--manifest", str(corpus / "two.tsv"), "--bank", str(broken),
                     "--out", str(tmp_path / "rep")]
         assert run(capsys, *argv) == (3, "", message)
+
+
+# A seeded fuzz of packs and of bank.json's "packed" records: each case
+# mutates the pack's bytes or one field of the record (or a bank.json field
+# that gives the pack's layout). A mutated pack is re-digested in most
+# cases, and its values are then written into the model files too, so that
+# the pack and the model files say the same; a pack whose size changed is
+# re-digested alone, and its size fits no layout.
+
+SPECIAL_VALUES = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 0.5, 1.0, -7.25,
+                  1e154, 1e308, -1e308, 1e-320, 5e-324]
+
+
+def _set_values(rng, data):
+    values = np.frombuffer(data, dtype="<f8").copy()
+    idx = rng.integers(0, len(values), rng.integers(1, 4))
+    values[idx] = rng.choice(SPECIAL_VALUES, len(idx))
+    return values.tobytes()
+
+
+def _flip_bits(rng, data):
+    raw = bytearray(data)
+    for i in rng.integers(0, len(raw), rng.integers(1, 4)):
+        raw[i] ^= 1 << int(rng.integers(0, 8))
+    return bytes(raw)
+
+
+def _resize(rng, data):
+    delta = int(rng.integers(1, 16))   # a pack of 2 x 2 models holds 64 bytes per dimension
+    if rng.random() < 0.5:
+        return data[:-delta]
+    return data + rng.integers(0, 256, delta, dtype=np.uint8).tobytes()
+
+
+def _docs_from_pack(data, docs):
+    """The model documents with their arrays read from the pack's bytes,
+    in the pack's layout."""
+    values = iter(np.frombuffer(data, dtype="<f8").tolist())
+
+    def take(like):
+        if isinstance(like, list):
+            return [take(x) for x in like]
+        return next(values)
+    out = []
+    for doc in docs:
+        doc = json.loads(json.dumps(doc))
+        for key in ("psi", "a2", "a3")[:doc["order"] + 1]:
+            doc[key] = take(doc[key])
+        for part in ("weights", "means", "variances"):
+            for state, new in zip(doc["mixtures"], take([s[part] for s in doc["mixtures"]])):
+                state[part] = new
+        out.append(doc)
+    return out
+
+
+RECORD_VALUES = {
+    "path": ["", "packed", "models", "bank.json", "packed/../bank.json", "/dev/null",
+             "packed/\0", "nope.f8", 7, None, ["packed"]],
+    "sha256": [None, 5, "", "0" * 64, "sha256"],
+    "model_sha256": [None, "digests", [], [5]],
+}
+BANK_VALUES = {
+    "N": [0, -1, 1, 3, 4, "2", None, 2.0, True],
+    "M": [0, 1, 3, 4, "2", None, 2.0, True],
+    "order": [0, 1, 3, "2", None, 2.0, True],
+    "topology": ["ergodic", "left-right", "up-down", None, 2],
+}
+
+
+def _edit_record(rng, doc, record):
+    """One field of the record, or of the bank's layout, set to an odd
+    value, a digest changed in one place, or the record replaced."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        key = str(rng.choice(list(RECORD_VALUES)))
+        record[key] = RECORD_VALUES[key][int(rng.integers(0, len(RECORD_VALUES[key])))]
+    elif kind == 1:
+        key = str(rng.choice(list(BANK_VALUES)))
+        doc[key] = BANK_VALUES[key][int(rng.integers(0, len(BANK_VALUES[key])))]
+    elif kind == 2:
+        digests = record["model_sha256"]
+        edits = [digests[::-1], digests[1:] + digests[:1], digests[1:], digests + digests[:1],
+                 [digests[0].upper()] + digests[1:]]
+        record["model_sha256"] = edits[int(rng.integers(0, len(edits)))]
+    elif kind == 3:
+        digest = record["sha256"]
+        at = int(rng.integers(0, len(digest)))
+        record["sha256"] = digest[:at] + ("0" if digest[at] != "0" else "1") + digest[at + 1:]
+    else:
+        doc["scopes"][0]["packed"] = [None, [], "packed", {}, 0][int(rng.integers(0, 5))]
+
+
+class TestPackFuzz:
+    """identify on a bank whose pack or record was mutated exits 0, 3 or 4,
+    with no traceback (and no RuntimeWarning, an error under this suite),
+    and prints what the same bank prints without its record, from its model
+    files alone."""
+
+    CASES = 240
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        write_synth_spec(root / "spec.json", frames=[20, 30])
+        assert main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "c")]) == 0
+        assert main(["train", "--manifest", str(root / "c" / "manifest.tsv"), "--out",
+                     str(root / "bank"), "--states", "2", "--mixtures", "2", "--order", "2",
+                     "--topology", "left-right", "--max-iter", "2", "--pooled"]) == 0
+        return root
+
+    def test_mutated_pack_or_record_reads_as_the_model_files_say(self, trained, tmp_path,
+                                                                  capsys):
+        bank = tmp_path / "bank"
+        shutil.copytree(trained / "bank", bank)
+        doc = json.loads((bank / "bank.json").read_text())
+        scope = doc["scopes"][0]
+        paths = [bank / scope["models"][lab] for lab in scope["labels"]]
+        pack = bank / scope["packed"]["path"]
+        pristine = {path: path.read_bytes() for path in (*paths, pack)}
+        docs = [json.loads(pristine[path]) for path in paths]
+        argv = ["identify", "--bank", str(bank), "--features",
+                str(trained / "c" / "features" / "a_006.lpcc")]
+        codes = []
+        for case in range(self.CASES):
+            rng = np.random.default_rng([23, case])
+            for path, data in pristine.items():
+                path.write_bytes(data)
+            mutated = json.loads(json.dumps(doc))
+            record = mutated["scopes"][0]["packed"]
+            if case % 2:
+                _edit_record(rng, mutated, record)
+            else:
+                mutate = (_set_values, _flip_bits, _resize)[case // 2 % 3]
+                data = mutate(rng, pristine[pack])
+                pack.write_bytes(data)
+                if mutate is _resize or rng.random() < 0.75:
+                    record["sha256"] = hashlib.sha256(data).hexdigest()
+                if mutate is not _resize and record["sha256"] != scope["packed"]["sha256"]:
+                    for path, model_doc in zip(paths, _docs_from_pack(data, docs)):
+                        path.write_text(json.dumps(model_doc))
+                    record["model_sha256"] = [hashlib.sha256(path.read_bytes()).hexdigest()
+                                              for path in paths]
+            (bank / "bank.json").write_text(json.dumps(mutated))
+            got = run(capsys, *argv)
+            mutated["scopes"][0].pop("packed")
+            (bank / "bank.json").write_text(json.dumps(mutated))
+            want = run(capsys, *argv)
+            assert got == want, case
+            assert got[0] in (0, 3, 4) and "Traceback" not in got[2], (case, got)
+            codes.append(got[0])
+        assert {0, 3} <= set(codes)

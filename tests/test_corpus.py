@@ -136,7 +136,7 @@ class TestSynthCorpus:
         _, m1 = generate_synthetic_corpus(spec, tmp_path / "x")
         _, m2 = generate_synthetic_corpus(spec, tmp_path / "y")
         assert np.array_equal(m1["a"].a3, m2["a"].a3)
-        assert np.array_equal(m1["a"].mixtures[0].means, m2["a"].mixtures[0].means)
+        assert np.array_equal(m1["a"].mixtures.means[0], m2["a"].mixtures.means[0])
 
     def test_spec_document_takes_the_dataclass_defaults(self):
         # from_dict passes only the fields a document gives, so a document

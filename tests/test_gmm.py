@@ -4,7 +4,7 @@ from scipy.special import logsumexp
 
 from hmm2tc.config import VARIANCE_FLOOR_MIN
 from hmm2tc.errors import DataError
-from hmm2tc.gmm import GaussianMixture, component_table, log_densities
+from hmm2tc.gmm import MEAN_SPREAD, GaussianMixture, component_table, log_densities
 
 
 def density(mixture, o):
@@ -109,6 +109,26 @@ def test_overflowing_frame_scores_minus_inf():
         assert density(gmm, [1e306, -1e306]) == -np.inf
 
 
+@pytest.mark.parametrize("far", [3e4, 1e6, 1e154, 1.5e308])
+def test_far_component_mean_is_scored_by_the_direct_form(far):
+    # state 1's second component lies past MEAN_SPREAD of its state's other
+    # component's standard deviation from their mean of means (at 1.5e308
+    # that mean is past the largest float); state 0 lies well within
+    rng = np.random.default_rng(3)
+    near = GaussianMixture([0.4, 0.6], rng.normal(0, 1, (2, 4)), rng.uniform(0.5, 2.0, (2, 4)))
+    means = rng.normal(0, 1, (2, 4))
+    means[1, 2] = far
+    spread = GaussianMixture([0.7, 0.3], means, np.full((2, 4), 1e-3))
+    assert far / 2 / 1e-3 ** 0.5 > MEAN_SPREAD
+    obs = np.concatenate([rng.normal(0, 1, (10, 4)), means[1] + rng.normal(0, 1e-2, (3, 4))])
+    got = component_table([near, spread], obs).transpose(2, 0, 1)
+    with np.errstate(over="ignore"):
+        want = centred_log_densities([near, spread], obs)
+    assert np.allclose(got[:, 1], want[:, 1], rtol=1e-13, atol=0)
+    assert np.array_equal(got[:, 0], component_table([near], obs).transpose(2, 0, 1)[:, 0])
+    assert np.all(np.isfinite(log_densities(spread, obs)))
+
+
 def random_states(seed, n=4, m=3, d=5):
     rng = np.random.default_rng(seed)
     return [GaussianMixture(rng.dirichlet(np.ones(m)), rng.normal(0, 2, (m, d)),
@@ -157,13 +177,12 @@ def test_stack_constructor_checks_every_state():
         GaussianMixture(stack.weights, stack.means[:, :2], stack.variances[:, :2])
 
 
-def test_indexing_and_iterating_a_stack_give_its_states():
+def test_iterating_a_stack_gives_its_states():
     states = random_states(2)
-    stack = GaussianMixture.stack(states)
-    for got in (list(stack), [stack[j] for j in range(4)]):
-        assert len(got) == 4
-        for mix, want in zip(got, states):
-            assert isinstance(mix, GaussianMixture)
-            assert (mix.n_components, mix.dim) == (3, 5)
-            for part in ("weights", "means", "variances"):
-                assert np.array_equal(getattr(mix, part), getattr(want, part))
+    got = list(GaussianMixture.stack(states))
+    assert len(got) == 4
+    for mix, want in zip(got, states):
+        assert isinstance(mix, GaussianMixture)
+        assert (mix.n_components, mix.dim) == (3, 5)
+        for part in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(mix, part), getattr(want, part))

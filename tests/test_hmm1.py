@@ -84,8 +84,7 @@ def test_baum_welch_monotone_and_stochastic():
     assert all(b - a >= -1e-8 for a, b in zip(trace, trace[1:]))
     assert abs(model.pi.sum() - 1) < 1e-10
     assert np.all(np.abs(model.a.sum(axis=1) - 1) < 1e-10)
-    for mix in model.mixtures:
-        assert abs(mix.weights.sum() - 1) < 1e-10
+    assert np.all(np.abs(model.mixtures.weights.sum(axis=1) - 1) < 1e-10)
 
 
 def test_nan_parameters_rejected():
@@ -114,8 +113,8 @@ def test_baum_welch_frame_one_state_cannot_emit():
     assert logb[0] == -np.inf and np.isfinite(logb[1])
     trained, trace = baum_welch1(model, [frames], TrainConfig(max_iterations=3))
     assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) >= 0)
-    assert abs(trained.mixtures[0].means[0, 0]) < 1.0
-    assert trained.mixtures[1].means[0, 0] > 1e152
+    assert abs(trained.mixtures.means[0, 0, 0]) < 1.0
+    assert trained.mixtures.means[1, 0, 0] > 1e152
 
 
 def test_baum_welch_requires_t2():

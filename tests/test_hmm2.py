@@ -67,7 +67,7 @@ class TestForward2:
     def test_constant_emission(self):
         model = constant_emission_model()
         obs = np.zeros((6, 1))
-        kappa = log_densities(model.mixtures[0], [[0.0]])[0, 0]
+        kappa = log_densities(model.mixtures, [[0.0]])[0, 0]
         _, ll = forward2(model, obs)
         assert ll == pytest.approx(6 * kappa)
 
@@ -118,7 +118,7 @@ class TestBackward2:
         a3[:, 1, 0] = 1.0
         model = Hmm2Model([1.0, 0.0], a2, a3, [unit_gmm([0.0]), unit_gmm([0.0])])
         obs = np.zeros((5, 1))
-        kappa = log_densities(model.mixtures[0], [[0.0]])[0, 0]
+        kappa = log_densities(model.mixtures, [[0.0]])[0, 0]
         beta = backward2(model, obs)
         for s in range(4):
             t = s + 2  # 1-based time of the pair's second slot
@@ -274,11 +274,11 @@ def reference_sample(model, t_len, seed):
     for t in range(1, t_len):
         row = rows[1] if t == 1 else rows[2]
         states.append(int(np.searchsorted(cdf(row(states)), u[t], side="right")))
-    mixtures = list(model.mixtures)
-    comps = [np.searchsorted(cdf(mixtures[q].weights), v, side="right")
+    mix = model.mixtures
+    comps = [np.searchsorted(cdf(mix.weights[q]), v, side="right")
              for q, v in zip(states, rng.random(t_len))]
-    means = np.stack([mixtures[q].means[m] for q, m in zip(states, comps)])
-    stds = np.stack([np.sqrt(mixtures[q].variances[m]) for q, m in zip(states, comps)])
+    means = np.stack([mix.means[q, m] for q, m in zip(states, comps)])
+    stds = np.stack([np.sqrt(mix.variances[q, m]) for q, m in zip(states, comps)])
     return np.array(states), rng.normal(means, stds)
 
 

@@ -1,6 +1,7 @@
 """The scaled lattice engine against fixed values, the brute-force oracles and
 log-domain reference recursions kept here for comparison."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,7 +14,7 @@ from hmm2tc import lattice
 from hmm2tc.errors import NumericError
 from hmm2tc.gmm import GaussianMixture
 from hmm2tc.hmm1 import Hmm1Model, forward1, viterbi1
-from hmm2tc.hmm2 import (Hmm2Model, backward2, forward2, lift_hmm1,
+from hmm2tc.hmm2 import (Hmm2Model, _pairs, backward2, forward2, lift_hmm1,
                          viterbi2)
 
 from conftest import (_path_scores2, enumerate_loglik1, enumerate_loglik2,
@@ -147,10 +148,15 @@ class TestDroppedStateRevives:
             *model._chain(model.emission_log_probs(self.FRAMES)))
         assert em_ll == pytest.approx(want, rel=1e-9)
         want_gamma, want_a3 = enumerated_posteriors2(model, self.FRAMES, em_ll)
-        n, same = model.n_states, np.arange(model.n_states)
-        assert np.allclose(gamma.reshape(-1, n, n), want_gamma, rtol=1e-9, atol=1e-12)
-        assert np.allclose(counts.reshape(n, n, n, n)[:, same, same, :], want_a3,
-                           rtol=1e-9, atol=1e-12)
+        # the chain holds the pairs (j, k) with k >= j, in the order of _pairs
+        n = model.n_states
+        j, k, p, q = _pairs(n, model.topology)
+        pair_gamma = np.zeros((len(gamma), n, n))
+        pair_gamma[:, j, k] = gamma
+        a3_counts = np.zeros((n, n, n))
+        a3_counts[j[p], k[p], k[q]] = counts[p, q]
+        assert np.allclose(pair_gamma, want_gamma, rtol=1e-9, atol=1e-12)
+        assert np.allclose(a3_counts, want_a3, rtol=1e-9, atol=1e-12)
         _, score = viterbi2(model, self.FRAMES)
         assert score <= ll
 
@@ -886,9 +892,10 @@ def test_stack_with_no_reachable_state_scores_minus_inf():
 
 
 def test_gather_puts_absent_lanes_first():
-    # the pair chain of a left-right HMM2: pairs (j, k) with k < j are out of
-    # reach, so every lane from them is absent, as is every zero transition
-    model = left_right_hmm2()
+    # the chain over all N*N pairs of a left-right HMM2 (`backward2`'s; its
+    # own chain leaves them out): pairs (j, k) with k < j are out of reach,
+    # so every lane from them is absent, as is every zero transition
+    model = dataclasses.replace(left_right_hmm2(), topology="ergodic")
     _, c = lattice._chains(*model._chain(np.zeros((4, 3))))
     reach = lattice._reachable(c)
     assert reach.tolist() == [j <= k for j in range(3) for k in range(3)]

@@ -30,8 +30,8 @@ class TestInit:
         corpus = [rng.normal(size=(30, 2)), rng.normal(size=(25, 2))]
         model = init_hmm2(corpus, 1, 1, "ergodic", seed=0)
         pooled = np.concatenate(corpus)
-        assert np.allclose(model.mixtures[0].means[0], pooled.mean(axis=0))
-        assert np.allclose(model.mixtures[0].variances[0], pooled.var(axis=0))
+        assert np.allclose(model.mixtures.means[0, 0], pooled.mean(axis=0))
+        assert np.allclose(model.mixtures.variances[0, 0], pooled.var(axis=0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -40,15 +40,14 @@ class TestInit:
         m2 = init_hmm2(corpus, 3, 2, "left-right", seed=7)
         assert np.array_equal(m1.psi, m2.psi)
         assert np.array_equal(m1.a3, m2.a3)
-        for a, b in zip(m1.mixtures, m2.mixtures):
-            assert np.array_equal(a.means, b.means)
-            assert np.array_equal(a.variances, b.variances)
+        assert np.array_equal(m1.mixtures.means, m2.mixtures.means)
+        assert np.array_equal(m1.mixtures.variances, m2.mixtures.variances)
 
     def test_two_clusters_recovered(self):
         rng = np.random.default_rng(2)
         corpus = [two_cluster_frames(rng)]
         model = init_hmm2(corpus, 1, 2, "ergodic", seed=0)
-        means = model.mixtures[0].means[np.argsort(model.mixtures[0].means[:, 0])]
+        means = model.mixtures.means[0, np.argsort(model.mixtures.means[0, :, 0])]
         assert np.allclose(means[0], [-3, -3], atol=0.1)
         assert np.allclose(means[1], [3, 3], atol=0.1)
 
@@ -233,7 +232,7 @@ class TestBaumWelch2:
         assert model.a2.shape == (1, 1) and model.a2[0, 0] == 1.0
         assert model.a3[0, 0, 0] == 1.0
         assert all(b - a >= -1e-8 for a, b in zip(trace, trace[1:]))
-        means = model.mixtures[0].means[np.argsort(model.mixtures[0].means[:, 0])]
+        means = model.mixtures.means[0, np.argsort(model.mixtures.means[0, :, 0])]
         assert np.allclose(means[0], [-3, -3], atol=0.2)
         assert np.allclose(means[1], [3, 3], atol=0.2)
 
@@ -299,8 +298,7 @@ class TestBaumWelch2:
         model, _ = baum_welch2(init, corpus, cfg)
         pooled = np.concatenate(corpus)
         floor = np.maximum(1e-3 * pooled.var(axis=0), 1e-6)
-        for mix in model.mixtures:
-            assert np.all(mix.variances >= floor - 1e-15)
+        assert np.all(model.mixtures.variances >= floor - 1e-15)
 
 
 def left_right_pair(order):
@@ -368,6 +366,16 @@ class TestBankLoop:
         with pytest.raises(NumericError):
             baum_welch([model] * 3, {"a": good, "b": [good[0], np.full((5, 1), 1e200)],
                                      "c": good}, None)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_models_of_two_topologies_are_refused(self, order):
+        # the chains of one loop are stacked, so they share one pair map
+        model = left_right_pair(order)
+        ergodic = type(model).from_checked(*(getattr(model, name) for name in model._ARRAYS),
+                                           model.mixtures, "ergodic")
+        sets = {"a": [np.zeros((5, 1))], "b": [np.ones((5, 1))]}
+        with pytest.raises(DataError, match="must share one topology"):
+            baum_welch([model, ergodic], sets, None)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_zero_occupancy_one_record_per_label_and_kind(self, order, caplog):
