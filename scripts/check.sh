@@ -22,8 +22,11 @@
 #    process trains an order-2 bank on that corpus and prints its own peak
 #    RSS (ru_maxrss) and minor page faults (ru_minflt), for information only
 #    (not gated); last, hmm2tc extract runs twice over a manifest of a few
-#    seeded WAVs (one with a digital silence), into two directories that
-#    must not differ under diff -r;
+#    seeded WAVs (each with a digital silence), into two directories that
+#    must not differ under diff -r, and twice more with a 25 ms window at a
+#    10 ms shift (a shift that does not divide the window) and pre-emphasis,
+#    under the same gate; one more extract process prints its own peak RSS
+#    and minor page faults, for information only (not gated);
 # 4. a 2-second traced benchmark run of each workload at seed 1, whose result
 #    line must read "failed": 0 (a traced run also exercises the span
 #    tracer's hooks); numpy's RuntimeWarnings are errors there, as in the
@@ -138,6 +141,24 @@ for run in 1 2; do
 done
 diff -r "$scratch/features1" "$scratch/features2" > /dev/null ||
     { echo "the two extract runs' feature directories differ"; failed="$failed extract-determinism"; }
+for run in 1 2; do
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m hmm2tc.cli extract \
+        --manifest "$scratch/wavs.tsv" --out "$scratch/features-25-10-$run" \
+        --window-ms 25 --shift-ms 10 --pre-emphasis 0.97 ||
+        failed="$failed extract-25-10"
+done
+diff -r "$scratch/features-25-10-1" "$scratch/features-25-10-2" > /dev/null ||
+    { echo "the two 25 ms / 10 ms extract runs' feature directories differ"
+      failed="$failed extract-25-10-determinism"; }
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
+import contextlib, io, resource, sys
+from hmm2tc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["extract", "--manifest", sys.argv[1], "--out", sys.argv[2]])
+use = resource.getrusage(resource.RUSAGE_SELF)
+print(f"one extract process (exit {code}): peak RSS {use.ru_maxrss / 1024:.1f} MB, "
+      f"{use.ru_minflt} minor page faults")
+' "$scratch/wavs.tsv" "$scratch/memory-features"
 rm -rf "$scratch"
 
 for w in extract train identify; do

@@ -1,9 +1,12 @@
 """LPCC speech front-end: WAV decoding, framing, LPC analysis, cepstra.
 
-The pipeline is decode -> frame/window -> autocorrelate -> Levinson-Durbin
--> cepstral recursion, one 16-dim LPCC row per 30 ms frame at a 5 ms shift.
-Decoding, windowing and autocorrelation run once per clip, over the clip's
-(frames, window) stack. Levinson-Durbin and the cepstral recursion run once
+The pipeline is decode -> windowed autocorrelation -> Levinson-Durbin ->
+cepstral recursion, one 16-dim LPCC row per 30 ms Hamming frame at a 5 ms
+shift. Decoding and autocorrelation run once per clip; the autocorrelation
+is computed from the clip's samples without building its (frames, window)
+stack (`clip_autocorrelation`), which `frame_and_window` still gives for
+reference. Its rows agree with the stack's dot products to rounding, not
+bit for bit. Levinson-Durbin and the cepstral recursion run once
 per block of clips (`lpcc_sequences`) over their concatenated autocorrelation
 rows, with their state held order-major, (order, frames): every frame of the
 block advances through the same short loop over the order, each step one
@@ -19,7 +22,7 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import DataError, FormatError, NumericError
 
@@ -153,25 +156,87 @@ def _frame_geometry(n_samples: int, rate: int, params: FrameParams) -> tuple[int
     return win, shift, n_frames
 
 
-def frame_and_window(clip: AudioClip, params: FrameParams) -> np.ndarray:
-    """Slice the clip into Hamming-windowed frames, one row per frame."""
+def _framing(clip: AudioClip, params: FrameParams) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The clip's samples after pre-emphasis, its Hamming window, shift and
+    frame count: what framing and autocorrelation both start from."""
     x = clip.samples
     if params.pre_emphasis > 0.0:
         x = np.concatenate(([x[0]], x[1:] - params.pre_emphasis * x[:-1]))
     win, shift, n_frames = _frame_geometry(x.size, clip.sample_rate_hz, params)
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(win) / (win - 1))
-    return sliding_window_view(x, win)[: shift * n_frames : shift] * window
+    return x, window, shift, n_frames
+
+
+def frame_and_window(clip: AudioClip, params: FrameParams) -> np.ndarray:
+    """Slice the clip into Hamming-windowed frames, one row per frame: the
+    framing that `clip_autocorrelation` computes without building it."""
+    x, window, shift, n_frames = _framing(clip, params)
+    return sliding_window_view(x, window.size)[: shift * n_frames : shift] * window
+
+
+def _lag_autocorrelation(x: np.ndarray, window: np.ndarray, shift: int, n_frames: int,
+                         max_lag: int) -> np.ndarray:
+    """Windowed autocorrelation of every frame straight from the signal:
+    r_k[f] = sum_n w[n] w[n+k] x[f*shift+n] x[f*shift+n+k], as (n_frames,
+    max_lag + 1) rows, with no (frames, window) stack.
+
+    Per lag k, the lag products y[m] = x[m] x[m+k] fill one reused buffer,
+    cut into blocks of `shift` samples (zero past the signal's end), and the
+    window products w[n] w[n+k] are cut into per = ceil(win / shift) blocks
+    (zero past the window's end), so any shift works, also one that does not
+    divide the window. One matrix product of y's blocks with the window's
+    gives Z[j, b], block j of y against block b of the window, and frame f
+    is the diagonal sum of Z[f + b, b] over b: one reduce over a strided
+    view of Z, whose buffer every lag reuses.
+
+    Z holds at most min(per, n_frames) of the window's blocks, so that a
+    window of many blocks over few frames does not make it quadratic in the
+    window; the blocks are then taken in chunks of that many, and each
+    frame's chunk sums are added in ascending order.
+    """
+    win = window.size
+    if max_lag >= win:
+        raise DataError(f"max_lag {max_lag} must be smaller than frame length {win}")
+    per = -(-win // shift)
+    width = min(per, max(n_frames, 1))       # window blocks per product
+    chunks = -(-per // width)
+    rows = n_frames - 1 + width              # signal blocks per product
+    blocks = n_frames - 1 + chunks * width
+    span = blocks * shift
+    cut = np.zeros((max_lag + 1, chunks, width, shift))
+    for k, row in enumerate(cut.reshape(max_lag + 1, -1)):
+        np.multiply(window[: win - k], window[k:], out=row[: win - k])
+    weights = np.ascontiguousarray(cut.transpose(0, 1, 3, 2))   # C order: BLAS runs it faster
+    products = np.empty((blocks, shift))
+    y = products.reshape(-1)
+    z = np.empty((rows, width))
+    diagonals = as_strided(z, (n_frames, width), (z.strides[0], z.strides[0] + z.strides[1]),
+                           writeable=False)
+    sums = np.empty((chunks, max_lag + 1, n_frames))
+    for k in range(max_lag + 1):
+        m = max(0, min(span, x.size - k))
+        np.multiply(x[:m], x[k : k + m], out=y[:m])
+        y[m:] = 0.0
+        for c in range(chunks):
+            np.matmul(products[c * width : c * width + rows], weights[k, c], out=z)
+            np.add.reduce(diagonals, axis=1, out=sums[c, k])
+    r = sums[0]
+    for part in sums[1:]:
+        r += part
+    return r.T
 
 
 def autocorrelate(frames: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased autocorrelation r_0 .. r_max_lag of one frame (n,) or of every
-    row of a frame stack (F, n): one batched row-by-row dot product per lag."""
+    row of a frame stack (..., n), by the same kernel as `clip_autocorrelation`:
+    each row is one block of n samples under a window of ones. Rows must be
+    finite: a non-finite sample among a row's first max_lag also makes the
+    row before it non-finite."""
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[-1]
-    if max_lag >= n:
-        raise DataError(f"max_lag {max_lag} must be smaller than frame length {n}")
-    return np.stack([np.matmul(frames[..., None, k:], frames[..., : n - k, None])[..., 0, 0]
-                     for k in range(max_lag + 1)], axis=-1)
+    rows = np.ascontiguousarray(frames).reshape(-1, n)
+    r = _lag_autocorrelation(rows.reshape(-1), np.ones(n), n, rows.shape[0], max_lag)
+    return r.reshape(frames.shape[:-1] + (max_lag + 1,))
 
 
 def levinson_durbin(r: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
@@ -237,9 +302,10 @@ SILENCE_THRESHOLD = 1e-12
 
 
 def clip_autocorrelation(clip: AudioClip, params: FrameParams) -> np.ndarray:
-    """The per-clip stages of the front end: the clip's windowed frames and
-    their (F, lpc_order + 1) autocorrelation rows."""
-    return autocorrelate(frame_and_window(clip, params), params.lpc_order)
+    """The per-clip stage of the front end: the (F, lpc_order + 1) windowed
+    autocorrelation rows of the clip's frames, from its samples directly."""
+    x, window, shift, n_frames = _framing(clip, params)
+    return _lag_autocorrelation(x, window, shift, n_frames, params.lpc_order)
 
 
 def lpcc_sequences(autocorrelations: list[np.ndarray], params: FrameParams,

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmm2tc.audio import (SILENCE_THRESHOLD, AudioClip, FeatureSequence, FrameParams,
-                          autocorrelate, decode_pcm16_wav, extract_features,
-                          frame_and_window, levinson_durbin,
+                          autocorrelate, clip_autocorrelation, decode_pcm16_wav,
+                          extract_features, frame_and_window, levinson_durbin,
                           load_features, lpc_to_lpcc, save_features)
 from hmm2tc.errors import DataError, FormatError, NumericError
 
@@ -278,7 +279,10 @@ def mixed_clips(draw):
     params = draw(st.sampled_from([
         FrameParams(),
         FrameParams(window_ms=3.0, shift_ms=1.0, lpc_order=4, cepstral_order=6,
-                    pre_emphasis=0.97)]))
+                    pre_emphasis=0.97),
+        FrameParams(window_ms=25.0, shift_ms=10.0),        # a shift that does not divide
+        FrameParams(window_ms=3.0, shift_ms=0.0625, lpc_order=4, cepstral_order=6),
+        FrameParams(pre_emphasis=0.97)]))
     kinds = draw(st.lists(st.sampled_from(FRAME_KINDS), min_size=1, max_size=6))
     lengths = draw(st.lists(st.integers(40, 700), min_size=len(kinds), max_size=len(kinds)))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -290,13 +294,15 @@ def mixed_clips(draw):
 
 
 def per_frame_reference(clip: AudioClip, params: FrameParams):
-    """The front end one frame at a time, with numpy's own correlation."""
+    """The front end one frame at a time, with numpy's own correlation: the
+    LPCC rows, the degenerate count and the autocorrelation rows."""
     frames = frame_and_window(clip, params)
     out = np.zeros((frames.shape[0], params.cepstral_order))
+    rows = np.zeros((frames.shape[0], params.lpc_order + 1))
     degenerate = 0
     for t, frame in enumerate(frames):
         n = frame.size
-        r = np.correlate(frame, frame, mode="full")[n - 1 : n + params.lpc_order]
+        r = rows[t] = np.correlate(frame, frame, mode="full")[n - 1 : n + params.lpc_order]
         if r[0] <= SILENCE_THRESHOLD:
             degenerate += 1
             continue
@@ -306,7 +312,7 @@ def per_frame_reference(clip: AudioClip, params: FrameParams):
             degenerate += 1
             continue
         out[t] = lpc_to_lpcc(a, params.cepstral_order)
-    return out, degenerate
+    return out, degenerate, rows
 
 
 class TestStackedFrontEnd:
@@ -345,7 +351,8 @@ class TestStackedFrontEnd:
     def test_extract_matches_per_frame_reference(self, case):
         clip, params = case
         seq = extract_features(clip, params)
-        ref, degenerate = per_frame_reference(clip, params)
+        ref, degenerate, r = per_frame_reference(clip, params)
+        assert np.all(np.abs(clip_autocorrelation(clip, params) - r) <= 1e-12 * r[:, :1])
         assert seq.degenerate_frames == degenerate
         assert np.max(np.abs(seq.frames - ref)) <= 1e-9
 
@@ -356,6 +363,34 @@ class TestStackedFrontEnd:
         assert np.allclose(a[0], [-rho, 0, 0], atol=1e-12)
         assert energy[0] == pytest.approx(1 - rho**2)
         assert np.all(np.isnan(a[1:])) and np.all(np.isnan(energy[1:]))
+
+
+class TestAutocorrelationMemory:
+    """clip_autocorrelation builds no (frames, window) stack: its peak traced
+    allocation stays below half that stack's bytes at the default geometry,
+    and within 1.2 times them at a 1-sample shift, also when the window
+    spans nearly the whole clip (few frames, many window blocks)."""
+
+    @pytest.mark.parametrize("n_samples, params, share", [
+        (48000, FrameParams(), 0.5),
+        (4800, FrameParams(shift_ms=0.0625), 1.2),
+        (4800, FrameParams(window_ms=290.0, shift_ms=0.0625), 1.2),
+    ])
+    def test_peak_stays_below_the_frame_stack(self, n_samples, params, share):
+        samples = np.clip(np.random.default_rng(9).normal(0.0, 0.1, n_samples), -1.0, 1.0)
+        clip = AudioClip(samples, 16000)
+        win = int(round(params.window_ms * 16))
+        shift = int(round(params.shift_ms * 16))
+        stack_bytes = ((n_samples - win) // shift + 1) * win * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            clip_autocorrelation(clip, params)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= share * stack_bytes, (peak, stack_bytes)
 
 
 class TestFeatureIO:

@@ -617,6 +617,72 @@ class TestExtract:
         assert message in err
 
 
+# Byte offsets of the u32 size fields in make_wav_bytes' 44-byte header:
+# the RIFF container, the fmt chunk and the data chunk.
+WAV_SIZE_FIELDS = (4, 16, 40)
+# Frame settings at and past their limits, at 16 kHz: a 2-sample window at a
+# 1-sample shift, a shift that does not divide the window, a shift equal to
+# the window, an LPC order of window - 1 and of window, a window as long as
+# the clip at a 1-sample shift, a window past any clip, a shift and a window
+# that round below their minimum, an LPC order of 0 and a negative window.
+EDGE_EXTRACT_OPTIONS = [
+    [],
+    ["--window-ms", "0.125", "--shift-ms", "0.0625", "--lpc-order", "1"],
+    ["--window-ms", "25", "--shift-ms", "10", "--pre-emphasis", "0.97"],
+    ["--window-ms", "30", "--shift-ms", "30"],
+    ["--window-ms", "1", "--shift-ms", "1", "--lpc-order", "15", "--cepstral-order", "1"],
+    ["--window-ms", "1", "--shift-ms", "1", "--lpc-order", "16"],
+    ["--window-ms", "100", "--shift-ms", "0.0625"],
+    ["--window-ms", "1e306"],
+    ["--shift-ms", "0.03"],
+    ["--window-ms", "0.07", "--shift-ms", "0.05"],
+    ["--lpc-order", "0"],
+    ["--window-ms", "-1"],
+]
+
+
+def _mutated_wav(rng, wav: bytes) -> bytes:
+    """One of four byte-level faults: header bit flips, a random u32 chunk
+    size, a truncation, or bytes appended (raw or as one more chunk)."""
+    data = bytearray(wav)
+    kind = rng.integers(4)
+    if kind == 0:
+        for _ in range(rng.integers(1, 4)):
+            data[rng.integers(44)] ^= 1 << int(rng.integers(8))
+    elif kind == 1:
+        size = rng.choice([0, 1, 0x7FFFFFFF, 0xFFFFFFFF, int(rng.integers(2**32))])
+        data[(at := int(rng.choice(WAV_SIZE_FIELDS))): at + 4] = struct.pack("<I", size)
+    elif kind == 2:
+        del data[rng.integers(len(data)):]
+    else:
+        tail = rng.bytes(int(rng.integers(1, 256)))
+        data += b"LIST" + struct.pack("<I", len(tail)) + tail if rng.random() < 0.5 else tail
+    return bytes(data)
+
+
+class TestWavFuzz:
+    """extract on a mutated WAV, under frame settings at their limits, exits
+    0 or 3 with no traceback (and no RuntimeWarning, an error in this suite)."""
+
+    CASES = 300
+
+    def test_mutated_wavs_exit_0_or_3(self, tmp_path, capsys):
+        samples = (np.random.default_rng(5).normal(0, 0.1, 1600) * 32767).astype(np.int16)
+        wav = make_wav_bytes(samples)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(_MANIFEST)
+        codes = []
+        for case in range(self.CASES):
+            rng = np.random.default_rng([29, case])
+            (tmp_path / "u.wav").write_bytes(_mutated_wav(rng, wav))
+            options = EDGE_EXTRACT_OPTIONS[case % len(EDGE_EXTRACT_OPTIONS)]
+            code, _, err = run(capsys, "extract", "--manifest", str(manifest),
+                               "--out", str(tmp_path / "feat"), *options)
+            assert code in (0, 3) and "Traceback" not in err, (case, options, code, err)
+            codes.append(code)
+        assert {0, 3} <= set(codes)
+
+
 def _lpcc(frames) -> bytes:
     frames = np.asarray(frames, dtype="<f8")
     return b"LPCC\x01" + np.array(frames.shape, dtype="<u4").tobytes() + frames.tobytes()
