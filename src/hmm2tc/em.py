@@ -17,6 +17,14 @@ from .gmm import GaussianMixture, _stochastic, component_table, log_densities
 TOPOLOGIES = ("ergodic", "left-right")
 
 
+def _allowed(n: int, topology: str) -> np.ndarray:
+    """(N, N) mask of the transitions j -> k that a model of the topology
+    allows, and so of the state pairs (j, k) that it can enter: all of them
+    when ergodic, and k >= j when left-right."""
+    states = np.arange(n)
+    return (states[:, None] <= states) | (topology == "ergodic")
+
+
 class StateModel:
     """What both model orders share: one stack of N Gaussian mixtures, one per
     state (`GaussianMixture`), and the constructor check (`check_model`).
@@ -131,9 +139,9 @@ def check_model(names, arrays, weights_shape, topology, lead: int = 0) -> None:
             raise DataError(f"every row of {name} must be a probability vector")
     if topology not in TOPOLOGIES:
         raise DataError(f"unknown topology {topology!r}")
-    back = np.tri(n, k=-1, dtype=bool)  # on a3, the last two axes: a3[i, j, k] with k < j
+    back = ~_allowed(n, topology)  # the steps j -> k it forbids; on a3, its last two axes
     for name, x in zip(names[1:], arrays[1:]):
-        if topology == "left-right" and x[..., back].any():
+        if x[..., back].any():
             raise DataError(f"left-right topology forbids backward {name} transitions")
 
 

@@ -31,19 +31,10 @@ from . import lattice
 from .config import TrainConfig
 from .errors import DataError
 from .gmm import GaussianMixture
-from .em import StateModel, baum_welch, normalise_rows
+from .em import StateModel, _allowed, baum_welch, normalise_rows
 from .hmm1 import Hmm1Model
 from .lattice import _log
 from .lattice import logsumexp  # noqa: F401  (perfbench/spans.py counts its calls here)
-
-
-def _allowed(n: int, topology: str) -> np.ndarray:
-    """(N, N) mask of the pairs (j, k) that a model of the topology can
-    enter: every pair when ergodic, and k >= j when left-right."""
-    if topology == "ergodic":
-        return np.ones((n, n), bool)
-    states = np.arange(n)
-    return states[:, None] <= states
 
 
 def _pairs(n: int, topology: str):

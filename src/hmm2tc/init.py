@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import frames_of, variance_floor
+from .em import _allowed
 from .errors import DataError
 from .gmm import GaussianMixture
 from .hmm1 import Hmm1Model
@@ -126,9 +127,7 @@ def flat_start(training_sets: dict[str, list], order: int, n_states: int, n_comp
     stacks = [_lloyd([states[j] for states in by_state], n_comp, rngs, floors)
               for j in range(n_states)]
     weights, means, variances = (np.stack(part, axis=1) for part in zip(*stacks))
-    allowed = np.ones((n_states, n_states))
-    if topology == "left-right":
-        allowed = np.triu(allowed)
+    allowed = _allowed(n_states, topology)
     models = [Hmm1Model(np.full(n_states, 1.0 / n_states),
                         allowed / allowed.sum(axis=1, keepdims=True),
                         GaussianMixture(w, mu, var), topology)

@@ -26,10 +26,10 @@ group take no part in it, so that every group's product has the shape, and
 BLAS's rounding, of a stack of that group alone.
 
 One log-domain recursion, `_log_forward`, combines each state's
-predecessors by log-sum-exp for `forward`, for `loglik` (`forward`'s
-likelihoods, bit for bit, without the lattices) and for the log-domain chains
-of the E-step, and by max for `viterbi` and `viterbi_scores` (max-product).
-Each row gathers every state's predecessors from a (P, B, S) table and
+predecessors by log-sum-exp for `forward` (and `loglik`, its likelihoods
+alone) and for the log-domain chains of the E-step, and by max for
+`viterbi` and `viterbi_scores` (max-product). Each row gathers every
+state's predecessors from a (P, B, S) table, built once per pass, and
 reduces over its first axis (`_neighbours`). The log-sum-exp table leaves out
 the lanes that read -inf on every row: those of a zero transition, and those
 from a state that no initial row of the stack can reach (`_reachable`: the
@@ -44,8 +44,8 @@ in the order of the full table, which gives the same bits. A flat edge list redu
 chain of operations instead of a reduction over whole (B, S) blocks. The
 max-product table, which Viterbi's back pointers and tie rule read, keeps
 every nonzero transition, real lanes first.
-The E-step alone runs a second forward pass, in the probability domain with
-one scale per row (Rabiner 1989, sec. V.A), for each chain whose reachable
+The E-step runs in the probability domain with one scale per row
+(Rabiner 1989, sec. V.A; `_scaled_estep`) for each chain whose reachable
 cells one scale per row holds exactly, a test made cell by cell, which a row
 that sums to 0 fails, a row with no reachable state among them; the chains
 that fail it run in the log domain as one smaller stack, and the others stay
@@ -254,74 +254,12 @@ def _support(c: _Chains) -> np.ndarray:
     return live
 
 
-class _Pass(NamedTuple):
-    """A stack's forward pass with one scale per row (`_scaled_forward`)."""
-
-    chains: _Chains
-    ok: np.ndarray         # (B,) the chain keeps its scaled pass
-    live: np.ndarray       # (R, B, S) `_support`
-    alpha: np.ndarray      # (R, B, S) normalised rows
-    emit: np.ndarray       # (R, B, S) emission factors
-    scale: np.ndarray      # (R, B) scale sums
-    beta: np.ndarray       # (R, B, S) the backward pass's buffer
-    ll: np.ndarray         # (B,) log-likelihoods of the chains that are ok
-
-
-def _scaled_forward(log_init, trans, logb, lengths=None) -> _Pass:
-    """The E-step's forward pass with one scale per row, of a single chain
-    (as a stack of one) or a stack. A chain is ok unless one of its rows sums
-    to 0, as a row with no reachable state does (each of its cells has
-    predecessor mass 0 or emission factor 0), or one scale per row does not
-    hold each of its reachable cells exactly.
-
-    Each chain's row r is shifted by its best emission among the states it
-    can reach (by 0 on a row with none), so no factor exceeds 1 and the row's
-    best state never underflows. Padding rows are zero, with scale 1.
-    """
-    _, c = _chains(log_init, trans, logb, lengths)
-    rows, b, s = c.logb.shape
-    live = _support(c)
-    after = np.arange(rows)[:, None] >= c.lengths
-    emit = np.where(live, c.logb, -np.inf)
-    shift = reduce(np.maximum, np.moveaxis(emit, 2, 0))  # faster than .max(axis=2)
-    shift[shift == -np.inf] = 0.0
-    np.exp(np.minimum(np.subtract(c.logb, shift[..., None], out=emit), 0.0, out=emit), out=emit)
-    alpha = np.empty((rows, b, s))
-    scale = np.empty((rows, b))
-    top = np.where(live[0].any(axis=1), c.log_init.max(axis=1), 0.0)
-    pred = np.exp(c.log_init - top[:, None])
-    # a row that sums to 0 turns its chain's later rows into NaN (0 / 0),
-    # and only that chain's
-    with np.errstate(invalid="ignore"):
-        for r in range(int(c.lengths.max())):
-            if r:
-                pred = _step(alpha[r - 1], c.trans, c.runs)
-            row = alpha[r]
-            np.multiply(pred, emit[r], out=row)
-            row /= np.add.reduce(row, axis=1, out=scale[r])[:, None]
-    alpha[after] = 0.0
-    scale[after] = 1.0
-    beta = alpha * scale[..., None]  # the backward pass's buffer holds the test's product
-    held = np.greater_equal(beta >= _TINY, live)  # held by the scale, or out of reach
-    ok = (scale > 0).all(axis=0) & held.all(axis=0).all(axis=1)
-    # a chain that is not ok gets zero rows and scale 1, so that its scaled
-    # backward pass, which `estep` replaces, cannot overflow
-    alpha[:, ~ok] = 0.0
-    scale[:, ~ok] = 1.0
-    log_scale = shift + np.log(scale)
-    log_scale[0] += top
-    # numpy sums the one column of a single chain pairwise, so `sum` would
-    # make a chain's likelihood depend on the stack it runs in
-    return _Pass(c, ok, live, alpha, emit, scale, beta, np.cumsum(log_scale, axis=0)[-1])
-
-
-def _log_forward(c: _Chains, best: bool = False) -> np.ndarray:
-    """Log forward lattice (R, B, S) by log-sum-exp over each state's
-    predecessors (`_neighbours` with the stack's reach); with best=True, the
-    max-product lattice, over the table that `viterbi` reads its back
-    pointers from."""
-    into, log_into = _neighbours(c.trans, len(c.lengths), None if best else _reachable(c))
-    combine = np.maximum.reduce if best else np.logaddexp.reduce
+def _log_forward(c: _Chains, into: np.ndarray, log_into: np.ndarray,
+                 combine=np.logaddexp.reduce) -> np.ndarray:
+    """Log forward lattice (R, B, S), each row combining every state's
+    predecessors from the (P, B, S) tables into and log_into (`_neighbours`):
+    by log-sum-exp over the table with the stack's reach, or, with
+    combine=np.maximum.reduce over the full table, the max-product lattice."""
     flat = _flat(into)
     la = np.empty(c.logb.shape)
     la[0] = c.log_init + c.logb[0]
@@ -357,15 +295,13 @@ def forward(log_init, trans, logb, lengths=None, among=None):
     states as those of a chain of W states that leaves out states no path
     enters: each likelihood then has the bits of that chain's (`_final`)."""
     single, c = _chains(log_init, trans, logb, lengths)
-    la = _log_forward(c)
+    la = _log_forward(c, *_neighbours(c.trans, len(c.lengths), _reachable(c)))
     return _one(single, _by_chain(la), _final(la, c.lengths, among))
 
 
 def loglik(log_init, trans, logb, lengths=None, among=None):
-    """Total log-likelihoods (B,), without the lattices: `forward`'s
-    recursion, with the same results bit for bit."""
-    single, c = _chains(log_init, trans, logb, lengths)
-    return _one(single, _final(_log_forward(c), c.lengths, among))
+    """`forward`'s total log-likelihoods (B,) alone."""
+    return forward(log_init, trans, logb, lengths, among)[1]
 
 
 def backward(trans, logb, lengths=None) -> np.ndarray:
@@ -376,12 +312,13 @@ def backward(trans, logb, lengths=None) -> np.ndarray:
     states score.
     """
     single, c = _chains(np.zeros(np.shape(logb)[:-2] + np.shape(logb)[-1:]), trans, logb, lengths)
-    return _one(single, _by_chain(_backward(c)))
+    lb = _backward(c, *_neighbours(np.swapaxes(c.trans, -1, -2), len(c.lengths)))
+    return _one(single, _by_chain(lb))
 
 
-def _backward(c: _Chains) -> np.ndarray:
-    """Log backward lattice (R, B, S); padding rows are -inf."""
-    succ, log_succ = _neighbours(np.swapaxes(c.trans, -1, -2), len(c.lengths))
+def _backward(c: _Chains, succ: np.ndarray, log_succ: np.ndarray) -> np.ndarray:
+    """Log backward lattice (R, B, S) over the successor tables succ and
+    log_succ (`_neighbours` of the transposed matrices); padding rows are -inf."""
     flat = _flat(succ)
     ends = _row_ends(c.lengths)
     lb = np.zeros(c.logb.shape)
@@ -395,52 +332,95 @@ def _backward(c: _Chains) -> np.ndarray:
 
 def estep(log_init, trans, logb, lengths=None):
     """State posteriors (B, R, S), expected transition counts (B, S, S)
-    summed over each chain's rows, and log-likelihoods (B,).
-
-    After a scaled forward pass the backward pass reuses its scales, and
-    states the forward pass did not reach keep beta = 0: their posteriors are
-    0 either way, and a zero keeps their unscaled betas from overflowing into
-    the reachable ones. The chains the scaled pass cannot hold, a chain with
-    a row of no reachable state among them, run the whole E-step in the log
-    domain, which raises NumericError when a chain's likelihood is not finite.
+    summed over each chain's rows, and log-likelihoods (B,): by one scale
+    per row (`_scaled_estep`), and in the log domain for the chains that
+    one scale per row cannot hold, a chain with a row of no reachable state
+    among them. The log domain raises NumericError when a chain's likelihood
+    is not finite.
     """
-    fwd = _scaled_forward(log_init, trans, logb, lengths)
-    gamma, counts = _scaled_estep(fwd)
-    redo = np.flatnonzero(~fwd.ok)
+    single, c = _chains(log_init, trans, logb, lengths)
+    gamma, counts, ll, ok = _scaled_estep(c)
+    redo = np.flatnonzero(~ok)
     if redo.size:
-        gamma[:, redo], counts[redo], fwd.ll[redo] = _log_estep(fwd.chains.some(redo))
-    return _one(np.ndim(log_init) == 1, _by_chain(gamma), counts, fwd.ll)
+        gamma[:, redo], counts[redo], ll[redo] = _log_estep(c.some(redo))
+    return _one(single, _by_chain(gamma), counts, ll)
 
 
-def _scaled_estep(fwd: _Pass):
-    """Posteriors (R, B, S), in the buffer of alpha, and transition counts
-    (B, S, S) of a scaled pass; those of the chains that are not ok are 0."""
-    c, alpha, beta, live = fwd.chains, fwd.alpha, fwd.beta, fwd.live
-    weights = np.divide(fwd.emit, fwd.scale[..., None], out=fwd.emit)  # emit_r * beta_r / scale_r
+def _scaled_estep(c: _Chains):
+    """Posteriors (R, B, S), transition counts (B, S, S), log-likelihoods
+    (B,) and the mask ok (B,) of the chains whose pass with one scale per row
+    is kept. A chain is ok unless one of its rows sums to 0, as a row with
+    no reachable state does (each of its cells has predecessor mass 0 or
+    emission factor 0), or one scale per row does not hold each of its
+    reachable cells exactly; the posteriors and counts of a chain that is
+    not ok are 0.
+
+    Each chain's row r is shifted by its best emission among the states it
+    can reach (by 0 on a row with none), so no factor exceeds 1 and the row's
+    best state never underflows. Padding rows are zero, with scale 1. The
+    backward pass reuses the forward scales, and states the forward pass did
+    not reach keep beta = 0: their posteriors are 0 either way, and a zero
+    keeps their unscaled betas from overflowing into the reachable ones.
+    """
+    rows, b, s = c.logb.shape
+    live = _support(c)
+    after = np.arange(rows)[:, None] >= c.lengths
+    emit = np.where(live, c.logb, -np.inf)
+    shift = reduce(np.maximum, np.moveaxis(emit, 2, 0))  # faster than .max(axis=2)
+    shift[shift == -np.inf] = 0.0
+    np.exp(np.minimum(np.subtract(c.logb, shift[..., None], out=emit), 0.0, out=emit), out=emit)
+    alpha = np.empty((rows, b, s))
+    scale = np.empty((rows, b))
+    top = np.where(live[0].any(axis=1), c.log_init.max(axis=1), 0.0)
+    pred = np.exp(c.log_init - top[:, None])
+    # a row that sums to 0 turns its chain's later rows into NaN (0 / 0),
+    # and only that chain's
+    with np.errstate(invalid="ignore"):
+        for r in range(int(c.lengths.max())):
+            if r:
+                pred = _step(alpha[r - 1], c.trans, c.runs)
+            row = alpha[r]
+            np.multiply(pred, emit[r], out=row)
+            row /= np.add.reduce(row, axis=1, out=scale[r])[:, None]
+    alpha[after] = 0.0
+    scale[after] = 1.0
+    beta = alpha * scale[..., None]  # the backward pass's buffer holds the test's product
+    held = np.greater_equal(beta >= _TINY, live)  # held by the scale, or out of reach
+    ok = (scale > 0).all(axis=0) & held.all(axis=0).all(axis=1)
+    # a chain that is not ok gets zero rows and scale 1, so that its scaled
+    # backward pass, which `estep` replaces, cannot overflow
+    alpha[:, ~ok] = 0.0
+    scale[:, ~ok] = 1.0
+    log_scale = shift + np.log(scale)
+    log_scale[0] += top
+    # numpy sums the one column of a single chain pairwise, so `sum` would
+    # make a chain's likelihood depend on the stack it runs in
+    ll = np.cumsum(log_scale, axis=0)[-1]
+    weights = np.divide(emit, scale[..., None], out=emit)  # emit_r * beta_r / scale_r
     beta[-1] = 1.0
     back = np.ascontiguousarray(np.swapaxes(c.trans, -1, -2))
     ends = _row_ends(c.lengths)
-    for r in range(len(alpha) - 1, 0, -1):
+    for r in range(rows - 1, 0, -1):
         weights[r] *= beta[r]
         np.multiply(_step(weights[r], back, c.runs), live[r - 1], out=beta[r - 1])
         if r - 1 in ends:
             beta[r - 1, ends[r - 1]] = 1.0
     flow = np.matmul(alpha[:-1].transpose(1, 2, 0), weights[1:].transpose(1, 0, 2))
-    g, s = c.trans.shape[:2]
     alpha *= beta
-    return alpha, (c.trans[:, None] * flow.reshape(g, -1, s, s)).reshape(flow.shape)
+    counts = c.trans[:, None] * flow.reshape(len(c.trans), -1, s, s)
+    return alpha, counts.reshape(flow.shape), ll, ok
 
 
 def _log_estep(c: _Chains):
     """`estep` in the log domain, in the engine's layout."""
-    la = _log_forward(c)
+    b, s = c.log_init.shape
+    la = _log_forward(c, *_neighbours(c.trans, b, _reachable(c)))
     ll = _final(la, c.lengths)
     bad = ll[~np.isfinite(ll)]
     if bad.size:
         raise NumericError(f"training sequence has log-likelihood {bad[0]}")
-    lb = _backward(c)
-    b, s = c.log_init.shape
     succ, log_succ = _neighbours(np.swapaxes(c.trans, -1, -2), b)
+    lb = _backward(c, succ, log_succ)
     flat = _flat(succ)
     acc = np.zeros(flat.shape)
     for r in range(1, len(la)):
@@ -460,9 +440,10 @@ def viterbi(log_init, trans, logb, lengths=None):
     its best score plus the transition.
     """
     single, c = _chains(log_init, trans, logb, lengths)
-    delta = _log_forward(c, best=True)
-    final = _last(delta, c.lengths)
     rows, b, s = c.logb.shape
+    into, log_into = _neighbours(c.trans, b)
+    delta = _log_forward(c, into, log_into, np.maximum.reduce)
+    final = _last(delta, c.lengths)
     chains = np.arange(b)
     best = final.argmax(axis=1)
     score = final[chains, best]
@@ -470,11 +451,9 @@ def viterbi(log_init, trans, logb, lengths=None):
         raise NumericError("no admissible state path for this observation sequence")
     # each cell's best predecessor is its lowest p that reaches the maximum,
     # the one argmax picks, for all rows at once
-    into, log_into = _neighbours(c.trans, b)
     cand = delta[:-1].reshape(rows - 1, b * s).take(_flat(into), axis=1)
     cand += log_into
-    back = np.zeros((rows, b, s), dtype=np.intp)
-    back[1:] = cand.argmax(axis=1)
+    back = cand.argmax(axis=1)   # row r's back pointers are back[r - 1]
     ends = _row_ends(c.lengths)
     path = np.zeros((rows, b), dtype=np.intp)
     state = np.zeros(b, dtype=np.intp)
@@ -483,7 +462,7 @@ def viterbi(log_init, trans, logb, lengths=None):
             state[ends[r]] = best[ends[r]]
         path[r] = state
         if r:
-            state = into[back[r, chains, state], chains, state]
+            state = into[back[r - 1, chains, state], chains, state]
     path[np.arange(rows)[:, None] >= c.lengths] = 0
     return _one(single, path.T, score)
 
@@ -492,4 +471,5 @@ def viterbi_scores(log_init, trans, logb, lengths=None):
     """The log scores (B,) of `viterbi`'s paths, without the paths; -inf for
     a chain with no admissible path."""
     single, c = _chains(log_init, trans, logb, lengths)
-    return _one(single, _last(_log_forward(c, best=True), c.lengths).max(axis=1))
+    delta = _log_forward(c, *_neighbours(c.trans, len(c.lengths)), np.maximum.reduce)
+    return _one(single, _last(delta, c.lengths).max(axis=1))

@@ -1652,3 +1652,143 @@ class TestPackFuzz:
             assert got[0] in (0, 3, 4) and "Traceback" not in got[2], (case, got)
             codes.append(got[0])
         assert {0, 3} <= set(codes)
+
+
+# Seeded byte-level fuzz of a trained bank's bank.json and of one of its
+# model files, and of a corpus manifest: each case runs the CLI on one
+# mutated file, with RuntimeWarning an error.
+
+JSON_BYTES = b'0123456789.-+eE,:[]{}" \nNa'
+
+
+def _mutated_bytes(rng, data: bytes) -> bytes:
+    """One of five faults: bit flips, bytes set to characters that JSON
+    gives a meaning, a span deleted, a span repeated, or a truncation."""
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return _flip_bits(rng, data)
+    raw = bytearray(data)
+    at = int(rng.integers(len(raw)))
+    span = int(rng.integers(1, 64))
+    if kind == 1:
+        for i in rng.integers(0, len(raw), rng.integers(1, 4)):
+            raw[i] = JSON_BYTES[int(rng.integers(len(JSON_BYTES)))]
+    elif kind == 2:
+        del raw[at:at + span]
+    elif kind == 3:
+        raw[at:at] = raw[at:at + span]
+    else:
+        del raw[at:]
+    return bytes(raw)
+
+
+def _mutated_manifest(rng, data: bytes) -> bytes:
+    """One of five faults: bit flips, a tab or a NUL inserted, a line
+    repeated (half the time under a token of its own, which keeps its key
+    unique), or a truncation (half the time at a line's end)."""
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return _flip_bits(rng, data)
+    raw = bytearray(data)
+    at = int(rng.integers(len(raw)))
+    if kind in (1, 2):
+        raw[at:at] = b"\t" if kind == 1 else b"\0"
+    elif kind == 3:
+        lines = data.splitlines(keepends=True)
+        cells = lines[int(rng.integers(len(lines)))].split(b"\t")
+        if rng.random() < 0.5 and len(cells) > 4:   # the corpus manifest's token column
+            cells[4] = b"%d" % rng.integers(10, 100)
+        lines.insert(int(rng.integers(len(lines) + 1)), b"\t".join(cells))
+        raw = b"".join(lines)
+    else:
+        del raw[data.rfind(b"\n", 0, at) + 1 if rng.random() < 0.5 else at:]
+    return bytes(raw)
+
+
+def _exits_cleanly(capsys, argv):
+    """main's exit code on argv, which must be 0, 2, 3 or 4 with no
+    traceback and no RuntimeWarning."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4) and "Traceback" not in err, (argv, code, err)
+    assert "nan" not in out.lower(), (argv, out)
+    return code
+
+
+FUZZ_TOPOLOGIES = {1: "ergodic", 2: "left-right"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_banks(tmp_path_factory):
+    """A small corpus, a two-utterance test manifest on it, and a pooled
+    bank of each order in FUZZ_TOPOLOGIES trained on it."""
+    root = tmp_path_factory.mktemp("fuzz-files")
+    write_synth_spec(root / "spec.json", frames=[20, 30])
+    assert main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "c")]) == 0
+    for order, topology in FUZZ_TOPOLOGIES.items():
+        assert main(["train", "--manifest", str(root / "c" / "manifest.tsv"), "--out",
+                     str(root / f"bank{order}"), "--states", "2", "--mixtures", "2",
+                     "--order", str(order), "--topology", topology, "--max-iter", "2",
+                     "--pooled"]) == 0
+    (root / "c" / "test.tsv").write_text(
+        "speaker\tsentence\tcondition\ttoken\tsplit\tpath\n"
+        "s\tt\ta\t1\ttest\tfeatures/a_006.lpcc\ns\tt\tb\t1\ttest\tfeatures/b_006.lpcc\n")
+    return root
+
+
+class TestBankFileFuzz:
+    """identify, with forward and Viterbi scoring, and evaluate on a bank
+    whose bank.json or first model file had its bytes mutated."""
+
+    CASES = 150   # per bank
+
+    @pytest.mark.parametrize("order", list(FUZZ_TOPOLOGIES))
+    def test_mutated_bank_file_exits_cleanly(self, fuzz_banks, tmp_path, capsys, order):
+        bank = tmp_path / "bank"
+        shutil.copytree(fuzz_banks / f"bank{order}", bank)
+        scope = json.loads((bank / "bank.json").read_text())["scopes"][0]
+        targets = [bank / "bank.json", bank / scope["models"][scope["labels"][0]]]
+        pristine = {path: path.read_bytes() for path in targets}
+        utterance = fuzz_banks / "c" / "features" / "a_006.lpcc"
+        commands = [["identify", "--bank", str(bank), "--features", str(utterance),
+                     "--scoring", scoring] for scoring in ("forward", "viterbi")]
+        commands.append(["evaluate", "--manifest", str(fuzz_banks / "c" / "test.tsv"),
+                         "--bank", str(bank), "--out", str(tmp_path / "rep")])
+        codes = []
+        for case in range(self.CASES):
+            rng = np.random.default_rng([31, order, case])
+            for path, data in pristine.items():
+                path.write_bytes(data)
+            target = targets[case % 2]
+            target.write_bytes(_mutated_bytes(rng, pristine[target]))
+            codes += [_exits_cleanly(capsys, argv) for argv in commands]
+        assert {0, 3} <= set(codes)
+
+
+class TestManifestFuzz:
+    """train, at both orders, and evaluate on a mutated corpus manifest."""
+
+    CASES = 150
+
+    def test_mutated_manifest_exits_cleanly(self, fuzz_banks, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        shutil.copytree(fuzz_banks / "c", corpus)
+        manifest = corpus / "manifest.tsv"
+        pristine = manifest.read_bytes()
+        split = ["--train-count", "3", "--test-count", "2"]   # 5 of each group's 9 tokens
+        codes = []
+        for case in range(self.CASES):
+            rng = np.random.default_rng([37, case])
+            manifest.write_bytes(_mutated_manifest(rng, pristine))
+            order = 1 + case % 2
+            codes.append(_exits_cleanly(capsys, [
+                "train", "--manifest", str(manifest), "--out", str(tmp_path / "bank"),
+                "--states", "2", "--mixtures", "1", "--order", str(order),
+                "--topology", FUZZ_TOPOLOGIES[order], "--max-iter", "1", "--pooled", *split]))
+            codes.append(_exits_cleanly(capsys, [
+                "evaluate", "--manifest", str(manifest), "--bank",
+                str(fuzz_banks / f"bank{order}"), "--out", str(tmp_path / "rep"), *split]))
+        assert {0, 3} <= set(codes)
