@@ -19,10 +19,10 @@
 #    scoring, each once as written and once with the banks' packed/
 #    directories removed, and the two report directories must not differ
 #    under diff -r (a pack only speeds up loading; the model files' JSON
-#    says what a bank holds); then one more
-#    process trains an order-2 bank on that corpus and prints its own peak
-#    RSS (ru_maxrss) and minor page faults (ru_minflt), for information only
-#    (not gated); last, hmm2tc extract runs twice over a manifest of a few
+#    says what a bank holds); then two more
+#    processes, one per order (2, then 1), each train a bank on that corpus
+#    and print their own peak RSS (ru_maxrss) and minor page faults
+#    (ru_minflt), for information only (not gated); last, hmm2tc extract runs twice over a manifest of a few
 #    seeded WAVs (each with a digital silence), into two directories that
 #    must not differ under diff -r, and twice more with a 25 ms window at a
 #    10 ms shift (a shift that does not divide the window) and pre-emphasis,
@@ -112,16 +112,19 @@ for run in run1 lr; do
         done
     done
 done
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
+for order in 2 1; do
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
 import contextlib, io, resource, sys
 from hmm2tc import cli
+order = sys.argv[3]
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["train", "--manifest", sys.argv[1], "--out", sys.argv[2], "--order", "2",
+    code = cli.main(["train", "--manifest", sys.argv[1], "--out", sys.argv[2], "--order", order,
                      "--states", "3", "--mixtures", "2", "--max-iter", "2"])
 use = resource.getrusage(resource.RUSAGE_SELF)
-print(f"one order-2 train process (exit {code}): peak RSS {use.ru_maxrss / 1024:.1f} MB, "
+print(f"one order-{order} train process (exit {code}): peak RSS {use.ru_maxrss / 1024:.1f} MB, "
       f"{use.ru_minflt} minor page faults")
-' "$scratch/run1/manifest.tsv" "$scratch/memory-bank"
+' "$scratch/run1/manifest.tsv" "$scratch/memory-bank$order" "$order"
+done
 echo "== hmm2tc extract twice over seeded WAVs"
 python3 -c '
 import sys, wave

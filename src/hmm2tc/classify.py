@@ -12,7 +12,7 @@ from . import lattice
 from .config import TrainConfig, frames_of, source_of
 from .errors import DataError, NumericError
 from .gmm import log_densities
-from .em import baum_welch
+from .em import baum_welch, corpora
 from .hmm1 import Hmm1Model
 from .hmm2 import Hmm2Model
 from .init import flat_start
@@ -58,8 +58,9 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
                n_comp: int, topology: str = "left-right", cfg: TrainConfig | None = None
                ) -> tuple[ConditionBank, dict[str, list[float]]]:
     """One model per condition label; returns the bank and per-label EM traces.
-    The whole bank flat-starts in one call (`init.flat_start`, label i with
-    seed cfg.seed + i) and trains in one EM loop (`em.baum_welch`). A
+    Each label's corpus is gathered once (`em.corpora`); with them, the whole
+    bank flat-starts in one call (`init.flat_start`, label i with seed
+    cfg.seed + i) and trains in one EM loop (`em.baum_welch`). A
     training frame whose squared norm is not finite, or a sequence whose
     dimension differs from the first sequence's, raises DataError naming its
     condition and source."""
@@ -79,10 +80,9 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
             if mat.shape[1] != dim:
                 raise DataError(f"condition {label!r}: {source_of(seq, i)} has {mat.shape[1]} "
                                 f"dimensions, the first training sequence {dim}")
-    if order not in (1, 2):
-        raise DataError(f"unsupported model order {order}")
-    flat = flat_start(training_sets, order, n_states, n_comp, topology, cfg.seed)
-    models, traces = zip(*baum_welch(flat, training_sets, cfg))
+    bank = corpora(training_sets)
+    flat = flat_start(bank, order, n_states, n_comp, topology, cfg.seed)
+    models, traces = zip(*baum_welch(flat, bank, cfg))
     labels = list(training_sets)
     return ConditionBank(labels, dict(zip(labels, models))), dict(zip(labels, traces))
 
@@ -245,12 +245,13 @@ def improvement_rate(perf_baseline: float, perf_new: float) -> float:
     return 100.0 * (perf_new - perf_baseline) / perf_baseline
 
 
-def improvement_table(baseline: dict, new: dict) -> dict[str, float]:
+def improvement_table(baseline: dict, new: dict) -> dict[str, float | None]:
     """Per-condition improvement rates of two report documents (`to_dict`),
-    rounded to one decimal."""
+    rounded to one decimal; None for a condition whose baseline rate is 0,
+    over which no relative gain is defined."""
     if baseline["labels"] != new["labels"]:
         raise DataError("reports have mismatched condition labels")
-    return {lab: round_half_away(improvement_rate(rb, rn))
+    return {lab: None if rb == 0 else round_half_away(improvement_rate(rb, rn))
             for lab, rb, rn in zip(baseline["labels"], baseline["rates"], new["rates"])}
 
 
@@ -280,6 +281,7 @@ def render_report_text(report: EvaluationReport, title: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_improvement_text(table: dict[str, float]) -> str:
-    rows = [["Model", *table], ["%"] + [f"{v:.1f}" for v in table.values()]]
+def render_improvement_text(table: dict[str, float | None]) -> str:
+    rows = [["Model", *table],
+            ["%"] + ["n/a" if v is None else f"{v:.1f}" for v in table.values()]]
     return "\n".join(["AVERAGE IMPROVEMENT RATE", *_table(rows)]) + "\n"

@@ -39,10 +39,9 @@ def source_of(obs, index: int) -> str:
     return getattr(obs, "source_id", "") or f"sequence {index}"
 
 
-def variance_floor(corpus) -> np.ndarray:
-    """Per-dimension floor from the pooled corpus variance; inf where that
-    variance exceeds the largest double."""
-    pooled = np.concatenate([frames_of(o) for o in corpus], axis=0)
+def variance_floor(frames: np.ndarray) -> np.ndarray:
+    """Per-dimension floor from the variance of a corpus's pooled (T, D)
+    frames; inf where that variance exceeds the largest double."""
     with np.errstate(over="ignore"):
-        global_var = pooled.var(axis=0)
+        global_var = frames.var(axis=0)
     return np.maximum(VARIANCE_FLOOR_FACTOR * global_var, VARIANCE_FLOOR_MIN)

@@ -1,5 +1,7 @@
 """The EM training both model orders share: their base class (`StateModel`),
-the GMM M-step, and the loop that trains a bank of models (`baum_welch`).
+the GMM M-step, each label's training frames as the flat start and the EM
+loop read them (`Corpus`), and the loop that trains a bank of models
+(`baum_welch`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 from . import lattice
 from .config import MIXTURE_WEIGHT_FLOOR, TrainConfig, frames_of, source_of, variance_floor
 from .errors import DataError
-from .gmm import GaussianMixture, _stochastic, component_table, log_densities
+from .gmm import GaussianMixture, _stochastic, check_mixtures, component_table, log_densities
 
 TOPOLOGIES = ("ergodic", "left-right")
 
@@ -81,6 +83,19 @@ class StateModel:
         model = object.__new__(cls)
         model.__dict__.update(zip(cls._ARRAYS + ("mixtures", "topology"), fields))
         return model
+
+    @classmethod
+    def bank(cls, arrays, mixtures, topology: str) -> list:
+        """The models of stacked arrays, each array holding one model per
+        index of its leading axis: `arrays`, the initial vector and
+        transition arrays, and `mixtures`, the mixture weights, means and
+        variances. The checks run once over the stacks (`check_mixtures`,
+        `check_model`) and raise DataError; each model is then built from
+        its views without checking it again."""
+        check_mixtures(*mixtures, lead=1)
+        check_model(cls._ARRAYS, arrays, mixtures[0].shape, topology, lead=1)
+        return [cls.from_checked(*parts[:-3], GaussianMixture.from_checked(*parts[-3:]), topology)
+                for parts in zip(*arrays, *mixtures)]
 
     @classmethod
     def stack(cls, models) -> StateModel:
@@ -189,28 +204,56 @@ def _update_mixtures(mixtures, occ, frames, comp, logb, floor):
     return GaussianMixture(weights, means, variances), empty
 
 
-class _Member:
-    """One model of a bank in the EM loop: its training frames, each one's
-    time and sequence, the sequence lengths, variance floor, trace and
-    zero-occupancy tally ({kind: (mask ever kept, iterations that kept any)})."""
+class Corpus:
+    """One label's training sequences as the flat start and the EM loop read
+    them, built once per bank: the frames of all its sequences in one (T, D)
+    array, each frame's time in its sequence and its sequence, the sequence
+    lengths, their names in messages and the label's variance floor. A label
+    without sequences, or one whose sequences differ in dimension, raises
+    DataError naming it."""
 
-    def __init__(self, model, label: str, corpus):
-        if not corpus:
+    def __init__(self, label: str, seqs):
+        if not seqs:
             raise DataError(f"condition {label!r} has no training sequences")
-        mats = [frames_of(o) for o in corpus]
-        for i, (seq, mat) in enumerate(zip(corpus, mats)):
-            name = f"condition {label!r}: {source_of(seq, i)}"
-            if mat.shape[0] <= model.order:
-                raise DataError(f"{name} has T = {mat.shape[0]}; order-{model.order} "
-                                f"training needs T >= {model.order + 1}")
-            if mat.shape[1] != model.dim:
-                raise DataError(f"{name} has {mat.shape[1]} dimensions, the model {model.dim}")
-        self.model = model
-        self.floor = variance_floor(mats)
+        mats = [frames_of(o) for o in seqs]
+        self.label = label
+        self.names = [source_of(seq, i) for i, seq in enumerate(seqs)]
+        for name, mat in zip(self.names, mats):
+            if mat.shape[1] != mats[0].shape[1]:
+                raise DataError(f"condition {label!r}: {name} has {mat.shape[1]} dimensions, "
+                                f"its first training sequence {mats[0].shape[1]}")
         self.frames = np.concatenate(mats)
         self.lengths = np.array([len(mat) for mat in mats])
-        self.time = np.concatenate([np.arange(len(mat)) for mat in mats])
+        self.time = np.concatenate([np.arange(n) for n in self.lengths])
         self.seq = np.repeat(np.arange(len(mats)), self.lengths)
+        self.floor = variance_floor(self.frames)
+
+
+def corpora(training_sets) -> list[Corpus]:
+    """The `Corpus` of each label of training_sets (label -> sequences), in
+    its order; a list of corpora, which a caller builds once to hand to both
+    the flat start and the EM loop, is returned as it is."""
+    if isinstance(training_sets, dict):
+        return [Corpus(label, seqs) for label, seqs in training_sets.items()]
+    return list(training_sets)
+
+
+class _Member:
+    """One model of a bank in the EM loop: its corpus (`Corpus`), trace and
+    zero-occupancy tally ({kind: (mask ever kept, iterations that kept any)})."""
+
+    def __init__(self, model, corpus: Corpus):
+        for name, length in zip(corpus.names, corpus.lengths):
+            name = f"condition {corpus.label!r}: {name}"
+            if length <= model.order:
+                raise DataError(f"{name} has T = {length}; order-{model.order} "
+                                f"training needs T >= {model.order + 1}")
+            if corpus.frames.shape[1] != model.dim:
+                raise DataError(f"{name} has {corpus.frames.shape[1]} dimensions, "
+                                f"the model {model.dim}")
+        self.model = model
+        self.floor, self.frames, self.lengths = corpus.floor, corpus.frames, corpus.lengths
+        self.time, self.seq = corpus.time, corpus.seq
         self.trace: list[float] = []
         self.zero: dict[str, tuple[np.ndarray, int]] = {}
 
@@ -219,11 +262,11 @@ class _Member:
         return len(trace) >= 2 and trace[-1] - trace[-2] < tol * abs(trace[-2])
 
 
-def baum_welch(models, training_sets: dict[str, list], cfg: TrainConfig | None = None
-               ) -> list[tuple]:
+def baum_welch(models, training_sets: dict[str, list] | list[Corpus],
+               cfg: TrainConfig | None = None) -> list[tuple]:
     """The EM loop of a bank of models of one class, one per label of
-    training_sets (label -> sequences), in its order; returns each model's
-    (model, log-likelihood trace).
+    training_sets (label -> sequences, or their `corpora`), in its order;
+    returns each model's (model, log-likelihood trace).
 
     Each iteration writes each training model's emission (one call over its
     corpus) into one (T, B, N) table, padded -inf, takes the chains' tables
@@ -245,8 +288,7 @@ def baum_welch(models, training_sets: dict[str, list], cfg: TrainConfig | None =
     if len({model.topology for model in models}) > 1:
         raise DataError("the models of one EM loop must share one topology")
     logger = logging.getLogger(type(models[0]).__module__)
-    bank = [_Member(model, label, corpus)
-            for model, (label, corpus) in zip(models, training_sets.items())]
+    bank = [_Member(model, corpus) for model, corpus in zip(models, corpora(training_sets))]
     order, n = models[0].order, models[0].n_states
     k, t_max = max(len(m.lengths) for m in bank), max(m.lengths.max() for m in bank)
     rows = np.array([np.pad(m.lengths - (order - 1), (0, k - len(m.lengths))) for m in bank])

@@ -21,9 +21,8 @@ import stat
 
 import numpy as np
 
-from .em import check_model
 from .errors import DataError, FormatError
-from .gmm import GaussianMixture, check_mixtures
+from .gmm import GaussianMixture
 from .hmm1 import Hmm1Model
 from .hmm2 import Hmm2Model
 
@@ -126,9 +125,8 @@ def load_pack(path, digest: str, count: int, order: int, n_states: int, n_compon
     topology (D follows from the file's size); None unless the file is a
     regular file whose size fits that layout and whose bytes have SHA-256
     `digest`, or when the model checks refuse its arrays. Every check of the
-    model constructors runs once, over all the models' arrays stacked
-    (`check_model`, `check_mixtures`), and each model is then built from its
-    views without checking it again."""
+    model constructors runs once, over all the models' arrays stacked, and
+    each model is then built from its views (`StateModel.bank`)."""
     if not all(type(v) is int and v > 0 for v in (count, order, n_states, n_components)) \
             or order not in _CLASSES:
         return None
@@ -153,11 +151,7 @@ def load_pack(path, digest: str, count: int, order: int, n_states: int, n_compon
     rows = np.frombuffer(data, dtype=PACK_DTYPE).astype(np.float64, copy=False).reshape(count, per)
     # each part of every model at once: (count,) + its shape, a view of the pack
     parts = [rows[:, a:b].reshape((count,) + s) for a, b, s in zip(ends, ends[1:], shapes)]
-    cls = _CLASSES[order]
     try:
-        check_mixtures(*parts[-3:], lead=1)
-        check_model(cls._ARRAYS, parts[:-3], parts[-3].shape, topology, lead=1)
+        return _CLASSES[order].bank(parts[:-3], parts[-3:], topology)
     except DataError:
         return None
-    return [cls.from_checked(*arrays[:-3], GaussianMixture.from_checked(*arrays[-3:]), topology)
-            for arrays in zip(*parts)]

@@ -354,6 +354,28 @@ class TestCompareErrors:
         assert code == 0
         assert json.loads(out_text) == {"x": 0.0, "y": 0.0}
 
+    def test_zero_baseline_rate_is_null_in_json(self, tmp_path, capsys):
+        # no relative gain over a 0 % baseline; the other conditions keep theirs
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"labels": ["x", "y", "z"], "rates": [0.0, 30.0, 0]}))
+        b.write_text(json.dumps({"labels": ["x", "y", "z"], "rates": [25.0, 38.0, 0]}))
+        out = tmp_path / "table.json"
+        code, out_text, err = run(capsys, "compare", str(a), str(b), "--format", "json",
+                                  "--out", str(out))
+        assert code == 0, err
+        assert json.loads(out_text) == {"x": None, "y": 26.7, "z": None}
+        assert json.loads(out.read_text()) == {"x": None, "y": 26.7, "z": None}
+
+    def test_zero_baseline_rate_is_n_a_in_text(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"labels": ["x", "y"], "rates": [0.0, 30.0]}))
+        b.write_text(json.dumps({"labels": ["x", "y"], "rates": [25.0, 38.0]}))
+        code, out_text, err = run(capsys, "compare", str(a), str(b))
+        assert code == 0, err
+        assert out_text.splitlines() == ["AVERAGE IMPROVEMENT RATE",
+                                         "Model    x     y",
+                                         "    %  n/a  26.7"]
+
 
 def test_parser_built_once_and_each_call_parses_its_own_arguments(monkeypatch):
     seen = []

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hmm2tc.classify import train_bank
 from hmm2tc.config import MIXTURE_WEIGHT_FLOOR, TrainConfig, variance_floor
 from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture, component_table
-from hmm2tc.em import _update_mixtures, baum_welch
+from hmm2tc.em import _update_mixtures, baum_welch, corpora
 from hmm2tc.hmm1 import Hmm1Model, baum_welch1
 from hmm2tc.hmm2 import Hmm2Model, baum_welch2, forward2, lift_hmm1, sample_hmm2
 from hmm2tc.init import flat_start, init_hmm2
@@ -62,6 +63,37 @@ class TestInit:
         with pytest.raises(DataError):
             flat_start({"": [np.zeros((3, 2))]}, 1, 2, 2, seed=0)
 
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_unsupported_order_is_refused(self, order):
+        corpus = [np.random.default_rng(5).normal(size=(40, 2))]
+        with pytest.raises(DataError, match=f"unsupported model order {order}"):
+            flat_start({"": corpus}, order, 2, 2, seed=0)
+
+    def test_labels_of_two_dimensions_are_refused(self):
+        sets = {"a": [np.zeros((40, 2))], "b": [np.ones((40, 3))]}
+        with pytest.raises(DataError, match="condition 'b' has 3 dimensions, condition 'a' 2"):
+            flat_start(sets, 1, 2, 2, seed=0)
+
+    def test_peak_memory_stays_within_three_times_the_frames(self):
+        # a bank of the benchmark's train corpus's shape: six labels of five
+        # sequences of 80-200 frames, N = M = 5, D = 16. The padded (D, G, T)
+        # stack takes about 1.3 times the frames' bytes and the distance
+        # buffer 0.4 times, so one more copy of the stack breaks the bound.
+        rng = np.random.default_rng(30)
+        sets = {f"c{i}": [rng.normal(rng.normal(size=16), 1.0, size=(t, 16))
+                          for t in rng.integers(80, 201, size=5)] for i in range(6)}
+        bank = corpora(sets)
+        frame_bytes = sum(c.frames.nbytes for c in bank)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            flat_start(bank, 1, 5, 5, "ergodic", seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * frame_bytes, (peak, frame_bytes)
+
     @pytest.mark.parametrize("topology", ["ergodic", "left-right"])
     def test_order2_flat_start_is_the_lifted_order1_one(self, topology):
         rng = np.random.default_rng(4)
@@ -73,40 +105,39 @@ class TestInit:
 
 
 def reference_flat_start(mats, n_states, n_comp, seed):
-    """The per-label, per-state flat start, one k-means per state with a loop
-    over the components: per state j the labels of every Lloyd iteration,
-    then the (N, M) weights and (N, M, D) means and variances, and the number
-    of empty-cluster reseeds."""
+    """The per-label flat start, one k-means per state with a loop over the
+    components, drawing the starting centres of every state first, in state
+    order, then each iteration's reseeds in state and component order: per
+    state j the labels of every Lloyd iteration, then the (N, M) weights and
+    (N, M, D) means and variances, and the number of empty-cluster reseeds."""
     rng = np.random.default_rng(seed)
     frames = np.concatenate(mats)
     assign = np.concatenate([np.minimum((np.arange(len(mat)) * n_states) // len(mat),
                                         n_states - 1) for mat in mats])
-    floor = variance_floor(mats)
-    iterations, reseeds = [], 0
-    weights = np.zeros((n_states, n_comp))
-    means = np.empty((n_states, n_comp, frames.shape[1]))
-    variances = np.empty_like(means)
-    for j in range(n_states):
-        data = frames[assign == j]
-        n = data.shape[0]
-        centers = data[rng.choice(n, size=n_comp, replace=False)].copy()
-        iterations.append([])
-        for _ in range(10):
-            dist = np.sum((data[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    floor = variance_floor(frames)
+    data = [frames[assign == j] for j in range(n_states)]
+    centers = [d[rng.choice(len(d), size=n_comp, replace=False)].copy() for d in data]
+    iterations, reseeds = [[] for _ in range(n_states)], 0
+    for _ in range(10):
+        for j, d in enumerate(data):
+            dist = np.sum((d[:, None, :] - centers[j][None, :, :]) ** 2, axis=2)
             labels = np.argmin(dist, axis=1)
             iterations[j].append(labels)
             for m in range(n_comp):
                 sel = labels == m
                 if not np.any(sel):
-                    centers[m] = data[rng.integers(n)]
+                    centers[j][m] = d[rng.integers(len(d))]
                     reseeds += 1
                 else:
-                    centers[m] = data[sel].mean(axis=0)
-        means[j] = centers
+                    centers[j][m] = d[sel].mean(axis=0)
+    weights = np.zeros((n_states, n_comp))
+    means = np.array(centers)
+    variances = np.empty_like(means)
+    for j, d in enumerate(data):
         for m in range(n_comp):
-            sel = labels == m
+            sel = iterations[j][-1] == m
             weights[j, m] = max(int(np.sum(sel)), 1)
-            scatter = data[sel] - means[j, m] if np.any(sel) else np.zeros((1, data.shape[1]))
+            scatter = d[sel] - means[j, m] if np.any(sel) else np.zeros((1, d.shape[1]))
             variances[j, m] = np.maximum((scatter ** 2).mean(axis=0), floor)
     return iterations, weights / weights.sum(axis=1, keepdims=True), means, variances, reseeds
 
@@ -141,9 +172,9 @@ def test_flat_start_matches_the_per_label_kmeans(monkeypatch):
     seen = []
     nearest = init._nearest
 
-    def record(xt, sq_norms, valid, centers):
-        best = nearest(xt, sq_norms, valid, centers)
-        seen.append([b[v] for b, v in zip(best, valid)])
+    def record(xt, sq_norms, valid, centers, dist):
+        best = nearest(xt, sq_norms, valid, centers, dist)
+        seen.append([b[v] for b, v in zip(best, valid)])   # per group, label-major
         return best
 
     monkeypatch.setattr(init, "_nearest", record)
@@ -159,7 +190,8 @@ def test_flat_start_matches_the_per_label_kmeans(monkeypatch):
             reseeds += count
             for j in range(n_states):
                 for it in range(10):
-                    assert np.array_equal(seen[10 * j + it][i], iterations[j][it]), (case, i, j)
+                    assert np.array_equal(seen[it][i * n_states + j], iterations[j][it]), \
+                        (case, i, j)
             scale = np.abs(np.concatenate(mats)).max()
             assert np.array_equal(model.mixtures.weights, weights), case
             np.testing.assert_allclose(model.mixtures.means, means, rtol=1e-12,
