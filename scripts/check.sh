@@ -26,8 +26,11 @@
 #    seeded WAVs (each with a digital silence), into two directories that
 #    must not differ under diff -r, and twice more with a 25 ms window at a
 #    10 ms shift (a shift that does not divide the window) and pre-emphasis,
-#    under the same gate; one more extract process prints its own peak RSS
-#    and minor page faults, for information only (not gated);
+#    under the same gate; one more extract process, over 16 seeded WAVs of
+#    3 s each, prints its own peak RSS and minor page faults, and then the
+#    minor page faults of a second extract call in the same process (the
+#    steady-state count, once the allocator's heap has grown), for
+#    information only (not gated);
 # 4. a 2-second traced benchmark run of each workload at seed 1, whose result
 #    line must read "failed": 0 (a traced run also exercises the span
 #    tracer's hooks); numpy's RuntimeWarnings are errors there, as in the
@@ -129,19 +132,22 @@ echo "== hmm2tc extract twice over seeded WAVs"
 python3 -c '
 import sys, wave
 import numpy as np
-rows = ["speaker\tsentence\tcondition\ttoken\tpath"]
-for i, n in enumerate([4800, 7000, 3000, 9000, 5200]):
-    rng = np.random.default_rng([7, i])
-    samples = (rng.normal(0, 0.1, n) * 32767).clip(-32768, 32767).astype("<i2")
-    samples[n // 4 : n // 2] = 0
-    with wave.open(f"{sys.argv[1]}/u{i}.wav", "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(16000)
-        wf.writeframes(samples.tobytes())
-    rows.append(f"s1\tt1\tneutral\t{i + 1}\tu{i}.wav")
-with open(f"{sys.argv[1]}/wavs.tsv", "w") as fh:
-    fh.write("\n".join(rows) + "\n")
+def write(manifest, lengths, first):
+    rows = ["speaker\tsentence\tcondition\ttoken\tpath"]
+    for i, n in enumerate(lengths, first):
+        rng = np.random.default_rng([7, i])
+        samples = (rng.normal(0, 0.1, n) * 32767).clip(-32768, 32767).astype("<i2")
+        samples[n // 4 : n // 2] = 0
+        with wave.open(f"{sys.argv[1]}/u{i}.wav", "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(16000)
+            wf.writeframes(samples.tobytes())
+        rows.append(f"s1\tt1\tneutral\t{i + 1}\tu{i}.wav")
+    with open(f"{sys.argv[1]}/{manifest}", "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+write("wavs.tsv", [4800, 7000, 3000, 9000, 5200], 0)
+write("long.tsv", [48000] * 16, 5)   # 16 clips of 3 s, 9,520 frames
 ' "$scratch" || failed="$failed extract-inputs"
 for run in 1 2; do
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m hmm2tc.cli extract \
@@ -162,12 +168,16 @@ diff -r "$scratch/features-25-10-1" "$scratch/features-25-10-2" > /dev/null ||
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
 import contextlib, io, resource, sys
 from hmm2tc import cli
+argv = ["extract", "--manifest", sys.argv[1], "--out", sys.argv[2]]
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["extract", "--manifest", sys.argv[1], "--out", sys.argv[2]])
-use = resource.getrusage(resource.RUSAGE_SELF)
+    code = cli.main(argv)
+    use = resource.getrusage(resource.RUSAGE_SELF)
+    code2 = cli.main(argv)
+again = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - use.ru_minflt
 print(f"one extract process (exit {code}): peak RSS {use.ru_maxrss / 1024:.1f} MB, "
-      f"{use.ru_minflt} minor page faults")
-' "$scratch/wavs.tsv" "$scratch/memory-features"
+      f"{use.ru_minflt} minor page faults; a second extract call in it (exit {code2}): "
+      f"{again} minor page faults")
+' "$scratch/long.tsv" "$scratch/memory-features"
 rm -rf "$scratch"
 
 for w in extract train identify; do

@@ -11,6 +11,9 @@ per block of clips (`lpcc_sequences`) over their concatenated autocorrelation
 rows, with their state held order-major, (order, frames): every frame of the
 block advances through the same short loop over the order, each step one
 contiguous row, so a frame's result does not depend on the block it is in.
+Each sample and each feature row is written once: decoding converts the
+data chunk in one pass, the recursions write into rows allocated once per
+call, and each file's rows are made contiguous once, when they are written.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class AudioClip:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise DataError("samples must be a nonempty 1-D sequence")
-        peak = np.abs(self.samples).max()  # NaN and inf fail the test too
+        peak = max(self.samples.max(), -self.samples.min())  # NaN and inf fail the test too
         if not peak <= 1.0:
             raise DataError("samples must lie in [-1, 1]" if np.isfinite(peak)
                             else "samples must be finite")
@@ -128,13 +131,15 @@ def decode_pcm16_wav(data: bytes) -> AudioClip:
         raise FormatError(f"expected mono audio, got {n_channels} channels")
     start, declared = _data_chunk(data)
     streamed = declared in STREAMED_DATA_SIZES
-    raw = data[start:] if streamed else data[start:start + declared]
+    view = memoryview(data)
+    raw = view[start:] if streamed else view[start:start + declared]
     if len(raw) % 2:
         raise FormatError("WAV data ends in the middle of a sample")
     if len(raw) < declared and not streamed:
         raise FormatError(f"WAV data chunk holds {len(raw)} of the {declared} bytes "
                           "its header declares; the file is cut")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    # one pass; scaling by 2**-15 is exact, so the bits are those of v / 32768
+    samples = np.multiply(np.frombuffer(raw, dtype="<i2"), 1 / 32768, dtype=np.float64)
     if samples.size == 0:
         raise FormatError("WAV file contains no samples")
     return AudioClip(samples, rate)
@@ -251,7 +256,10 @@ def levinson_durbin(r: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
 
     The working state is order-major, lags (p + 1, F) and coefficients
     (p, F), so that each step reads and writes whole rows over every frame;
-    the (F, p) result is a transposed view of it.
+    the (F, p) result is a transposed view of it. A stack given as the
+    transposed view of an order-major array is read without a copy. Every
+    product goes into rows allocated once per call; the operations and their
+    order are those of the step written out, and so are each row's bits.
     """
     r = np.asarray(r, dtype=np.float64)
     lags = np.ascontiguousarray(np.atleast_2d(r).T)
@@ -261,19 +269,26 @@ def levinson_durbin(r: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     ok = energy > 0.0
     if r.ndim == 1 and not ok[0]:
         raise NumericError("zero-energy frame: r_0 must be positive")
+    acc, k, term = np.empty((3, n_rows))
+    failed, stable = np.empty((2, n_rows), dtype=bool)
+    update = np.empty((max(p - 1, 0), n_rows))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(1, p + 1):
-            acc = np.zeros(n_rows)
+            acc.fill(0.0)                  # from 0, as written: 0 + (-0) is +0
             for j in range(i - 1):
-                acc += a[j] * lags[i - 1 - j]
-            k = -(lags[i] + acc) / energy
-            ok &= np.abs(k) < 1.0          # NaN and inf fail too
+                acc += np.multiply(a[j], lags[i - 1 - j], out=term)
+            np.add(lags[i], acc, out=k)
+            np.negative(k, out=k)
+            k /= energy                    # k = -(r_i + acc) / E
+            ok &= np.less(np.abs(k, out=term), 1.0, out=stable)   # NaN and inf fail too
             if r.ndim == 1 and not ok[0]:
                 raise NumericError(f"unstable frame: |k_{i}| = {abs(k[0]):.6g} >= 1")
-            k[~ok] = 0.0                   # failed rows stay finite until masked
-            a[: i - 1] = a[: i - 1] + k * a[: i - 1][::-1]
+            # failed rows stay finite until masked
+            np.copyto(k, 0.0, where=np.logical_not(ok, out=failed))
+            head = a[: i - 1]
+            head += np.multiply(k, head[::-1], out=update[: i - 1])
             a[i - 1] = k
-            energy *= 1.0 - k * k
+            energy *= np.subtract(1.0, np.multiply(k, k, out=term), out=term)
     a[:, ~ok] = np.nan
     energy[~ok] = np.nan
     return (a[:, 0], float(energy[0])) if r.ndim == 1 else (a.T, energy)
@@ -283,18 +298,22 @@ def lpc_to_lpcc(lpc: np.ndarray, cepstral_order: int) -> np.ndarray:
     """Cepstrum c_1..c_Q of 1/A(z) via the standard recursion (gain term
     dropped), for one LPC row (p,) or a stack (F, p). The working state is
     order-major, (p, F) in and (Q, F) out, one whole row per step; the
-    (F, Q) result is a transposed view of it."""
+    (F, Q) result is a transposed view of it. Each term goes into one row
+    allocated once per call, with the recursion's operations and order."""
     a = np.asarray(lpc, dtype=np.float64)
     if cepstral_order < 1:
         raise DataError("cepstral_order must be >= 1")
     rows = np.ascontiguousarray(np.atleast_2d(a).T)
     p, n_rows = rows.shape
     c = np.zeros((cepstral_order, n_rows))
+    term = np.empty(n_rows)
     for m in range(1, cepstral_order + 1):
-        acc = -rows[m - 1] if m <= p else np.zeros(n_rows)
+        acc = c[m - 1]                     # starts at 0, or at -a_m for m <= p
+        if m <= p:
+            np.negative(rows[m - 1], out=acc)
         for k in range(max(1, m - p), m):
-            acc -= (k / m) * c[k - 1] * rows[m - k - 1]
-        c[m - 1] = acc
+            np.multiply(k / m, c[k - 1], out=term)
+            acc -= np.multiply(term, rows[m - k - 1], out=term)
     return c[:, 0] if a.ndim == 1 else c.T
 
 
@@ -315,16 +334,18 @@ def lpcc_sequences(autocorrelations: list[np.ndarray], params: FrameParams,
 
     A frame is degenerate when r_0 <= SILENCE_THRESHOLD or its Levinson-Durbin
     recursion fails; it becomes an all-zero row and is counted in its
-    sequence's metadata instead of aborting the utterance.
+    sequence's metadata instead of aborting the utterance. Each sequence's
+    frames are a view of the block's order-major (Q, F) cepstra.
     """
     if not autocorrelations:
         return []
-    r = np.concatenate(autocorrelations)
-    a, energy = levinson_durbin(r)
-    degenerate = (r[:, 0] <= SILENCE_THRESHOLD) | np.isnan(energy)
+    # order-major (p + 1, F), the layout levinson_durbin works in: each clip's
+    # rows are already the transposed view of such an array
+    lags = np.concatenate([r.T for r in autocorrelations], axis=1)
+    a, energy = levinson_durbin(lags.T)
+    degenerate = (lags[0] <= SILENCE_THRESHOLD) | np.isnan(energy)
     out = lpc_to_lpcc(a, params.cepstral_order)
     out[degenerate] = 0.0
-    out = np.ascontiguousarray(out)
     bounds = np.cumsum([0] + [len(x) for x in autocorrelations]).tolist()
     return [FeatureSequence(out[start:stop], source_id=sid,
                             degenerate_frames=int(degenerate[start:stop].sum()))
@@ -345,7 +366,7 @@ def save_features(seq: FeatureSequence, path) -> None:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<B", FEATURE_VERSION))
         fh.write(struct.pack("<II", seq.T, seq.dim))
-        fh.write(frames.tobytes())
+        fh.write(frames.data)
 
 
 def load_features(path, source_id: str | None = None) -> FeatureSequence:

@@ -263,11 +263,11 @@ def _log_forward(c: _Chains, into: np.ndarray, log_into: np.ndarray,
     flat = _flat(into)
     la = np.empty(c.logb.shape)
     la[0] = c.log_init + c.logb[0]
-    for r in range(1, len(la)):
-        cand = la[r - 1].take(flat)
+    for prev, row, logb in zip(la, la[1:], c.logb[1:]):
+        cand = prev.take(flat)
         cand += log_into
-        combine(cand, axis=0, out=la[r])
-        la[r] += c.logb[r]
+        combine(cand, axis=0, out=row)
+        row += logb
     return la
 
 

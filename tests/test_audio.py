@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hmm2tc.audio import (SILENCE_THRESHOLD, AudioClip, FeatureSequence, FrameParams,
                           autocorrelate, clip_autocorrelation, decode_pcm16_wav,
                           extract_features, frame_and_window, levinson_durbin,
-                          load_features, lpc_to_lpcc, save_features)
+                          load_features, lpc_to_lpcc, lpcc_sequences, save_features)
 from hmm2tc.errors import DataError, FormatError, NumericError
 
 from conftest import fft_cepstrum_oracle, make_wav_bytes, toeplitz_lpc_oracle
@@ -58,6 +58,22 @@ class TestDecode:
         streamed = data[:at] + struct.pack("<I", size) + data[at + 4:]
         clip = decode_pcm16_wav(streamed)
         assert np.array_equal(clip.samples, samples / 32768.0)
+
+    def test_every_int16_value_decodes_to_v_over_32768(self):
+        values = np.arange(-32768, 32768, dtype=np.int16)
+        clip = decode_pcm16_wav(make_wav_bytes(values))
+        assert clip.samples.dtype == np.float64
+        assert clip.samples.tobytes() == (values.astype(np.float64) / 32768.0).tobytes()
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+        (1.5, r"\[-1, 1\]"), (-1.5, r"\[-1, 1\]"),
+    ])
+    def test_clip_names_what_is_wrong_with_a_sample(self, bad, message):
+        samples = np.linspace(-1.0, 1.0, 64)
+        samples[40] = bad
+        with pytest.raises(DataError, match=message):
+            AudioClip(samples, 16000)
 
 
 class TestFraming:
@@ -391,6 +407,37 @@ class TestAutocorrelationMemory:
         finally:
             tracemalloc.stop()
         assert peak <= share * stack_bytes, (peak, stack_bytes)
+
+
+class TestLpccMemory:
+    """lpcc_sequences on a block of 16 three-second clips (9,520 frames)
+    holds little more than the arrays the recursions must hold at once: the
+    order-major lags (p + 1, F), the coefficients (p, F) and the cepstra
+    (Q, F). A second copy of the block's cepstra, such as a contiguous copy
+    of the (F, Q) result, breaks the bound."""
+
+    def test_peak_stays_near_the_working_arrays(self):
+        params = FrameParams()
+        rows = []
+        for i in range(16):
+            noise = np.random.default_rng([13, i]).normal(0.0, 0.05, 48000)
+            samples = np.clip(np.convolve(noise, [1.0, 0.9, 0.5], mode="same"), -1.0, 1.0)
+            samples[8000:12000] = 0.0
+            rows.append(clip_autocorrelation(AudioClip(samples, 16000), params))
+        n_frames = sum(len(r) for r in rows)
+        assert n_frames == 9520
+        p, q = params.lpc_order, params.cepstral_order
+        working_bytes = (p + 1 + p + q) * n_frames * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            seqs = lpcc_sequences(rows, params, [""] * len(rows))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(seq.degenerate_frames for seq in seqs) > 0
+        assert peak <= 1.2 * working_bytes, (peak, working_bytes)
 
 
 class TestFeatureIO:

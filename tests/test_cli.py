@@ -1814,3 +1814,56 @@ class TestManifestFuzz:
                 "evaluate", "--manifest", str(manifest), "--bank",
                 str(fuzz_banks / f"bank{order}"), "--out", str(tmp_path / "rep"), *split]))
         assert {0, 3} <= set(codes)
+
+
+# doubles that the feature fuzz writes over one value: non-finite, at the
+# ends of the range, subnormal, and large enough that a square or a product
+# overflows
+SPECIAL_DOUBLES = [np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, 1e154, 1.4e154]
+
+
+def _mutated_features(rng, data: bytes) -> bytes:
+    """One of six faults of a feature file: bit flips, one value set to a
+    special double, the header's T or D rewritten, every frame made equal to
+    the first, a truncation, or bytes appended."""
+    kind = int(rng.integers(6))
+    if kind == 0:
+        return _flip_bits(rng, data)
+    raw = bytearray(data)
+    values = (len(raw) - 13) // 8
+    if kind == 1:
+        at = 13 + 8 * int(rng.integers(values))
+        raw[at:at + 8] = struct.pack("<d", SPECIAL_DOUBLES[int(rng.integers(len(SPECIAL_DOUBLES)))])
+    elif kind == 2:
+        size = rng.choice([0, 1, 2, 3, 4, 0xFFFFFFFF, int(rng.integers(2**32))])
+        at = 5 + 4 * int(rng.integers(2))
+        raw[at:at + 4] = struct.pack("<I", size)
+    elif kind == 3:
+        dim = struct.unpack_from("<I", data, 9)[0]
+        frame = raw[13:13 + 8 * dim]
+        raw[13:] = frame * (values // dim)
+    elif kind == 4:
+        del raw[rng.integers(len(raw)):]
+    else:
+        raw += rng.bytes(int(rng.integers(1, 64)))
+    return bytes(raw)
+
+
+class TestFeatureFileFuzz:
+    """identify, with forward and Viterbi scoring, on a feature file whose
+    bytes were mutated, against each bank of `fuzz_banks` in turn."""
+
+    CASES = 150
+
+    def test_mutated_feature_file_exits_cleanly(self, fuzz_banks, tmp_path, capsys):
+        pristine = (fuzz_banks / "c" / "features" / "a_006.lpcc").read_bytes()
+        feat = tmp_path / "u.lpcc"
+        codes = []
+        for case in range(self.CASES):
+            rng = np.random.default_rng([41, case])
+            feat.write_bytes(_mutated_features(rng, pristine))
+            bank = fuzz_banks / f"bank{1 + case % 2}"
+            codes += [_exits_cleanly(capsys, ["identify", "--bank", str(bank), "--features",
+                                              str(feat), "--scoring", scoring])
+                      for scoring in ("forward", "viterbi")]
+        assert set(codes) <= {0, 3, 4} and {0, 3} <= set(codes), sorted(set(codes))
