@@ -38,9 +38,10 @@
 #    counts as a failed operation;
 # 5. an import of hmm2tc.cli with scipy blocked: src must not need scipy,
 #    which only the tests and perfbench/ use (the "test" extra);
-# 6. the line count of each module of src/hmm2tc and their total, printed
-#    for information only (the size of the package and of its modules is
-#    tracked from release to release, not gated).
+# 6. the line count of each module of src/hmm2tc and their total, then
+#    their code lines (lines that are not blank, a comment or a docstring,
+#    found with ast), printed for information only (the size of the package
+#    and of its modules is tracked from release to release, not gated).
 #
 # Steps 1 and 3 also print their wall time in seconds, the end-to-end times
 # tracked from release to release; neither is gated.
@@ -197,6 +198,26 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c \
 
 echo "== lines in src/hmm2tc/*.py (information only)"
 wc -l src/hmm2tc/*.py
+echo "== code lines in src/hmm2tc/*.py, no blank, comment or docstring (information only)"
+python3 -c '
+import ast, glob
+total = 0
+for path in sorted(glob.glob("src/hmm2tc/*.py")):
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    count = sum(1 for number, line in enumerate(text.splitlines(), 1)
+                if line.strip() and not line.lstrip().startswith("#") and number not in docs)
+    total += count
+    print(f"{count:6d} {path}")
+print(f"{total:6d} total")
+'
 
 if [ -n "$failed" ]; then
     echo "FAILED:$failed"

@@ -58,29 +58,20 @@ def train_bank(training_sets: dict[str, list], order: int, n_states: int,
                n_comp: int, topology: str = "left-right", cfg: TrainConfig | None = None
                ) -> tuple[ConditionBank, dict[str, list[float]]]:
     """One model per condition label; returns the bank and per-label EM traces.
-    Each label's corpus is gathered once (`em.corpora`); with them, the whole
-    bank flat-starts in one call (`init.flat_start`, label i with seed
-    cfg.seed + i) and trains in one EM loop (`em.baum_welch`). A
-    training frame whose squared norm is not finite, or a sequence whose
-    dimension differs from the first sequence's, raises DataError naming its
-    condition and source."""
+    Each label's corpus is gathered and checked once (`em.corpora`); with
+    them, the whole bank flat-starts in one call (`init.flat_start`, label i
+    with seed cfg.seed + i) and trains in one EM loop (`em.baum_welch`).
+    Input that `em.corpora` refuses, or a training frame whose squared norm
+    is not finite, raises DataError naming its condition and source."""
     cfg = cfg or TrainConfig()
-    if not training_sets:
-        raise DataError("no condition labels to train")
-    dim = None
-    for label, seqs in training_sets.items():
-        for i, seq in enumerate(seqs):
-            mat = frames_of(seq)
-            with np.errstate(over="ignore"):
-                big = np.flatnonzero(~np.isfinite(np.sum(mat * mat, axis=1)))
-            if big.size:
-                raise DataError(f"condition {label!r}: {source_of(seq, i)} frame {big[0]} is too "
-                                "large or not a number: its squared norm is not finite")
-            dim = mat.shape[1] if dim is None else dim
-            if mat.shape[1] != dim:
-                raise DataError(f"condition {label!r}: {source_of(seq, i)} has {mat.shape[1]} "
-                                f"dimensions, the first training sequence {dim}")
     bank = corpora(training_sets)
+    for c in bank:
+        with np.errstate(over="ignore"):
+            big = np.flatnonzero(~np.isfinite(np.sum(c.frames * c.frames, axis=1)))
+        if big.size:
+            raise DataError(f"condition {c.label!r}: {c.names[c.seq[big[0]]]} frame "
+                            f"{c.time[big[0]]} is too large or not a number: its squared "
+                            "norm is not finite")
     flat = flat_start(bank, order, n_states, n_comp, topology, cfg.seed)
     models, traces = zip(*baum_welch(flat, bank, cfg))
     labels = list(training_sets)

@@ -41,7 +41,8 @@ def source_of(obs, index: int) -> str:
 
 def variance_floor(frames: np.ndarray) -> np.ndarray:
     """Per-dimension floor from the variance of a corpus's pooled (T, D)
-    frames; inf where that variance exceeds the largest double."""
-    with np.errstate(over="ignore"):
+    frames; inf where that variance exceeds the largest double, and NaN
+    where a frame is infinite."""
+    with np.errstate(over="ignore", invalid="ignore"):
         global_var = frames.var(axis=0)
     return np.maximum(VARIANCE_FLOOR_FACTOR * global_var, VARIANCE_FLOOR_MIN)

@@ -1,7 +1,7 @@
 """The EM training both model orders share: their base class (`StateModel`),
 the GMM M-step, each label's training frames as the flat start and the EM
-loop read them (`Corpus`), and the loop that trains a bank of models
-(`baum_welch`).
+loop read them (`Corpus`), gathered and checked in one place (`corpora`),
+and the loop that trains a bank of models (`baum_welch`).
 """
 
 from __future__ import annotations
@@ -206,22 +206,13 @@ def _update_mixtures(mixtures, occ, frames, comp, logb, floor):
 
 class Corpus:
     """One label's training sequences as the flat start and the EM loop read
-    them, built once per bank: the frames of all its sequences in one (T, D)
-    array, each frame's time in its sequence and its sequence, the sequence
-    lengths, their names in messages and the label's variance floor. A label
-    without sequences, or one whose sequences differ in dimension, raises
-    DataError naming it."""
+    them, built once per bank by `corpora`, which has converted and checked
+    them: the frames of all its sequences in one (T, D) array, each frame's
+    time in its sequence and its sequence, the sequence lengths, their names
+    in messages and the label's variance floor."""
 
-    def __init__(self, label: str, seqs):
-        if not seqs:
-            raise DataError(f"condition {label!r} has no training sequences")
-        mats = [frames_of(o) for o in seqs]
-        self.label = label
-        self.names = [source_of(seq, i) for i, seq in enumerate(seqs)]
-        for name, mat in zip(self.names, mats):
-            if mat.shape[1] != mats[0].shape[1]:
-                raise DataError(f"condition {label!r}: {name} has {mat.shape[1]} dimensions, "
-                                f"its first training sequence {mats[0].shape[1]}")
+    def __init__(self, label: str, mats: list[np.ndarray], names: list[str]):
+        self.label, self.names = label, names
         self.frames = np.concatenate(mats)
         self.lengths = np.array([len(mat) for mat in mats])
         self.time = np.concatenate([np.arange(n) for n in self.lengths])
@@ -232,10 +223,27 @@ class Corpus:
 def corpora(training_sets) -> list[Corpus]:
     """The `Corpus` of each label of training_sets (label -> sequences), in
     its order; a list of corpora, which a caller builds once to hand to both
-    the flat start and the EM loop, is returned as it is."""
-    if isinstance(training_sets, dict):
-        return [Corpus(label, seqs) for label, seqs in training_sets.items()]
-    return list(training_sets)
+    the flat start and the EM loop, is returned as it is. This is where a
+    bank's training input is checked: no labels, a label without sequences,
+    or a sequence whose dimension differs from the bank's first sequence,
+    raises DataError naming its condition and source."""
+    if not training_sets:
+        raise DataError("no condition labels to train")
+    if not isinstance(training_sets, dict):
+        return list(training_sets)
+    bank, dim = [], None
+    for label, seqs in training_sets.items():
+        if not seqs:
+            raise DataError(f"condition {label!r} has no training sequences")
+        mats = [frames_of(seq) for seq in seqs]
+        names = [source_of(seq, i) for i, seq in enumerate(seqs)]
+        dim = mats[0].shape[1] if dim is None else dim
+        for name, mat in zip(names, mats):
+            if mat.shape[1] != dim:
+                raise DataError(f"condition {label!r}: {name} has {mat.shape[1]} dimensions, "
+                                f"the first training sequence {dim}")
+        bank.append(Corpus(label, mats, names))
+    return bank
 
 
 class _Member:
@@ -243,14 +251,14 @@ class _Member:
     zero-occupancy tally ({kind: (mask ever kept, iterations that kept any)})."""
 
     def __init__(self, model, corpus: Corpus):
-        for name, length in zip(corpus.names, corpus.lengths):
-            name = f"condition {corpus.label!r}: {name}"
-            if length <= model.order:
-                raise DataError(f"{name} has T = {length}; order-{model.order} "
-                                f"training needs T >= {model.order + 1}")
-            if corpus.frames.shape[1] != model.dim:
-                raise DataError(f"{name} has {corpus.frames.shape[1]} dimensions, "
-                                f"the model {model.dim}")
+        short = np.flatnonzero(corpus.lengths <= model.order)
+        if short.size:
+            raise DataError(f"condition {corpus.label!r}: {corpus.names[short[0]]} has "
+                            f"T = {corpus.lengths[short[0]]}; order-{model.order} "
+                            f"training needs T >= {model.order + 1}")
+        if corpus.frames.shape[1] != model.dim:
+            raise DataError(f"condition {corpus.label!r}: {corpus.names[0]} has "
+                            f"{corpus.frames.shape[1]} dimensions, the model {model.dim}")
         self.model = model
         self.floor, self.frames, self.lengths = corpus.floor, corpus.frames, corpus.lengths
         self.time, self.seq = corpus.time, corpus.seq
@@ -280,9 +288,10 @@ def baum_welch(models, training_sets: dict[str, list] | list[Corpus],
     trained alone.
 
     Zero-occupancy summaries go to the logger of the models' module, one per
-    model and kind of parameter. A sequence too short for the order, or of
-    another dimension, raises DataError naming its condition and source; a
-    non-finite log-likelihood raises NumericError.
+    model and kind of parameter. Input that `corpora` refuses, a sequence
+    too short for the order, or a corpus of another dimension than its
+    model, raises DataError naming its condition and source; a non-finite
+    log-likelihood raises NumericError.
     """
     cfg = cfg or TrainConfig()
     if len({model.topology for model in models}) > 1:

@@ -148,20 +148,17 @@ def flat_start(training_sets, order: int, n_states: int, n_comp: int,
     """One flat-started model of the given order per label, in label order:
     uniform topology-allowed transitions and the k-means emission stack of
     the label's frames. training_sets maps each label to its sequences, or
-    is their `em.corpora`. Label i takes seed + i. An order other than 1 or
-    2, a label without sequences, one of another dimension than the first
-    label's, or one with a state that gets fewer frames than mixture
-    components, raises DataError naming it. The models' checks run once
-    over the bank (`StateModel.bank`)."""
+    is their `em.corpora`, which checks their shapes. Label i takes
+    seed + i. An order other than 1 or 2, input that `em.corpora` refuses,
+    or a label with a state that gets fewer frames than mixture components,
+    raises DataError naming it. The models' checks run once over the bank
+    (`StateModel.bank`); no frame's values are checked, so a frame whose
+    squared norm overflows is ranked by the direct form."""
     if order not in (1, 2):
         raise DataError(f"unsupported model order {order}")
     if n_states < 1 or n_comp < 1:
         raise DataError("state and mixture counts must be >= 1")
     bank = corpora(training_sets)
-    for c in bank:
-        if c.frames.shape[1] != bank[0].frames.shape[1]:
-            raise DataError(f"condition {c.label!r} has {c.frames.shape[1]} dimensions, "
-                            f"condition {bank[0].label!r} {bank[0].frames.shape[1]}")
     xd, sizes = _groups(bank, n_states)
     short = np.flatnonzero(sizes < n_comp)
     if short.size:

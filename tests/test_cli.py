@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from hmm2tc import classify, cli
-from hmm2tc.audio import FrameParams, decode_pcm16_wav, extract_features, lpcc_sequences, \
-    save_features
+from hmm2tc.audio import FrameParams, decode_pcm16_wav, extract_features, load_features, \
+    lpcc_sequences, save_features
 from hmm2tc.cli import main
 from hmm2tc.corpus import ManifestEntry, format_manifest
 from hmm2tc.errors import Hmm2tcError
 from hmm2tc.gmm import MEAN_SPREAD, GaussianMixture
-from hmm2tc.model_io import load_model, load_pack
+from hmm2tc.init import flat_start
+from hmm2tc.model_io import load_model, load_pack, save_model
 
 from conftest import make_wav_bytes
 
@@ -1867,3 +1868,165 @@ class TestFeatureFileFuzz:
                                               str(feat), "--scoring", scoring])
                       for scoring in ("forward", "viterbi")]
         assert set(codes) <= {0, 3, 4} and {0, 3} <= set(codes), sorted(set(codes))
+
+
+def _constant_or_mutated_features(rng, data: bytes) -> bytes:
+    """One case in seven, a frame or a column of a feature file set to one
+    constant (0, 1 or a special double); otherwise `_mutated_features`."""
+    if rng.random() >= 1 / 7:
+        return _mutated_features(rng, data)
+    t, d = struct.unpack_from("<II", data, 5)
+    frames = np.frombuffer(data, dtype="<f8", offset=13).reshape(t, d).copy()
+    value = [0.0, 1.0, *SPECIAL_DOUBLES][int(rng.integers(len(SPECIAL_DOUBLES) + 2))]
+    if rng.random() < 0.5:
+        frames[rng.integers(t)] = value
+    else:
+        frames[:, rng.integers(d)] = value
+    return data[:13] + frames.tobytes()
+
+
+def _strict_json(path):
+    """The JSON document in a file, refusing NaN and Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestTrainFeatureFuzz:
+    """train, at order 1 (ergodic) and order 2 (left-right) in turn, on a
+    corpus one of whose training feature files was mutated."""
+
+    CASES = 150
+
+    def test_mutated_training_file_exits_cleanly(self, fuzz_banks, tmp_path, capsys):
+        corpus, out = tmp_path / "c", tmp_path / "bank"
+        shutil.copytree(fuzz_banks / "c", corpus)
+        feat = corpus / "features" / "a_001.lpcc"
+        pristine = feat.read_bytes()
+        codes = []
+        for case in range(self.CASES):
+            rng = np.random.default_rng([43, case])
+            feat.write_bytes(_constant_or_mutated_features(rng, pristine))
+            shutil.rmtree(out, ignore_errors=True)
+            order = 1 + case % 2
+            codes.append(_exits_cleanly(capsys, [
+                "train", "--manifest", str(corpus / "manifest.tsv"), "--out", str(out),
+                "--states", "2", "--mixtures", "2", "--order", str(order),
+                "--topology", FUZZ_TOPOLOGIES[order], "--max-iter", "2", "--pooled"]))
+            for path in out.rglob("*.json"):
+                _strict_json(path)
+        assert set(codes) == {0, 3}, sorted(set(codes))
+
+
+def _extract_args(root, *options):
+    (root / "wavs.tsv").write_text("speaker\tsentence\tcondition\ttoken\tpath\n"
+                                   "s1\tt1\tneutral\t1\tu.wav\n")
+    return ["extract", "--manifest", str(root / "wavs.tsv"), "--out", str(root / "feat"),
+            *options]
+
+
+def _identify_args(root, features=None):
+    return ["identify", "--bank", str(root / "bank"), "--features",
+            str(features or root / "c" / "features" / "a_006.lpcc")]
+
+
+def _features_with(root, data: bytes):
+    (root / "u.lpcc").write_bytes(data)
+    return _identify_args(root, root / "u.lpcc")
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _edit_scope(root, edit):
+    _edit_json(root / "bank" / "bank.json", lambda doc: edit(doc["scopes"][0]))
+    return _identify_args(root)
+
+
+def _model_path(root, label):
+    scope = json.loads((root / "bank" / "bank.json").read_text())["scopes"][0]
+    return root / "bank" / scope["models"][label]
+
+
+def _edit_model(root, edit):
+    _edit_json(_model_path(root, "b"), edit)
+    return _identify_args(root)
+
+
+def _three_state_model(root):
+    seqs = [load_features(root / "c" / "features" / f"b_00{i}.lpcc") for i in range(1, 6)]
+    save_model(flat_start({"b": seqs}, 2, 3, 2, "left-right")[0], _model_path(root, "b"))
+    return _identify_args(root)
+
+
+def _wider_variances(doc):
+    for state in doc["mixtures"]:
+        state["variances"] = [row + [1.0] for row in state["variances"]]
+
+
+def _untrained_scope(root):
+    corpus = root / "c"
+    assert main(["train", "--manifest", str(corpus / "manifest.tsv"), "--out",
+                 str(root / "scoped"), "--states", "1", "--mixtures", "1", "--order", "1",
+                 "--max-iter", "1"]) == 0
+    (corpus / "other.tsv").write_text("speaker\tsentence\tcondition\ttoken\tsplit\tpath\n"
+                                      "other\ts1\ta\t6\ttest\tfeatures/a_006.lpcc\n")
+    return ["evaluate", "--manifest", str(corpus / "other.tsv"), "--bank", str(root / "scoped"),
+            "--out", str(root / "rep")]
+
+
+def _empty_manifest_path(root):
+    _rewrite_manifest(root / "c", lambda ln: ln.replace("features/a_002.lpcc", ""))
+    return _train_args(root / "c")
+
+
+def _duplicate_synth_labels(root):
+    write_synth_spec(root / "spec.json", labels=["a", "a"])
+    return ["synth", "--spec", str(root / "spec.json"), "--out", str(root / "s")]
+
+
+# each writes a fault into root, which holds a copy of the fuzz corpus (c) and
+# of its order-2 bank (bank), and returns the hmm2tc arguments that must exit
+# 3 with the message beside it
+ERROR_BRANCHES = {
+    "shift_over_window": (lambda root: _extract_args(root, "--shift-ms", "40"),
+                          "shift_ms must not exceed window_ms"),
+    "pre_emphasis_one": (lambda root: _extract_args(root, "--pre-emphasis", "1.0"),
+                         "pre_emphasis must lie in [0, 1)"),
+    "feature_file_of_8_bytes": (lambda root: _features_with(root, b"LPCC\x01\0\0\0"),
+                                "truncated header"),
+    "feature_format_version_2": (lambda root: _features_with(root, _lpcc(np.zeros((4, 3)))
+                                                             .replace(b"LPCC\x01", b"LPCC\x02")),
+                                 "unsupported feature format version 2"),
+    "empty_manifest_path": (_empty_manifest_path, "manifest entry path must be nonempty"),
+    "duplicate_synth_labels": (_duplicate_synth_labels, "labels must be nonempty and unique"),
+    "model_order_3": (lambda root: _edit_model(root, lambda doc: doc.update(order=3)),
+                      "unsupported model order 3"),
+    "duplicate_bank_labels": (lambda root: _edit_scope(root, lambda s: s.update(labels=["a", "a"])),
+                              "bank labels must be nonempty and unique"),
+    "scope_without_a_model": (lambda root: _edit_scope(root, lambda s: s["models"].pop("b")),
+                              "bank labels and models must correspond"),
+    "model_of_three_states": (_three_state_model, "bank models must share order, N, M and D"),
+    "variances_wider_than_means": (lambda root: _edit_model(root, _wider_variances),
+                                   "means and variances must have matching shapes"),
+    "untrained_scope": (_untrained_scope, "no trained bank for scope ('other', 's1')"),
+}
+
+
+class TestErrorBranches:
+    """CLI error branches that no other test runs: each exits 3 with its
+    message and no traceback."""
+
+    @pytest.mark.parametrize("case", ERROR_BRANCHES)
+    def test_exits_3_with_its_message(self, fuzz_banks, tmp_path, capsys, case):
+        shutil.copytree(fuzz_banks / "c", tmp_path / "c")
+        shutil.copytree(fuzz_banks / "bank2", tmp_path / "bank")
+        breaker, message = ERROR_BRANCHES[case]
+        argv = breaker(tmp_path)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3 and "Traceback" not in err and message in err, (code, err)

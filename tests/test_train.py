@@ -71,7 +71,8 @@ class TestInit:
 
     def test_labels_of_two_dimensions_are_refused(self):
         sets = {"a": [np.zeros((40, 2))], "b": [np.ones((40, 3))]}
-        with pytest.raises(DataError, match="condition 'b' has 3 dimensions, condition 'a' 2"):
+        with pytest.raises(DataError, match="condition 'b': sequence 0 has 3 dimensions, "
+                                            "the first training sequence 2"):
             flat_start(sets, 1, 2, 2, seed=0)
 
     def test_peak_memory_stays_within_three_times_the_frames(self):
@@ -226,6 +227,49 @@ def test_train_bank_refuses_a_frame_whose_squared_norm_overflows():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DataError, match="'a': sequence 1 frame 5 is too large"):
             train_bank({"a": mats}, 1, 3, 2, "ergodic")
+
+
+class TestTrainingInputRule:
+    """Every way into training checks a bank's input in `em.corpora`, so one
+    fault gives one message whichever function it enters by."""
+
+    @staticmethod
+    def three_labels():
+        """Labels a, b and c of three 2-dimensional sequences each."""
+        rng = np.random.default_rng(40)
+        return {lab: [rng.normal(size=(30, 2)) for _ in range(3)] for lab in "abc"}
+
+    @pytest.mark.parametrize("way", ["train_bank", "flat_start", "baum_welch"])
+    def test_a_dimension_fault_has_one_message(self, way):
+        sets = self.three_labels()
+        models = flat_start(sets, 1, 2, 2, "ergodic", seed=0)
+        sets["c"][2] = np.zeros((30, 3))
+        call = {"train_bank": lambda: train_bank(sets, 1, 2, 2, "ergodic"),
+                "flat_start": lambda: flat_start(sets, 1, 2, 2, "ergodic", seed=0),
+                "baum_welch": lambda: baum_welch(models, sets)}[way]
+        with pytest.raises(DataError) as exc:
+            call()
+        assert str(exc.value) == ("condition 'c': sequence 2 has 3 dimensions, "
+                                  "the first training sequence 2")
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_a_dimension_fault_has_one_message_alone(self, order):
+        seqs = self.three_labels()["c"]
+        model = flat_start({"": seqs}, order, 2, 2, "ergodic", seed=0)[0]
+        seqs[2] = np.zeros((30, 3))
+        with pytest.raises(DataError) as exc:
+            (baum_welch1 if order == 1 else baum_welch2)(model, seqs)
+        assert str(exc.value) == ("condition '': sequence 2 has 3 dimensions, "
+                                  "the first training sequence 2")
+
+    @pytest.mark.parametrize("value", [1.2e154, np.inf, -np.inf, np.nan])
+    def test_train_bank_names_the_frame_whose_squared_norm_is_not_finite(self, value):
+        sets = self.three_labels()
+        sets["c"][2][7] = value
+        with pytest.raises(DataError) as exc:
+            train_bank(sets, 1, 2, 2, "ergodic")
+        assert str(exc.value) == ("condition 'c': sequence 2 frame 7 is too large or not a "
+                                  "number: its squared norm is not finite")
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
