@@ -26,7 +26,12 @@
 #    seeded WAVs (each with a digital silence), into two directories that
 #    must not differ under diff -r, and twice more with a 25 ms window at a
 #    10 ms shift (a shift that does not divide the window) and pre-emphasis,
-#    under the same gate; one more extract process, over 16 seeded WAVs of
+#    under the same gate; then a corpus of 18 seeded WAVs (6 conditions of
+#    3 tokens, each clip stepping through 3 all-pole filtered segments, so
+#    that every chain of an order-2 left-right bank takes the log-domain
+#    E-step) goes through extract and then through two order-2 left-right
+#    train runs, into two bank directories under the same diff -r gate; one
+#    more extract process, over 16 seeded WAVs of
 #    3 s each, prints its own peak RSS and minor page faults, and then the
 #    minor page faults of a second extract call in the same process (the
 #    steady-state count, once the allocator's heap has grown), for
@@ -166,6 +171,46 @@ done
 diff -r "$scratch/features-25-10-1" "$scratch/features-25-10-2" > /dev/null ||
     { echo "the two 25 ms / 10 ms extract runs' feature directories differ"
       failed="$failed extract-25-10-determinism"; }
+echo "== order-2 left-right train twice on seeded AR WAVs (log-domain E-step)"
+mkdir "$scratch/ar" && python3 -c '
+import sys, wave
+import numpy as np
+from scipy.signal import lfilter
+rows = ["speaker\tsentence\tcondition\ttoken\tpath"]
+for c, label in enumerate(["neutral", "shouted", "loud", "angry", "happy", "fear"]):
+    for token in range(1, 4):
+        noise = np.random.default_rng([29, c, token])
+        parts = []
+        for segment in range(3):   # one all-pole filter per condition and segment
+            rng = np.random.default_rng([29, c, 10 + segment])
+            radius = rng.uniform(0.85, 0.97, 4)
+            angle = rng.uniform(0.05, 0.95, 4) * np.pi
+            a = np.poly(np.concatenate([radius * np.exp(1j * angle),
+                                        radius * np.exp(-1j * angle)])).real
+            x = lfilter([1.0], a, noise.standard_normal(4200))[1000:]   # past the transient
+            parts.append(x / np.max(np.abs(x)))
+        samples = np.round(np.concatenate(parts) * (0.5 * 32767)).astype("<i2")
+        with wave.open(f"{sys.argv[1]}/{label}_{token}.wav", "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(16000)
+            wf.writeframes(samples.tobytes())
+        rows.append(f"s1\tt1\t{label}\t{token}\t{label}_{token}.wav")
+with open(f"{sys.argv[1]}/ar.tsv", "w") as fh:
+    fh.write("\n".join(rows) + "\n")
+' "$scratch/ar" || failed="$failed ar-inputs"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m hmm2tc.cli extract \
+    --manifest "$scratch/ar/ar.tsv" --out "$scratch/ar-features" > /dev/null ||
+    failed="$failed ar-extract"
+for run in 1 2; do
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m hmm2tc.cli train \
+        --manifest "$scratch/ar-features/manifest.tsv" --out "$scratch/ar-bank$run" \
+        --order 2 --topology left-right --states 3 --mixtures 2 --max-iter 3 \
+        --train-count 3 --test-count 0 > /dev/null 2>&1 || failed="$failed ar-train"
+done
+diff -r "$scratch/ar-bank1" "$scratch/ar-bank2" > /dev/null ||
+    { echo "the two left-right banks trained on the AR corpus differ"
+      failed="$failed ar-train-determinism"; }
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
 import contextlib, io, resource, sys
 from hmm2tc import cli

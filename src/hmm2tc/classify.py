@@ -89,7 +89,7 @@ def _scores(stack, mat: np.ndarray, scoring: str) -> np.ndarray:
     logb = log_densities(stack.mixtures, mat)   # (T, B*N), a view of the (B*N, T) table
     chains = stack._chain(logb.reshape(len(mat), -1, stack.n_states).swapaxes(0, 1))
     if scoring == "forward":
-        return lattice.loglik(*chains, among=stack._among())
+        return lattice.loglik(*chains)
     return lattice.viterbi_scores(*chains)
 
 

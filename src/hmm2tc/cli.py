@@ -407,6 +407,9 @@ def main(argv=None) -> int:
     except (OSError, Hmm2tcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:   # a size field far past what the machine holds
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -197,9 +197,9 @@ def _is_int(v) -> bool:
 
 
 def random_hmm2(n_states: int, n_comp: int, dim: int, rng: np.random.Generator,
-                base_mean: np.ndarray | None = None, jitter: float = 0.5
-                ) -> Hmm2Model:
-    """Random ergodic model; component means scatter around base_mean."""
+                base_mean: np.ndarray | None = None) -> Hmm2Model:
+    """Random ergodic model; component means scatter around base_mean, with
+    standard deviation 0.5 on each axis."""
     psi = rng.dirichlet(np.ones(n_states))
     a2 = np.stack([rng.dirichlet(np.ones(n_states)) for _ in range(n_states)])
     a3 = np.stack([[rng.dirichlet(np.ones(n_states)) for _ in range(n_states)]
@@ -208,7 +208,7 @@ def random_hmm2(n_states: int, n_comp: int, dim: int, rng: np.random.Generator,
     mixtures = []
     for _ in range(n_states):
         weights = rng.dirichlet(np.ones(n_comp))
-        means = base + rng.normal(0.0, jitter, (n_comp, dim))
+        means = base + rng.normal(0.0, 0.5, (n_comp, dim))
         variances = rng.uniform(0.5, 1.5, (n_comp, dim))
         mixtures.append(GaussianMixture(weights, means, variances))
     return Hmm2Model(psi, a2, a3, mixtures)

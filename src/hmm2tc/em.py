@@ -53,8 +53,6 @@ class StateModel:
     - `_rows(logb)`: the tables alone, one row per frame from frame
       `order - 1` on, as a view of one row-major (R, ..., S) array: the
       layout the engine reads without a copy.
-    - `_among()`: None when the chain holds all N**order states, and
-      otherwise the mask of those it holds, for the engine's `among`.
     - `_occupancy(gamma)`: from (R, B, S) chain posteriors to (T, B, N)
       state occupancies.
     - `_reestimate(start, first, counts, mixtures)`: the transition M-step.
@@ -115,9 +113,6 @@ class StateModel:
     def _chain(self, logb: np.ndarray):
         rows = self._rows(logb)
         return (*self._head(logb[..., 0, :]), rows)
-
-    def _among(self) -> np.ndarray | None:
-        return None
 
     @property
     def n_states(self) -> int:

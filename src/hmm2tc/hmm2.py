@@ -6,19 +6,24 @@ over the pairs (j, k) that its topology allows, P[(i, j), (j, k)] =
 a3[i, j, k] (du Preez 1998, order reduction): all N*N of them when ergodic,
 and the N(N + 1)/2 with k >= j when left-right, whose other pairs no path
 can enter. One index map (`_pairs`) gives the chain's pairs, in ascending
-j * N + k, and its steps; every hook reads it. The chain runs on the shared
-lattice engine (`hmm2tc.lattice`): the EM E-step in the probability domain
-with per-row scaling (log domain for sequences that one scale per row
-cannot hold), forward and Viterbi in the log domain. `forward2` and
-`viterbi2` give their lattices and paths over every pair and state, a pair
-the chain leaves out reading -inf, with the bits of the chain over all N*N
-pairs. `backward2` runs on all N*N pairs, since beta is defined on pairs
-that no path enters too. Impossible events carry -inf in every log-domain
-result. `Hmm2Model` gives the EM loop of both orders (`hmm2tc.em`) its pair
-chain, the map from pair posteriors to state occupancies, and its psi, a2
-and a3 M-step; its hooks also serve a bank's models stacked on a leading
-axis (`StateModel.stack`). `sample_hmm2` is the one sampler: an HMM1 draws
-as its lift (`lift_hmm1`), a3[i, j, k] = a[j, k].
+j * N + k, and its steps; every hook reads it, and so do `forward2` and
+`viterbi2`, and no other module knows which pairs a chain holds. The chain
+runs on the shared lattice engine (`hmm2tc.lattice`), which sees only its
+states and transitions: the EM E-step in the probability domain with
+per-row scaling (log domain for sequences that one scale per row cannot
+hold), forward and Viterbi in the log domain. `forward2` and `viterbi2`
+give their lattices and paths over every pair and state, `forward2`
+spreading the chain's lattice over all N*N pairs from the map, a pair the
+chain leaves out reading -inf; their results have the bits of the chain
+over all N*N pairs, as the engine gives a chain with states that no path
+enters the bits of the same chain without them. `backward2` runs on all
+N*N pairs, since beta is defined on pairs that no path enters too.
+Impossible events carry -inf in every log-domain result. `Hmm2Model` gives
+the EM loop of both orders (`hmm2tc.em`) its pair chain, the map from pair
+posteriors to state occupancies, and its psi, a2 and a3 M-step; its hooks
+also serve a bank's models stacked on a leading axis (`StateModel.stack`).
+`sample_hmm2` is the one sampler: an HMM1 draws as its lift (`lift_hmm1`),
+a3[i, j, k] = a[j, k].
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ class Hmm2Model(StateModel):
         and the first frame's emission (`_head`)."""
         if logb.shape[-2] < 2:
             raise DataError("second-order recursions require T >= 2")
-        k = np.nonzero(_allowed(self.n_states, self.topology))[1]
+        k = _pairs(self.n_states, self.topology)[1]
         rows = np.ascontiguousarray(np.moveaxis(logb, -2, 0)[1:])
         return np.moveaxis(rows[..., k], 0, -2)   # row-major in, row-major out
 
@@ -74,11 +79,6 @@ class Hmm2Model(StateModel):
         trans = np.zeros(self.a3.shape[:-3] + (len(j), len(j)))
         trans[..., p, q] = self.a3[..., j[p], k[p], k[q]]
         return log_init, trans
-
-    def _among(self) -> np.ndarray | None:
-        if self.topology == "ergodic":
-            return None
-        return _allowed(self.n_states, self.topology).ravel()
 
     def _occupancy(self, gamma: np.ndarray) -> np.ndarray:
         """(T, B, N) state occupancies from (T-1, B, S) pair posteriors: frame 0
@@ -150,13 +150,12 @@ def path_log_prob2(model: Hmm2Model, states, obs=None) -> float:
 def forward2(model: Hmm2Model, obs) -> tuple[Trellis2, float]:
     """Extended forward lattice alpha_t(j, k) and total log-likelihood; a
     pair that the topology does not allow reads -inf."""
-    among = model._among()
-    la, ll = lattice.forward(*model._chain(model.emission_log_probs(obs)), among=among)
+    chain, ll = lattice.forward(*model._chain(model.emission_log_probs(obs)))
     n = model.n_states
-    if among is not None:
-        la, chain = np.full((len(la), n * n), -np.inf), la
-        la[:, among] = chain
-    return Trellis2(la.reshape(-1, n, n)), ll
+    j, k = _pairs(n, model.topology)[:2]
+    la = np.full((len(chain), n, n), -np.inf)
+    la[:, j, k] = chain
+    return Trellis2(la), ll
 
 
 def backward2(model: Hmm2Model, obs) -> Trellis2:

@@ -14,46 +14,45 @@ results alone: it runs as a stack of one, on the same code.
 
 A first-order HMM is a chain with S = N. A second-order HMM is the chain over
 the state pairs its topology allows, with P[(i, j), (j, k)] = a3[i, j, k]
-(du Preez 1998, order reduction): N*N of them, or fewer when a topology
-leaves out pairs that no path can enter. Such a chain passes `among` to
-`forward` and `loglik`, the mask of its states among the N*N, so that its
-likelihoods keep the bits of the chain over all of them (`_final`). A stack
-may hold one utterance under each model of a bank (G = B), or the training
-sequences of a bank's models, K to a model (the EM loop's E-step): a model
-with fewer sequences fills its group with chains of length 0. Each row's
-step is one (G, K, S) @ (G, S, S) product; the chains of length 0 that end a
-group take no part in it, so that every group's product has the shape, and
-BLAS's rounding, of a stack of that group alone.
+(du Preez 1998, order reduction); which pairs those are is the model's
+business (`hmm2._pairs`), not the engine's, which sees S states and their
+transitions alone. A stack may hold one utterance under each model of a bank
+(G = B), or the training sequences of a bank's models, K to a model (the EM
+loop's E-step): a model with fewer sequences fills its group with chains of
+length 0. Each row's step is one (G, K, S) @ (G, S, S) product; the chains
+of length 0 that end a group take no part in it, so that every group's
+product has the shape, and BLAS's rounding, of a stack of that group alone.
 
 One log-domain recursion, `_log_forward`, combines each state's
 predecessors by log-sum-exp for `forward` (and `loglik`, its likelihoods
 alone) and for the log-domain chains of the E-step, and by max for
 `viterbi` and `viterbi_scores` (max-product). Each row gathers every
 state's predecessors from a (P, B, S) table, built once per pass, and
-reduces over its first axis (`_neighbours`). The log-sum-exp table leaves out
-the lanes that read -inf on every row: those of a zero transition, and those
-from a state that no initial row of the stack can reach (`_reachable`: the
-closure of the initial rows' support under the union of the stack's
-transitions, once per call; on a left-right model's chain over all N*N
-pairs, the pairs (j, k) with k < j). Each state's absent lanes come first,
-carrying -inf, so that its reduction starts on np.logaddexp's cheap
--inf (+) -inf case, and its real predecessors follow, lowest index first,
-in the order of the full table, which gives the same bits. A flat edge list reduced by
+reduces over its first axis (`_neighbours`). A table leaves out the lanes
+of zero transitions. In every table but `viterbi`'s, each state's absent
+lanes come first, carrying -inf, so that its reduction starts on
+np.logaddexp's cheap -inf (+) -inf case, and its real predecessors follow,
+lowest index first. `viterbi`'s table puts the real lanes first, since its
+back pointers and tie rule read lane 0 as the lowest-index predecessor.
+Either order gives the same bits: a reduction adds -inf terms exactly,
+wherever they sit, and so a state that no path reaches changes no other
+state's value. For the same reason each likelihood sums its chain's last row
+in order (`_final`): a state that reads -inf there adds an exact 0, so a
+chain's likelihood has the bits of the same chain with states that no path
+enters added or left out. A flat edge list reduced by
 `np.logaddexp.reduceat` is faster on left-right chains but slower on dense
 (ergodic) pair chains, where each state's segment becomes one long serial
-chain of operations instead of a reduction over whole (B, S) blocks. The
-max-product table, which Viterbi's back pointers and tie rule read, keeps
-every nonzero transition, real lanes first.
+chain of operations instead of a reduction over whole (B, S) blocks.
 The E-step runs in the probability domain with one scale per row
 (Rabiner 1989, sec. V.A; `_scaled_estep`) for each chain whose reachable
 cells one scale per row holds exactly, a test made cell by cell, which a row
-that sums to 0 fails, a row with no reachable state among them; the chains
+that sums to 0 fails, a row with no reachable state; the chains
 that fail it run in the log domain as one smaller stack, and the others stay
 scaled. Viterbi ties break toward the lowest state index, from the last
 frame back, and `viterbi_scores` gives the best scores without the paths.
 The public backward pass runs in the log domain with log-sum-exp over each
-state's successors, so that it stays exact for states the forward pass
-cannot reach.
+state's successors, so that it stays exact for states that no forward
+path enters.
 
 Inside the engine a stack's rows come first, (R, B, S), so that one row of
 every chain is one contiguous block for the row-by-row recursions; a table
@@ -180,36 +179,23 @@ def _row_ends(lengths: np.ndarray) -> dict[int, list[int]]:
     return ends
 
 
-def _neighbours(trans: np.ndarray, b: int, reach: np.ndarray | None = None
+def _neighbours(trans: np.ndarray, b: int, real_first: bool = False
                 ) -> tuple[np.ndarray, np.ndarray]:
     """(P, B, S) tables of the predecessors of every state of each of the B
     chains that the matrices trans (G, S, S) serve, and their log transition
-    probabilities. Without `reach` each state's predecessors come first,
-    lowest index first, and P is the largest in-degree; shorter lists are
-    padded with -inf entries after them. Pass the transposed matrices for
+    probabilities; P is the largest in-degree, and a state with fewer
+    predecessors has absent lanes, which carry -inf. Its real predecessors
+    run lowest index first, after its absent lanes, or before them with
+    real_first (`viterbi`'s back pointers). Pass the transposed matrices for
     successors.
-
-    With `reach`, the (S,) mask of the states some chain can reach
-    (`_reachable`), the tables are log-sum-exp's: a lane is absent when its
-    transition is 0 or its source is out of reach, absent lanes come first
-    and carry -inf, and each state's real predecessors follow, lowest index
-    first; P is the largest number of real predecessors. A reduction in
-    that order takes -inf (+) -inf steps, numpy's cheap case, before its
-    first real term, which it then gives exactly, and combines the others
-    in the order the unpruned table would, where every left-out term is
-    -inf on every row: the same bits. The lanes stay, rather than becoming
-    a flat edge list for `np.logaddexp.reduceat`, because a segment of that
-    list reduces as one serial chain, which is slower on dense chains.
 
     Over these tables a recursion costs S * P per row: N**3 on the pair chain,
     where the dense (S, S) matrix has N**4 entries. Their first axis is P, so
     that a reduction over the predecessors combines P whole (B, S) blocks.
     """
-    if reach is not None:
-        trans = trans * reach[:, None]   # a source out of reach: transition 0
     support = trans > 0
     width = max(int(support.sum(axis=-2).max()), 1)
-    if reach is None:
+    if real_first:
         idx = np.argsort(~support, axis=-2, kind="stable")[..., :width, :]
     else:
         idx = np.argsort(support, axis=-2, kind="stable")[..., -width:, :]
@@ -217,18 +203,6 @@ def _neighbours(trans: np.ndarray, b: int, reach: np.ndarray | None = None
     k = b // len(trans)
     return (np.repeat(np.moveaxis(idx, -2, 0), k, axis=1),
             np.repeat(np.moveaxis(log_p, -2, 0), k, axis=1))
-
-
-def _reachable(c: _Chains) -> np.ndarray:
-    """(S,) mask of the states that some chain of the stack can reach: the
-    closure of its initial rows' support under the union of its transitions."""
-    reach = (c.log_init != -np.inf).any(axis=0)
-    step = (c.trans > 0).any(axis=0)
-    while True:
-        more = reach | (reach @ step)
-        if np.array_equal(more, reach):
-            return reach
-        reach = more
 
 
 def _flat(idx: np.ndarray) -> np.ndarray:
@@ -258,8 +232,8 @@ def _log_forward(c: _Chains, into: np.ndarray, log_into: np.ndarray,
                  combine=np.logaddexp.reduce) -> np.ndarray:
     """Log forward lattice (R, B, S), each row combining every state's
     predecessors from the (P, B, S) tables into and log_into (`_neighbours`):
-    by log-sum-exp over the table with the stack's reach, or, with
-    combine=np.maximum.reduce over the full table, the max-product lattice."""
+    by log-sum-exp, or, with combine=np.maximum.reduce, the max-product
+    lattice."""
     flat = _flat(into)
     la = np.empty(c.logb.shape)
     la[0] = c.log_init + c.logb[0]
@@ -276,32 +250,31 @@ def _last(la: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.where((lengths > 0)[:, None], la[lengths - 1, np.arange(len(lengths))], 0.0)
 
 
-def _final(la: np.ndarray, lengths: np.ndarray, among: np.ndarray | None = None) -> np.ndarray:
+def _final(la: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Each chain's log-likelihood from its log forward lattice (R, B, S); 0
-    for a chain of length 0. With `among`, a (W,) mask with S entries set,
-    each last row is first spread over a row of W states, the others -inf,
-    so that its sum runs in the order, and gives the bits, of the chain of
-    those W states."""
+    for a chain of length 0. Each last row is summed in order, by a running
+    sum: numpy's `sum` adds a row pairwise, in an order set by the row's
+    length, which would give a chain with states that no path enters other
+    bits than the same chain without them."""
     last = _last(la, lengths)
-    if among is not None:
-        last, held = np.full((len(last), len(among)), -np.inf), last
-        last[:, among] = held
-    return np.where(lengths > 0, logsumexp(last, axis=1), 0.0)
+    top = last.max(axis=1, keepdims=True)
+    top[top == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        ll = top[:, 0] + np.log(np.cumsum(np.exp(last - top), axis=1)[:, -1])
+    return np.where(lengths > 0, ll, 0.0)
 
 
-def forward(log_init, trans, logb, lengths=None, among=None):
+def forward(log_init, trans, logb, lengths=None):
     """Log forward lattices (B, R, S) and total log-likelihoods (B,), in the
-    log domain. `among` (W,), a mask of S entries set, gives the chain's
-    states as those of a chain of W states that leaves out states no path
-    enters: each likelihood then has the bits of that chain's (`_final`)."""
+    log domain."""
     single, c = _chains(log_init, trans, logb, lengths)
-    la = _log_forward(c, *_neighbours(c.trans, len(c.lengths), _reachable(c)))
-    return _one(single, _by_chain(la), _final(la, c.lengths, among))
+    la = _log_forward(c, *_neighbours(c.trans, len(c.lengths)))
+    return _one(single, _by_chain(la), _final(la, c.lengths))
 
 
-def loglik(log_init, trans, logb, lengths=None, among=None):
+def loglik(log_init, trans, logb, lengths=None):
     """`forward`'s total log-likelihoods (B,) alone."""
-    return forward(log_init, trans, logb, lengths, among)[1]
+    return forward(log_init, trans, logb, lengths)[1]
 
 
 def backward(trans, logb, lengths=None) -> np.ndarray:
@@ -334,8 +307,8 @@ def estep(log_init, trans, logb, lengths=None):
     """State posteriors (B, R, S), expected transition counts (B, S, S)
     summed over each chain's rows, and log-likelihoods (B,): by one scale
     per row (`_scaled_estep`), and in the log domain for the chains that
-    one scale per row cannot hold, a chain with a row of no reachable state
-    among them. The log domain raises NumericError when a chain's likelihood
+    one scale per row cannot hold, a chain with a row of no reachable
+    state. The log domain raises NumericError when a chain's likelihood
     is not finite.
     """
     single, c = _chains(log_init, trans, logb, lengths)
@@ -355,11 +328,11 @@ def _scaled_estep(c: _Chains):
     reachable cells exactly; the posteriors and counts of a chain that is
     not ok are 0.
 
-    Each chain's row r is shifted by its best emission among the states it
-    can reach (by 0 on a row with none), so no factor exceeds 1 and the row's
+    Each chain's row r is shifted by its best emission over its reachable
+    states (by 0 on a row with none), so no factor exceeds 1 and the row's
     best state never underflows. Padding rows are zero, with scale 1. The
-    backward pass reuses the forward scales, and states the forward pass did
-    not reach keep beta = 0: their posteriors are 0 either way, and a zero
+    backward pass reuses the forward scales, and states that no forward path
+    enters keep beta = 0: their posteriors are 0 either way, and a zero
     keeps their unscaled betas from overflowing into the reachable ones.
     """
     rows, b, s = c.logb.shape
@@ -385,7 +358,7 @@ def _scaled_estep(c: _Chains):
     alpha[after] = 0.0
     scale[after] = 1.0
     beta = alpha * scale[..., None]  # the backward pass's buffer holds the test's product
-    held = np.greater_equal(beta >= _TINY, live)  # held by the scale, or out of reach
+    held = np.greater_equal(beta >= _TINY, live)  # held by the scale, or unreachable
     ok = (scale > 0).all(axis=0) & held.all(axis=0).all(axis=1)
     # a chain that is not ok gets zero rows and scale 1, so that its scaled
     # backward pass, which `estep` replaces, cannot overflow
@@ -414,7 +387,7 @@ def _scaled_estep(c: _Chains):
 def _log_estep(c: _Chains):
     """`estep` in the log domain, in the engine's layout."""
     b, s = c.log_init.shape
-    la = _log_forward(c, *_neighbours(c.trans, b, _reachable(c)))
+    la = _log_forward(c, *_neighbours(c.trans, b))
     ll = _final(la, c.lengths)
     bad = ll[~np.isfinite(ll)]
     if bad.size:
@@ -441,7 +414,7 @@ def viterbi(log_init, trans, logb, lengths=None):
     """
     single, c = _chains(log_init, trans, logb, lengths)
     rows, b, s = c.logb.shape
-    into, log_into = _neighbours(c.trans, b)
+    into, log_into = _neighbours(c.trans, b, real_first=True)
     delta = _log_forward(c, into, log_into, np.maximum.reduce)
     final = _last(delta, c.lengths)
     chains = np.arange(b)

@@ -1983,6 +1983,20 @@ def _empty_manifest_path(root):
     return _train_args(root / "c")
 
 
+def _wav_extract_args(root, edit, *options):
+    rng = np.random.default_rng(6)
+    wav = make_wav_bytes((rng.normal(0, 0.05, 4800) * 32767).astype(np.int16))
+    (root / "u.wav").write_bytes(edit(wav))
+    return _extract_args(root, *options)
+
+
+def _huge_synth_states(root):
+    # 10**14 states ask for 728 TiB, past any process's address space: 10**12
+    # would ask for 7.3 TiB, which a system that overcommits may grant and fill
+    write_synth_spec(root / "spec.json", n_states=10 ** 14)
+    return ["synth", "--spec", str(root / "spec.json"), "--out", str(root / "s")]
+
+
 def _duplicate_synth_labels(root):
     write_synth_spec(root / "spec.json", labels=["a", "a"])
     return ["synth", "--spec", str(root / "spec.json"), "--out", str(root / "s")]
@@ -2013,6 +2027,19 @@ ERROR_BRANCHES = {
     "variances_wider_than_means": (lambda root: _edit_model(root, _wider_variances),
                                    "means and variances must have matching shapes"),
     "untrained_scope": (_untrained_scope, "no trained bank for scope ('other', 's1')"),
+    # wave refuses a WAV without a data chunk before `audio._data_chunk` looks
+    "wav_data_chunk_cut_off": (lambda root: _wav_extract_args(root, lambda wav: wav[:36]),
+                               "malformed or non-PCM WAV file"),
+    "wav_data_chunk_renamed": (lambda root: _wav_extract_args(
+        root, lambda wav: wav.replace(b"data", b"junk", 1)), "malformed or non-PCM WAV file"),
+    # sizes no machine holds: train refuses the state count before it
+    # allocates, and the others end in a MemoryError that `main` reports
+    "train_huge_state_count": (lambda root: _train_args(root / "c", "manifest.tsv",
+                                                        "--states", "1000000000000"),
+                               "condition 'a' state 1: 0 frames for 1 mixture components"),
+    "extract_huge_cepstral_order": (lambda root: _wav_extract_args(
+        root, lambda wav: wav, "--cepstral-order", "1000000000000"), "error: out of memory: "),
+    "synth_huge_state_count": (_huge_synth_states, "error: out of memory: "),
 }
 
 

@@ -1,7 +1,6 @@
 """The scaled lattice engine against fixed values, the brute-force oracles and
 log-domain reference recursions kept here for comparison."""
 
-import dataclasses
 import itertools
 import warnings
 
@@ -898,17 +897,41 @@ def test_stack_with_no_reachable_state_scores_minus_inf():
 
 
 def test_gather_puts_absent_lanes_first():
-    # the chain over all N*N pairs of a left-right HMM2 (`backward2`'s; its
-    # own chain leaves them out): pairs (j, k) with k < j are out of reach,
-    # so every lane from them is absent, as is every zero transition
-    model = dataclasses.replace(left_right_hmm2(), topology="ergodic")
-    _, c = lattice._chains(*model._chain(np.zeros((4, 3))))
-    reach = lattice._reachable(c)
-    assert reach.tolist() == [j <= k for j in range(3) for k in range(3)]
-    into, log_into = lattice._neighbours(c.trans, 1, reach)
+    # the pair chain of a left-right HMM2: pair (j, k) has the j + 1
+    # predecessors (i, j), i <= j: two absent lanes for j = 0, one for j = 1
+    _, c = lattice._chains(*left_right_hmm2()._chain(np.zeros((4, 3))))
+    into, log_into = lattice._neighbours(c.trans, 1)
     real = log_into > -np.inf
     assert np.array_equal(np.sort(real, axis=0), real)   # absent lanes first
-    assert np.all(reach[into[real]])
-    assert np.array_equal(real.sum(axis=0), ((c.trans > 0) & reach[:, None]).sum(axis=-2))
+    assert np.array_equal(real.sum(axis=0), (c.trans > 0).sum(axis=-2))
     order = np.where(real, into, -1)
     assert np.all(np.diff(order, axis=0)[real[1:] & real[:-1]] > 0)   # lowest index first
+
+
+def test_states_no_path_enters_leave_each_likelihood_bit_for_bit():
+    # each chain of 15 states, placed among 10 states that no path enters
+    # (initial -inf, a self-loop only) at drawn places: numpy's pairwise sum
+    # of a last row of 25 states would give other bits than one of 15
+    rng = np.random.default_rng(29)
+    b, s, rows, extra = 300, 15, 8, 10
+    log_init = _log(rng.dirichlet(np.ones(s), size=b))
+    trans = rng.dirichlet(np.ones(s), size=(b, s))
+    logb = rng.normal(0.0, 0.5, (b, rows, s))
+    big_init = np.full((b, s + extra), -np.inf)
+    big_trans = np.zeros((b, s + extra, s + extra))
+    big_logb = rng.normal(0.0, 0.5, (b, rows, s + extra))
+    places = []
+    for c in range(b):
+        at = np.sort(rng.choice(s + extra, s, replace=False))
+        out = np.setdiff1d(np.arange(s + extra), at)
+        big_init[c, at] = log_init[c]
+        big_trans[c, at[:, None], at] = trans[c]
+        big_trans[c, out, out] = 1.0
+        big_logb[c][:, at] = logb[c]
+        places.append(at)
+    la, ll = lattice.forward(log_init, trans, logb)
+    big_la, big_ll = lattice.forward(big_init, big_trans, big_logb)
+    assert np.array_equal(big_ll, ll)
+    assert np.array_equal(lattice.loglik(big_init, big_trans, big_logb), ll)
+    for c, at in enumerate(places):
+        assert np.array_equal(big_la[c][:, at], la[c])
