@@ -6,7 +6,8 @@
 # 1. the tier-1 test suite (tests/), which passes when the tests that fail
 #    are exactly $EXPECTED_FAILURE: the training-trace clause of criterion 3
 #    fails by design (README.md, "Tests"), and anything else failing, or that
-#    test passing, is a change to look at;
+#    test passing, is a change to look at; pytest also prints its ten
+#    slowest tests (--durations=10), for information only;
 # 2. the benchmark's own tests (perfbench/tests);
 # 3. a small run of the end-to-end script scripts/run_synthetic_benchmark.py,
 #    which runs the CLI's synth, train and evaluate for both orders and then
@@ -64,7 +65,7 @@ elapsed() { awk -v a="$1" -v b="$(now)" 'BEGIN { printf "%.1f s\n", b - a }'; }
 
 echo "== tier-1 tests"
 start=$(now)
-out=$(PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m pytest -q -rfE \
+out=$(PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m pytest -q -rfE --durations=10 \
     --continue-on-collection-errors 2>&1)
 status=$?
 printf '%s\n' "$out"

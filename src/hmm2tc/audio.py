@@ -31,6 +31,11 @@ from .errors import DataError, FormatError, NumericError
 
 FEATURE_MAGIC = b"LPCC"
 FEATURE_VERSION = 1
+# The bound on every size field of FrameParams and SynthSpec: that many
+# float64s (2 PiB) are past any machine's memory, yet within numpy's array
+# size, so a field at or below it runs or ends in MemoryError, and one above
+# it is refused up front.
+_SIZE_LIMIT = 2**48
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,8 @@ class FrameParams:
             raise DataError("shift_ms must not exceed window_ms")
         if self.lpc_order < 1 or self.cepstral_order < 1:
             raise DataError("lpc_order and cepstral_order must be >= 1")
+        if max(self.lpc_order, self.cepstral_order) > _SIZE_LIMIT:
+            raise DataError(f"lpc_order and cepstral_order must be at most {_SIZE_LIMIT}")
         if not 0.0 <= self.pre_emphasis < 1.0:
             raise DataError("pre_emphasis must lie in [0, 1)")
 
@@ -299,12 +306,16 @@ def lpc_to_lpcc(lpc: np.ndarray, cepstral_order: int) -> np.ndarray:
     dropped), for one LPC row (p,) or a stack (F, p). The working state is
     order-major, (p, F) in and (Q, F) out, one whole row per step; the
     (F, Q) result is a transposed view of it. Each term goes into one row
-    allocated once per call, with the recursion's operations and order."""
+    allocated once per call, with the recursion's operations and order. A
+    (Q, F) state past numpy's array size raises MemoryError, as one that
+    memory cannot hold does."""
     a = np.asarray(lpc, dtype=np.float64)
     if cepstral_order < 1:
         raise DataError("cepstral_order must be >= 1")
     rows = np.ascontiguousarray(np.atleast_2d(a).T)
     p, n_rows = rows.shape
+    if cepstral_order * n_rows > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{cepstral_order} cepstral coefficients for each of {n_rows} frames")
     c = np.zeros((cepstral_order, n_rows))
     term = np.empty(n_rows)
     for m in range(1, cepstral_order + 1):

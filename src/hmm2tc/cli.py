@@ -233,10 +233,7 @@ def _packed(bank_dir, doc, scope_doc, texts) -> dict | None:
     models = load_pack(os.path.join(bank_dir, record["path"]), record.get("sha256"),
                        len(labels), doc.get("order"), doc.get("N"), doc.get("M"),
                        doc.get("topology"))
-    if models is None:
-        return None
-    by_label = dict(zip(labels, models))
-    return {lab: by_label[lab] for lab in texts}   # in the order the JSON path gives
+    return None if models is None else dict(zip(labels, models))
 
 
 def _select_scope(doc, speaker, sentence) -> dict:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .audio import FeatureSequence, save_features
+from .audio import _SIZE_LIMIT, FeatureSequence, save_features
 from .errors import DataError, FormatError
 from .gmm import GaussianMixture
 from .hmm2 import Hmm2Model, sample_hmm2
@@ -167,6 +167,10 @@ class SynthSpec:
             raise DataError("frames range must satisfy 2 <= lo <= hi")
         if min(self.n_states, self.n_components, self.dim) < 1:
             raise DataError("n_states, n_components and dim must be >= 1")
+        if max(self.tokens_per_condition, hi, self.n_states, self.n_components,
+               self.dim) > _SIZE_LIMIT:
+            raise DataError("tokens_per_condition, frames, n_states, n_components and dim "
+                            f"must be at most {_SIZE_LIMIT}")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
         if not math.isfinite(self.separation):

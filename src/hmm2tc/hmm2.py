@@ -2,22 +2,21 @@
 
 State pairs index every lattice: a trellis cell (t, j, k) covers the
 transition between times t-1 and t. The model runs as a first-order chain
-over the pairs (j, k) that its topology allows, P[(i, j), (j, k)] =
-a3[i, j, k] (du Preez 1998, order reduction): all N*N of them when ergodic,
-and the N(N + 1)/2 with k >= j when left-right, whose other pairs no path
-can enter. One index map (`_pairs`) gives the chain's pairs, in ascending
-j * N + k, and its steps; every hook reads it, and so do `forward2` and
-`viterbi2`, and no other module knows which pairs a chain holds. The chain
-runs on the shared lattice engine (`hmm2tc.lattice`), which sees only its
-states and transitions: the EM E-step in the probability domain with
-per-row scaling (log domain for sequences that one scale per row cannot
-hold), forward and Viterbi in the log domain. `forward2` and `viterbi2`
-give their lattices and paths over every pair and state, `forward2`
-spreading the chain's lattice over all N*N pairs from the map, a pair the
-chain leaves out reading -inf; their results have the bits of the chain
-over all N*N pairs, as the engine gives a chain with states that no path
-enters the bits of the same chain without them. `backward2` runs on all
-N*N pairs, since beta is defined on pairs that no path enters too.
+over state pairs, P[(i, j), (j, k)] = a3[i, j, k] (du Preez 1998, order
+reduction), on the shared lattice engine (`hmm2tc.lattice`), which sees
+only its states and transitions. The hooks of the EM loop and of bank
+scoring run the chain over the pairs (j, k) that the topology allows: all
+N*N of them when ergodic, and the N(N + 1)/2 with k >= j when left-right,
+whose other pairs no path can enter. One index map (`_pairs`) gives those
+pairs, in ascending j * N + k, and their steps; the hooks read it, and no
+other module knows which pairs a chain holds. The E-step runs in the
+probability domain with per-row scaling (log domain for sequences that one
+scale per row cannot hold), forward and Viterbi in the log domain.
+`forward2`, `viterbi2` and `backward2` run the chain over all N*N pairs
+(`_every_pair`), since beta is defined on pairs that no path enters too;
+the forward lattice and the Viterbi path have the bits of the chain over
+the allowed pairs, as the engine gives a chain with states that no path
+enters the bits of the same chain without them.
 Impossible events carry -inf in every log-domain result. `Hmm2Model` gives
 the EM loop of both orders (`hmm2tc.em`) its pair chain, the map from pair
 posteriors to state occupancies, and its psi, a2 and a3 M-step; its hooks
@@ -147,32 +146,33 @@ def path_log_prob2(model: Hmm2Model, states, obs=None) -> float:
     return float(total)
 
 
+def _every_pair(model: Hmm2Model, obs):
+    """The lattice engine's arguments for the model's chain over all N*N
+    pairs (j, k), indexed j * N + k, those that the topology does not allow
+    too, for an observation sequence."""
+    every = Hmm2Model.from_checked(model.psi, model.a2, model.a3, model.mixtures, "ergodic")
+    return every._chain(model.emission_log_probs(obs))
+
+
 def forward2(model: Hmm2Model, obs) -> tuple[Trellis2, float]:
     """Extended forward lattice alpha_t(j, k) and total log-likelihood; a
     pair that the topology does not allow reads -inf."""
-    chain, ll = lattice.forward(*model._chain(model.emission_log_probs(obs)))
-    n = model.n_states
-    j, k = _pairs(n, model.topology)[:2]
-    la = np.full((len(chain), n, n), -np.inf)
-    la[:, j, k] = chain
-    return Trellis2(la), ll
+    la, ll = lattice.forward(*_every_pair(model, obs))
+    return Trellis2(la.reshape(-1, model.n_states, model.n_states)), ll
 
 
 def backward2(model: Hmm2Model, obs) -> Trellis2:
     """Extended backward lattice beta_t(i, j) over every pair, those that the
     topology does not allow too; beta_T is identically 1."""
-    every = Hmm2Model.from_checked(model.psi, model.a2, model.a3, model.mixtures, "ergodic")
-    _, trans, pair_logb = every._chain(model.emission_log_probs(obs))
-    n = model.n_states
-    return Trellis2(lattice.backward(trans, pair_logb).reshape(-1, n, n))
+    lb = lattice.backward(*_every_pair(model, obs)[1:])
+    return Trellis2(lb.reshape(-1, model.n_states, model.n_states))
 
 
 def viterbi2(model: Hmm2Model, obs) -> tuple[np.ndarray, float]:
     """Most likely state path and its log score; ties break toward the
     lowest pair index j * N + k, from the last frame back (`lattice.viterbi`)."""
-    pairs, score = lattice.viterbi(*model._chain(model.emission_log_probs(obs)))
-    j, k = _pairs(model.n_states, model.topology)[:2]
-    return np.concatenate((j[pairs[:1]], k[pairs])), score
+    pairs, score = lattice.viterbi(*_every_pair(model, obs))
+    return np.concatenate((pairs[:1] // model.n_states, pairs % model.n_states)), score
 
 
 def sample_hmm2(model: Hmm2Model, t_len: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

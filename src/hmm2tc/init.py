@@ -126,20 +126,18 @@ def _lloyd(xd: np.ndarray, sizes: np.ndarray, n_comp: int, rngs: list, floors: n
             np.maximum(variances, floors[:, None, :]))
 
 
-def _groups(bank: list, states: list, n_states: int) -> tuple[np.ndarray, np.ndarray]:
+def _groups(bank: list, states: list, sizes: np.ndarray) -> np.ndarray:
     """The zero-padded (D, G, T) stack of the bank's (label, state) groups,
     group i * N + j holding the frames of label i's state j, states[i]
-    giving each of its frames' state, in frame order; and each group's
-    size."""
-    sizes = np.concatenate([np.bincount(state, minlength=n_states) for state in states])
+    giving each of its frames' state, in frame order, and sizes each
+    group's size."""
     xd = np.zeros((bank[0].frames.shape[1], len(sizes), sizes.max()))
-    for i, (c, state) in enumerate(zip(bank, states)):
+    for i, (c, state, own) in enumerate(zip(bank, states, sizes.reshape(len(bank), -1))):
         order = np.argsort(state, kind="stable")
-        own = sizes[i * n_states:(i + 1) * n_states]
         group = state[order]
-        xd[:, i * n_states + group, np.arange(len(order)) - (np.cumsum(own) - own)[group]] = \
+        xd[:, i * len(own) + group, np.arange(len(order)) - (np.cumsum(own) - own)[group]] = \
             c.frames[order].T
-    return xd, sizes
+    return xd
 
 
 def flat_start(training_sets, order: int, n_states: int, n_comp: int,
@@ -149,28 +147,30 @@ def flat_start(training_sets, order: int, n_states: int, n_comp: int,
     the label's frames. training_sets maps each label to its sequences, or
     is their `em.corpora`, which checks their shapes. Label i takes
     seed + i. An order other than 1 or 2, input that `em.corpora` refuses,
-    or a label with a state that gets fewer frames than mixture components,
-    raises DataError naming it, before any (N,) array is made: a label of
-    fewer than N * M frames has such a state. The models' checks run once
-    over the bank (`StateModel.bank`); no frame's values are checked, so a
-    frame whose squared norm overflows is ranked by the direct form."""
+    a label of fewer frames than N, checked before any (N,) array is made,
+    or a label with a state that gets fewer frames than mixture components
+    (as a label of fewer than N * M frames has), raises DataError naming it.
+    The models' checks run once over the bank (`StateModel.bank`); no
+    frame's values are checked, so a frame whose squared norm overflows is
+    ranked by the direct form."""
     if order not in (1, 2):
         raise DataError(f"unsupported model order {order}")
     if n_states < 1 or n_comp < 1:
         raise DataError("state and mixture counts must be >= 1")
     bank = corpora(training_sets)
+    for c in bank:
+        if n_states > len(c.frames):
+            raise DataError(f"condition {c.label!r}: {len(c.frames)} frames for "
+                            f"{n_states} states")
     # segment j of each sequence, cut into N equal segments, feeds state j
     states = [c.time * n_states // np.repeat(c.lengths, c.lengths) for c in bank]
-    for c, state in zip(bank, states):
-        # each state's frame count up to the first state that gets none, from
-        # the states that get frames, so that a huge N costs no (N,) array
-        held, sizes = np.unique(state, return_counts=True)
-        counts = np.append(np.where(held == np.arange(len(held)), sizes, 0), 0)[:n_states]
-        short = np.flatnonzero(counts < n_comp)
-        if short.size:
-            raise DataError(f"condition {c.label!r} state {short[0]}: "
-                            f"{counts[short[0]]} frames for {n_comp} mixture components")
-    xd, sizes = _groups(bank, states, n_states)
+    sizes = np.concatenate([np.bincount(state, minlength=n_states) for state in states])
+    short = np.flatnonzero(sizes < n_comp)
+    if short.size:
+        label, state = divmod(int(short[0]), n_states)
+        raise DataError(f"condition {bank[label].label!r} state {state}: "
+                        f"{sizes[short[0]]} frames for {n_comp} mixture components")
+    xd = _groups(bank, states, sizes)
     rngs = [np.random.default_rng(seed + i) for i in range(len(bank))]
     floors = np.repeat([c.floor for c in bank], n_states, axis=0)
     mixtures = _lloyd(xd, sizes, n_comp, [rng for rng in rngs for _ in range(n_states)], floors)

@@ -29,17 +29,17 @@ alone) and for the log-domain chains of the E-step, and by max for
 `viterbi` and `viterbi_scores` (max-product). Each row gathers every
 state's predecessors from a (P, B, S) table, built once per pass, and
 reduces over its first axis (`_neighbours`). A table leaves out the lanes
-of zero transitions. In every table but `viterbi`'s, each state's absent
-lanes come first, carrying -inf, so that its reduction starts on
+of zero transitions. Every pass reads the same table order: each state's
+absent lanes come first, carrying -inf, so that its reduction starts on
 np.logaddexp's cheap -inf (+) -inf case, and its real predecessors follow,
-lowest index first. `viterbi`'s table puts the real lanes first, since its
-back pointers and tie rule read lane 0 as the lowest-index predecessor.
-Either order gives the same bits: a reduction adds -inf terms exactly,
-wherever they sit, and so a state that no path reaches changes no other
-state's value. For the same reason each likelihood sums its chain's last row
-in order (`_final`): a state that reads -inf there adds an exact 0, so a
-chain's likelihood has the bits of the same chain with states that no path
-enters added or left out. A flat edge list reduced by
+lowest index first; so on a finite cell the first lane at the maximum is
+the lowest-index best predecessor, which `viterbi`'s back pointers and tie
+rule read. A reduction adds -inf terms exactly, wherever they sit, and so
+a state that no path reaches changes no other state's value. For the same
+reason each likelihood sums its chain's last row in order (`_final`): a
+state that reads -inf there adds an exact 0, so a chain's likelihood has
+the bits of the same chain with states that no path enters added or left
+out. A flat edge list reduced by
 `np.logaddexp.reduceat` is faster on left-right chains but slower on dense
 (ergodic) pair chains, where each state's segment becomes one long serial
 chain of operations instead of a reduction over whole (B, S) blocks.
@@ -179,15 +179,13 @@ def _row_ends(lengths: np.ndarray) -> dict[int, list[int]]:
     return ends
 
 
-def _neighbours(trans: np.ndarray, b: int, real_first: bool = False
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _neighbours(trans: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     """(P, B, S) tables of the predecessors of every state of each of the B
     chains that the matrices trans (G, S, S) serve, and their log transition
     probabilities; P is the largest in-degree, and a state with fewer
-    predecessors has absent lanes, which carry -inf. Its real predecessors
-    run lowest index first, after its absent lanes, or before them with
-    real_first (`viterbi`'s back pointers). Pass the transposed matrices for
-    successors.
+    predecessors has absent lanes, which carry -inf. Its absent lanes come
+    first and its real predecessors after them, lowest index first. Pass the
+    transposed matrices for successors.
 
     Over these tables a recursion costs S * P per row: N**3 on the pair chain,
     where the dense (S, S) matrix has N**4 entries. Their first axis is P, so
@@ -195,10 +193,7 @@ def _neighbours(trans: np.ndarray, b: int, real_first: bool = False
     """
     support = trans > 0
     width = max(int(support.sum(axis=-2).max()), 1)
-    if real_first:
-        idx = np.argsort(~support, axis=-2, kind="stable")[..., :width, :]
-    else:
-        idx = np.argsort(support, axis=-2, kind="stable")[..., -width:, :]
+    idx = np.argsort(support, axis=-2, kind="stable")[..., -width:, :]
     log_p = _log(np.take_along_axis(trans, idx, axis=-2))
     k = b // len(trans)
     return (np.repeat(np.moveaxis(idx, -2, 0), k, axis=1),
@@ -405,7 +400,8 @@ def _log_estep(c: _Chains):
 
 def viterbi(log_init, trans, logb, lengths=None):
     """Most likely state sequences (B, R) and their log scores (B,). A chain
-    with no admissible path scores -inf; a single chain raises NumericError.
+    with no admissible path scores -inf and gets the all-zero path of its
+    padding rows; a single chain raises NumericError.
 
     Ties break toward the lowest state index, from each chain's last row
     back: that row's lowest-index best state, then at each row back the
@@ -414,7 +410,7 @@ def viterbi(log_init, trans, logb, lengths=None):
     """
     single, c = _chains(log_init, trans, logb, lengths)
     rows, b, s = c.logb.shape
-    into, log_into = _neighbours(c.trans, b, real_first=True)
+    into, log_into = _neighbours(c.trans, b)
     delta = _log_forward(c, into, log_into, np.maximum.reduce)
     final = _last(delta, c.lengths)
     chains = np.arange(b)
@@ -422,7 +418,7 @@ def viterbi(log_init, trans, logb, lengths=None):
     score = final[chains, best]
     if single and score[0] == -np.inf:
         raise NumericError("no admissible state path for this observation sequence")
-    # each cell's best predecessor is its lowest p that reaches the maximum,
+    # each finite cell's best predecessor is its first lane at the maximum,
     # the one argmax picks, for all rows at once
     cand = delta[:-1].reshape(rows - 1, b * s).take(_flat(into), axis=1)
     cand += log_into
@@ -436,7 +432,7 @@ def viterbi(log_init, trans, logb, lengths=None):
         path[r] = state
         if r:
             state = into[back[r - 1, chains, state], chains, state]
-    path[np.arange(rows)[:, None] >= c.lengths] = 0
+    path[(np.arange(rows)[:, None] >= c.lengths) | (score == -np.inf)] = 0
     return _one(single, path.T, score)
 
 

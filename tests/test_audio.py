@@ -210,6 +210,12 @@ class TestLpcc:
         c = lpc_to_lpcc(a, 16)
         assert np.allclose(c, fft_cepstrum_oracle(a, 16), atol=1e-6)
 
+    def test_cepstra_past_numpy_array_size_raise_memory_error(self):
+        # 2**48 coefficients (the size bound) for the 9,520 frames of 16 clips
+        # of 3 s: numpy would refuse the array with a ValueError
+        with pytest.raises(MemoryError, match="281474976710656 cepstral coefficients"):
+            lpc_to_lpcc(np.zeros((9520, 12)), 2 ** 48)
+
 
 class TestExtract:
     def test_shape_one_second(self):

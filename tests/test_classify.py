@@ -12,7 +12,7 @@ from hmm2tc.config import TrainConfig
 from hmm2tc.errors import DataError, NumericError
 from hmm2tc.gmm import GaussianMixture
 from hmm2tc.hmm1 import Hmm1Model, forward1, viterbi1
-from hmm2tc.hmm2 import Hmm2Model, forward2, sample_hmm2, viterbi2
+from hmm2tc.hmm2 import Hmm2Model, _pairs, forward2, sample_hmm2, viterbi2
 from hmm2tc.lattice import _log
 
 from conftest import random_hmm2
@@ -177,15 +177,20 @@ def test_bank_scores_equal_each_full_chain_bit_for_bit(case):
         want["viterbi"].append(lattice.viterbi_scores(*chain))
         if model.order == 1:
             continue
+        # the hooks' chain over the allowed pairs, spread over all N*N
         n = model.n_states
+        j, k = _pairs(n, model.topology)[:2]
+        reduced = model._chain(logb)
         want_la, want_ll = lattice.forward(*chain)
-        trellis, ll = forward2(model, obs)
-        assert np.array_equal(trellis.values, want_la.reshape(-1, n, n)) and ll == want_ll
+        la, ll = lattice.forward(*reduced)
+        spread = np.full(want_la.shape, -np.inf)
+        spread[:, j * n + k] = la
+        assert np.array_equal(spread, want_la) and ll == want_ll
         if want["viterbi"][-1] > -np.inf:
             pairs, score = lattice.viterbi(*chain)
-            path, got = viterbi2(model, obs)
+            got_pairs, got = lattice.viterbi(*reduced)
             assert got == score
-            assert path.tolist() == [pairs[0] // n, *(pairs % n)]
+            assert (j * n + k)[got_pairs].tolist() == pairs.tolist()
     for scoring, scores in want.items():
         assert np.array_equal(_scores(bank.stack, obs, scoring), scores), scoring
 

@@ -1997,6 +1997,19 @@ def _huge_synth_states(root):
     return ["synth", "--spec", str(root / "spec.json"), "--out", str(root / "s")]
 
 
+def _synth_args(root, **overrides):
+    write_synth_spec(root / "spec.json", **overrides)
+    return ["synth", "--spec", str(root / "spec.json"), "--out", str(root / "s")]
+
+
+HUGE = 10 ** 20   # past int64, and past the bound on every size field
+SYNTH_PAST_THE_BOUND = {"synth_n_states_10_20": {"n_states": HUGE},
+                        "synth_n_components_10_20": {"n_components": HUGE},
+                        "synth_dim_10_20": {"dim": HUGE},
+                        "synth_frames_10_20": {"frames": [HUGE, HUGE]},
+                        "synth_tokens_per_condition_10_20": {"tokens_per_condition": HUGE}}
+
+
 def _duplicate_synth_labels(root):
     write_synth_spec(root / "spec.json", labels=["a", "a"])
     return ["synth", "--spec", str(root / "spec.json"), "--out", str(root / "s")]
@@ -2036,10 +2049,20 @@ ERROR_BRANCHES = {
     # allocates, and the others end in a MemoryError that `main` reports
     "train_huge_state_count": (lambda root: _train_args(root / "c", "manifest.tsv",
                                                         "--states", "1000000000000"),
-                               "condition 'a' state 1: 0 frames for 1 mixture components"),
+                               "condition 'a': 126 frames for 1000000000000 states"),
     "extract_huge_cepstral_order": (lambda root: _wav_extract_args(
         root, lambda wav: wav, "--cepstral-order", "1000000000000"), "error: out of memory: "),
     "synth_huge_state_count": (_huge_synth_states, "error: out of memory: "),
+    # sizes past int64: each is refused before it reaches numpy
+    "train_states_10_20": (lambda root: _train_args(root / "c", "manifest.tsv",
+                                                    "--states", str(HUGE)),
+                           f"condition 'a': 126 frames for {HUGE} states"),
+    "extract_cepstral_order_10_20": (lambda root: _wav_extract_args(
+        root, lambda wav: wav, "--cepstral-order", str(HUGE)),
+        "lpc_order and cepstral_order must be at most 281474976710656"),
+    **{case: (lambda root, fields=fields: _synth_args(root, **fields),
+              "frames, n_states, n_components and dim must be at most 281474976710656")
+       for case, fields in SYNTH_PAST_THE_BOUND.items()},
 }
 
 
@@ -2057,3 +2080,8 @@ class TestErrorBranches:
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 3 and "Traceback" not in err and message in err, (code, err)
+
+    @pytest.mark.parametrize("case", SYNTH_PAST_THE_BOUND)
+    def test_synth_past_the_bound_writes_no_feature_file(self, tmp_path, capsys, case):
+        assert main(_synth_args(tmp_path, **SYNTH_PAST_THE_BOUND[case])) == 3
+        assert not list(tmp_path.rglob("*.lpcc"))

@@ -549,6 +549,30 @@ def test_stack_matches_each_chain(stack):
         assert np.allclose(counts[k], want_counts, rtol=1e-12, atol=1e-300)
 
 
+def test_viterbi_gives_a_chain_with_no_path_the_all_zero_path():
+    # ragged stacks with zero transitions and -inf emission cells, so that
+    # some chains have no admissible path: such a chain's path is all 0, as
+    # its padding rows are, and every other chain's is its path alone
+    rng = np.random.default_rng(41)
+    no_path = 0
+    for _ in range(300):
+        b, s = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        lengths = rng.integers(1, 7, b)
+        shape = (b, lengths.max(), s)
+        logb = np.where(rng.random(shape) < 0.4, -np.inf, rng.normal(0.0, 1.0, shape))
+        stack = (_log(_halves(rng, (b, s))), _halves(rng, (b, s, s)), logb, lengths)
+        paths, scores = lattice.viterbi(*stack)
+        for k, rows in enumerate(lengths):
+            if scores[k] == -np.inf:
+                no_path += 1
+                assert not paths[k].any()
+                continue
+            want, score = lattice.viterbi(*_one_chain(stack, k))
+            assert scores[k] == score
+            assert paths[k, :rows].tolist() == want.tolist() and not paths[k, rows:].any()
+    assert no_path >= 100
+
+
 def test_bank_with_log_domain_chains_and_a_chain_with_no_path():
     # chain 1 is the chain of test_dropped_state_is_kept_when_its_row_still_has_mass,
     # which only the log domain holds; chain 2 can emit nothing on row 3, so
