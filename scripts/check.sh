@@ -42,8 +42,10 @@
 #    tracer's hooks); numpy's RuntimeWarnings are errors there, as in the
 #    tier-1 suite, so a floating-point warning on benchmark-sized input
 #    counts as a failed operation;
-# 5. an import of hmm2tc.cli with scipy blocked: src must not need scipy,
-#    which only the tests and perfbench/ use (the "test" extra);
+# 5. an import of hmm2tc.cli with scipy and the stdlib wave module blocked:
+#    src must not need scipy, which only the tests and perfbench/ use (the
+#    "test" extra), and reads WAV files with its own chunk walker, so that
+#    the same rules hold on every Python;
 # 6. the line count of each module of src/hmm2tc and their total, then
 #    their code lines (lines that are not blank, a comment or a docstring,
 #    found with ast), printed for information only (the size of the package
@@ -238,9 +240,10 @@ for w in extract train identify; do
     esac
 done
 
-echo "== src imports without scipy"
+echo "== src imports without scipy and without wave"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c \
-    'import sys; sys.modules["scipy"] = None; import hmm2tc.cli' || failed="$failed no-scipy"
+    'import sys; sys.modules["scipy"] = sys.modules["wave"] = None; import hmm2tc.cli' ||
+    failed="$failed no-scipy-no-wave"
 
 echo "== lines in src/hmm2tc/*.py (information only)"
 wc -l src/hmm2tc/*.py

@@ -2,7 +2,10 @@
 
 The pipeline is decode -> windowed autocorrelation -> Levinson-Durbin ->
 cepstral recursion, one 16-dim LPCC row per 30 ms Hamming frame at a 5 ms
-shift. Decoding and autocorrelation run once per clip; the autocorrelation
+shift. Decoding reads a RIFF/WAVE file in one walk over its chunks, with
+no stdlib `wave`, so the same rules hold on every Python: PCM (format tag
+1) only, and the walk bounded by the file's length, not by the RIFF size
+field. Decoding and autocorrelation run once per clip; the autocorrelation
 is computed from the clip's samples without building its (frames, window)
 stack (`clip_autocorrelation`), which `frame_and_window` still gives for
 reference. Its rows agree with the stack's dot products to rounding, not
@@ -18,10 +21,8 @@ call, and each file's rows are made contiguous once, when they are written.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
-import wave
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,45 +106,47 @@ class FeatureSequence:
 STREAMED_DATA_SIZES = (0, 0xFFFFFFFF)
 
 
-def _data_chunk(data: bytes) -> tuple[int, int]:
-    """Offset of the data chunk's payload and the size its header declares."""
-    pos = 12                                   # past "RIFF", its size and "WAVE"
-    while pos + 8 <= len(data):
-        chunk_id, size = struct.unpack_from("<4sI", data, pos)
-        if chunk_id == b"data":
-            return pos + 8, size
-        pos += 8 + size + (size & 1)
-    raise FormatError("WAV file has no data chunk")
-
-
 def decode_pcm16_wav(data: bytes) -> AudioClip:
     """Decode a mono 16-bit PCM RIFF/WAVE file into [-1, 1] samples.
 
-    A data chunk that holds fewer bytes than its header declares is a cut
-    file and is rejected, unless the declared size is one of
+    One walk over the chunks, from byte 12 to the end of the file, reads
+    each `fmt ` chunk of 16 bytes or more and stops at the first `data`
+    chunk, which must come after one. The RIFF size field is not read: a
+    streaming writer may leave it as a placeholder, as it may the data size.
+    A chunk before the data chunk that runs past the file is malformed. Only
+    format tag 1 (PCM) is read, and the sample width is (bits + 7) // 8
+    bytes. A data chunk that holds fewer bytes than its header declares is a
+    cut file and is rejected, unless the declared size is one of
     STREAMED_DATA_SIZES.
     """
-    try:
-        with wave.open(io.BytesIO(data), "rb") as wf:
-            n_channels = wf.getnchannels()
-            sampwidth = wf.getsampwidth()
-            rate = wf.getframerate()
-    except (wave.Error, EOFError, struct.error) as exc:
-        raise FormatError(f"malformed or non-PCM WAV file: {exc}") from exc
-    except RuntimeError as exc:   # wave's chunk reader, on a chunk size past its container
-        raise FormatError("malformed WAV file: a chunk size runs past the file") from exc
-    if sampwidth != 2:
-        raise FormatError(f"expected 16-bit samples, got {8 * sampwidth}-bit")
+    if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+        raise FormatError("malformed or non-PCM WAV file: not a RIFF file of form WAVE")
+    tag, pos, chunk_id = None, 12, b""
+    while chunk_id != b"data":
+        if pos + 8 > len(data):
+            raise FormatError("malformed or non-PCM WAV file: no data chunk")
+        chunk_id, size = struct.unpack_from("<4sI", data, pos)
+        start, pos = pos + 8, pos + 8 + size + (size & 1)   # odd sizes have a pad byte
+        if chunk_id != b"data" and start + size > len(data):
+            raise FormatError("malformed WAV file: a chunk size runs past the file")
+        if chunk_id == b"fmt " and size >= 16:
+            tag, n_channels, rate, bits = struct.unpack_from("<HHI6xH", data, start)
+    if tag is None:
+        raise FormatError("malformed or non-PCM WAV file: no fmt chunk of 16 bytes or more "
+                          "before the data chunk")
+    if tag != 1:
+        raise FormatError(f"malformed or non-PCM WAV file: format tag {tag}, not 1 (PCM)")
+    width = (bits + 7) // 8
+    if width != 2:
+        raise FormatError(f"expected 16-bit samples, got {8 * width}-bit")
     if n_channels != 1:
         raise FormatError(f"expected mono audio, got {n_channels} channels")
-    start, declared = _data_chunk(data)
-    streamed = declared in STREAMED_DATA_SIZES
-    view = memoryview(data)
-    raw = view[start:] if streamed else view[start:start + declared]
+    streamed = size in STREAMED_DATA_SIZES
+    raw = memoryview(data)[start:None if streamed else start + size]
     if len(raw) % 2:
         raise FormatError("WAV data ends in the middle of a sample")
-    if len(raw) < declared and not streamed:
-        raise FormatError(f"WAV data chunk holds {len(raw)} of the {declared} bytes "
+    if len(raw) < size and not streamed:
+        raise FormatError(f"WAV data chunk holds {len(raw)} of the {size} bytes "
                           "its header declares; the file is cut")
     # one pass; scaling by 2**-15 is exact, so the bits are those of v / 32768
     samples = np.multiply(np.frombuffer(raw, dtype="<i2"), 1 / 32768, dtype=np.float64)

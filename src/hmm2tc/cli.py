@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -153,10 +154,15 @@ def cmd_train(args) -> int:
     bank_doc = {"format_version": 1, "order": args.order, "N": args.states,
                 "M": args.mixtures, "topology": args.topology,
                 "protocol": "pooled" if args.pooled else "per_scope", "scopes": []}
+    # every scope is trained before any file is written, and an old bank.json
+    # goes before the first model file is replaced: a run that fails partway
+    # leaves the old bank whole, or no bank.json for identify and evaluate
+    trained = [(key, *train_bank(scopes[key], args.order, args.states, args.mixtures,
+                                 args.topology, cfg)) for key in keys]
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(args.out, BANK_FILE))
     train_log = {}
-    for key in keys:
-        bank, traces = train_bank(scopes[key], args.order, args.states, args.mixtures,
-                                  args.topology, cfg)
+    for key, bank, traces in trained:
         scope_doc = {"speaker": None if key is None else key[0],
                      "sentence": None if key is None else key[1],
                      "labels": bank.labels, "models": {}}
@@ -172,10 +178,10 @@ def cmd_train(args) -> int:
                                 os.path.join(args.out, rel))}
         bank_doc["scopes"].append(scope_doc)
         train_log[_scope_name(key)] = traces
-    with open(os.path.join(args.out, BANK_FILE), "w", encoding="utf-8") as fh:
-        json.dump(bank_doc, fh, sort_keys=True, indent=1)
     with open(os.path.join(args.out, "train_log.json"), "w", encoding="utf-8") as fh:
         json.dump(train_log, fh, sort_keys=True, indent=1)
+    with open(os.path.join(args.out, BANK_FILE), "w", encoding="utf-8") as fh:
+        json.dump(bank_doc, fh, sort_keys=True, indent=1)
     print(f"trained {len(bank_doc['scopes'])} bank(s) -> {args.out}")
     return EXIT_OK
 

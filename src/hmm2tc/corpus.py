@@ -158,6 +158,11 @@ class SynthSpec:
         for label in self.labels:
             if any(c in label for c in (*PATH_SEPARATORS, "\0")):
                 raise DataError(f"label {label!r} holds a path separator or a NUL character")
+            # what parse_manifest would split on or strip: the label must read back
+            if "\t" in label or label != label.strip() or "".join(label.splitlines()) != label:
+                raise DataError(f"label {label!r} holds a tab or a line break, or starts or "
+                                "ends with whitespace, and would not read back from the "
+                                "manifest")
         if self.tokens_per_condition < 2:
             raise DataError("tokens_per_condition must be >= 2")
         if isinstance(self.frames, int):

@@ -15,6 +15,19 @@ from hmm2tc.errors import DataError, FormatError, NumericError
 from conftest import fft_cepstrum_oracle, make_wav_bytes, toeplitz_lpc_oracle
 
 
+# mono 16-bit PCM at 16 kHz: format tag, channels, rate, byte rate, block
+# align, bits per sample
+PCM_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+
+
+def _riff(*chunks) -> bytes:
+    """A RIFF/WAVE file of the given (id, payload) chunks, each odd-sized
+    payload followed by its pad byte."""
+    body = b"".join(cid + struct.pack("<I", len(payload)) + payload + bytes(len(payload) & 1)
+                    for cid, payload in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
 class TestDecode:
     def test_scaling_endpoints(self):
         data = make_wav_bytes(np.array([0, 16384, -32768]))
@@ -64,6 +77,40 @@ class TestDecode:
         clip = decode_pcm16_wav(make_wav_bytes(values))
         assert clip.samples.dtype == np.float64
         assert clip.samples.tobytes() == (values.astype(np.float64) / 32768.0).tobytes()
+
+    def test_riff_and_data_sizes_both_0_decode_the_samples(self):
+        # a streaming writer may leave both sizes as placeholders
+        samples = np.arange(-2400, 2400, dtype=np.int16)
+        data = bytearray(make_wav_bytes(samples))
+        at = data.index(b"data") + 4
+        data[4:8] = data[at:at + 4] = bytes(4)
+        clip = decode_pcm16_wav(bytes(data))
+        assert np.array_equal(clip.samples, samples / 32768.0)
+
+    def test_extensible_format_is_refused_naming_its_tag(self):
+        # WAVE_FORMAT_EXTENSIBLE around mono 16-bit PCM (cbSize 22, valid bits,
+        # channel mask, the PCM sub-format GUID): only tag 1 is read
+        guid = bytes.fromhex("0100000000001000800000aa00389b71")
+        fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 16000, 32000, 2, 16, 22, 16, 4) + guid
+        with pytest.raises(FormatError, match="format tag 65534"):
+            decode_pcm16_wav(_riff((b"fmt ", fmt), (b"data", bytes(640))))
+
+    def test_list_chunk_before_fmt_decodes(self):
+        samples = np.arange(-320, 320, dtype=np.int16)
+        clip = decode_pcm16_wav(_riff((b"LIST", b"INFOISFT\x04\x00\x00\x00hmm\x00"),
+                                      (b"fmt ", PCM_FMT), (b"data", samples.tobytes())))
+        assert np.array_equal(clip.samples, samples / 32768.0)
+
+    def test_odd_sized_chunk_and_its_pad_byte_decode(self):
+        samples = np.arange(-320, 320, dtype=np.int16)
+        data = _riff((b"fmt ", PCM_FMT), (b"junk", b"odd"), (b"data", samples.tobytes()))
+        assert data.index(b"data") == 12 + 24 + 8 + 3 + 1    # past the pad byte
+        clip = decode_pcm16_wav(data)
+        assert np.array_equal(clip.samples, samples / 32768.0)
+
+    def test_data_before_fmt_is_refused(self):
+        with pytest.raises(FormatError, match="no fmt chunk .* before the data chunk"):
+            decode_pcm16_wav(_riff((b"data", bytes(640)), (b"fmt ", PCM_FMT)))
 
     @pytest.mark.parametrize("bad, message", [
         (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),

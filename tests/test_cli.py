@@ -13,11 +13,11 @@ from hmm2tc import classify, cli
 from hmm2tc.audio import FrameParams, decode_pcm16_wav, extract_features, load_features, \
     lpcc_sequences, save_features
 from hmm2tc.cli import main
-from hmm2tc.corpus import ManifestEntry, format_manifest
+from hmm2tc.corpus import ManifestEntry, format_manifest, parse_manifest
 from hmm2tc.errors import Hmm2tcError
 from hmm2tc.gmm import MEAN_SPREAD, GaussianMixture
 from hmm2tc.init import flat_start
-from hmm2tc.model_io import load_model, load_pack, save_model
+from hmm2tc.model_io import load_model, load_pack, save_model, save_pack
 
 from conftest import make_wav_bytes
 
@@ -582,7 +582,7 @@ class TestExtract:
         assert (out / "manifest.tsv").read_text() == format_manifest(entries)
 
     def test_corrupt_fmt_chunk_size_exits_3(self, tmp_path, capsys):
-        # stdlib wave raises RuntimeError, not wave.Error, on this chunk size
+        # a fmt chunk size that runs past the file
         self._noise_wav(tmp_path, "good.wav", seed=1)
         wav = bytearray(make_wav_bytes(np.zeros(4800, dtype=np.int16)))
         assert wav[12:16] == b"fmt "
@@ -702,6 +702,9 @@ class TestWavFuzz:
             code, _, err = run(capsys, "extract", "--manifest", str(manifest),
                                "--out", str(tmp_path / "feat"), *options)
             assert code in (0, 3) and "Traceback" not in err, (case, options, code, err)
+            # every refusal says what is wrong: text follows its last ": "
+            assert all(line.rsplit(": ", 1)[-1].strip() for line in err.splitlines()), (
+                case, options, err)
             codes.append(code)
         assert {0, 3} <= set(codes)
 
@@ -1331,6 +1334,66 @@ class TestIdentifyScope:
         assert "--speaker" in err
 
 
+class TestFailedTrain:
+    """A train that fails partway leaves the old bank whole, or no bank.json:
+    identify and evaluate never read a mix of two runs' models."""
+
+    @pytest.fixture
+    def two_scopes(self, synth_corpus):
+        """A two-scope manifest, (syn, s1) then (twin, s1), whose second scope
+        reads its first training file from a copy of its own."""
+        lines = (synth_corpus / "manifest.tsv").read_text().splitlines()
+        twin = [line.replace("syn\t", "twin\t", 1) for line in lines[1:]]
+        twin[0] = twin[0].replace("a_001.lpcc", "twin_a_001.lpcc")
+        shutil.copy(synth_corpus / "features" / "a_001.lpcc",
+                    synth_corpus / "features" / "twin_a_001.lpcc")
+        (synth_corpus / "two.tsv").write_text("\n".join(lines + twin) + "\n")
+        return synth_corpus
+
+    def _train(self, capsys, corpus, bank, seed):
+        return run(capsys, "train", "--manifest", str(corpus / "two.tsv"), "--out", str(bank),
+                   "--order", "2", "--states", "2", "--mixtures", "2", "--topology",
+                   "ergodic", "--max-iter", "2", "--seed", str(seed))
+
+    def _identify(self, capsys, corpus, bank, speaker):
+        return run(capsys, "identify", "--bank", str(bank), "--speaker", speaker,
+                   "--features", str(corpus / "features" / "a_006.lpcc"))
+
+    def test_a_scope_that_fails_to_train_leaves_the_old_bank(self, two_scopes, tmp_path,
+                                                              capsys):
+        bank = tmp_path / "bank"
+        assert self._train(capsys, two_scopes, bank, seed=1)[0] == 0
+        before = [self._identify(capsys, two_scopes, bank, who) for who in ("syn", "twin")]
+        short = two_scopes / "features" / "twin_a_001.lpcc"
+        short.write_bytes(_lpcc(load_features(short).frames[:1]))
+        code, _, err = self._train(capsys, two_scopes, bank, seed=2)
+        assert code == 3 and "T = 1" in err
+        after = [self._identify(capsys, two_scopes, bank, who) for who in ("syn", "twin")]
+        assert before[0][0] == 0 and after == before
+
+    def test_a_failed_write_leaves_no_bank_to_read(self, two_scopes, tmp_path, capsys,
+                                                   monkeypatch):
+        bank = tmp_path / "bank"
+        assert self._train(capsys, two_scopes, bank, seed=1)[0] == 0
+        calls = []
+
+        def second_call_fails(models, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(f"{path}: no space left on device")
+            return save_pack(models, path)
+
+        monkeypatch.setattr(cli, "save_pack", second_call_fails)
+        code, _, err = self._train(capsys, two_scopes, bank, seed=2)
+        assert code == 3 and "no space left" in err and len(calls) == 2
+        for who in ("syn", "twin"):
+            code, out, _ = self._identify(capsys, two_scopes, bank, who)
+            assert code == 3 and out == ""
+        code, _, _ = run(capsys, "evaluate", "--manifest", str(two_scopes / "two.tsv"),
+                         "--bank", str(bank), "--out", str(tmp_path / "report"))
+        assert code == 3
+
+
 def _edit_bank_json(edit):
     """A breaker that edits a bank directory's bank.json in place."""
     def breaker(bank):
@@ -1918,6 +1981,76 @@ class TestTrainFeatureFuzz:
         assert set(codes) == {0, 3}, sorted(set(codes))
 
 
+# A valid spec whose sizes are all at most 12, and the values a mutation puts
+# in place of a field: every integer among them is at most 1 or past the
+# 2**48 bound, so no spec that synth accepts allocates much or writes many
+# files.
+FUZZ_SPEC = {"labels": ["a", "b"], "tokens_per_condition": 3, "frames": [4, 8], "n_states": 2,
+             "n_components": 2, "dim": 2, "separation": 4.0, "seed": 3}
+EDGE_LABELS = ["a\tb", "a\nb", "a\0b", "a/b"]
+SPEC_EDGE_VALUES = [0, 1, -1, 1.5, True, None, "x", [], 2**48 + 1, 10**20, *EDGE_LABELS]
+# frames (80-200) and dim (16) are left out: their defaults are past the bound
+DROPPABLE_SPEC_FIELDS = ["labels", "tokens_per_condition", "n_states", "n_components",
+                         "separation", "seed"]
+
+
+def _mutated_spec(rng) -> dict:
+    """FUZZ_SPEC with one or two faults: a field dropped, a field retyped (to
+    text, a float or a one-item list), an edge value in place of a field, of
+    a label or of one end of frames, or an edge label in place of a label."""
+    spec = json.loads(json.dumps(FUZZ_SPEC))
+    for _ in range(int(rng.integers(1, 3))):
+        kind, name = int(rng.integers(4)), str(rng.choice(sorted(spec)))
+        value = SPEC_EDGE_VALUES[int(rng.integers(len(SPEC_EDGE_VALUES)))]
+        if kind == 3:
+            name, value = "labels", EDGE_LABELS[int(rng.integers(len(EDGE_LABELS)))]
+        if kind == 0:
+            spec.pop(str(rng.choice(DROPPABLE_SPEC_FIELDS)), None)
+        elif kind == 1:
+            spec[name] = [str(spec[name]), float(spec[name]) if _is_number(spec[name]) else 0.5,
+                          [spec[name]]][int(rng.integers(3))]
+        elif name in ("labels", "frames") and isinstance(spec.get(name), list) and spec[name]:
+            spec[name][int(rng.integers(len(spec[name])))] = value
+        else:
+            spec[name] = value
+    return spec
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+class TestSynthSpecFuzz:
+    """synth on a mutated spec, then train on whatever synth wrote: each exits
+    0, 2 or 3 with no traceback, and a manifest that synth writes reads back
+    with the spec's labels."""
+
+    CASES = 200
+
+    def test_mutated_spec_exits_cleanly_and_writes_what_train_reads(self, tmp_path, capsys):
+        codes = []
+        for case in range(self.CASES):
+            spec = _mutated_spec(np.random.default_rng([31, case]))
+            corpus, bank = tmp_path / f"c{case}", tmp_path / f"bank{case}"
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            code = _exits_cleanly(capsys, ["synth", "--spec", str(tmp_path / "spec.json"),
+                                           "--out", str(corpus)])
+            assert code in (0, 2, 3), (case, spec, code)
+            codes.append(code)
+            if code != 0:
+                continue
+            entries = parse_manifest((corpus / "manifest.tsv").read_text(encoding="utf-8"))
+            assert {e.condition for e in entries} == set(spec["labels"]), (case, spec)
+            code = _exits_cleanly(capsys, [
+                "train", "--manifest", str(corpus / "manifest.tsv"), "--out", str(bank),
+                "--order", "2", "--states", "2", "--mixtures", "1", "--topology", "ergodic",
+                "--max-iter", "2", "--train-count", "2", "--test-count", "0"])
+            assert code in (0, 2, 3), (case, spec, code)
+            shutil.rmtree(corpus)
+            shutil.rmtree(bank, ignore_errors=True)
+        assert {0, 3} <= set(codes)
+
+
 def _extract_args(root, *options):
     (root / "wavs.tsv").write_text("speaker\tsentence\tcondition\ttoken\tpath\n"
                                    "s1\tt1\tneutral\t1\tu.wav\n")
@@ -2040,7 +2173,7 @@ ERROR_BRANCHES = {
     "variances_wider_than_means": (lambda root: _edit_model(root, _wider_variances),
                                    "means and variances must have matching shapes"),
     "untrained_scope": (_untrained_scope, "no trained bank for scope ('other', 's1')"),
-    # wave refuses a WAV without a data chunk before `audio._data_chunk` looks
+    # a WAV without a data chunk, cut off before it or with it renamed
     "wav_data_chunk_cut_off": (lambda root: _wav_extract_args(root, lambda wav: wav[:36]),
                                "malformed or non-PCM WAV file"),
     "wav_data_chunk_renamed": (lambda root: _wav_extract_args(

@@ -146,6 +146,18 @@ class TestSynthCorpus:
         assert SynthSpec.from_dict(doc) == SynthSpec(labels=["a", "b"], frames=(20, 40),
                                                      dim=3, separation=2)
 
+    @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\rb", "a\u2028b", " a", "a\t"])
+    def test_label_that_would_not_read_back_is_refused(self, label):
+        with pytest.raises(DataError, match="would not read back"):
+            SynthSpec(labels=[label])
+
+    def test_label_with_an_inner_space_reads_back(self, tmp_path):
+        spec = SynthSpec(labels=["a b"], tokens_per_condition=2, frames=4, n_states=1,
+                         n_components=1, dim=1)
+        generate_synthetic_corpus(spec, tmp_path)
+        entries = parse_manifest((tmp_path / "manifest.tsv").read_text(encoding="utf-8"))
+        assert [e.condition for e in entries] == ["a b", "a b"]
+
     def test_regeneration_byte_identical(self, tmp_path):
         spec = SynthSpec(labels=["a", "b"], tokens_per_condition=3, frames=(20, 40),
                          n_states=2, n_components=2, dim=3, seed=9)
