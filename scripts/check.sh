@@ -42,10 +42,15 @@
 #    tracer's hooks); numpy's RuntimeWarnings are errors there, as in the
 #    tier-1 suite, so a floating-point warning on benchmark-sized input
 #    counts as a failed operation;
-# 5. an import of hmm2tc.cli with scipy and the stdlib wave module blocked:
-#    src must not need scipy, which only the tests and perfbench/ use (the
-#    "test" extra), and reads WAV files with its own chunk walker, so that
-#    the same rules hold on every Python;
+# 5. an import of every module of src/hmm2tc with scipy and the stdlib wave
+#    module blocked: src must not need scipy, which only the tests and
+#    perfbench/ use (the "test" extra), and reads WAV files with its own
+#    chunk walker, so that the same rules hold on every Python; every module
+#    is imported by name, since `import hmm2tc.cli` leaves the model stack
+#    (classify and what it imports) to the commands that run it; then the
+#    wall time of one `import hmm2tc.cli` in a fresh process that has
+#    imported numpy, for information only (it includes compiling the modules
+#    when Python writes no bytecode cache, as under PYTHONDONTWRITEBYTECODE=1);
 # 6. the line count of each module of src/hmm2tc and their total, then
 #    their code lines (lines that are not blank, a comment or a docstring,
 #    found with ast), printed for information only (the size of the package
@@ -241,9 +246,21 @@ for w in extract train identify; do
 done
 
 echo "== src imports without scipy and without wave"
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c \
-    'import sys; sys.modules["scipy"] = sys.modules["wave"] = None; import hmm2tc.cli' ||
-    failed="$failed no-scipy-no-wave"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
+import glob, importlib, os, sys
+sys.modules["scipy"] = sys.modules["wave"] = None
+for path in sorted(glob.glob("src/hmm2tc/*.py")):
+    name = os.path.basename(path)[:-3]
+    importlib.import_module("hmm2tc" if name == "__init__" else f"hmm2tc.{name}")
+' || failed="$failed no-scipy-no-wave"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
+import time
+import numpy   # imported first, as the benchmark does before it times import_s
+start = time.perf_counter()
+import hmm2tc.cli
+print(f"one import of hmm2tc.cli in a fresh process, after numpy: "
+      f"{time.perf_counter() - start:.3f} s")
+'
 
 echo "== lines in src/hmm2tc/*.py (information only)"
 wc -l src/hmm2tc/*.py

@@ -12,13 +12,13 @@ import sys
 
 from .audio import FrameParams, clip_autocorrelation, decode_pcm16_wav, load_features, \
     lpcc_sequences, save_features
-from .classify import ConditionBank, evaluate_scopes, identify, improvement_table, \
-    render_improvement_text, render_report_text, train_bank
 from .config import TrainConfig
 from .corpus import ManifestEntry, SynthSpec, apply_split_protocol, format_manifest, \
     generate_synthetic_corpus, parse_manifest
 from .errors import DataError, FormatError, Hmm2tcError, NumericError
 from .model_io import load_model, load_pack, read_json, save_model, save_pack, sha256
+# The model commands import classify, and through it the HMM stack, where they
+# run: an extract process never compiles or loads it.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -133,6 +133,7 @@ def _scope_name(key) -> str:
 
 
 def cmd_train(args) -> int:
+    from .classify import train_bank
     entries = _read_manifest(args.manifest)
     entries, base = _resolve(entries, args.manifest, args)
     cfg = TrainConfig(max_iterations=args.max_iter, tol=args.tol, seed=args.seed)
@@ -210,6 +211,7 @@ def _load_bank(bank_dir, doc, scope_doc) -> ConditionBank:
     """The scope's bank. Each model file is read once; the models come from
     the scope's pack when `_packed` vouches for it, and otherwise from the
     model files' JSON, the format of record."""
+    from .classify import ConditionBank
     paths = {lab: os.path.join(bank_dir, rel) for lab, rel in scope_doc["models"].items()}
     texts = {}
     for lab, path in paths.items():
@@ -258,6 +260,7 @@ def _select_scope(doc, speaker, sentence) -> dict:
 
 
 def cmd_identify(args) -> int:
+    from .classify import identify
     doc = _load_bank_doc(args.bank)
     bank = _load_bank(args.bank, doc, _select_scope(doc, args.speaker, args.sentence))
     obs = load_features(args.features)
@@ -269,6 +272,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .classify import evaluate_scopes, render_report_text
     entries = _read_manifest(args.manifest)
     entries, base = _resolve(entries, args.manifest, args)
     doc = _load_bank_doc(args.bank)
@@ -307,6 +311,7 @@ def _read_report(path) -> dict:
 
 
 def cmd_compare(args) -> int:
+    from .classify import improvement_table, render_improvement_text
     table = improvement_table(_read_report(args.baseline), _read_report(args.new))
     if args.format == "json":
         print(json.dumps(table, sort_keys=False))

@@ -12,9 +12,9 @@ import numpy as np
 
 from .audio import _SIZE_LIMIT, FeatureSequence, save_features
 from .errors import DataError, FormatError
-from .gmm import GaussianMixture
-from .hmm2 import Hmm2Model, sample_hmm2
 from .model_io import save_model
+# The synthetic-corpus functions import gmm and hmm2 where they run: the
+# manifest half of this module, which every command reads, needs neither.
 
 log = logging.getLogger(__name__)
 
@@ -209,6 +209,8 @@ def random_hmm2(n_states: int, n_comp: int, dim: int, rng: np.random.Generator,
                 base_mean: np.ndarray | None = None) -> Hmm2Model:
     """Random ergodic model; component means scatter around base_mean, with
     standard deviation 0.5 on each axis."""
+    from .gmm import GaussianMixture
+    from .hmm2 import Hmm2Model
     psi = rng.dirichlet(np.ones(n_states))
     a2 = np.stack([rng.dirichlet(np.ones(n_states)) for _ in range(n_states)])
     a3 = np.stack([[rng.dirichlet(np.ones(n_states)) for _ in range(n_states)]
@@ -232,6 +234,7 @@ def generate_synthetic_corpus(spec: SynthSpec, out_dir
     emission variance scale). Writes features/, true_models/ and
     manifest.tsv under out_dir; returns the entries and the true models.
     """
+    from .hmm2 import sample_hmm2
     out_dir = str(out_dir)
     feat_dir = os.path.join(out_dir, "features")
     model_dir = os.path.join(out_dir, "true_models")

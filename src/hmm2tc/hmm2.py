@@ -27,6 +27,7 @@ a3[i, j, k] = a[j, k].
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,18 +177,22 @@ def viterbi2(model: Hmm2Model, obs) -> tuple[np.ndarray, float]:
 
 
 def sample_hmm2(model: Hmm2Model, t_len: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a state path and observation sequence from the generative model."""
+    """Draw a state path and observation sequence from the generative model.
+
+    Each state is the first entry of its cdf row above a uniform draw, the
+    rule of np.searchsorted(..., side="right"), found by bisect_right over
+    the rows as Python lists: one numpy call per frame costs more than the
+    search itself."""
     if t_len < 2:
         raise DataError("sequence length must be >= 2")
     rng = np.random.default_rng(seed)
-    u = rng.random(t_len)
-    cdf_a3 = _cdf(model.a3)
-    states = np.empty(t_len, dtype=np.intp)
-    states[0] = np.searchsorted(_cdf(model.psi), u[0], side="right")
-    states[1] = np.searchsorted(_cdf(model.a2)[states[0]], u[1], side="right")
+    u = rng.random(t_len).tolist()
+    cdf_a3 = _cdf(model.a3).tolist()
+    path = [bisect_right(_cdf(model.psi).tolist(), u[0])]
+    path.append(bisect_right(_cdf(model.a2)[path[0]].tolist(), u[1]))
     for t in range(2, t_len):
-        states[t] = np.searchsorted(cdf_a3[states[t - 2], states[t - 1]],
-                                    u[t], side="right")
+        path.append(bisect_right(cdf_a3[path[-2]][path[-1]], u[t]))
+    states = np.array(path, dtype=np.intp)
     return states, _sample_frames(model.mixtures, states, rng)
 
 

@@ -22,16 +22,12 @@ import stat
 import numpy as np
 
 from .errors import DataError, FormatError
-from .gmm import GaussianMixture
-from .hmm1 import Hmm1Model
-from .hmm2 import Hmm2Model
 
 MODEL_FORMAT_VERSION = 1
 _PARTS = ("weights", "means", "variances")   # the fields of each state in "mixtures"
 # the initial vector and transition arrays of either order: pi and a are
 # stored as psi and a2
 _ARRAYS = ("psi", "a2", "a3")
-_CLASSES = {cls.order: cls for cls in (Hmm1Model, Hmm2Model)}
 PACK_DTYPE = np.dtype("<f8")
 
 
@@ -50,14 +46,24 @@ def model_to_dict(model: Hmm1Model | Hmm2Model) -> dict:
     return doc
 
 
+def _model_class(order):
+    """Hmm1Model or Hmm2Model for `order`, or None. The model classes are
+    imported here, where models are built, so that importing this module
+    (as `cli` does for every command, extract too) loads no HMM code."""
+    from .hmm1 import Hmm1Model
+    from .hmm2 import Hmm2Model
+    return {1: Hmm1Model, 2: Hmm2Model}.get(order)
+
+
 def model_from_dict(doc: dict) -> Hmm1Model | Hmm2Model:
+    from .gmm import GaussianMixture
     try:
         version = doc["format_version"]
         if version != MODEL_FORMAT_VERSION:
             raise FormatError(f"unsupported model format version {version}")
         mixtures = GaussianMixture(*(np.array([m[part] for m in doc["mixtures"]])
                                      for part in _PARTS))
-        cls = _CLASSES.get(doc["order"])
+        cls = _model_class(doc["order"])
         if cls is None:
             raise FormatError(f"unsupported model order {doc['order']}")
         arrays = (np.array(doc[key]) for key in _ARRAYS[:cls.order + 1])
@@ -128,7 +134,7 @@ def load_pack(path, digest: str, count: int, order: int, n_states: int, n_compon
     model constructors runs once, over all the models' arrays stacked, and
     each model is then built from its views (`StateModel.bank`)."""
     if not all(type(v) is int and v > 0 for v in (count, order, n_states, n_components)) \
-            or order not in _CLASSES:
+            or (cls := _model_class(order)) is None:
         return None
     n, m = n_states, n_components
     shapes = [(n,) * (rank + 1) for rank in range(order + 1)] + [(n, m)]
@@ -152,6 +158,6 @@ def load_pack(path, digest: str, count: int, order: int, n_states: int, n_compon
     # each part of every model at once: (count,) + its shape, a view of the pack
     parts = [rows[:, a:b].reshape((count,) + s) for a, b, s in zip(ends, ends[1:], shapes)]
     try:
-        return _CLASSES[order].bank(parts[:-3], parts[-3:], topology)
+        return cls.bank(parts[:-3], parts[-3:], topology)
     except DataError:
         return None

@@ -4,6 +4,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -468,6 +470,38 @@ class TestExtract:
         assert code == 0
         assert "extracted 3/3" in out_text
         assert len([f for f in os.listdir(out) if f.endswith(".lpcc")]) == 3
+
+    def test_extract_process_leaves_the_model_stack_unloaded(self, tmp_path):
+        """In a fresh interpreter, neither `import hmm2tc.cli` nor an extract
+        call loads the HMM stack; a train call after them in the same process
+        imports it where it runs, and succeeds."""
+        self._noise_wav(tmp_path, "u0.wav", seed=32)
+        manifest = self._manifest(tmp_path, ["s1\tt1\tneutral\t1\tu0.wav"])
+        script = """
+import contextlib, io, json, sys
+STACK = ("classify", "em", "lattice", "gmm", "hmm1", "hmm2", "init")
+loaded = lambda: [m for m in STACK if "hmm2tc." + m in sys.modules]
+from hmm2tc import cli
+report = {"import": loaded()}
+feat, bank = sys.argv[2], sys.argv[3]
+with contextlib.redirect_stdout(io.StringIO()):
+    report["extract"] = cli.main(["extract", "--manifest", sys.argv[1], "--out", feat])
+    report["after_extract"] = loaded()
+    report["train"] = cli.main(["train", "--manifest", feat + "/manifest.tsv", "--out", bank,
+                                "--states", "2", "--mixtures", "1", "--max-iter", "2",
+                                "--train-count", "1", "--test-count", "0"])
+report["after_train"] = loaded()
+print(json.dumps(report))
+"""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(manifest), str(tmp_path / "feat"),
+             str(tmp_path / "bank")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+        report = json.loads(done.stdout)
+        assert report == {"import": [], "extract": 0, "after_extract": [], "train": 0,
+                          "after_train": ["classify", "em", "lattice", "gmm", "hmm1",
+                                          "hmm2", "init"]}
 
     def test_extract_corrupt_file(self, tmp_path, capsys):
         self._noise_wav(tmp_path, "good.wav", seed=1)

@@ -368,3 +368,31 @@ class TestConstructorChecks:
         a3[:, 2] = [0.0, 0.0, 1.0]
         model = three_state_model(2, "left-right", "a3", None, a3)
         assert np.array_equal(model.a3, a3)
+
+
+def random_left_right_hmm2(rng, n, m, dim):
+    """Random rows over the states k >= j, zero below: each cdf row of a2
+    and a3 starts with j equal entries."""
+    def row(j):
+        p = np.zeros(n)
+        p[j:] = rng.dirichlet(np.ones(n - j))
+        return p
+    a2 = np.stack([row(j) for j in range(n)])
+    a3 = np.stack([[row(j) for j in range(n)] for _ in range(n)])
+    mixtures = [GaussianMixture(rng.dirichlet(np.ones(m)), rng.normal(size=(m, dim)),
+                                rng.uniform(0.5, 1.5, (m, dim))) for _ in range(n)]
+    return Hmm2Model(np.eye(n)[0], a2, a3, mixtures, topology="left-right")
+
+
+@pytest.mark.parametrize("t_len", [2, 600])
+@pytest.mark.parametrize("topology", ["ergodic", "left-right"])
+@pytest.mark.parametrize("seed", range(4))
+def test_sampler_matches_a_per_frame_searchsorted_loop(seed, topology, t_len):
+    rng = np.random.default_rng([32, seed])
+    draw = random_hmm2 if topology == "ergodic" else random_left_right_hmm2
+    model = draw(rng, 4, 3, 2)
+    states, frames = sample_hmm2(model, t_len, seed)
+    want_states, want_frames = reference_sample(model, t_len, seed)
+    assert states.dtype == np.intp
+    assert np.array_equal(states, want_states)
+    assert np.array_equal(frames, want_frames)
