@@ -36,7 +36,10 @@
 #    3 s each, prints its own peak RSS and minor page faults, and then the
 #    minor page faults of a second extract call in the same process (the
 #    steady-state count, once the allocator's heap has grown), for
-#    information only (not gated);
+#    information only (not gated); last, no file named *.tmp may be left
+#    anywhere under the step's directory (every file is written under a
+#    temporary name and then renamed into place, and a run that exits leaves
+#    none behind);
 # 4. a 2-second traced benchmark run of each workload at seed 1, whose result
 #    line must read "failed": 0 (a traced run also exercises the span
 #    tracer's hooks); numpy's RuntimeWarnings are errors there, as in the
@@ -232,6 +235,9 @@ print(f"one extract process (exit {code}): peak RSS {use.ru_maxrss / 1024:.1f} M
       f"{use.ru_minflt} minor page faults; a second extract call in it (exit {code2}): "
       f"{again} minor page faults")
 ' "$scratch/long.tsv" "$scratch/memory-features"
+leftover=$(find "$scratch" -name '*.tmp')
+[ -z "$leftover" ] ||
+    { printf 'temporary files left behind:\n%s\n' "$leftover"; failed="$failed temp-files"; }
 rm -rf "$scratch"
 
 for w in extract train identify; do

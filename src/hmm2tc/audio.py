@@ -29,6 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import DataError, FormatError, NumericError
+from .model_io import write_file
 
 FEATURE_MAGIC = b"LPCC"
 FEATURE_VERSION = 1
@@ -376,11 +377,8 @@ def extract_features(clip: AudioClip, params: FrameParams | None = None,
 def save_features(seq: FeatureSequence, path) -> None:
     """Write the binary feature format: magic, version, T, D, row-major f64."""
     frames = np.ascontiguousarray(seq.frames, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<B", FEATURE_VERSION))
-        fh.write(struct.pack("<II", seq.T, seq.dim))
-        fh.write(frames.data)
+    write_file(path, FEATURE_MAGIC, struct.pack("<BII", FEATURE_VERSION, seq.T, seq.dim),
+               frames.data)
 
 
 def load_features(path, source_id: str | None = None) -> FeatureSequence:

@@ -16,7 +16,8 @@ from .config import TrainConfig
 from .corpus import ManifestEntry, SynthSpec, apply_split_protocol, format_manifest, \
     generate_synthetic_corpus, parse_manifest
 from .errors import DataError, FormatError, Hmm2tcError, NumericError
-from .model_io import load_model, load_pack, read_json, save_model, save_pack, sha256
+from .model_io import load_model, load_pack, read_json, save_model, save_pack, sha256, \
+    write_file
 # The model commands import classify, and through it the HMM stack, where they
 # run: an extract process never compiles or loads it.
 
@@ -30,7 +31,7 @@ PACK_DIR = "packed"   # beside models/: one pack of model arrays per scope
 
 
 def _read_manifest(path) -> list[ManifestEntry]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:   # a spreadsheet's BOM is no header text
         try:
             text = fh.read()
         except ValueError as exc:   # not UTF-8 text
@@ -87,7 +88,6 @@ def cmd_extract(args) -> int:
                          pre_emphasis=args.pre_emphasis)
     names = [f"{e.speaker}_{e.sentence}_{e.condition}_{e.token:03d}.lpcc" for e in entries]
     _distinct_names(zip(names, (f"entry {e.key}" for e in entries)))
-    os.makedirs(args.out, exist_ok=True)
     failures = []
     new_entries = []
     log = []
@@ -112,10 +112,9 @@ def cmd_extract(args) -> int:
                         "degenerate_frames": seq.degenerate_frames})
             new_entries.append(ManifestEntry(e.speaker, e.sentence, e.condition,
                                              e.token, rel, e.group, e.split))
-    with open(os.path.join(args.out, "manifest.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(format_manifest(new_entries))
-    with open(os.path.join(args.out, "extract_log.json"), "w", encoding="utf-8") as fh:
-        json.dump({"files": log}, fh, sort_keys=True, indent=1)
+    write_file(os.path.join(args.out, "extract_log.json"),
+               json.dumps({"files": log}, sort_keys=True, indent=1))
+    write_file(os.path.join(args.out, "manifest.tsv"), format_manifest(new_entries))
     print(f"extracted {len(new_entries)}/{len(entries)} files, "
           f"{sum(r['frames'] for r in log)} frames "
           f"({sum(r['degenerate_frames'] for r in log)} degenerate)")
@@ -150,8 +149,6 @@ def cmd_train(args) -> int:
     _distinct_names((_scope_name(k), f"scope {k}") for k in keys)
     _distinct_names((f"{_scope_name(k)}_{lab}", f"scope {k} condition {lab!r}")
                     for k in keys for lab in scopes[k])
-    for sub in ("models", PACK_DIR):
-        os.makedirs(os.path.join(args.out, sub), exist_ok=True)
     bank_doc = {"format_version": 1, "order": args.order, "N": args.states,
                 "M": args.mixtures, "topology": args.topology,
                 "protocol": "pooled" if args.pooled else "per_scope", "scopes": []}
@@ -179,10 +176,9 @@ def cmd_train(args) -> int:
                                 os.path.join(args.out, rel))}
         bank_doc["scopes"].append(scope_doc)
         train_log[_scope_name(key)] = traces
-    with open(os.path.join(args.out, "train_log.json"), "w", encoding="utf-8") as fh:
-        json.dump(train_log, fh, sort_keys=True, indent=1)
-    with open(os.path.join(args.out, BANK_FILE), "w", encoding="utf-8") as fh:
-        json.dump(bank_doc, fh, sort_keys=True, indent=1)
+    write_file(os.path.join(args.out, "train_log.json"),
+               json.dumps(train_log, sort_keys=True, indent=1))
+    write_file(os.path.join(args.out, BANK_FILE), json.dumps(bank_doc, sort_keys=True, indent=1))
     print(f"trained {len(bank_doc['scopes'])} bank(s) -> {args.out}")
     return EXIT_OK
 
@@ -285,14 +281,12 @@ def cmd_evaluate(args) -> int:
     report = evaluate_scopes(banks, tests, args.scoring,
                              protocol={"bank": doc["protocol"], "scoring": args.scoring,
                                        "order": doc["order"]})
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
+    write_file(os.path.join(args.out, "report.json"),
+               json.dumps(report.to_dict(), sort_keys=True, indent=1))
     text = render_report_text(report, title=f"HMM{doc['order']} evaluation")
-    with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    with open(os.path.join(args.out, "scores.jsonl"), "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in report.utterances)
+    write_file(os.path.join(args.out, "report.txt"), text)
+    write_file(os.path.join(args.out, "scores.jsonl"),
+               *(json.dumps(rec, sort_keys=True) + "\n" for rec in report.utterances))
     print(text, end="")
     return EXIT_OK
 
@@ -318,8 +312,7 @@ def cmd_compare(args) -> int:
     else:
         print(render_improvement_text(table), end="")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(table, fh, sort_keys=False, indent=1)
+        write_file(args.out, json.dumps(table, sort_keys=False, indent=1))
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .audio import _SIZE_LIMIT, FeatureSequence, save_features
 from .errors import DataError, FormatError
-from .model_io import save_model
+from .model_io import save_model, write_file
 # The synthetic-corpus functions import gmm and hmm2 where they run: the
 # manifest half of this module, which every command reads, needs neither.
 
@@ -236,10 +236,6 @@ def generate_synthetic_corpus(spec: SynthSpec, out_dir
     """
     from .hmm2 import sample_hmm2
     out_dir = str(out_dir)
-    feat_dir = os.path.join(out_dir, "features")
-    model_dir = os.path.join(out_dir, "true_models")
-    os.makedirs(feat_dir, exist_ok=True)
-    os.makedirs(model_dir, exist_ok=True)
     entries = []
     true_models: dict[str, Hmm2Model] = {}
     lo, hi = spec.frames
@@ -249,7 +245,7 @@ def generate_synthetic_corpus(spec: SynthSpec, out_dir
         base[0] = spec.separation * c
         model = random_hmm2(spec.n_states, spec.n_components, spec.dim, rng, base_mean=base)
         true_models[label] = model
-        save_model(model, os.path.join(model_dir, f"{label}.model.json"))
+        save_model(model, os.path.join(out_dir, "true_models", f"{label}.model.json"))
         for token in range(1, spec.tokens_per_condition + 1):
             trng = np.random.default_rng([spec.seed, c, token])
             t_len = int(trng.integers(lo, hi + 1))
@@ -261,6 +257,5 @@ def generate_synthetic_corpus(spec: SynthSpec, out_dir
             save_features(seq, os.path.join(out_dir, rel))
             entries.append(ManifestEntry(speaker="syn", sentence="s1",
                                          condition=label, token=token, path=rel))
-    with open(os.path.join(out_dir, "manifest.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(format_manifest(entries))
+    write_file(os.path.join(out_dir, "manifest.tsv"), format_manifest(entries))
     return entries, true_models

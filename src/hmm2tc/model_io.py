@@ -1,5 +1,10 @@
-"""Versioned JSON persistence for order-1 and order-2 models, and packs of
-their arrays.
+"""Every file the package writes, and the versioned JSON persistence of
+order-1 and order-2 models and of packs of their arrays.
+
+`write_file` is the one writer of every file of every command (features,
+manifests, logs, model and pack files, bank documents and reports): bytes
+as given, text as UTF-8 with no newline translated, each file whole or not
+at all.
 
 A model file's JSON is the format of record. A pack holds the arrays of a
 list of same-shaped models as one run of raw little-endian float64 values,
@@ -12,7 +17,7 @@ run once over a pack's stacked arrays, not once per model.
 
 from __future__ import annotations
 
-import io
+import contextlib
 import itertools
 import json
 import math
@@ -86,11 +91,36 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def write_file(path, *chunks: bytes | str) -> None:
+    """Write the chunks, in order, as the file at `path`: bytes as they are,
+    str as UTF-8. The target is `path`, or the file it names when it is a
+    symlink (which then keeps pointing at it). The file is written under the
+    temporary name `<target>.<pid>.tmp` and then replaces the target, so a
+    reader sees the old file or the new one, never a part. Missing parent
+    directories are made, and the temporary file is removed when anything
+    fails. OSError, before anything is written, when the target exists and
+    is not a regular file."""
+    # realpath only for a symlink: it costs a system call per path component
+    real = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
+    if not os.path.isfile(real) and os.path.exists(real):
+        raise OSError(f"{path}: exists and is not a regular file")
+    if not os.path.isdir(parent := os.path.dirname(real) or os.curdir):
+        os.makedirs(parent, exist_ok=True)
+    tmp = f"{real}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(c.encode("utf-8") if isinstance(c, str) else c for c in chunks)
+        os.replace(tmp, real)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_model(model, path) -> str:
     """Write the model's JSON file; returns the SHA-256 of the bytes written."""
     data = (dumps_model(model) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_file(path, data)
     return sha256(data)
 
 
@@ -100,8 +130,8 @@ def read_json(path, data: bytes | None = None):
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()
-    try:   # read as open(path, encoding="utf-8") reads text
-        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    try:
+        return json.loads(data.decode("utf-8"))
     except ValueError as exc:   # not JSON, or not UTF-8 text
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
@@ -120,8 +150,7 @@ def save_pack(models, path) -> str:
     SHA-256 of its bytes."""
     data = b"".join(np.ascontiguousarray(x, dtype=PACK_DTYPE).tobytes()
                     for model in models for x in _pack_arrays(model))
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_file(path, data)
     return sha256(data)
 
 

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _tree(root) -> dict:
+    """Every file under `root`, by its path relative to `root`: its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
 
 def write_synth_spec(path, **overrides):
@@ -369,6 +376,17 @@ class TestCompareErrors:
         assert json.loads(out_text) == {"x": None, "y": 26.7, "z": None}
         assert json.loads(out.read_text()) == {"x": None, "y": 26.7, "z": None}
 
+    def test_out_a_directory_exits_3_and_leaves_it(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"labels": ["x"], "rates": [50.0]}))
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "kept.json").write_bytes(b"{}")
+        before = sorted(str(p) for p in tmp_path.rglob("*"))
+        code, _, err = run(capsys, "compare", str(a), str(a), "--out", str(tmp_path / "out"))
+        assert code == 3 and err == f"error: {tmp_path / 'out'}: exists and is not a regular file\n"
+        assert sorted(str(p) for p in tmp_path.rglob("*")) == before
+        assert (tmp_path / "out" / "kept.json").read_bytes() == b"{}"
+
     def test_zero_baseline_rate_is_n_a_in_text(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         a.write_text(json.dumps({"labels": ["x", "y"], "rates": [0.0, 30.0]}))
@@ -526,6 +544,37 @@ print(json.dumps(report))
             outs.append([(out / f).read_bytes() for f in
                          ("s1_t1_neutral_001.lpcc", "manifest.tsv", "extract_log.json")])
         assert outs[0] == outs[1]
+
+    def test_a_manifest_with_a_bom_reads_as_one_without(self, tmp_path, capsys):
+        """Spreadsheet tools save manifests with a UTF-8 byte order mark: extract
+        and train give the same outputs as on the same manifest without one."""
+        rows = []
+        for c, label in enumerate(["neutral", "angry"]):
+            for token in (1, 2):
+                self._noise_wav(tmp_path, f"{label}{token}.wav", seed=10 * c + token)
+                rows.append(f"s1\tt1\t{label}\t{token}\t{label}{token}.wav")
+        plain = self._manifest(tmp_path, rows)
+        bom = tmp_path / "bom.tsv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for manifest, name in ((plain, "plain"), (bom, "bom")):
+            feat = tmp_path / f"feat-{name}"
+            code, text, err = run(capsys, "extract", "--manifest", str(manifest),
+                                  "--out", str(feat))
+            assert code == 0 and err == "" and "extracted 4/4" in text
+            train_manifest = feat / "manifest.tsv"
+            if name == "bom":
+                train_manifest = feat / "bom.tsv"
+                train_manifest.write_bytes(b"\xef\xbb\xbf" + (feat / "manifest.tsv").read_bytes())
+            code, _, err = run(capsys, "train", "--manifest", str(train_manifest),
+                               "--out", str(tmp_path / f"bank-{name}"), "--states", "2",
+                               "--mixtures", "1", "--max-iter", "2", "--train-count", "2",
+                               "--test-count", "0")
+            assert code == 0, err
+            outputs.append(_tree(feat))
+            outputs.append(_tree(tmp_path / f"bank-{name}"))
+        outputs[2].pop("bom.tsv")
+        assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
 
     def test_extract_log(self, tmp_path, capsys):
         self._noise_wav(tmp_path, "noise.wav", seed=3)
@@ -1428,6 +1477,48 @@ class TestFailedTrain:
         assert code == 3
 
 
+    def test_a_failed_replace_never_leaves_a_mix(self, two_scopes, tmp_path, capsys,
+                                                 monkeypatch):
+        """Whichever file write of a train into an existing bank fails (its
+        os.replace raises), identify and evaluate exit 3 or give the old
+        bank's output, and no temporary file is left behind."""
+        old = tmp_path / "old"
+        assert self._train(capsys, two_scopes, old, seed=1)[0] == 0
+
+        def outputs(bank):
+            got = [self._identify(capsys, two_scopes, bank, who)[:2] for who in ("syn", "twin")]
+            report = tmp_path / "report"
+            shutil.rmtree(report, ignore_errors=True)
+            code, _, _ = run(capsys, "evaluate", "--manifest", str(two_scopes / "two.tsv"),
+                             "--bank", str(bank), "--out", str(report))
+            return got + [(code, _tree(report) if code == 0 else None)]
+
+        before = outputs(old)
+        replace = os.replace
+        writes = 8   # 2 scopes x (2 model files + 1 pack), train_log.json, bank.json
+        for n in range(1, writes + 2):
+            bank = tmp_path / f"bank{n}"
+            shutil.copytree(old, bank)
+            calls = []
+
+            def nth_fails(src, dst):
+                calls.append(dst)
+                if len(calls) == n:
+                    raise OSError(f"{dst}: no space left on device")
+                return replace(src, dst)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", nth_fails)
+                code, _, err = self._train(capsys, two_scopes, bank, seed=2)
+            assert (code, len(calls)) == ((3, n) if n <= writes else (0, writes)), err
+            assert not list(bank.rglob("*.tmp"))
+            after = outputs(bank)
+            if n > writes:
+                assert all(got[0] == 0 for got in after) and after != before
+            else:
+                assert all(got[0] == 3 or got == was for got, was in zip(after, before))
+
+
 def _edit_bank_json(edit):
     """A breaker that edits a bank directory's bank.json in place."""
     def breaker(bank):
@@ -1621,6 +1712,22 @@ class TestPackedBank:
             argv = ["evaluate", "--manifest", str(corpus / "two.tsv"), "--bank", str(broken),
                     "--out", str(tmp_path / "rep")]
         assert run(capsys, *argv) == (3, "", message)
+
+
+    @pytest.mark.parametrize("command", ["identify", "evaluate"])
+    def test_utf16_bank_json_exits_3(self, corpus, bank, tmp_path, capsys, command):
+        # UTF-16 with its byte order mark: JSON text, but not the UTF-8 train writes
+        broken = tmp_path / "bank"
+        shutil.copytree(bank, broken)
+        (broken / "bank.json").write_bytes((broken / "bank.json").read_text().encode("utf-16"))
+        if command == "identify":
+            argv = ["identify", "--bank", str(broken), "--speaker", "syn",
+                    "--features", str(corpus / "features" / "b_007.lpcc")]
+        else:
+            argv = ["evaluate", "--manifest", str(corpus / "two.tsv"), "--bank", str(broken),
+                    "--out", str(tmp_path / "rep")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and f"{broken / 'bank.json'}: not valid JSON" in err
 
 
 # A seeded fuzz of packs and of bank.json's "packed" records: each case
