@@ -27,7 +27,10 @@
 #    seeded WAVs (each with a digital silence), into two directories that
 #    must not differ under diff -r, and twice more with a 25 ms window at a
 #    10 ms shift (a shift that does not divide the window) and pre-emphasis,
-#    under the same gate; then a corpus of 18 seeded WAVs (6 conditions of
+#    under the same gate; once more over the same manifest plus one row that
+#    names a FIFO no process writes, under `timeout 20`: it must exit 3 (not
+#    0, and not 124, the exit of a run that blocked on the FIFO) and give
+#    the same directory as the first run under diff -r; then a corpus of 18 seeded WAVs (6 conditions of
 #    3 tokens, each clip stepping through 3 all-pole filtered segments, so
 #    that every chain of an order-2 left-right bank takes the log-domain
 #    E-step) goes through extract and then through two order-2 left-right
@@ -173,6 +176,17 @@ for run in 1 2; do
 done
 diff -r "$scratch/features1" "$scratch/features2" > /dev/null ||
     { echo "the two extract runs' feature directories differ"; failed="$failed extract-determinism"; }
+mkfifo "$scratch/pipe.wav" &&
+    { cat "$scratch/wavs.tsv"; printf 's1\tt1\tneutral\t6\tpipe.wav\n'; } > "$scratch/fifo.tsv" ||
+    failed="$failed extract-fifo-inputs"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" timeout 20 python3 -m hmm2tc.cli extract \
+    --manifest "$scratch/fifo.tsv" --out "$scratch/features-fifo" > /dev/null 2>&1
+status=$?
+[ "$status" -eq 3 ] ||
+    { echo "extract with a FIFO row exited $status, not 3"; failed="$failed extract-fifo"; }
+diff -r "$scratch/features1" "$scratch/features-fifo" > /dev/null ||
+    { echo "extract with a FIFO row gave other features for the other rows"
+      failed="$failed extract-fifo"; }
 for run in 1 2; do
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m hmm2tc.cli extract \
         --manifest "$scratch/wavs.tsv" --out "$scratch/features-25-10-$run" \

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import DataError, FormatError, NumericError
-from .model_io import write_file
+from .model_io import read_file, write_file
 
 FEATURE_MAGIC = b"LPCC"
 FEATURE_VERSION = 1
@@ -382,8 +382,7 @@ def save_features(seq: FeatureSequence, path) -> None:
 
 
 def load_features(path, source_id: str | None = None) -> FeatureSequence:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_file(path)
     if data[:4] != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic bytes")
     if len(data) < 13:

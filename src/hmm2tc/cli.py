@@ -16,8 +16,8 @@ from .config import TrainConfig
 from .corpus import ManifestEntry, SynthSpec, apply_split_protocol, format_manifest, \
     generate_synthetic_corpus, parse_manifest
 from .errors import DataError, FormatError, Hmm2tcError, NumericError
-from .model_io import load_model, load_pack, read_json, save_model, save_pack, sha256, \
-    write_file
+from .model_io import load_model, load_pack, read_file, read_json, save_model, save_pack, \
+    sha256, write_file
 # The model commands import classify, and through it the HMM stack, where they
 # run: an extract process never compiles or loads it.
 
@@ -31,11 +31,11 @@ PACK_DIR = "packed"   # beside models/: one pack of model arrays per scope
 
 
 def _read_manifest(path) -> list[ManifestEntry]:
-    with open(path, encoding="utf-8-sig") as fh:   # a spreadsheet's BOM is no header text
-        try:
-            text = fh.read()
-        except ValueError as exc:   # not UTF-8 text
-            raise FormatError(f"{path}: not a text manifest: {exc}") from exc
+    data = read_file(path)
+    try:
+        text = data.decode("utf-8-sig")   # a spreadsheet's BOM is no header text
+    except ValueError as exc:   # not UTF-8 text
+        raise FormatError(f"{path}: not a text manifest: {exc}") from exc
     return parse_manifest(text)
 
 
@@ -96,9 +96,7 @@ def cmd_extract(args) -> int:
         for e, rel in zip(entries, names):
             src = _entry_path(base, e)
             try:
-                with open(src, "rb") as fh:
-                    clip = decode_pcm16_wav(fh.read())
-                r = clip_autocorrelation(clip, params)
+                r = clip_autocorrelation(decode_pcm16_wav(read_file(src)), params)
             except (OSError, Hmm2tcError) as exc:
                 failures.append(f"{src}: {exc}")
                 continue
@@ -212,8 +210,7 @@ def _load_bank(bank_dir, doc, scope_doc) -> ConditionBank:
     texts = {}
     for lab, path in paths.items():
         try:
-            with open(path, "rb") as fh:
-                texts[lab] = fh.read()
+            texts[lab] = read_file(path)
         except OSError:   # load_model names the file, after parsing the files before it
             break
     models = _packed(bank_dir, doc, scope_doc, texts)
@@ -307,12 +304,12 @@ def _read_report(path) -> dict:
 def cmd_compare(args) -> int:
     from .classify import improvement_table, render_improvement_text
     table = improvement_table(_read_report(args.baseline), _read_report(args.new))
+    if args.out:   # written first: an --out that cannot be written prints nothing
+        write_file(args.out, json.dumps(table, sort_keys=False, indent=1))
     if args.format == "json":
         print(json.dumps(table, sort_keys=False))
     else:
         print(render_improvement_text(table), end="")
-    if args.out:
-        write_file(args.out, json.dumps(table, sort_keys=False, indent=1))
     return EXIT_OK
 
 
@@ -409,7 +406,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:   # a size field far past what the machine holds
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_DATA
 
 

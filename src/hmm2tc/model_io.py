@@ -1,10 +1,12 @@
-"""Every file the package writes, and the versioned JSON persistence of
-order-1 and order-2 models and of packs of their arrays.
+"""Every file the package reads or writes, and the versioned JSON
+persistence of order-1 and order-2 models and of packs of their arrays.
 
-`write_file` is the one writer of every file of every command (features,
-manifests, logs, model and pack files, bank documents and reports): bytes
-as given, text as UTF-8 with no newline translated, each file whole or not
-at all.
+`read_file` is the one reader of every file of every command (WAVs,
+manifests, features, model and pack files, bank documents, reports and
+recipes): the bytes of a regular file, and nothing from a FIFO, a device
+or a directory. `write_file` is the one writer (features, manifests, logs,
+model and pack files, bank documents and reports): bytes as given, text as
+UTF-8 with no newline translated, each file whole or not at all.
 
 A model file's JSON is the format of record. A pack holds the arrays of a
 list of same-shaped models as one run of raw little-endian float64 values,
@@ -91,6 +93,21 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def read_file(path) -> bytes:
+    """The bytes of the file at `path`, or of the file it names when it is a
+    symlink. OSError, before anything is read, unless that is a regular
+    file: a FIFO is opened without waiting for a writer (O_NONBLOCK where
+    the platform has it), and it, a device or a directory is then refused."""
+    def regular(name, flags):
+        fd = os.open(name, flags | getattr(os, "O_NONBLOCK", 0))
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            os.close(fd)
+            raise OSError(f"{path}: not a regular file")
+        return fd
+    with open(path, "rb", buffering=0, opener=regular) as fh:
+        return fh.readall()
+
+
 def write_file(path, *chunks: bytes | str) -> None:
     """Write the chunks, in order, as the file at `path`: bytes as they are,
     str as UTF-8. The target is `path`, or the file it names when it is a
@@ -127,9 +144,7 @@ def save_model(model, path) -> str:
 def read_json(path, data: bytes | None = None):
     """The JSON document in a file, or in `data`, the file's bytes when they
     are already read; FormatError naming the file unless it holds one."""
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
+    data = read_file(path) if data is None else data
     try:
         return json.loads(data.decode("utf-8"))
     except ValueError as exc:   # not JSON, or not UTF-8 text
@@ -169,21 +184,18 @@ def load_pack(path, digest: str, count: int, order: int, n_states: int, n_compon
     shapes = [(n,) * (rank + 1) for rank in range(order + 1)] + [(n, m)]
     head = sum(map(math.prod, shapes))   # the values of a model that do not depend on D
     try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno())
-            per, rest = divmod(size.st_size // PACK_DTYPE.itemsize, count)
-            dim, spare = divmod(per - head, 2 * n * m)
-            if (not stat.S_ISREG(size.st_mode) or size.st_size % PACK_DTYPE.itemsize
-                    or rest or spare or dim < 1):
-                return None
-            data = bytearray(size.st_size)
-            if fh.readinto(data) != len(data) or sha256(data) != digest:
-                return None
+        size = os.stat(path).st_size   # a size that fits no layout is not read
+        per, rest = divmod(size // PACK_DTYPE.itemsize, count)
+        dim, spare = divmod(per - head, 2 * n * m)
+        if size % PACK_DTYPE.itemsize or rest or spare or dim < 1 \
+                or len(data := read_file(path)) != size or sha256(data) != digest:
+            return None
     except (OSError, ValueError):   # ValueError: a NUL in the path
         return None
     shapes += [(n, m, dim)] * 2
     ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
-    rows = np.frombuffer(data, dtype=PACK_DTYPE).astype(np.float64, copy=False).reshape(count, per)
+    # copied out of the read-only bytes: writable arrays, as a model file's are
+    rows = np.frombuffer(data, dtype=PACK_DTYPE).astype(np.float64).reshape(count, per)
     # each part of every model at once: (count,) + its shape, a view of the pack
     parts = [rows[:, a:b].reshape((count,) + s) for a, b, s in zip(ends, ends[1:], shapes)]
     try:

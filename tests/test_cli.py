@@ -382,8 +382,9 @@ class TestCompareErrors:
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "kept.json").write_bytes(b"{}")
         before = sorted(str(p) for p in tmp_path.rglob("*"))
-        code, _, err = run(capsys, "compare", str(a), str(a), "--out", str(tmp_path / "out"))
+        code, out, err = run(capsys, "compare", str(a), str(a), "--out", str(tmp_path / "out"))
         assert code == 3 and err == f"error: {tmp_path / 'out'}: exists and is not a regular file\n"
+        assert out == ""   # --out is written before the table is printed
         assert sorted(str(p) for p in tmp_path.rglob("*")) == before
         assert (tmp_path / "out" / "kept.json").read_bytes() == b"{}"
 
@@ -1553,6 +1554,12 @@ def _no_pack_dir(bank):
     shutil.rmtree(bank / "packed")
 
 
+def _fifo_pack(bank):
+    # a FIFO that no process writes: its size fits no layout, so it is never opened
+    _first_pack(bank).unlink()
+    os.mkfifo(_first_pack(bank))
+
+
 def _records(edit):
     return _edit_bank_json(lambda doc: [edit(scope) for scope in doc["scopes"]])
 
@@ -1568,6 +1575,8 @@ UNUSABLE_PACKS = {
     "record_not_an_object": _records(lambda scope: scope.update(packed=["packed"])),
     "path_not_a_string": _records(lambda scope: scope["packed"].update(path=7)),
     "path_a_directory": _records(lambda scope: scope["packed"].update(path="models")),
+    "path_a_device": _records(lambda scope: scope["packed"].update(path="/dev/zero")),
+    **({"pack_a_fifo": _fifo_pack} if hasattr(os, "mkfifo") else {}),
     "path_with_nul": _records(lambda scope: scope["packed"].update(path="packed/\0")),
     "pack_digest_missing": _records(lambda scope: scope["packed"].pop("sha256")),
     "model_digest_missing": _records(
@@ -2359,3 +2368,162 @@ class TestErrorBranches:
     def test_synth_past_the_bound_writes_no_feature_file(self, tmp_path, capsys, case):
         assert main(_synth_args(tmp_path, **SYNTH_PAST_THE_BOUND[case])) == 3
         assert not list(tmp_path.rglob("*.lpcc"))
+
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError("1 TiB")])
+    def test_out_of_memory_gives_its_text_only_when_it_has_some(self, tmp_path, capsys,
+                                                                monkeypatch, error):
+        def exhausted(path):
+            raise error
+
+        monkeypatch.setattr(cli, "read_json", exhausted)
+        code, out, err = run(capsys, *_synth_args(tmp_path))
+        assert (code, out) == (3, "")
+        assert err == ("error: out of memory: 1 TiB\n" if str(error) else "error: out of memory\n")
+
+
+# Every input of every command, as a case: each takes a directory holding a
+# copy of the fuzz corpus (c) and of its order-2 bank (bank), and a path
+# that is no regular file, puts that path where the input is read, and
+# returns the hmm2tc arguments and the path that the error must name.
+
+def _bank_json_is(root, special):
+    (root / "bank" / "bank.json").unlink()
+    (root / "bank" / "bank.json").symlink_to(special)
+    return root / "bank" / "bank.json"
+
+
+def _evaluate_args(root, manifest=None):
+    return ["evaluate", "--manifest", str(manifest or root / "c" / "test.tsv"),
+            "--bank", str(root / "bank"), "--out", str(root / "rep")]
+
+
+def _model_file_is(root, special):
+    _edit_scope(root, lambda scope: scope["models"].update(a=str(special)))
+    return _identify_args(root), special
+
+
+def _features_row_is(root, special, split):
+    (root / "c" / "rows.tsv").write_text("speaker\tsentence\tcondition\ttoken\tsplit\tpath\n"
+                                         f"s\tt\ta\t1\t{split}\t{special}\n"
+                                         f"s\tt\tb\t1\t{split}\tfeatures/b_001.lpcc\n")
+    return root / "c" / "rows.tsv"
+
+
+def _wav_row_is(root, special):
+    rng = np.random.default_rng(8)
+    rows = ["speaker\tsentence\tcondition\ttoken\tpath"]
+    for token, path in enumerate(["u1.wav", str(special), "u3.wav"], 1):
+        if path.endswith(".wav"):
+            (root / path).write_bytes(make_wav_bytes(
+                (rng.normal(0, 0.05, 4800) * 32767).astype(np.int16)))
+        rows.append(f"s1\tt1\tneutral\t{token}\t{path}")
+    (root / "wavs.tsv").write_text("\n".join(rows) + "\n")
+    return ["extract", "--manifest", str(root / "wavs.tsv"), "--out", str(root / "feat")], special
+
+
+def _compare_args(root, special, baseline: bool):
+    (root / "r.json").write_text(json.dumps({"labels": ["a", "b"], "rates": [50.0, 60.0]}))
+    reports = [str(special), str(root / "r.json")]
+    return ["compare", *(reports if baseline else reports[::-1])], special
+
+
+NON_REGULAR_CASES = {
+    "identify_features": lambda root, special: (_identify_args(root, special), special),
+    "identify_bank_json": lambda root, special: (_identify_args(root),
+                                                 _bank_json_is(root, special)),
+    "evaluate_bank_json": lambda root, special: (_evaluate_args(root),
+                                                 _bank_json_is(root, special)),
+    "model_file_in_bank_json": _model_file_is,
+    "train_manifest": lambda root, special: (
+        ["train", "--manifest", str(special), "--out", str(root / "new")], special),
+    "train_features_row": lambda root, special: (
+        _train_args(root / "c", _features_row_is(root, special, "train").name), special),
+    "evaluate_manifest": lambda root, special: (_evaluate_args(root, special), special),
+    "evaluate_features_row": lambda root, special: (
+        _evaluate_args(root, _features_row_is(root, special, "test")), special),
+    "extract_manifest": lambda root, special: (
+        ["extract", "--manifest", str(special), "--out", str(root / "feat")], special),
+    "extract_wav_row": _wav_row_is,
+    "synth_spec": lambda root, special: (
+        ["synth", "--spec", str(special), "--out", str(root / "s")], special),
+    "compare_baseline": lambda root, special: _compare_args(root, special, True),
+    "compare_new": lambda root, special: _compare_args(root, special, False),
+}
+
+# Runs each case's arguments through cli.main in one process, one JSON line
+# per case: its exit code (None when main raised, or when the case was still
+# running after 10 s), stdout and stderr. The address space is capped, so a
+# reader that reads /dev/zero to its end stops at a MemoryError.
+NON_REGULAR_CHILD = """
+import contextlib, io, json, resource, signal, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from hmm2tc.cli import main
+
+class Expired(BaseException):
+    pass
+
+def expire(signum, frame):
+    raise Expired("still running after 10 s")
+
+signal.signal(signal.SIGALRM, expire)
+for case, argv in json.loads(sys.argv[1]).items():
+    out, err = io.StringIO(), io.StringIO()
+    signal.alarm(10)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except BaseException:
+        code = None
+        err.write(traceback.format_exc())
+    finally:
+        signal.alarm(0)
+    print(json.dumps([case, code, out.getvalue(), err.getvalue()]), flush=True)
+"""
+
+
+@pytest.fixture(scope="module", params=["fifo", "dev_zero"])
+def non_regular_runs(request, fuzz_banks, tmp_path_factory):
+    """Every case of NON_REGULAR_CASES with a FIFO that no process writes,
+    or with /dev/zero: its directory, the path its error must name, and its
+    (exit code, stdout, stderr)."""
+    if request.param == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    if request.param == "dev_zero" and not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero on this platform")
+    top = tmp_path_factory.mktemp(request.param)
+    special = Path("/dev/zero")
+    if request.param == "fifo":
+        special = top / "pipe"
+        os.mkfifo(special)
+    argvs, named = {}, {}
+    for case, make in NON_REGULAR_CASES.items():
+        shutil.copytree(fuzz_banks / "c", top / case / "c")
+        shutil.copytree(fuzz_banks / "bank2", top / case / "bank")
+        argvs[case], named[case] = make(top / case, special)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    try:
+        stdout = subprocess.run([sys.executable, "-c", NON_REGULAR_CHILD, json.dumps(argvs)],
+                                env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                                timeout=300).stdout
+    except subprocess.TimeoutExpired as exc:   # the cases that finished before the kill
+        stdout = exc.stdout or b""
+    results = {case: tuple(rest) for case, *rest in map(json.loads, stdout.splitlines())}
+    return top, named, results
+
+
+class TestNonRegularInputs:
+    """Every file that a command reads, named as a FIFO with no writer or as
+    /dev/zero, exits 3 before anything is read from it (so before a FIFO
+    could block or /dev/zero fill the memory), naming it as not a regular
+    file, with no traceback."""
+
+    @pytest.mark.parametrize("case", NON_REGULAR_CASES)
+    def test_exits_3_naming_it(self, non_regular_runs, case):
+        top, named, results = non_regular_runs
+        code, out, err = results.get(case, (None, "", "the process was killed first"))
+        assert code == 3 and "Traceback" not in err, (code, err)
+        assert f"{named[case]}: not a regular file" in err, err
+        if case == "extract_wav_row":   # a failed row; the rows beside it are extracted
+            assert out.startswith("extracted 2/3 files")
+            assert sorted(p.name for p in (top / case / "feat").glob("*.lpcc")) == \
+                ["s1_t1_neutral_001.lpcc", "s1_t1_neutral_003.lpcc"]

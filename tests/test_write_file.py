@@ -1,14 +1,16 @@
 """`model_io.write_file`, the one writer of every file the package writes:
 bytes as given and text as UTF-8, whole or not at all, and never over a
-target that is not a regular file."""
+target that is not a regular file; and `model_io.read_file`, the one
+reader, which reads nothing from a file that is not a regular file."""
 
 import ast
 import os
+import re
 from pathlib import Path
 
 import pytest
 
-from hmm2tc.model_io import write_file
+from hmm2tc.model_io import read_file, write_file
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hmm2tc"
 
@@ -91,10 +93,34 @@ def test_a_fifo_is_refused_before_anything_is_written(tmp_path):
     assert (tmp_path / "pipe").is_fifo() and _listing(tmp_path) == ["pipe"]
 
 
+def test_a_file_is_read_as_its_bytes_through_a_symlink_chain(tmp_path):
+    (tmp_path / "f").write_bytes(b"\xef\xbb\xbfa\r\nb\rc\x00")
+    (tmp_path / "link").symlink_to("f")
+    (tmp_path / "link2").symlink_to("link")
+    assert read_file(tmp_path / "f") == read_file(str(tmp_path / "link2")) == \
+        b"\xef\xbb\xbfa\r\nb\rc\x00"
+    (tmp_path / "empty").write_bytes(b"")
+    assert read_file(tmp_path / "empty") == b""
+
+
+def test_a_directory_is_refused_before_it_is_read(tmp_path):
+    # FIFOs and devices are refused the same way; tests/test_cli.py names
+    # them as every input of every command in a child process, so that a
+    # reader that blocks on a FIFO or reads /dev/zero to its end can hang
+    # or exhaust only that process
+    (tmp_path / "d").mkdir()
+    with pytest.raises(OSError, match=re.escape(f"{tmp_path / 'd'}: not a regular file") + "$"):
+        read_file(tmp_path / "d")
+
+
+def _name(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _is_write(call: ast.Call) -> bool:
     """An open() whose mode may write, a Path write, or os.makedirs."""
-    func = call.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    name = _name(call)
     if name in ("write_text", "write_bytes", "makedirs", "mkdir"):
         return True
     if name != "open":
@@ -107,15 +133,37 @@ def _is_write(call: ast.Call) -> bool:
                 and not set(mode.value) & set("wax+"))
 
 
-def test_every_file_is_written_by_write_file():
-    """No module of the package opens a file for writing, or makes a
-    directory, outside model_io.write_file."""
+def _is_read(call: ast.Call) -> bool:
+    """Any open() (builtin, os or io), a Path read, np.fromfile or np.load."""
+    name = _name(call)
+    if name in ("open", "read_bytes", "read_text", "fromfile"):
+        return True
+    value = getattr(call.func, "value", None)
+    return name == "load" and isinstance(value, ast.Name) and value.id in ("np", "numpy")
+
+
+def _sites(is_site) -> list[str]:
+    """The calls in the package's modules for which `is_site` holds, outside
+    model_io.read_file and model_io.write_file. Each of the two may open a
+    file in any mode: read_file's os.open takes flags that are no constant."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         allowed = {id(n) for top in tree.body if path.name == "model_io.py"
-                   and isinstance(top, ast.FunctionDef) and top.name == "write_file"
+                   and isinstance(top, ast.FunctionDef) and top.name in ("read_file", "write_file")
                    for n in ast.walk(top)}
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
-                  if isinstance(n, ast.Call) and _is_write(n) and id(n) not in allowed]
-    assert found == []
+                  if isinstance(n, ast.Call) and is_site(n) and id(n) not in allowed]
+    return found
+
+
+def test_every_file_is_written_by_write_file():
+    """No module of the package opens a file for writing, or makes a
+    directory, outside model_io's one reader and one writer."""
+    assert _sites(_is_write) == []
+
+
+def test_every_file_is_read_by_read_file():
+    """No module of the package opens or reads a file outside model_io's
+    one reader and one writer."""
+    assert _sites(_is_read) == []
