@@ -18,6 +18,7 @@ import os
 import sys
 
 from hmm2tc import cli
+from hmm2tc.model_io import read_json, write_file
 
 DEFAULT_LABELS = ["neutral", "shouted", "loud", "angry", "happy", "fear"]
 
@@ -45,13 +46,11 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     out = args.out
-    os.makedirs(out, exist_ok=True)
     spec = os.path.join(out, "spec.json")
-    with open(spec, "w", encoding="utf-8") as fh:
-        json.dump({"labels": args.labels, "tokens_per_condition": args.tokens,
-                   "frames": list(args.frames), "n_states": args.states,
-                   "n_components": args.mixtures, "dim": args.dim,
-                   "separation": args.separation, "seed": args.seed}, fh, indent=1)
+    write_file(spec, json.dumps({"labels": args.labels, "tokens_per_condition": args.tokens,
+                                 "frames": list(args.frames), "n_states": args.states,
+                                 "n_components": args.mixtures, "dim": args.dim,
+                                 "separation": args.separation, "seed": args.seed}, indent=1))
     manifest = os.path.join(out, "manifest.tsv")
     report = {order: os.path.join(out, f"report{order}", "report.json") for order in (1, 2)}
     commands = [["synth", "--spec", spec, "--out", out]]
@@ -73,8 +72,7 @@ def main(argv=None) -> int:
 
     acc = {}
     for order, path in report.items():
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         acc[order] = 100.0 * sum(row[i] for i, row in enumerate(doc["counts"])) / doc["n_test"]
     print(f"\noverall accuracy: HMM1 {acc[1]:.1f}%  HMM2 {acc[2]:.1f}%")
     return 0

@@ -1,9 +1,15 @@
-"""Command-line entry point: extract, train, identify, evaluate, compare, synth."""
+"""Command-line entry point: extract, train, identify, evaluate, compare, synth.
+
+Every file goes through `model_io`, the bank directory too: `train` hands
+its trained scopes to `model_io.save_bank`, and `identify` and `evaluate`
+read a bank with `read_bank` and `load_scope`. This module groups the
+training entries into scopes, checks before training that their artifact
+names do not collide, and picks the scope that `identify` scores against.
+"""
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -16,8 +22,7 @@ from .config import TrainConfig
 from .corpus import ManifestEntry, SynthSpec, apply_split_protocol, format_manifest, \
     generate_synthetic_corpus, parse_manifest
 from .errors import DataError, FormatError, Hmm2tcError, NumericError
-from .model_io import load_model, load_pack, read_file, read_json, save_model, save_pack, \
-    sha256, write_file
+from .model_io import load_scope, read_bank, read_file, read_json, save_bank, write_file
 # The model commands import classify, and through it the HMM stack, where they
 # run: an extract process never compiles or loads it.
 
@@ -25,9 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-BANK_FILE = "bank.json"
-PACK_DIR = "packed"   # beside models/: one pack of model arrays per scope
 
 
 def _read_manifest(path) -> list[ManifestEntry]:
@@ -147,94 +149,18 @@ def cmd_train(args) -> int:
     _distinct_names((_scope_name(k), f"scope {k}") for k in keys)
     _distinct_names((f"{_scope_name(k)}_{lab}", f"scope {k} condition {lab!r}")
                     for k in keys for lab in scopes[k])
-    bank_doc = {"format_version": 1, "order": args.order, "N": args.states,
-                "M": args.mixtures, "topology": args.topology,
-                "protocol": "pooled" if args.pooled else "per_scope", "scopes": []}
-    # every scope is trained before any file is written, and an old bank.json
-    # goes before the first model file is replaced: a run that fails partway
-    # leaves the old bank whole, or no bank.json for identify and evaluate
+    # every scope is trained before save_bank writes any file: a run that
+    # fails while training leaves the old bank whole
     trained = [(key, *train_bank(scopes[key], args.order, args.states, args.mixtures,
                                  args.topology, cfg)) for key in keys]
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(args.out, BANK_FILE))
-    train_log = {}
-    for key, bank, traces in trained:
-        scope_doc = {"speaker": None if key is None else key[0],
-                     "sentence": None if key is None else key[1],
-                     "labels": bank.labels, "models": {}}
-        digests = []
-        for lab in bank.labels:
-            rel = os.path.join("models", f"{_scope_name(key)}_{lab}.model.json")
-            digests.append(save_model(bank.models[lab], os.path.join(args.out, rel)))
-            scope_doc["models"][lab] = rel
-        rel = os.path.join(PACK_DIR, f"{_scope_name(key)}.f8")
-        scope_doc["packed"] = {
-            "path": rel, "model_sha256": digests,
-            "sha256": save_pack([bank.models[lab] for lab in bank.labels],
-                                os.path.join(args.out, rel))}
-        bank_doc["scopes"].append(scope_doc)
-        train_log[_scope_name(key)] = traces
-    write_file(os.path.join(args.out, "train_log.json"),
-               json.dumps(train_log, sort_keys=True, indent=1))
-    write_file(os.path.join(args.out, BANK_FILE), json.dumps(bank_doc, sort_keys=True, indent=1))
-    print(f"trained {len(bank_doc['scopes'])} bank(s) -> {args.out}")
+    save_bank(args.out, {"format_version": 1, "order": args.order, "N": args.states,
+                         "M": args.mixtures, "topology": args.topology,
+                         "protocol": "pooled" if args.pooled else "per_scope"},
+              [(_scope_name(key), *(key or (None, None)), bank.models)
+               for key, bank, _ in trained],
+              {_scope_name(key): traces for key, _, traces in trained})
+    print(f"trained {len(trained)} bank(s) -> {args.out}")
     return EXIT_OK
-
-
-def _load_bank_doc(bank_dir) -> dict:
-    """The bank directory's bank.json; FormatError unless it holds the fields
-    that identify and evaluate read."""
-    path = os.path.join(bank_dir, BANK_FILE)
-    doc = read_json(path)
-    scopes = doc.get("scopes") if isinstance(doc, dict) else None
-    if not (isinstance(scopes, list) and scopes and {"order", "protocol"} <= doc.keys()
-            and all(_is_scope_doc(s) for s in scopes)):
-        raise FormatError(f"{path}: not a bank document")
-    return doc
-
-
-def _is_scope_doc(scope) -> bool:
-    return (isinstance(scope, dict)
-            and {"labels", "models", "speaker", "sentence"} <= scope.keys()
-            and isinstance(scope["labels"], list) and isinstance(scope["models"], dict)
-            and all(isinstance(v, str) for v in scope["labels"])
-            and all(isinstance(v, str) for v in scope["models"].values()))
-
-
-def _load_bank(bank_dir, doc, scope_doc) -> ConditionBank:
-    """The scope's bank. Each model file is read once; the models come from
-    the scope's pack when `_packed` vouches for it, and otherwise from the
-    model files' JSON, the format of record."""
-    from .classify import ConditionBank
-    paths = {lab: os.path.join(bank_dir, rel) for lab, rel in scope_doc["models"].items()}
-    texts = {}
-    for lab, path in paths.items():
-        try:
-            texts[lab] = read_file(path)
-        except OSError:   # load_model names the file, after parsing the files before it
-            break
-    models = _packed(bank_dir, doc, scope_doc, texts)
-    if models is None:
-        models = {lab: load_model(path, texts.get(lab)) for lab, path in paths.items()}
-    return ConditionBank(list(scope_doc["labels"]), models)
-
-
-def _packed(bank_dir, doc, scope_doc, texts) -> dict | None:
-    """The scope's models read from its pack, or None. The pack is read only
-    when the scope's "packed" record lists, in label order, the SHA-256 of
-    each model file's bytes (`texts`, by label) and names a pack whose own
-    SHA-256 it holds and whose size fits bank.json's order, N and M: so a
-    pack is never read in place of a model file that changed after train
-    wrote both."""
-    record, labels = scope_doc.get("packed"), scope_doc["labels"]
-    if not (isinstance(record, dict) and isinstance(record.get("path"), str)
-            and sorted(labels) == sorted(texts)
-            and record.get("model_sha256") == [sha256(texts[lab]) for lab in labels]):
-        return None
-    models = load_pack(os.path.join(bank_dir, record["path"]), record.get("sha256"),
-                       len(labels), doc.get("order"), doc.get("N"), doc.get("M"),
-                       doc.get("topology"))
-    return None if models is None else dict(zip(labels, models))
 
 
 def _select_scope(doc, speaker, sentence) -> dict:
@@ -253,9 +179,10 @@ def _select_scope(doc, speaker, sentence) -> dict:
 
 
 def cmd_identify(args) -> int:
-    from .classify import identify
-    doc = _load_bank_doc(args.bank)
-    bank = _load_bank(args.bank, doc, _select_scope(doc, args.speaker, args.sentence))
+    from .classify import ConditionBank, identify
+    doc = read_bank(args.bank)
+    scope = _select_scope(doc, args.speaker, args.sentence)
+    bank = ConditionBank(list(scope["labels"]), load_scope(args.bank, doc, scope))
     obs = load_features(args.features)
     result = identify(bank, obs, args.scoring)
     print(result.label)
@@ -265,13 +192,14 @@ def cmd_identify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .classify import evaluate_scopes, render_report_text
+    from .classify import ConditionBank, evaluate_scopes, render_report_text
     entries = _read_manifest(args.manifest)
     entries, base = _resolve(entries, args.manifest, args)
-    doc = _load_bank_doc(args.bank)
+    doc = read_bank(args.bank)
     pooled = doc["protocol"] == "pooled"
-    banks = {None if pooled else (scope_doc["speaker"], scope_doc["sentence"]):
-             _load_bank(args.bank, doc, scope_doc) for scope_doc in doc["scopes"]}
+    banks = {None if pooled else (scope["speaker"], scope["sentence"]):
+             ConditionBank(list(scope["labels"]), load_scope(args.bank, doc, scope))
+             for scope in doc["scopes"]}
     tests = ((_scope_key(e, pooled), e.condition,
               load_features(_entry_path(base, e), source_id=e.path), e.group or None)
              for e in entries if e.split == "test")

@@ -1,5 +1,6 @@
-"""Every file the package reads or writes, and the versioned JSON
-persistence of order-1 and order-2 models and of packs of their arrays.
+"""Every file the package reads or writes; the versioned JSON persistence
+of order-1 and order-2 models and of packs of their arrays; and the bank
+directory that `train` writes and `identify` and `evaluate` read.
 
 `read_file` is the one reader of every file of every command (WAVs,
 manifests, features, model and pack files, bank documents, reports and
@@ -15,6 +16,13 @@ mixture weights, means and variances. It carries no shapes: its reader takes
 them from the caller and from the file's size, and reads a pack only when
 the pack's bytes have the SHA-256 that the caller gives. The model checks
 run once over a pack's stacked arrays, not once per model.
+
+A bank directory holds, per scope of one (speaker, sentence) or of the
+pooled corpus, a model file per condition label under models/ and a pack
+of them under packed/; then train_log.json, and bank.json, which lists the
+scopes with their model paths and a "packed" record of the digests that
+vouch for the pack. `save_bank` writes one, `read_bank` reads its bank.json
+and `load_scope` one scope's models.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ _PARTS = ("weights", "means", "variances")   # the fields of each state in "mixt
 # stored as psi and a2
 _ARRAYS = ("psi", "a2", "a3")
 PACK_DTYPE = np.dtype("<f8")
+BANK_FILE = "bank.json"
 
 
 def model_to_dict(model: Hmm1Model | Hmm2Model) -> dict:
@@ -97,7 +106,12 @@ def read_file(path) -> bytes:
     """The bytes of the file at `path`, or of the file it names when it is a
     symlink. OSError, before anything is read, unless that is a regular
     file: a FIFO is opened without waiting for a writer (O_NONBLOCK where
-    the platform has it), and it, a device or a directory is then refused."""
+    the platform has it), and it, a device or a directory is then refused.
+    A path that holds a NUL character is refused before anything is opened,
+    with its NUL escaped in the message."""
+    if "\0" in os.fsdecode(path):
+        raise OSError(f"{os.fsdecode(path)!r}: the path holds a NUL character")
+
     def regular(name, flags):
         fd = os.open(name, flags | getattr(os, "O_NONBLOCK", 0))
         if not stat.S_ISREG(os.fstat(fd).st_mode):
@@ -202,3 +216,73 @@ def load_pack(path, digest: str, count: int, order: int, n_states: int, n_compon
         return cls.bank(parts[:-3], parts[-3:], topology)
     except DataError:
         return None
+
+
+def save_bank(out, doc: dict, scopes, train_log: dict) -> None:
+    """Write the bank directory `out`: `doc` (order, N, M, topology and
+    protocol) with one record per (name, speaker, sentence, models by label)
+    of `scopes`, and the EM traces `train_log`. An old bank.json is removed
+    first; then each scope's model files and its pack are written, then
+    train_log.json, and bank.json last. So a run that fails partway leaves
+    no bank.json, and identify and evaluate never read a mix of two runs'
+    models."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out, BANK_FILE))
+    records = []
+    for name, speaker, sentence, models in scopes:
+        paths = {lab: os.path.join("models", f"{name}_{lab}.model.json") for lab in models}
+        digests = [save_model(model, os.path.join(out, paths[lab]))
+                   for lab, model in models.items()]
+        pack = os.path.join("packed", f"{name}.f8")
+        records.append({"speaker": speaker, "sentence": sentence, "labels": list(models),
+                        "models": paths, "packed": {
+                            "path": pack, "model_sha256": digests,
+                            "sha256": save_pack(models.values(), os.path.join(out, pack))}})
+    write_file(os.path.join(out, "train_log.json"),
+               json.dumps(train_log, sort_keys=True, indent=1))
+    write_file(os.path.join(out, BANK_FILE),
+               json.dumps({**doc, "scopes": records}, sort_keys=True, indent=1))
+
+
+def read_bank(bank_dir) -> dict:
+    """The bank directory's bank.json; FormatError unless it holds the fields
+    that identify and evaluate read: an order, a protocol and a nonempty
+    list of scopes, each with a speaker, a sentence, a list of label
+    strings and model paths by label."""
+    path = os.path.join(bank_dir, BANK_FILE)
+    doc = read_json(path)
+    scopes = doc.get("scopes") if isinstance(doc, dict) else None
+    if not (isinstance(scopes, list) and scopes and {"order", "protocol"} <= doc.keys()
+            and all(isinstance(s, dict) and {"labels", "models", "speaker", "sentence"} <= s.keys()
+                    and isinstance(s["labels"], list) and isinstance(s["models"], dict)
+                    and all(isinstance(v, str) for v in [*s["labels"], *s["models"].values()])
+                    for s in scopes)):
+        raise FormatError(f"{path}: not a bank document")
+    return doc
+
+
+def load_scope(bank_dir, doc: dict, scope: dict) -> dict:
+    """The models, by label, of one scope of a bank document (`read_bank`).
+    Each model file is read once. The models come from the scope's pack
+    only when its "packed" record lists, in label order, the SHA-256 of each
+    model file's bytes and names a pack whose own SHA-256 it holds and whose
+    size fits the document's order, N and M: so a pack is never read in
+    place of a model file that changed after train wrote both. Otherwise
+    they come from the model files' JSON, the format of record."""
+    paths = {lab: os.path.join(bank_dir, rel) for lab, rel in scope["models"].items()}
+    texts = {}
+    for lab, path in paths.items():
+        try:
+            texts[lab] = read_file(path)
+        except OSError:   # load_model names the file, after parsing the files before it
+            break
+    record, labels = scope.get("packed"), scope["labels"]
+    if isinstance(record, dict) and isinstance(record.get("path"), str) \
+            and sorted(labels) == sorted(texts) \
+            and record.get("model_sha256") == [sha256(texts[lab]) for lab in labels]:
+        models = load_pack(os.path.join(bank_dir, record["path"]), record.get("sha256"),
+                           len(labels), doc.get("order"), doc.get("N"), doc.get("M"),
+                           doc.get("topology"))
+        if models is not None:
+            return dict(zip(labels, models))
+    return {lab: load_model(path, texts.get(lab)) for lab, path in paths.items()}

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmm2tc.audio import (SILENCE_THRESHOLD, AudioClip, FeatureSequence, FrameParams,
@@ -362,16 +362,21 @@ def mixed_clips(draw):
     return AudioClip(samples, 16000), params
 
 
-def per_frame_reference(clip: AudioClip, params: FrameParams):
-    """The front end one frame at a time, with numpy's own correlation: the
-    LPCC rows, the degenerate count and the autocorrelation rows."""
+def correlate_rows(clip: AudioClip, params: FrameParams) -> np.ndarray:
+    """The clip's autocorrelation rows, one frame at a time with numpy's own
+    correlation."""
     frames = frame_and_window(clip, params)
-    out = np.zeros((frames.shape[0], params.cepstral_order))
-    rows = np.zeros((frames.shape[0], params.lpc_order + 1))
+    n = frames.shape[1]
+    return np.array([np.correlate(f, f, mode="full")[n - 1 : n + params.lpc_order]
+                     for f in frames]).reshape(-1, params.lpc_order + 1)
+
+
+def per_frame_lpcc(rows: np.ndarray, params: FrameParams):
+    """The LPC and cepstrum stages one autocorrelation row at a time: the
+    LPCC rows and the degenerate count."""
+    out = np.zeros((rows.shape[0], params.cepstral_order))
     degenerate = 0
-    for t, frame in enumerate(frames):
-        n = frame.size
-        r = rows[t] = np.correlate(frame, frame, mode="full")[n - 1 : n + params.lpc_order]
+    for t, r in enumerate(rows):
         if r[0] <= SILENCE_THRESHOLD:
             degenerate += 1
             continue
@@ -381,7 +386,7 @@ def per_frame_reference(clip: AudioClip, params: FrameParams):
             degenerate += 1
             continue
         out[t] = lpc_to_lpcc(a, params.cepstral_order)
-    return out, degenerate, rows
+    return out, degenerate
 
 
 class TestStackedFrontEnd:
@@ -415,15 +420,21 @@ class TestStackedFrontEnd:
         for t in range(lpc.shape[0]):
             assert c[t].tobytes() == lpc_to_lpcc(lpc[t], cepstral_order).tobytes()
 
+    # pure tones, whose near-singular Levinson-Durbin recursions magnify the
+    # rounding of r past 1e-9 in the LPCC: the block path must still give,
+    # bit for bit, what the per-frame stages give on its own rows
+    @example((AudioClip(_frame("tone", 1443, [7, 0]), 16000), FrameParams()))
+    @example((AudioClip(_frame("tone", 1422, [143, 0]), 16000), FrameParams(pre_emphasis=0.97)))
     @settings(max_examples=100, deadline=None)
     @given(mixed_clips())
     def test_extract_matches_per_frame_reference(self, case):
         clip, params = case
         seq = extract_features(clip, params)
-        ref, degenerate, r = per_frame_reference(clip, params)
-        assert np.all(np.abs(clip_autocorrelation(clip, params) - r) <= 1e-12 * r[:, :1])
+        r, ref = clip_autocorrelation(clip, params), correlate_rows(clip, params)
+        assert np.all(np.abs(r - ref) <= 1e-12 * ref[:, :1])
+        lpcc, degenerate = per_frame_lpcc(r, params)
         assert seq.degenerate_frames == degenerate
-        assert np.max(np.abs(seq.frames - ref)) <= 1e-9
+        assert seq.frames.tobytes() == lpcc.tobytes()
 
     def test_failed_rows_leave_the_others_alone(self):
         rho = 0.9

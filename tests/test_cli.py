@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmm2tc import classify, cli
+from hmm2tc import classify, cli, model_io
 from hmm2tc.audio import FrameParams, decode_pcm16_wav, extract_features, load_features, \
     lpcc_sequences, save_features
 from hmm2tc.cli import main
@@ -847,11 +847,17 @@ def _bank_wrong_shape(bank, feat):
     (bank / "bank.json").write_text('{"order": 2, "protocol": "pooled", "scopes": [{"labels": 1}]}')
 
 
+def _model_path_with_nul(bank, feat):
+    doc = json.loads((bank / "bank.json").read_text())
+    doc["scopes"][0]["models"]["b"] = "models/x\0y"
+    (bank / "bank.json").write_text(json.dumps(doc))
+
+
 # each breaks a copy of a trained bank directory or of one utterance's
 # feature file (bank, feature path) -> None
 BAD_SCORING_INPUTS = [_cut_features, _odd_features, _no_frames, _wrong_dim, _one_frame,
                       _one_huge_value, _huge_features, _missing_model, _model_not_text,
-                      _bank_not_json, _bank_wrong_shape]
+                      _bank_not_json, _bank_wrong_shape, _model_path_with_nul]
 
 # (exit code, message) of evaluate on an utterance that the order-2 bank
 # cannot score: the message names the utterance's file
@@ -859,6 +865,11 @@ UNSCORABLE = {
     _wrong_dim: (3, "error: u.lpcc: observation dim 4 != bank dim 3"),
     _one_frame: (3, "error: u.lpcc: second-order recursions require T >= 2"),
     _one_huge_value: (4, "numeric error: u.lpcc: no model assigns nonzero probability"),
+}
+
+# the message of identify and evaluate on a bank that neither can read: exit 3
+UNREADABLE_BANKS = {
+    _model_path_with_nul: "models/x\\x00y': the path holds a NUL character",
 }
 
 
@@ -898,6 +909,8 @@ class TestScoringFuzz:
         if command == "evaluate" and breaker in UNSCORABLE:
             want_code, message = UNSCORABLE[breaker]
             assert code == want_code and message in err, (code, err)
+        if breaker in UNREADABLE_BANKS:
+            assert code == 3 and UNREADABLE_BANKS[breaker] in err, (code, err)
 
 
 def _set(part, index, value):
@@ -1000,7 +1013,7 @@ class TestModelFaults:
         paths = [bank / scope["models"][lab] for lab in scope["labels"]]
         docs = [json.loads(path.read_text()) for path in paths]
         packs = []
-        monkeypatch.setattr(cli, "load_pack", lambda *a: packs.append(load_pack(*a)) or packs[-1])
+        monkeypatch.setattr(model_io, "load_pack", lambda *a: packs.append(load_pack(*a)) or packs[-1])
         features = str(trained / "c" / "features" / "a_006.lpcc")
         for broken in (False, True):
             if broken:
@@ -1467,7 +1480,7 @@ class TestFailedTrain:
                 raise OSError(f"{path}: no space left on device")
             return save_pack(models, path)
 
-        monkeypatch.setattr(cli, "save_pack", second_call_fails)
+        monkeypatch.setattr(model_io, "save_pack", second_call_fails)
         code, _, err = self._train(capsys, two_scopes, bank, seed=2)
         assert code == 3 and "no space left" in err and len(calls) == 2
         for who in ("syn", "twin"):
@@ -1645,7 +1658,7 @@ class TestPackedBank:
         def spy(path, data=None):
             paths.append(path)
             return load_model(path, data)
-        monkeypatch.setattr(cli, "load_model", spy)
+        monkeypatch.setattr(model_io, "load_model", spy)
         return paths
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -1653,11 +1666,11 @@ class TestPackedBank:
     def test_pack_holds_the_model_files_arrays(self, corpus, tmp_path, parsed, order,
                                                topology):
         bank = self._train(corpus, tmp_path / "bank", order, topology)
-        doc = cli._load_bank_doc(bank)
+        doc = model_io.read_bank(bank)
         assert sorted(os.listdir(bank / "packed")) == ["other_s1.f8", "syn_s1.f8"]
         for scope in doc["scopes"]:
             assert sorted(scope["packed"]) == ["model_sha256", "path", "sha256"]
-            packed = cli._load_bank(str(bank), doc, scope).models
+            packed = model_io.load_scope(str(bank), doc, scope)
             assert parsed == []
             for lab, rel in scope["models"].items():
                 want, got = load_model(bank / rel), packed[lab]
@@ -1694,7 +1707,7 @@ class TestPackedBank:
         shutil.copytree(bank, edited)
         _records(edit)(edited)
         got = self._outputs(corpus, edited, tmp_path / "a", capsys)
-        monkeypatch.setattr(cli, "load_pack", lambda *args: pytest.fail("pack read"))
+        monkeypatch.setattr(model_io, "load_pack", lambda *args: pytest.fail("pack read"))
         _records(lambda scope: scope.pop("packed"))(edited)
         assert self._outputs(corpus, edited, tmp_path / "b", capsys) == got
 

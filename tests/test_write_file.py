@@ -1,7 +1,8 @@
-"""`model_io.write_file`, the one writer of every file the package writes:
-bytes as given and text as UTF-8, whole or not at all, and never over a
-target that is not a regular file; and `model_io.read_file`, the one
-reader, which reads nothing from a file that is not a regular file."""
+"""`model_io.write_file`, the one writer of every file the package and its
+scripts write: bytes as given and text as UTF-8, whole or not at all, and
+never over a target that is not a regular file; `model_io.read_file`, the
+one reader, which reads nothing from a file that is not a regular file;
+and `model_io` as the one module that knows a bank directory's layout."""
 
 import ast
 import os
@@ -12,7 +13,8 @@ import pytest
 
 from hmm2tc.model_io import read_file, write_file
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hmm2tc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hmm2tc"
 
 
 def _listing(root):
@@ -143,11 +145,12 @@ def _is_read(call: ast.Call) -> bool:
 
 
 def _sites(is_site) -> list[str]:
-    """The calls in the package's modules for which `is_site` holds, outside
-    model_io.read_file and model_io.write_file. Each of the two may open a
-    file in any mode: read_file's os.open takes flags that are no constant."""
+    """The calls in the package's modules and in scripts/ for which `is_site`
+    holds, outside model_io.read_file and model_io.write_file. Each of the
+    two may open a file in any mode: read_file's os.open takes flags that are
+    no constant."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         allowed = {id(n) for top in tree.body if path.name == "model_io.py"
                    and isinstance(top, ast.FunctionDef) and top.name in ("read_file", "write_file")
@@ -158,12 +161,32 @@ def _sites(is_site) -> list[str]:
 
 
 def test_every_file_is_written_by_write_file():
-    """No module of the package opens a file for writing, or makes a
-    directory, outside model_io's one reader and one writer."""
+    """No module of the package and no script opens a file for writing, or
+    makes a directory, outside model_io's one reader and one writer."""
     assert _sites(_is_write) == []
 
 
 def test_every_file_is_read_by_read_file():
-    """No module of the package opens or reads a file outside model_io's
-    one reader and one writer."""
+    """No module of the package and no script opens or reads a file outside
+    model_io's one reader and one writer."""
     assert _sites(_is_read) == []
+
+
+def test_only_model_io_names_the_bank_files():
+    """No module of the package but model_io holds, outside its docstrings,
+    a string that names bank.json, the packed/ directory or a pack record's
+    model_sha256: the bank directory's layout is model_io's alone."""
+    names = re.compile(r"\bbank\.json\b|\bpacked\b|\bmodel_sha256\b")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "model_io.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docs = {id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef))
+                and node.body and isinstance(node.body[0], ast.Expr)}
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                  and id(n) not in docs and names.search(n.value)]
+    assert found == []
